@@ -9,18 +9,15 @@ from .crash import (
     CrashModel,
     PositionTrace,
     exposure,
-    exposure_general,
     exposure_simple_attack,
     involvement_given_crash,
     monte_carlo_exposure,
     propagation_probability,
 )
 from .fatigue import (
-    FatigueParams,
     FatigueResult,
     optimize_fatigue,
     p_max_from_budget,
-    total_energy,
 )
 from .flat import (
     Branch,
@@ -41,15 +38,9 @@ from .flat import (
 )
 from .model import (
     DragParams,
-    PelotonConfig,
-    PhysicalParams,
     PowerProfile,
     ScaleSet,
-    drafting_drag,
     drag_at_depth,
-    peloton_average_drag,
-    quasi_steady_speed,
-    scale_factors,
 )
 from .terrain import (
     BreakawayRun,
@@ -57,10 +48,8 @@ from .terrain import (
     Trajectory,
     demo_profile,
     load_course_table,
-    lurking_power,
     simulate_breakaway,
     simulate_peloton,
-    steepness,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ microstructure  composite vs full attack-onset velocity series
 Every run prints (or writes with --out) a single table whose metadata block
 echoes the complete effective configuration; re-running with the same
 configuration and seed reproduces the output byte for byte.  Exit codes:
-0 success, 1 usage or configuration error, 2 numerical failure, 3 the
+0 success, 1 usage, configuration or file error, 2 numerical failure, 3 the
 Monte Carlo statistical gate tripped.
 """
 
@@ -104,26 +104,33 @@ def _new_table(command: str, cfg: RunConfig, columns: list[str]) -> ResultTable:
     return table
 
 
-def _sweep_configs(cfg: RunConfig):
-    """The per-point configs of a sweep, or [cfg] for a single-point run."""
+def _sweep(command: str, cfg: RunConfig, columns: list[str], row_fn):
+    """One row per sweep point (or one row without a sweep), in sweep order.
+
+    A sweep prepends the swept parameter's effective value to every row.
+    Returns the table and the raw rows.
+    """
     parameter = cfg.get("sweep", "parameter")
     points = cfg.get("sweep", "points")
-    if not parameter or points < 1:
-        return None, [cfg]
-    values = np.linspace(cfg.get("sweep", "lo"), cfg.get("sweep", "hi"), points)
-    return parameter, [cfg.with_value(parameter, float(v)) for v in values]
-
-
-def _map_rows(row_fn, configs, jobs: int):
+    swept = bool(parameter) and points >= 1
+    configs = [cfg]
+    if swept:
+        section, key = _resolve_key(parameter)
+        values = np.linspace(cfg.get("sweep", "lo"), cfg.get("sweep", "hi"), points)
+        configs = [cfg.with_value(parameter, float(v)) for v in values]
+        columns = [parameter] + columns
+    table = _new_table(command, cfg, columns)
+    jobs = cfg.get("output", "jobs")
     if jobs > 1 and len(configs) > 1:
         with Pool(processes=jobs) as pool:
-            return pool.map(row_fn, configs)  # input order preserved
-    return [row_fn(cfg) for cfg in configs]
-
-
-def _sweep_value(cfg: RunConfig, parameter: str) -> float:
-    section, key = _resolve_key(parameter)
-    return cfg.get(section, key)
+            rows = pool.map(row_fn, configs)  # input order preserved
+    else:
+        rows = [row_fn(point_cfg) for point_cfg in configs]
+    for point_cfg, row in zip(configs, rows):
+        if swept:
+            row = [point_cfg.get(section, key)] + row
+        table.add_row(*row)
+    return table, rows
 
 
 # -- flat ---------------------------------------------------------------------
@@ -150,17 +157,10 @@ def _flat_row(cfg: RunConfig) -> list:
 
 
 def cmd_flat(cfg: RunConfig) -> tuple[ResultTable, int]:
-    parameter, configs = _sweep_configs(cfg)
-    columns = ["x_a_min", "x_a_star", "p_a_star", "delta_t", "exposure",
-               "objective", "branch", "beta_crit", "e_min_win", "beta_min_win"]
-    if parameter:
-        columns = [parameter] + columns
-    table = _new_table("flat", cfg, columns)
-    rows = _map_rows(_flat_row, configs, cfg.get("output", "jobs"))
-    for point_cfg, row in zip(configs, rows):
-        if parameter:
-            row = [_sweep_value(point_cfg, parameter)] + row
-        table.add_row(*row)
+    table, _ = _sweep("flat", cfg,
+                      ["x_a_min", "x_a_star", "p_a_star", "delta_t", "exposure",
+                       "objective", "branch", "beta_crit", "e_min_win",
+                       "beta_min_win"], _flat_row)
     return table, EXIT_OK
 
 
@@ -185,21 +185,13 @@ def _fatigue_row(cfg: RunConfig) -> list:
 
 
 def cmd_fatigue(cfg: RunConfig) -> tuple[ResultTable, int]:
-    parameter, configs = _sweep_configs(cfg)
-    columns = ["x_a_star", "p_max_star", "t_f_star", "delta_t", "objective",
-               "status", "converged", "budget_residual", "arrival_residual"]
-    if parameter:
-        columns = [parameter] + columns
-    table = _new_table("fatigue", cfg, columns)
-    rows = _map_rows(_fatigue_row, configs, cfg.get("output", "jobs"))
-    code = EXIT_OK
-    for point_cfg, row in zip(configs, rows):
-        if row[6] is False:
-            code = EXIT_NUMERICAL  # partial failure: rows are still emitted
-        if parameter:
-            row = [_sweep_value(point_cfg, parameter)] + row
-        table.add_row(*row)
-    return table, code
+    table, rows = _sweep("fatigue", cfg,
+                         ["x_a_star", "p_max_star", "t_f_star", "delta_t",
+                          "objective", "status", "converged", "budget_residual",
+                          "arrival_residual"], _fatigue_row)
+    # partial failure: the rows that did not converge are still emitted
+    converged = all(row[6] is not False for row in rows)
+    return table, EXIT_OK if converged else EXIT_NUMERICAL
 
 
 # -- terrain ------------------------------------------------------------------
@@ -317,7 +309,7 @@ def main(argv=None) -> int:
         table, code = _COMMANDS[args.command](cfg)
         table.write(cfg.get("output", "format"), args.out)
         return code
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericsError as exc:

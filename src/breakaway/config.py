@@ -121,30 +121,22 @@ def _resolve_key(name: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Immutable bag of effective parameter values."""
+    """Immutable bag of effective parameter values.
 
-    values: tuple[tuple[str, tuple[tuple[str, object], ...]], ...]
+    _data maps section -> key -> value and is never mutated once the config
+    is built; with_value returns a new config over a copy.
+    """
+
+    _data: dict
 
     @classmethod
     def defaults(cls) -> "RunConfig":
-        data = {s: {k: d for k, (_, d) in keys.items()} for s, keys in SCHEMA.items()}
-        return cls._from_dict(data)
-
-    @classmethod
-    def _from_dict(cls, data: dict) -> "RunConfig":
-        packed = tuple(
-            (section, tuple(sorted(data[section].items())))
-            for section in sorted(data)
-        )
-        return cls(values=packed)
-
-    def _as_dict(self) -> dict:
-        return {s: dict(items) for s, items in self.values}
+        return cls({s: {k: d for k, (_, d) in keys.items()} for s, keys in SCHEMA.items()})
 
     @classmethod
     def load(cls, config_path=None, overrides=()) -> "RunConfig":
         """Defaults, then an optional INI file, then key=value overrides."""
-        data = cls.defaults()._as_dict()
+        data = cls.defaults()._data
         if config_path is not None:
             parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
             try:
@@ -167,22 +159,22 @@ class RunConfig:
             name, raw = item.split("=", 1)
             section, key = _resolve_key(name.strip())
             data[section][key] = _coerce(section, key, raw.strip())
-        return cls._from_dict(data)
+        return cls(data)
 
     def get(self, section: str, key: str):
-        return self._as_dict()[section][key]
+        return self._data[section][key]
 
     def with_value(self, name: str, value) -> "RunConfig":
         section, key = _resolve_key(name)
-        data = self._as_dict()
+        data = {s: dict(keys) for s, keys in self._data.items()}
         data[section][key] = _coerce(section, key, value)
-        return self._from_dict(data)
+        return RunConfig(data)
 
     def echo_items(self) -> list[tuple[str, object]]:
-        """Flat (section.key, value) pairs sufficient to reproduce the run."""
-        return [(f"{section}.{key}", value)
-                for section, items in self.values
-                for key, value in items]
+        """Flat (section.key, value) pairs, sorted, sufficient to reproduce the run."""
+        return [(f"{section}.{key}", self._data[section][key])
+                for section in sorted(self._data)
+                for key in sorted(self._data[section])]
 
     # -- builders ------------------------------------------------------------
 

@@ -13,8 +13,10 @@ Exposure is an expected involvement count, so it scales linearly with the
 intensity and may exceed one.
 
 Custom start distributions and propagation kernels plug in through
-CrashModel; a chunked, vectorized Monte Carlo estimator serves as the
-independent oracle for the analytic integrals.
+CrashModel, and exposure then sums the kernel over start ranks instead of
+using the closed form; exposure_simple_attack is the explicit formula for
+the lurk-then-attack trace.  A chunked, vectorized Monte Carlo estimator
+serves as the independent oracle for the analytic integrals.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "involvement_given_crash",
     "exposure",
     "exposure_simple_attack",
-    "exposure_general",
     "monte_carlo_exposure",
 ]
 
@@ -190,10 +191,18 @@ def _segment_intensity_mass(model: CrashModel, x_lo: float, x_hi: float) -> floa
 
 
 def exposure(trace: PositionTrace, model: CrashModel) -> float:
-    """Expected crash involvements over the race, uniform-start closed form."""
+    """Expected crash involvements over the race.
+
+    Uses the uniform-start closed form when the model has neither a kernel
+    nor a start distribution, and the sum over start ranks otherwise.
+    """
+    closed_form = model.kernel is None and model.start_distribution is None
     total = 0.0
     for x_lo, x_hi, pos in trace.segments():
-        h = involvement_given_crash(pos, model.omega, model.n_riders)
+        if closed_form:
+            h = involvement_given_crash(pos, model.omega, model.n_riders)
+        else:
+            h = float(model.involvement_general(pos)[0])
         total += h * _segment_intensity_mass(model, x_lo, x_hi)
     return total
 
@@ -207,15 +216,6 @@ def exposure_simple_attack(x_attack: float, position: float,
         raise ValueError("closed form requires a constant intensity")
     ratio = np.expm1(-model.omega * position) / np.expm1(-model.omega)
     return model.intensity / model.n_riders * (x_attack * ratio + 1.0 - x_attack)
-
-
-def exposure_general(trace: PositionTrace, model: CrashModel) -> float:
-    """Exposure under an arbitrary start distribution and kernel."""
-    total = 0.0
-    for x_lo, x_hi, pos in trace.segments():
-        h = float(model.involvement_general(pos)[0])
-        total += h * _segment_intensity_mass(model, x_lo, x_hi)
-    return total
 
 
 def _intensity_bound(model: CrashModel) -> float:

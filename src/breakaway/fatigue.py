@@ -1,12 +1,13 @@
 """Breakaways with fatigue: burst power decaying toward a sustainable floor.
 
 After attacking at time t_a the rider's power is
-(p_max - p_sustain) * exp(-mu (t - t_a)) + p_sustain, so the finish time has
-no closed form and the strategy optimum is found numerically.  The
-three-variable constrained problem (attack position, peak power, finish
-time) collapses to nested scalar solves: given the attack position, the peak
-power follows from the energy budget in closed form, leaving one bracketed
-root-solve for the post-attack duration.  The outer problem over the attack
+(p_max - p_sustain) * exp(-mu (t - t_a)) + p_sustain, the schedule that
+PowerProfile.fatigue_attack builds, so the finish time has no closed form
+and the strategy optimum is found numerically.  The three-variable
+constrained problem (attack position, peak power, finish time) collapses
+to nested scalar solves: given the attack position, the peak power follows
+from the energy budget in closed form, leaving one bracketed root-solve
+for the post-attack duration.  The outer problem over the attack
 position is solved to rounding level rather than to the ~sqrt(eps) that
 value-only minimization can reach: a grid picks the cell of the minimum,
 and Brent's method then finds the root of dM/dx_a, whose dt_f/dx_a comes
@@ -31,9 +32,9 @@ import numpy as np
 
 from .crash import exposure_simple_attack
 from .flat import StrategyProblem
+from .model import PowerProfile
 from .numerics import (
     DEFAULT_SETTINGS,
-    RiderNeverFinishesError,
     SolverSettings,
     find_root_bracketed,
     integrate_adaptive,
@@ -41,14 +42,9 @@ from .numerics import (
 )
 
 __all__ = [
-    "FatigueParams",
     "FatigueResult",
     "InfeasibleBudgetError",
-    "power_at",
-    "total_energy",
     "p_max_from_budget",
-    "position_after_attack",
-    "finish_time",
     "optimize_fatigue",
     "RESIDUAL_FLOOR",
     "reported_residual",
@@ -57,6 +53,7 @@ __all__ = [
 _X_CAP = 1.0 - 1e-6  # attacks arbitrarily close to the line are allowed, x = 1 is not
 _ROUNDING_TOL = 1e-15  # absolute root tolerance for every value a table prints
 RESIDUAL_FLOOR = 1e-12  # residuals at or below this are rounding noise
+_GRID_POINTS = 128  # grid that picks the cell of the attack-position optimum
 
 
 def reported_residual(value: float) -> float:
@@ -74,31 +71,6 @@ class InfeasibleBudgetError(ValueError):
 
 
 @dataclass(frozen=True)
-class FatigueParams:
-    """Time-dependent attack power schedule.
-
-    p_lurk is spent while hiding in the pack; from attack_time onward the
-    power starts at p_max and decays at rate mu toward p_sustain.
-    """
-
-    p_max: float
-    p_sustain: float
-    p_lurk: float
-    mu: float
-    attack_time: float
-
-    def __post_init__(self):
-        if self.p_max < self.p_sustain or self.p_sustain < 0.0:
-            raise ValueError("need p_max >= p_sustain >= 0")
-        if self.mu < 0.0:
-            raise ValueError("mu must be non-negative")
-        if self.p_lurk < 0.0:
-            raise ValueError("p_lurk must be non-negative")
-        if self.attack_time < 0.0:
-            raise ValueError("attack_time must be non-negative")
-
-
-@dataclass(frozen=True)
 class FatigueResult:
     attack_position: float | None
     peak_power: float | None
@@ -112,15 +84,6 @@ class FatigueResult:
     arrival_residual: float = math.nan
 
 
-def power_at(t, params: FatigueParams):
-    """Power at time(s) t under the fatigue schedule."""
-    t = np.asarray(t, dtype=float)
-    burst = (params.p_max - params.p_sustain) * np.exp(
-        -params.mu * np.maximum(t - params.attack_time, 0.0))
-    out = np.where(t < params.attack_time, params.p_lurk, params.p_sustain + burst)
-    return float(out) if out.ndim == 0 else out
-
-
 def _burst_integral(delta: float, mu: float) -> float:
     """Integral of exp(-mu s) over [0, delta]; exact at mu = 0."""
     if mu == 0.0:
@@ -128,22 +91,13 @@ def _burst_integral(delta: float, mu: float) -> float:
     return -math.expm1(-mu * delta) / mu
 
 
-def total_energy(x_attack: float, t_finish: float, params: FatigueParams) -> float:
-    """Energy spent from the start through t_finish (attack at x_attack = t_a)."""
-    if not 0.0 <= x_attack <= t_finish:
-        raise ValueError("need 0 <= x_attack <= t_finish")
-    delta = t_finish - x_attack
-    return (params.p_lurk * x_attack
-            + params.p_sustain * delta
-            + (params.p_max - params.p_sustain) * _burst_integral(delta, params.mu))
-
-
 def p_max_from_budget(energy_budget: float, x_attack: float, t_finish: float,
                       p_sustain: float, mu: float,
                       p_lurk: float | None = None) -> float:
     """Peak power that makes the schedule spend exactly energy_budget by t_finish.
 
-    p_lurk defaults to p_sustain.  Round-trips with total_energy.
+    p_lurk defaults to p_sustain.  Round-trips with the energy of
+    PowerProfile.fatigue_attack.
     """
     if t_finish <= x_attack:
         raise ValueError("need t_finish > x_attack")
@@ -207,44 +161,6 @@ def _speed_integral_slope(delta: float, p_max: float, p_sustain: float,
     decay = np.exp(-mu * offsets)
     speed = np.cbrt(p_sustain + (p_max - p_sustain) * decay)
     return _panel_sum(decay / (3.0 * speed * speed), weights)
-
-
-def position_after_attack(t: float, params: FatigueParams,
-                          cd_front: float) -> float:
-    """Rider position at time t >= attack_time, starting the attack at x = t_a."""
-    if t < params.attack_time:
-        raise ValueError("t must not precede the attack")
-    integral = _speed_integral(t - params.attack_time, params.p_max,
-                               params.p_sustain, params.mu)
-    return params.attack_time + integral / cd_front ** (1.0 / 3.0)
-
-
-def finish_time(params: FatigueParams, cd_front: float,
-                settings: SolverSettings = DEFAULT_SETTINGS) -> float:
-    """Time at which the post-attack position reaches the finish line."""
-    t_a = params.attack_time
-    if t_a >= 1.0:
-        raise ValueError("the attack must happen before the finish")
-
-    def gap(t):
-        return position_after_attack(t, params, cd_front) - 1.0
-
-    if params.p_sustain > 0.0:
-        v_floor = (params.p_sustain / cd_front) ** (1.0 / 3.0)
-        t_hi = t_a + (1.0 - t_a) / v_floor * (1.0 + 1e-12) + 1e-9
-    else:
-        if params.mu > 0.0:
-            reach = (params.p_max / cd_front) ** (1.0 / 3.0) * 3.0 / params.mu
-            if t_a + reach <= 1.0:
-                raise RiderNeverFinishesError(
-                    "the decaying burst cannot carry the rider to the line")
-        t_hi = t_a + max(1.0, (1.0 - t_a)
-                         * (cd_front / max(params.p_max, 1e-300)) ** (1.0 / 3.0)) * 4.0
-        while gap(t_hi) < 0.0:
-            t_hi = t_a + (t_hi - t_a) * settings.bracket_expansion
-            if t_hi - t_a > 1e6:
-                raise RiderNeverFinishesError("no finish within the search horizon")
-    return find_root_bracketed(gap, t_a, t_hi, settings)
 
 
 # -- constrained solve at a fixed attack position ----------------------------
@@ -325,7 +241,6 @@ def _finish_time_slope(x: float, t_finish: float, p_max: float,
 
 def optimize_fatigue(problem: StrategyProblem, mu: float,
                      p_sustain: float | None = None,
-                     grid_points: int = 128,
                      settings: SolverSettings = DEFAULT_SETTINGS) -> FatigueResult:
     """Minimize the risk-weighted objective over the attack position.
 
@@ -413,16 +328,15 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     x_zero = boundary[0]
     if x_zero < _X_CAP:
         x_min, _ = minimize_scalar(objective_at, x_zero, _X_CAP, exact,
-                                   grid_points=grid_points, df=slope_at)
+                                   _GRID_POINTS, df=slope_at)
         if x_min > x_zero:
             interior = exact_point(x_min)
             if value_of(interior) < value_of(boundary) - 1e-12:
                 best = interior
 
     x_best, t_finish, p_max = best
-    params = FatigueParams(p_max=p_max, p_sustain=p_s, p_lurk=p_lurk,
-                           mu=mu, attack_time=x_best)
-    budget_res = abs(total_energy(x_best, t_finish, params) - budget)
+    schedule = PowerProfile.fatigue_attack(p_lurk, x_best, p_max, p_s, mu)
+    budget_res = abs(schedule.energy(t_finish) - budget)
     integrand = lambda s: np.cbrt(p_s + (p_max - p_s) * np.exp(-mu * s))
     arrival, _ = integrate_adaptive(integrand, 0.0, t_finish - x_best, settings)
     arrival_res = abs(x_best + arrival / cd_front ** (1.0 / 3.0) - 1.0)

@@ -1,11 +1,11 @@
-"""Core race model: scalings, position-dependent drag, speed law, energy.
+"""Core race model: drafting drag, terrain scales and the power schedule.
 
 Everything downstream works in dimensionless variables: the course has unit
 length, the peloton rides it in unit time at unit power, and the peloton's
-total energy spend is one.  This module owns the conversion from dimensional
-stage parameters to those units, the exponential drafting-drag law, the
-cube-root quasi-steady speed law v = (P/C_d)^(1/3), and exact energy
-accounting for piecewise power profiles.
+total energy spend is one.  This module holds the exponential drafting-drag
+law, the dimensionless ratios of the terrain dynamics, and the one power
+schedule of the package: PowerProfile, piecewise constant and exponentially
+decaying pieces with exact, closed-form energy accounting.
 
 The standard calibration keeps the front-rider drag ratio (1.43) and the
 position-5 lurking power (0.46) as independent inputs rather than deriving
@@ -15,27 +15,17 @@ both from the drag law, which cannot produce that pair simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import g as STANDARD_GRAVITY
 
 __all__ = [
     "DragParams",
-    "PelotonConfig",
-    "PhysicalParams",
     "PowerProfile",
     "ScaleSet",
     "drag_at_depth",
-    "drafting_drag",
-    "grid_average_drag",
-    "peloton_average_drag",
-    "quasi_steady_speed",
-    "scale_factors",
     "CD_FRONT_CALIBRATED",
     "CD_LURK_CALIBRATED",
-    "STANDARD_DRAG",
-    "default_peloton",
 ]
 
 # Standard calibration: front-rider drag ratio and the position-5 lurking
@@ -59,9 +49,6 @@ class DragParams:
             raise ValueError("decay must be positive")
 
 
-STANDARD_DRAG = DragParams()
-
-
 def drag_at_depth(depth, drag: DragParams):
     """Raw drag coefficient at a drafting depth measured in axle spacings.
 
@@ -74,152 +61,20 @@ def drag_at_depth(depth, drag: DragParams):
     return float(out) if out.ndim == 0 else out
 
 
-def grid_average_drag(n_rows: int, drag: DragParams) -> float:
-    """Peloton-average drag for a rectangular grid with n_rows ranks.
-
-    Riders in the same row share a depth, so the column count cancels.
-    """
-    if n_rows < 1:
-        raise ValueError("n_rows must be at least 1")
-    depths = np.arange(n_rows, dtype=float)
-    return float(np.mean(drag_at_depth(depths, drag)))
-
-
-@dataclass(frozen=True)
-class PelotonConfig:
-    """Peloton geometry and drag calibration.
-
-    cd_avg is the peloton-average raw drag coefficient used to normalize
-    individual coefficients.  By default it is supplied directly (calibrated
-    so the front rider's ratio is exactly CD_FRONT_CALIBRATED); use
-    ``from_grid`` to derive it from a rectangular formation instead.
-    """
-
-    n_riders: int = 75
-    drag: DragParams = field(default_factory=DragParams)
-    cd_avg: float = DragParams().cd_max / CD_FRONT_CALIBRATED
-    n_rows: int | None = None
-    n_cols: int | None = None
-
-    def __post_init__(self):
-        if self.n_riders < 1:
-            raise ValueError("n_riders must be at least 1")
-        if not self.drag.cd_min < self.cd_avg <= self.drag.cd_max:
-            raise ValueError("cd_avg must lie in (cd_min, cd_max]")
-        if (self.n_rows is None) != (self.n_cols is None):
-            raise ValueError("give both n_rows and n_cols or neither")
-        if self.n_rows is not None and self.n_rows * self.n_cols != self.n_riders:
-            raise ValueError("n_riders must equal n_rows * n_cols")
-
-    @classmethod
-    def from_grid(cls, n_rows: int, n_cols: int,
-                  drag: DragParams | None = None) -> "PelotonConfig":
-        drag = drag or DragParams()
-        return cls(n_riders=n_rows * n_cols, drag=drag,
-                   cd_avg=grid_average_drag(n_rows, drag),
-                   n_rows=n_rows, n_cols=n_cols)
-
-
-def default_peloton() -> PelotonConfig:
-    return PelotonConfig()
-
-
-def peloton_average_drag(peloton: PelotonConfig) -> float:
-    """Average raw drag over the peloton grid (requires grid geometry)."""
-    if peloton.n_rows is None:
-        raise ValueError("peloton has no grid geometry; cd_avg was supplied directly")
-    return grid_average_drag(peloton.n_rows, peloton.drag)
-
-
-def drafting_drag(position, peloton: PelotonConfig):
-    """Drag coefficient at drafting position i, normalized by the peloton average.
-
-    Position 1 is the front; position i sits at depth i - 1.  Continuous
-    (non-integer) positions are allowed.
-    """
-    position = np.asarray(position, dtype=float)
-    if np.any(position < 1.0):
-        raise ValueError("drafting position must be >= 1")
-    out = drag_at_depth(position - 1.0, peloton.drag) / peloton.cd_avg
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def quasi_steady_speed(power, drag):
-    """Equilibrium speed v = (P/C_d)^(1/3) in the zero-inertia limit."""
-    power = np.asarray(power, dtype=float)
-    drag = np.asarray(drag, dtype=float)
-    if np.any(drag <= 0.0):
-        raise ValueError("drag coefficient must be positive")
-    if np.any(power < 0.0):
-        raise ValueError("power must be non-negative")
-    out = np.cbrt(power / drag)
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Dimensional stage parameters (SI units)."""
-
-    mass_avg: float = 70.0          # kg, peloton-average rider mass
-    rider_mass: float = 70.0        # kg, the breakaway rider
-    air_density: float = 1.225      # kg m^-3
-    frontal_area: float = 0.4 / (DragParams().cd_max / CD_FRONT_CALIBRATED)  # m^2
-    course_length: float = 1.0e5    # m
-    peloton_power_avg: float = 150.0  # W, flat-stage average
-    axle_spacing: float = 4.0       # m, axle-to-axle in a packed peloton
-
-    def __post_init__(self):
-        for name in ("mass_avg", "rider_mass", "air_density", "frontal_area",
-                     "course_length", "peloton_power_avg", "axle_spacing"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.axle_spacing / self.course_length >= 1e-3:
-            raise ValueError("axle_spacing must be tiny against course_length")
-
-
 @dataclass(frozen=True)
 class ScaleSet:
-    """Derived scales and dimensionless ratios.
+    """Dimensionless ratios of the terrain dynamics.
 
-    time_scale [s] and energy_scale [J] convert dimensionless race time and
-    energy back to SI.  inertia is the small velocity-relaxation parameter,
-    spacing_ratio the axle spacing over course length, gravity_ratio the
+    inertia is the small velocity-relaxation parameter, gravity_ratio the
     gravity-to-drag force ratio used on graded courses.
     """
 
-    time_scale: float = 1.0
-    energy_scale: float = 1.0
     inertia: float = 0.005
-    spacing_ratio: float = 4.0e-5
     gravity_ratio: float = 40.0
 
     def __post_init__(self):
         if self.inertia <= 0.0:
             raise ValueError("inertia must be positive")
-        if self.time_scale <= 0.0 or self.energy_scale <= 0.0:
-            raise ValueError("scales must be positive")
-        if self.spacing_ratio <= 0.0:
-            raise ValueError("spacing_ratio must be positive")
-
-
-def scale_factors(phys: PhysicalParams, peloton: PelotonConfig) -> ScaleSet:
-    """Compute the dimensionless scale set from dimensional parameters."""
-    cda = peloton.cd_avg * phys.frontal_area
-    time_scale = (cda * phys.air_density * phys.course_length**3
-                  / (2.0 * phys.peloton_power_avg)) ** (1.0 / 3.0)
-    # energy scale = peloton power x race time, so the peloton spends E = 1
-    energy_scale = phys.peloton_power_avg * time_scale
-    inertia = 2.0 * phys.mass_avg / (phys.course_length * cda * phys.air_density)
-    gravity_ratio = (2.0 ** (1.0 / 3.0) * phys.mass_avg * STANDARD_GRAVITY
-                     / (phys.peloton_power_avg ** (2.0 / 3.0)
-                        * (cda * phys.air_density) ** (1.0 / 3.0)))
-    return ScaleSet(
-        time_scale=time_scale,
-        energy_scale=energy_scale,
-        inertia=inertia,
-        spacing_ratio=phys.axle_spacing / phys.course_length,
-        gravity_ratio=gravity_ratio,
-    )
 
 
 class PowerProfile:
@@ -311,9 +166,10 @@ class PowerProfile:
         _, floor, amp, rate, origin = piece
 
         def _integral(lo, hi):
+            # expm1 keeps the burst term accurate when rate * (hi - lo) is tiny
             return (floor * (hi - lo)
-                    + amp / rate * (math.exp(-rate * (lo - origin))
-                                    - math.exp(-rate * (hi - origin))))
+                    + amp * math.exp(-rate * (lo - origin))
+                    * -math.expm1(-rate * (hi - lo)) / rate)
 
         raw_a = floor + amp * math.exp(-rate * (a - origin))
         raw_b = floor + amp * math.exp(-rate * (b - origin))
@@ -339,6 +195,3 @@ class PowerProfile:
                 break
             total += self._piece_energy(piece, lo, min(t, hi))
         return total
-
-    def energy_between(self, a: float, b: float) -> float:
-        return self.energy(b) - self.energy(a)

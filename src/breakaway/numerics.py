@@ -1,11 +1,11 @@
 """Shared deterministic numerical kernels.
 
 Thin, deterministic wrappers around well-tested SciPy routines (Brent root
-finding, adaptive Gauss-Kronrod quadrature, adaptive ODE integration with
-event detection) plus two hand-rolled pieces the rest of the package leans
-on: a closed-form real-root solver for depressed cubics and a grid-seeded
-scalar minimizer with a documented tie-break, refined by golden section or,
-given the derivative, by Brent's method on its root.
+finding on a given bracket, adaptive Gauss-Kronrod quadrature, adaptive ODE
+integration with event detection) plus two hand-rolled pieces the rest of
+the package leans on: a closed-form real-root solver for depressed cubics
+and a grid-seeded scalar minimizer with a documented tie-break, refined by
+golden section or, given the derivative, by Brent's method on its root.
 
 Everything here is stateless and re-entrant.  What a result certifies is
 its tolerance, not its bits.  Brent roots, and the derivative path of
@@ -53,20 +53,17 @@ class RiderNeverFinishesError(NumericsError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances shared by the root finders, quadrature and ODE solvers."""
+    """Tolerances shared by the root finder, quadrature and ODE solvers."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_iterations: int = 200
-    bracket_expansion: float = 2.0
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.bracket_expansion <= 1:
-            raise ValueError("bracket_expansion must exceed 1")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -137,27 +134,6 @@ def find_root_bracketed(f, lo: float, hi: float,
         rtol=4.0 * np.finfo(float).eps,
         maxiter=settings.max_iterations,
     )
-
-
-def expand_bracket(f, lo: float, hi: float,
-                   settings: SolverSettings = DEFAULT_SETTINGS,
-                   hi_cap: float = math.inf):
-    """Grow [lo, hi] upward by the configured factor until f changes sign.
-
-    Returns the bracketing pair; raises BracketError if the cap is reached.
-    """
-    f_lo = f(lo)
-    width = hi - lo
-    for _ in range(settings.max_iterations):
-        if hi > hi_cap:
-            break
-        f_hi = f(hi)
-        if f_lo == 0.0 or f_lo * f_hi <= 0.0:
-            return lo, hi
-        lo, f_lo = hi, f_hi
-        width *= settings.bracket_expansion
-        hi = hi + width
-    raise BracketError("no sign change found while expanding the bracket")
 
 
 def integrate_adaptive(f, a: float, b: float,

@@ -20,7 +20,7 @@ where no pedaling is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -40,9 +40,7 @@ __all__ = [
     "CourseFileError",
     "Trajectory",
     "BreakawayRun",
-    "steepness",
     "simulate_peloton",
-    "lurking_power",
     "simulate_breakaway",
     "load_course_table",
     "demo_profile",
@@ -115,10 +113,6 @@ class CourseProfile:
             raise CourseFileError("course table must span x = 0 to x = 1")
         interp = PchipInterpolator(xs, hs)
         return cls(height=interp, slope=interp.derivative(), label=label)
-
-
-def steepness(profile: CourseProfile, x):
-    return profile.steepness(x)
 
 
 def load_course_table(path) -> CourseProfile:
@@ -276,16 +270,11 @@ def _resolve_method(scales: ScaleSet, quasi_steady: bool, method: str) -> str:
     return "bdf" if (not quasi_steady and scales.inertia < 1e-3) else "rk45"
 
 
-def lurking_power(peloton: Trajectory, cd_position: float,
-                  mass_ratio: float = 1.0) -> np.ndarray:
-    """Power series holding a rider at drag ratio cd_position in the pack.
+def _lurk_power(velocities, cd_position: float, mass_ratio: float):
+    """Power holding a rider at drag ratio cd_position in the pack.
 
     Clamped at zero where gravity does the work.
     """
-    return _lurk_power(peloton.velocities, cd_position, mass_ratio)
-
-
-def _lurk_power(velocities, cd_position: float, mass_ratio: float):
     raw = mass_ratio + (cd_position - mass_ratio) * np.asarray(velocities) ** 3
     return np.maximum(raw, 0.0)
 
@@ -297,15 +286,7 @@ def simulate_peloton(profile: CourseProfile, scales: ScaleSet,
     """Ride the peloton (unit power) over the course until x = 1."""
     method = _resolve_method(scales, quasi_steady, method)
     pel = _solve_peloton(profile, scales, quasi_steady, method, settings)
-    times = np.linspace(0.0, pel.t_finish, n_samples)
-    return Trajectory(
-        times=times,
-        positions=np.asarray(pel.position(times), dtype=float),
-        velocities=np.asarray(pel.velocity(times), dtype=float),
-        powers=np.ones_like(times),
-        cumulative_energy=times.copy(),
-        finish_time=pel.t_finish,
-    )
+    return _sample_peloton(pel, n_samples)
 
 
 def _as_profile(attack) -> PowerProfile:
@@ -332,16 +313,14 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         raise ValueError("attack position must lie in [0, 1)")
     method = _resolve_method(scales, quasi_steady, method)
     pel = _solve_peloton(profile, scales, quasi_steady, method, settings)
+    peloton = _sample_peloton(pel, n_samples)
     n_half = max(n_samples // 2, 33)
 
     if attack is None:
-        times = np.linspace(0.0, pel.t_finish, n_samples)
-        velocities = np.asarray(pel.velocity(times), dtype=float)
-        powers = _lurk_power(velocities, cd_lurk, mass_ratio)
-        energy = _cumtrapz(powers, times)
-        rider = Trajectory(times, np.asarray(pel.position(times), dtype=float),
-                           velocities, powers, energy, pel.t_finish)
-        peloton = _sample_peloton(pel, n_samples)
+        # the rider rides the peloton's trajectory at the lurking power
+        powers = _lurk_power(peloton.velocities, cd_lurk, mass_ratio)
+        energy = _cumtrapz(powers, peloton.times)
+        rider = replace(peloton, powers=powers, cumulative_energy=energy)
         return BreakawayRun(rider, peloton, 0.0, math.nan, math.nan,
                             float(energy[-1]), pel.t_finish)
 
@@ -385,7 +364,6 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         cumulative_energy=np.concatenate((pre_energy, post_e)),
         finish_time=t_f,
     )
-    peloton = _sample_peloton(pel, n_samples)
     return BreakawayRun(
         rider=rider, peloton=peloton,
         time_gap=pel.t_finish - t_f,

@@ -17,12 +17,7 @@ from breakaway.crash import (
     exposure_simple_attack,
     monte_carlo_exposure,
 )
-from breakaway.fatigue import (
-    FatigueParams,
-    optimize_fatigue,
-    p_max_from_budget,
-    total_energy,
-)
+from breakaway.fatigue import optimize_fatigue, p_max_from_budget
 from breakaway.flat import (
     Branch,
     StrategyProblem,
@@ -39,7 +34,7 @@ from breakaway.microstructure import (
     full_ode_attack,
     max_relative_deviation,
 )
-from breakaway.model import DragParams, ScaleSet
+from breakaway.model import DragParams, PowerProfile, ScaleSet
 from breakaway.terrain import CourseProfile, simulate_breakaway, simulate_peloton
 
 
@@ -247,7 +242,7 @@ def test_criterion_11_round_trip_identities():
             continue
         assert attack_power(x, problem) == pytest.approx(power, rel=1e-10)
 
-    # total_energy inverts p_max_from_budget
+    # the fatigue schedule's energy inverts p_max_from_budget
     for _ in range(200):
         x_a = float(rng.uniform(0.0, 0.9))
         t_f = x_a + float(rng.uniform(0.05, 0.9))
@@ -256,9 +251,8 @@ def test_criterion_11_round_trip_identities():
         mu = float(rng.uniform(0.0, 12.0))
         budget = p_l * x_a + p_s * (t_f - x_a) + float(rng.uniform(0.0, 1.5))
         p_max = p_max_from_budget(budget, x_a, t_f, p_s, mu, p_lurk=p_l)
-        params = FatigueParams(p_max=p_max, p_sustain=p_s, p_lurk=p_l, mu=mu,
-                               attack_time=x_a)
-        assert total_energy(x_a, t_f, params) == pytest.approx(budget, rel=1e-10)
+        schedule = PowerProfile.fatigue_attack(p_l, x_a, p_max, p_s, mu)
+        assert schedule.energy(t_f) == pytest.approx(budget, rel=1e-10)
 
     # energy bookkeeping of the constant-power schedule
     for _ in range(200):

@@ -143,6 +143,15 @@ class TestFatigueCommand:
         _, _, rows = parse_table(out)   # the row is still emitted, flagged
         assert rows[0]["converged"] == "false"
 
+    def test_vanishing_fatigue_converges(self, capsys):
+        # the budget residual's energy integral must not cancel at tiny mu
+        code, out = run_cli(["fatigue", "--set", "fatigue.mu=1e-9"], capsys)
+        assert code == 0
+        _, _, rows = parse_table(out)
+        assert rows[0]["converged"] == "true"
+        assert rows[0]["budget_residual"] == "0"
+        assert rows[0]["arrival_residual"] == "0"
+
     def test_parallel_jobs_identical(self, tmp_path):
         args = ["fatigue", "--set", "sweep.parameter=strategy.risk_index",
                 "--set", "sweep.lo=0.2", "--set", "sweep.hi=0.8",
@@ -154,6 +163,19 @@ class TestFatigueCommand:
         strip = lambda p: [l for l in p.read_text().splitlines()
                            if not l.startswith("# config.output.jobs")]
         assert strip(serial) == strip(parallel)
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("args", [
+        ["flat", "--out", "/missing/dir/x"],
+        ["terrain", "--course", "/missing"],
+    ])
+    def test_missing_path_exits_one(self, args, capsys):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestTerrainCommand:

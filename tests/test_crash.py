@@ -7,7 +7,6 @@ from breakaway.crash import (
     CrashModel,
     PositionTrace,
     exposure,
-    exposure_general,
     exposure_simple_attack,
     involvement_given_crash,
     monte_carlo_exposure,
@@ -163,8 +162,11 @@ class TestExposure:
 
 class TestExposureGeneral:
     def test_reduces_to_uniform_exponential(self):
+        # an explicit exponential kernel takes the general path
+        kernel = lambda position, start: propagation_probability(position, start, 0.5)
+        general = CrashModel(kernel=kernel)
         trace = PositionTrace.simple_attack(5, 0.37)
-        assert exposure_general(trace, MODEL) == pytest.approx(
+        assert exposure(trace, general) == pytest.approx(
             exposure(trace, MODEL), rel=1e-12)
 
     def test_point_mass_at_front(self):
@@ -174,13 +176,13 @@ class TestExposureGeneral:
         # crash always starts at rank 1: involvement is the kernel itself
         expected = model.intensity * (
             0.5 * math.exp(-0.5 * 4.0) + 0.5 * math.exp(0.0))
-        assert exposure_general(trace, model) == pytest.approx(expected, rel=1e-12)
+        assert exposure(trace, model) == pytest.approx(expected, rel=1e-12)
 
     def test_point_mass_behind_rider(self):
         weights = tuple([0.0] * 74 + [1.0])
         model = CrashModel(start_distribution=weights)
         trace = PositionTrace.constant(5)
-        assert exposure_general(trace, model) == 0.0
+        assert exposure(trace, model) == 0.0
 
     def test_custom_kernel(self):
         def certain_involvement(position, start):
@@ -190,7 +192,7 @@ class TestExposureGeneral:
 
         model = CrashModel(kernel=certain_involvement)
         trace = PositionTrace.constant(75)
-        assert exposure_general(trace, model) == pytest.approx(model.intensity)
+        assert exposure(trace, model) == pytest.approx(model.intensity)
 
     def test_callable_intensity(self):
         model = CrashModel(intensity=lambda x: 2.0 + 2.0 * x)
@@ -199,7 +201,7 @@ class TestExposureGeneral:
         h1 = involvement_given_crash(1, 0.5, 75)
         # piecewise-linear intensity integrates exactly per segment
         expected = h5 * (2.0 * 0.5 + 0.25) + h1 * (2.0 * 0.5 + 1.0 - 0.25)
-        assert exposure_general(trace, model) == pytest.approx(expected, rel=1e-10)
+        assert exposure(trace, model) == pytest.approx(expected, rel=1e-10)
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
@@ -247,7 +249,7 @@ class TestMonteCarlo:
     def test_callable_intensity_thinning(self):
         model = CrashModel(intensity=lambda x: 2.0 + 2.0 * x)
         trace = PositionTrace.simple_attack(5, 0.5)
-        analytic = exposure_general(trace, model)
+        analytic = exposure(trace, model)
         estimate, stderr = monte_carlo_exposure(trace, model, 200_000, seed=11)
         assert abs(estimate - analytic) < 5.0 * stderr
 
@@ -256,7 +258,7 @@ class TestMonteCarlo:
         weights /= weights.sum()
         model = CrashModel(start_distribution=tuple(weights))
         trace = PositionTrace.simple_attack(9, 0.6)
-        analytic = exposure_general(trace, model)
+        analytic = exposure(trace, model)
         estimate, stderr = monte_carlo_exposure(trace, model, 200_000, seed=5)
         assert abs(estimate - analytic) < 4.0 * stderr
 

@@ -6,32 +6,30 @@ import pytest
 from breakaway.crash import exposure_simple_attack
 from breakaway.fatigue import (
     RESIDUAL_FLOOR,
-    FatigueParams,
     InfeasibleBudgetError,
     _attack_solve,
     _finish_time_slope,
     _speed_integral,
     _speed_integral_slope,
-    finish_time,
     optimize_fatigue,
     p_max_from_budget,
-    position_after_attack,
-    power_at,
     reported_residual,
-    total_energy,
 )
 from breakaway.flat import StrategyProblem, optimal_attack
-from breakaway.numerics import (
-    RiderNeverFinishesError,
-    SolverSettings,
-    integrate_adaptive,
-)
+from breakaway.model import PowerProfile
+from breakaway.numerics import SolverSettings, integrate_adaptive
 
 
-def params_with(**kw) -> FatigueParams:
-    base = dict(p_max=4.0, p_sustain=0.46, p_lurk=0.46, mu=1.0, attack_time=0.5)
+def schedule_with(**kw) -> PowerProfile:
+    """The fatigue schedule: lurk, then a burst decaying toward p_sustain."""
+    base = dict(p_lurk=0.46, attack_time=0.5, p_max=4.0, p_sustain=0.46, mu=1.0)
     base.update(kw)
-    return FatigueParams(**base)
+    return PowerProfile.fatigue_attack(**base)
+
+
+def position_after_attack(t, t_a, p_max, mu, p_s=0.46, cd_front=1.43):
+    """Rider position at time t >= t_a when the attack starts at x = t_a."""
+    return t_a + _speed_integral(t - t_a, p_max, p_s, mu) / cd_front ** (1.0 / 3.0)
 
 
 def problem_with(**kw) -> StrategyProblem:
@@ -42,71 +40,63 @@ def problem_with(**kw) -> StrategyProblem:
 
 class TestPowerSchedule:
     def test_peak_at_attack(self):
-        params = params_with()
-        assert power_at(0.5, params) == pytest.approx(4.0)
+        assert schedule_with().power_at(0.5) == pytest.approx(4.0)
 
     def test_decays_to_sustainable(self):
-        params = params_with()
-        assert power_at(40.0, params) == pytest.approx(0.46, rel=1e-12)
+        assert schedule_with().power_at(40.0) == pytest.approx(0.46, rel=1e-12)
 
     def test_lurk_before_attack(self):
-        assert power_at(0.2, params_with()) == pytest.approx(0.46)
+        assert schedule_with().power_at(0.2) == pytest.approx(0.46)
 
     def test_no_fatigue_holds_peak(self):
-        params = params_with(mu=0.0)
-        assert power_at(0.9, params) == pytest.approx(4.0)
-        assert power_at(5.0, params) == pytest.approx(4.0)
+        schedule = schedule_with(mu=0.0)
+        assert schedule.power_at(0.9) == pytest.approx(4.0)
+        assert schedule.power_at(5.0) == pytest.approx(4.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            params_with(p_max=0.2, p_sustain=0.46)
-        with pytest.raises(ValueError):
-            params_with(mu=-1.0)
+            schedule_with(mu=-1.0)
 
 
 class TestTotalEnergy:
     def test_no_burst(self):
-        params = params_with(p_max=0.46)
-        assert total_energy(0.5, 1.0, params) == pytest.approx(0.46, rel=1e-13)
+        schedule = schedule_with(p_max=0.46)
+        assert schedule.energy(1.0) == pytest.approx(0.46, rel=1e-13)
 
     def test_reference_value(self):
-        params = params_with(mu=1.0)
         expected = 0.46 * 0.5 + 0.46 * 0.5 + 3.54 * (1.0 - math.exp(-0.5))
-        assert total_energy(0.5, 1.0, params) == pytest.approx(expected, rel=1e-13)
+        assert schedule_with(mu=1.0).energy(1.0) == pytest.approx(expected,
+                                                                  rel=1e-13)
 
     def test_vanishing_fatigue_matches_constant_power(self):
-        slow = params_with(mu=1e-12)
         constant = 0.46 * 0.5 + 4.0 * 0.5
-        assert total_energy(0.5, 1.0, slow) == pytest.approx(constant, rel=1e-10)
+        assert schedule_with(mu=1e-12).energy(1.0) == pytest.approx(constant,
+                                                                    rel=1e-10)
 
     def test_matches_power_profile_closed_form(self):
-        # two independent closed-form accountings of the same schedule
-        from breakaway.model import PowerProfile
+        # the schedule's energy against the burst formula written out
         rng = np.random.default_rng(13)
         for _ in range(30):
             t_a = rng.uniform(0.05, 0.8)
-            params = params_with(p_max=rng.uniform(1.0, 9.0),
-                                 mu=rng.uniform(0.0, 9.0), attack_time=t_a)
-            profile = PowerProfile.fatigue_attack(
-                params.p_lurk, t_a, params.p_max, params.p_sustain, params.mu)
+            p_max, mu = rng.uniform(1.0, 9.0), rng.uniform(0.0, 9.0)
+            schedule = schedule_with(p_max=p_max, mu=mu, attack_time=t_a)
             t_f = t_a + rng.uniform(0.05, 0.9)
-            assert total_energy(t_a, t_f, params) == pytest.approx(
-                profile.energy(t_f), rel=1e-12)
+            delta = t_f - t_a
+            burst = (p_max - 0.46) * -math.expm1(-mu * delta) / mu
+            expected = 0.46 * t_a + 0.46 * delta + burst
+            assert schedule.energy(t_f) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_quadrature_of_schedule(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            params = params_with(p_max=rng.uniform(1.0, 9.0),
-                                 mu=rng.uniform(0.0, 8.0),
-                                 attack_time=rng.uniform(0.1, 0.8))
-            t_f = params.attack_time + rng.uniform(0.05, 0.6)
+            t_a = rng.uniform(0.1, 0.8)
+            schedule = schedule_with(p_max=rng.uniform(1.0, 9.0),
+                                     mu=rng.uniform(0.0, 8.0), attack_time=t_a)
+            t_f = t_a + rng.uniform(0.05, 0.6)
             # split the reference at the power jump to keep quad accurate
-            lurk, _ = integrate_adaptive(lambda t: power_at(t, params),
-                                         0.0, params.attack_time)
-            burst, _ = integrate_adaptive(lambda t: power_at(t, params),
-                                          params.attack_time, t_f)
-            assert total_energy(params.attack_time, t_f, params) == pytest.approx(
-                lurk + burst, rel=1e-10)
+            lurk, _ = integrate_adaptive(schedule.power_at, 0.0, t_a)
+            burst, _ = integrate_adaptive(schedule.power_at, t_a, t_f)
+            assert schedule.energy(t_f) == pytest.approx(lurk + burst, rel=1e-10)
 
 
 class TestPeakPowerFromBudget:
@@ -130,10 +120,8 @@ class TestPeakPowerFromBudget:
             mu = rng.uniform(0.0, 10.0)
             budget = p_l * x_a + p_s * (t_f - x_a) + rng.uniform(0.0, 1.5)
             p_max = p_max_from_budget(budget, x_a, t_f, p_s, mu, p_lurk=p_l)
-            params = FatigueParams(p_max=p_max, p_sustain=p_s, p_lurk=p_l,
-                                   mu=mu, attack_time=x_a)
-            assert total_energy(x_a, t_f, params) == pytest.approx(budget,
-                                                                   rel=1e-10)
+            schedule = PowerProfile.fatigue_attack(p_l, x_a, p_max, p_s, mu)
+            assert schedule.energy(t_f) == pytest.approx(budget, rel=1e-10)
 
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudgetError):
@@ -142,35 +130,27 @@ class TestPeakPowerFromBudget:
 
 class TestPositionAfterAttack:
     def test_starts_at_attack_point(self):
-        params = params_with()
-        assert position_after_attack(0.5, params, 1.43) == pytest.approx(0.5)
+        assert position_after_attack(0.5, 0.5, 4.0, 1.0) == pytest.approx(0.5)
 
     def test_constant_power_cases(self):
-        steady = params_with(p_max=0.46)
         v = (0.46 / 1.43) ** (1.0 / 3.0)
-        assert position_after_attack(0.9, steady, 1.43) == pytest.approx(
+        assert position_after_attack(0.9, 0.5, 0.46, 1.0) == pytest.approx(
             0.5 + v * 0.4, rel=1e-12)
-        fresh = params_with(mu=0.0)
         v = (4.0 / 1.43) ** (1.0 / 3.0)
-        assert position_after_attack(0.9, fresh, 1.43) == pytest.approx(
+        assert position_after_attack(0.9, 0.5, 4.0, 0.0) == pytest.approx(
             0.5 + v * 0.4, rel=1e-12)
 
     def test_matches_adaptive_quadrature(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
-            params = params_with(p_max=rng.uniform(1.0, 12.0),
-                                 mu=rng.uniform(0.0, 12.0))
+            p_max, mu = rng.uniform(1.0, 12.0), rng.uniform(0.0, 12.0)
             t = 0.5 + rng.uniform(0.01, 0.7)
-            speed = lambda s: (0.46 + (params.p_max - 0.46)
-                               * math.exp(-params.mu * s)) ** (1.0 / 3.0)
+            speed = lambda s: (0.46 + (p_max - 0.46)
+                               * math.exp(-mu * s)) ** (1.0 / 3.0)
             ref, _ = integrate_adaptive(speed, 0.0, t - 0.5)
             expected = 0.5 + ref / 1.43 ** (1.0 / 3.0)
-            assert position_after_attack(t, params, 1.43) == pytest.approx(
+            assert position_after_attack(t, 0.5, p_max, mu) == pytest.approx(
                 expected, abs=1e-10)
-
-    def test_pre_attack_rejected(self):
-        with pytest.raises(ValueError):
-            position_after_attack(0.4, params_with(), 1.43)
 
 
 class TestDerivatives:
@@ -194,25 +174,33 @@ class TestDerivatives:
 
 
 class TestFinishTime:
+    """The finish time of the schedule that spends a budget, via _attack_solve."""
+
     def test_marginal_attack_finishes_with_peloton(self):
-        params = FatigueParams(p_max=1.43, p_sustain=1.43, p_lurk=0.46,
-                               mu=0.0, attack_time=0.0)
-        assert finish_time(params, 1.43) == pytest.approx(1.0, abs=1e-10)
+        # riding the front at 1.43 from the start spends 1.43 in unit time
+        t_f, p_max = _attack_solve(0.0, 1.43, 1.43, 0.46, 0.0, 1.43)
+        assert t_f == pytest.approx(1.0, abs=1e-10)
+        assert p_max == pytest.approx(1.43, abs=1e-9)
 
     def test_constant_power_closed_form(self):
-        params = params_with(mu=0.0)
-        expected = 0.5 + 0.5 * (1.43 / 4.0) ** (1.0 / 3.0)
-        assert finish_time(params, 1.43) == pytest.approx(expected, abs=1e-10)
+        # a constant 4.0 from x = 0.5 spends 4.0 per unit of the ride time
+        ride = 0.5 * (1.43 / 4.0) ** (1.0 / 3.0)
+        t_f, p_max = _attack_solve(0.5, 0.46 * 0.5 + 4.0 * ride, 0.46, 0.46,
+                                   0.0, 1.43)
+        assert t_f == pytest.approx(0.5 + ride, abs=1e-10)
+        assert p_max == pytest.approx(4.0, rel=1e-9)
 
     def test_monotone_in_peak_power(self):
-        times = [finish_time(params_with(p_max=p), 1.43) for p in (2.0, 4.0, 8.0)]
+        solved = [_attack_solve(0.5, budget, 0.46, 0.46, 1.0, 1.43)
+                  for budget in (0.8, 1.2, 1.8)]
+        times = [t_f for t_f, _ in solved]
+        peaks = [p_max for _, p_max in solved]
+        assert peaks[0] < peaks[1] < peaks[2]
         assert times[0] > times[1] > times[2]
 
     def test_burst_too_small_to_finish(self):
-        params = FatigueParams(p_max=0.5, p_sustain=0.0, p_lurk=0.4,
-                               mu=30.0, attack_time=0.2)
-        with pytest.raises(RiderNeverFinishesError):
-            finish_time(params, 1.43)
+        # the budget cannot carry the rider home even at the cheapest pace
+        assert _attack_solve(0.2, 0.5, 0.46, 0.4, 30.0, 1.43) is None
 
 
 class TestOptimizeFatigue:
@@ -297,11 +285,10 @@ class TestOptimizeFatigue:
 
     def test_post_attack_speed_monotone_decreasing(self):
         result = optimize_fatigue(problem_with(), mu=3.0)
-        params = FatigueParams(p_max=result.peak_power, p_sustain=0.46,
-                               p_lurk=0.46, mu=3.0,
-                               attack_time=result.attack_position)
+        schedule = PowerProfile.fatigue_attack(0.46, result.attack_position,
+                                               result.peak_power, 0.46, 3.0)
         ts = np.linspace(result.attack_position, result.finish_time, 64)
-        speeds = (power_at(ts, params) / 1.43) ** (1.0 / 3.0)
+        speeds = (schedule.power_at(ts) / 1.43) ** (1.0 / 3.0)
         assert np.all(np.diff(speeds) <= 1e-15)
         floor = (0.46 / 1.43) ** (1.0 / 3.0)
         assert speeds[-1] >= floor - 1e-12

@@ -4,22 +4,28 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from breakaway.microstructure import relative_drag_behind_front
 from breakaway.model import (
     CD_FRONT_CALIBRATED,
     DragParams,
-    PelotonConfig,
-    PhysicalParams,
     PowerProfile,
-    default_peloton,
-    drafting_drag,
     drag_at_depth,
-    grid_average_drag,
-    peloton_average_drag,
-    quasi_steady_speed,
-    scale_factors,
 )
+from breakaway.terrain import _quasi_steady_root
 
 DRAG = DragParams()
+CD_AVG = DRAG.cd_max / CD_FRONT_CALIBRATED  # the default model.cd_avg
+
+
+def drafting_drag(position, cd_avg=CD_AVG):
+    """Normalized drag at drafting position i (1 is the front, depth i - 1)."""
+    return relative_drag_behind_front(1.0 - np.asarray(position, dtype=float),
+                                      DRAG, cd_avg)
+
+
+def quasi_steady_speed(power, drag):
+    """Flat-course quasi-steady speed: the root of drag v^3 = power."""
+    return _quasi_steady_root(drag, 0.0, power)
 
 
 class TestDragLaw:
@@ -48,62 +54,26 @@ class TestDragLaw:
             DragParams(decay=0.0)
 
 
-class TestPelotonAverage:
-    def test_single_row_is_front_drag(self):
-        assert grid_average_drag(1, DRAG) == pytest.approx(DRAG.cd_max)
-
-    def test_five_rows_matches_explicit_sum(self):
-        explicit = sum(0.05 + 0.85 * math.exp(-0.25 * k) for k in range(5)) / 5.0
-        assert grid_average_drag(5, DRAG) == pytest.approx(explicit, rel=1e-14)
-        assert explicit == pytest.approx(0.598, abs=5e-4)
-
-    def test_fast_decay_keeps_only_front_row(self):
-        sharp = DragParams(decay=60.0)
-        expected = sharp.cd_min + (sharp.cd_max - sharp.cd_min) / 5.0
-        assert grid_average_drag(5, sharp) == pytest.approx(expected, rel=1e-10)
-
-    def test_from_grid_config(self):
-        config = PelotonConfig.from_grid(5, 15)
-        assert config.n_riders == 75
-        assert config.cd_avg == pytest.approx(grid_average_drag(5, DRAG))
-        assert peloton_average_drag(config) == pytest.approx(config.cd_avg)
-
-    def test_average_requires_grid(self):
-        with pytest.raises(ValueError):
-            peloton_average_drag(default_peloton())
-
-    def test_grid_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            PelotonConfig(n_riders=75, n_rows=5, n_cols=14)
-
-
 class TestDraftingDrag:
     def test_front_rider_calibrated(self):
         # the default normalization puts the front rider exactly at 1.43
-        assert drafting_drag(1, default_peloton()) == pytest.approx(
+        assert drafting_drag(1) == pytest.approx(
             CD_FRONT_CALIBRATED, rel=1e-14)
 
     def test_position_five_formula_value(self):
         # the drag law itself puts position 5 at ~0.576; the standard lurking
         # power 0.46 enters as an independent calibration input downstream
-        peloton = default_peloton()
-        expected = (0.05 + 0.85 * math.exp(-1.0)) / peloton.cd_avg
-        assert drafting_drag(5, peloton) == pytest.approx(expected, rel=1e-14)
+        expected = (0.05 + 0.85 * math.exp(-1.0)) / CD_AVG
+        assert drafting_drag(5) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.5763, abs=5e-4)
 
     def test_average_equals_max_gives_unit_front(self):
-        peloton = PelotonConfig(cd_avg=0.9)
-        assert drafting_drag(1, peloton) == pytest.approx(1.0)
+        assert drafting_drag(1, cd_avg=0.9) == pytest.approx(1.0)
 
     def test_front_dominates_all_positions(self):
-        peloton = default_peloton()
         positions = np.linspace(1.0, 40.0, 100)
-        values = drafting_drag(positions, peloton)
-        assert np.all(values <= drafting_drag(1, peloton) + 1e-15)
-
-    def test_position_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            drafting_drag(0.5, default_peloton())
+        values = drafting_drag(positions)
+        assert np.all(values <= drafting_drag(1) + 1e-15)
 
 
 class TestQuasiSteadySpeed:
@@ -124,71 +94,6 @@ class TestQuasiSteadySpeed:
         base = quasi_steady_speed(p, c)
         assert np.all(quasi_steady_speed(p * 1.1, c) > base)
         assert np.all(quasi_steady_speed(p, c * 1.1) < base)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            quasi_steady_speed(1.0, 0.0)
-        with pytest.raises(ValueError):
-            quasi_steady_speed(-1.0, 1.0)
-
-
-class TestScaleFactors:
-    def make_params(self, **kw):
-        # calibrated so cd_avg * frontal_area = 0.4 m^2
-        peloton = default_peloton()
-        defaults = dict(frontal_area=0.4 / peloton.cd_avg, course_length=1.0e5,
-                        mass_avg=70.0, air_density=1.225)
-        defaults.update(kw)
-        return PhysicalParams(**defaults), peloton
-
-    def test_inertia_formula(self):
-        phys, peloton = self.make_params()
-        scales = scale_factors(phys, peloton)
-        # eps = 2<m> / (L <Cd> rho A); the source text rounds this to ~0.005
-        assert scales.inertia == pytest.approx(2.0 * 70.0 / (1e5 * 0.4 * 1.225),
-                                               rel=1e-14)
-        assert 1e-3 < scales.inertia < 1e-2
-
-    def test_inertia_inverse_in_length(self):
-        phys, peloton = self.make_params()
-        longer, _ = self.make_params(course_length=2.0e5)
-        assert scale_factors(longer, peloton).inertia == pytest.approx(
-            scale_factors(phys, peloton).inertia / 2.0, rel=1e-12)
-
-    def test_time_scale_formula(self):
-        phys, peloton = self.make_params()
-        scales = scale_factors(phys, peloton)
-        expected = (0.4 * 1.225 * (1e5) ** 3 / (2.0 * 150.0)) ** (1.0 / 3.0)
-        assert scales.time_scale == pytest.approx(expected, rel=1e-12)
-        # a 100 km flat stage should take a few hours
-        assert 2.0 * 3600 < scales.time_scale < 5.0 * 3600
-
-    def test_energy_scale_normalizes_peloton_spend(self):
-        # the peloton rides at its average power for one time unit, so its
-        # dimensional spend divided by the energy scale must be exactly one
-        phys, peloton = self.make_params()
-        scales = scale_factors(phys, peloton)
-        peloton_joules = phys.peloton_power_avg * scales.time_scale
-        assert peloton_joules / scales.energy_scale == pytest.approx(1.0, rel=1e-14)
-
-    def test_gravity_ratio_near_forty(self):
-        phys, peloton = self.make_params()
-        scales = scale_factors(phys, peloton)
-        g = 9.80665
-        expected = 2.0 ** (1.0 / 3.0) * 70.0 * g / (150.0 ** (2.0 / 3.0)
-                                                    * (0.4 * 1.225) ** (1.0 / 3.0))
-        assert scales.gravity_ratio == pytest.approx(expected, rel=1e-12)
-        assert 35.0 < scales.gravity_ratio < 45.0
-
-    def test_spacing_ratio(self):
-        phys, peloton = self.make_params()
-        assert scale_factors(phys, peloton).spacing_ratio == pytest.approx(4e-5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PhysicalParams(course_length=-1.0)
-        with pytest.raises(ValueError):
-            PhysicalParams(axle_spacing=200.0, course_length=1e5)
 
 
 class TestPowerProfile:
@@ -232,8 +137,21 @@ class TestPowerProfile:
         energies = [profile.energy(t) for t in ts]
         assert np.all(np.diff(energies) >= -1e-15)
         mid = 0.77
-        total = profile.energy_between(0.0, mid) + profile.energy_between(mid, 1.9)
-        assert total == pytest.approx(profile.energy(1.9), rel=1e-13)
+        rest, _ = quad(profile.power_at, mid, 1.9, epsabs=1e-14, epsrel=1e-14)
+        assert profile.energy(mid) + rest == pytest.approx(profile.energy(1.9),
+                                                           rel=1e-13)
+
+    def test_exponential_energy_at_small_rates(self):
+        # the burst integral (1 - exp(-rate t)) / rate loses digits to
+        # cancellation unless written with expm1
+        mpmath = pytest.importorskip("mpmath")
+        for rate in (1e-9, 1e-5, 1.0):
+            profile = PowerProfile([0.0], [("exp", 0.0, 1.0, rate, 0.0)])
+            for t in (0.5, 1.0, 1.7):
+                with mpmath.workdps(30):
+                    exact = float(-mpmath.expm1(-mpmath.mpf(rate) * t) / rate)
+                assert profile.energy(t) == pytest.approx(exact, rel=4.5e-16,
+                                                          abs=0.0)
 
     def test_bad_breakpoints(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from breakaway.numerics import (
     SolverSettings,
     StiffnessError,
     ToleranceError,
-    expand_bracket,
     find_root_bracketed,
     integrate_adaptive,
     minimize_scalar,
@@ -71,12 +70,6 @@ class TestRootFinding:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_expand_bracket(self):
-        lo, hi = expand_bracket(lambda x: x - 7.0, 0.0, 1.0)
-        assert lo <= 7.0 <= hi
-        with pytest.raises(BracketError):
-            expand_bracket(lambda x: x + 1.0, 0.0, 1.0, hi_cap=10.0)
 
 
 class TestQuadrature:

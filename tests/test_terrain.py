@@ -12,10 +12,8 @@ from breakaway.terrain import (
     _quasi_steady_root,
     demo_profile,
     load_course_table,
-    lurking_power,
     simulate_breakaway,
     simulate_peloton,
-    steepness,
 )
 
 FLAT = CourseProfile.flat()
@@ -24,8 +22,8 @@ SCALES = ScaleSet(inertia=0.005, gravity_ratio=40.0)
 
 class TestProfiles:
     def test_flat_steepness(self):
-        assert steepness(FLAT, 0.3) == 0.0
-        assert np.all(steepness(FLAT, np.linspace(0, 1, 11)) == 0.0)
+        assert FLAT.steepness(0.3) == 0.0
+        assert np.all(FLAT.steepness(np.linspace(0, 1, 11)) == 0.0)
 
     def test_constant_grade_from_table(self):
         profile = CourseProfile.from_table([0.0, 0.5, 1.0], [0.0, 0.025, 0.05])
@@ -144,20 +142,25 @@ class TestPeloton:
 
 
 class TestLurkingPower:
+    """The power series of a rider who stays in the pack (attack=None)."""
+
+    @staticmethod
+    def lurking_power(profile, cd_lurk):
+        run = simulate_breakaway(0.5, None, profile, SCALES, cd_lurk=cd_lurk,
+                                 quasi_steady=True)
+        return run.rider.powers
+
     def test_flat_equals_drag_ratio(self):
-        traj = simulate_peloton(FLAT, SCALES, quasi_steady=True)
-        series = lurking_power(traj, cd_position=0.46)
+        series = self.lurking_power(FLAT, 0.46)
         assert series == pytest.approx(np.full_like(series, 0.46))
 
     def test_front_rider_pays_full_drag(self):
-        traj = simulate_peloton(FLAT, SCALES, quasi_steady=True)
-        series = lurking_power(traj, cd_position=1.43)
+        series = self.lurking_power(FLAT, 1.43)
         assert series == pytest.approx(np.full_like(series, 1.43))
         assert np.all(series > 1.0)
 
     def test_clamped_on_fast_descents(self):
-        traj = simulate_peloton(demo_profile(), SCALES, quasi_steady=True)
-        series = lurking_power(traj, cd_position=0.46)
+        series = self.lurking_power(demo_profile(), 0.46)
         assert np.all(series >= 0.0)
         assert np.any(series == 0.0)
 
