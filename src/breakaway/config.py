@@ -99,6 +99,8 @@ def _coerce(section: str, key: str, value) -> object:
     try:
         if kind is bool:
             return value if isinstance(value, bool) else _parse_bool(value)
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")  # int() would truncate it
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc

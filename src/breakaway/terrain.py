@@ -11,6 +11,10 @@ gravity-to-drag force ratio.  Two integration modes are provided:
   of C_d v^3 + m*gamma*sin(theta) v = P at every point and the race is
   marched in distance.
 
+The peloton is the unit rider: power, drag and mass all 1.  Under full
+dynamics it rides the same integrator as the breakaway rider; in the
+quasi-steady limit its speed is the cubic root on a fixed distance grid.
+
 While the rider hides in the pack they move with the peloton; the power that
 holds them there follows from eliminating the gravity term between the two
 equations of motion: P_lurk = m + (C_d - m) v^3, clamped at zero on descents
@@ -120,21 +124,25 @@ def load_course_table(path) -> CourseProfile:
     xs: list[float] = []
     hs: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.replace(",", " ").split()
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                if lineno == 1 and not xs:
-                    continue  # header line
-                raise CourseFileError(f"line {lineno}: not numeric: {line.strip()!r}")
-            if len(values) != 2:
-                raise CourseFileError(f"line {lineno}: expected two columns")
-            xs.append(values[0])
-            hs.append(values[1])
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise CourseFileError(f"{path}: not a UTF-8 text file") from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.replace(",", " ").split()
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            if lineno == 1 and not xs:
+                continue  # header line
+            raise CourseFileError(f"line {lineno}: not numeric: {line.strip()!r}")
+        if len(values) != 2:
+            raise CourseFileError(f"line {lineno}: expected two columns")
+        xs.append(values[0])
+        hs.append(values[1])
     if len(xs) < 2:
         raise CourseFileError("course table needs at least two data rows")
     try:
@@ -204,64 +212,24 @@ def _quasi_steady_root(drag, slope_term, power):
     return float(out) if out.ndim == 0 else out
 
 
-class _PelotonSolution:
-    """Finish time plus interpolants for the peloton's position and speed."""
-
-    def __init__(self, t_finish, position, velocity):
-        self.t_finish = t_finish
-        self.position = position
-        self.velocity = velocity
-
-
 def _solve_peloton(profile: CourseProfile, scales: ScaleSet,
-                   quasi_steady: bool, method: str,
-                   settings: SolverSettings) -> _PelotonSolution:
-    gamma = scales.gravity_ratio
+                   quasi_steady: bool, method: str, settings: SolverSettings):
+    """(finish time, position(t), velocity(t)) of the unit-power peloton."""
     if quasi_steady:
         xs = np.linspace(0.0, 1.0, 8193)
-        slope_term = gamma * np.sin(profile.steepness(xs))
+        slope_term = scales.gravity_ratio * np.sin(profile.steepness(xs))
         vs = _quasi_steady_root(1.0, slope_term, 1.0)
         if np.any(vs < _V_STALL):
             raise StallError("peloton speed collapsed on the course")
         ts = np.concatenate(([0.0], np.cumsum(
             0.5 * (1.0 / vs[1:] + 1.0 / vs[:-1]) * np.diff(xs))))
-        return _PelotonSolution(
-            t_finish=float(ts[-1]),
-            position=lambda t: np.interp(t, ts, xs),
-            velocity=lambda t: np.interp(t, ts, vs),
-        )
-
-    eps = scales.inertia
-
-    def rhs(t, y):
-        x, v, _ = y
-        theta = float(profile.steepness(x))
-        return [v, (1.0 / v - v * v - gamma * math.sin(theta)) / eps, 1.0]
-
-    def finish(t, y):
-        return y[0] - 1.0
-    finish.terminal = True
-    finish.direction = 1.0
-
-    def stall(t, y):
-        return y[1] - _V_STALL
-    stall.terminal = True
-    stall.direction = -1.0
-
-    sol = ode_solve_with_events(rhs, [0.0, 1.0, 0.0], (0.0, _HORIZON),
-                                events=(finish, stall), settings=settings,
-                                method=method)
-    if sol.t_events[1].size:
-        raise StallError("peloton speed collapsed on the course")
-    if not sol.t_events[0].size:
-        raise RiderNeverFinishesError("peloton did not reach the finish line")
-    t_p = float(sol.t_events[0][0])
-    dense = sol.sol
-    return _PelotonSolution(
-        t_finish=t_p,
-        position=lambda t: dense(np.minimum(t, t_p))[0],
-        velocity=lambda t: dense(np.minimum(t, t_p))[1],
-    )
+        return (float(ts[-1]), lambda t: np.interp(t, ts, xs),
+                lambda t: np.interp(t, ts, vs))
+    # the peloton is a rider at unit power, unit drag and unit mass
+    t_p, dense = _ride_full(0.0, 0.0, 1.0, 0.0, lambda s: 1.0, profile,
+                            scales.gravity_ratio, 1.0, 1.0, scales.inertia,
+                            settings, method, "peloton")
+    return t_p, lambda t: dense(t)[0], lambda t: dense(t)[1]
 
 
 def _resolve_method(scales: ScaleSet, quasi_steady: bool, method: str) -> str:
@@ -285,8 +253,8 @@ def simulate_peloton(profile: CourseProfile, scales: ScaleSet,
                      settings: SolverSettings = SIM_SETTINGS) -> Trajectory:
     """Ride the peloton (unit power) over the course until x = 1."""
     method = _resolve_method(scales, quasi_steady, method)
-    pel = _solve_peloton(profile, scales, quasi_steady, method, settings)
-    return _sample_peloton(pel, n_samples)
+    return _sample_peloton(*_solve_peloton(profile, scales, quasi_steady,
+                                           method, settings), n_samples)
 
 
 def _as_profile(attack) -> PowerProfile:
@@ -312,8 +280,9 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
     if not 0.0 <= x_attack < 1.0:
         raise ValueError("attack position must lie in [0, 1)")
     method = _resolve_method(scales, quasi_steady, method)
-    pel = _solve_peloton(profile, scales, quasi_steady, method, settings)
-    peloton = _sample_peloton(pel, n_samples)
+    t_p, position, velocity = _solve_peloton(profile, scales, quasi_steady,
+                                             method, settings)
+    peloton = _sample_peloton(t_p, position, velocity, n_samples)
     n_half = max(n_samples // 2, 33)
 
     if attack is None:
@@ -322,7 +291,7 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         energy = _cumtrapz(powers, peloton.times)
         rider = replace(peloton, powers=powers, cumulative_energy=energy)
         return BreakawayRun(rider, peloton, 0.0, math.nan, math.nan,
-                            float(energy[-1]), pel.t_finish)
+                            float(energy[-1]), t_p)
 
     power_profile = _as_profile(attack)
 
@@ -331,33 +300,35 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         t_attack = 0.0
     else:
         t_attack = find_root_bracketed(
-            lambda t: float(pel.position(t)) - x_attack, 0.0, pel.t_finish,
-            settings)
-    v_attack = float(pel.velocity(t_attack))
+            lambda t: float(position(t)) - x_attack, 0.0, t_p, settings)
+    v_attack = float(velocity(t_attack))
 
     pre_times = np.linspace(0.0, t_attack, n_half) if t_attack > 0.0 else np.array([0.0])
-    pre_vel = np.asarray(pel.velocity(pre_times), dtype=float)
+    pre_vel = np.asarray(velocity(pre_times), dtype=float)
     pre_pow = _lurk_power(pre_vel, cd_lurk, mass_ratio)
     pre_energy = _cumtrapz(pre_pow, pre_times)
     e_attack = float(pre_energy[-1])
 
     gamma = scales.gravity_ratio
     if quasi_steady:
-        t_f, post = _ride_quasi_steady(x_attack, t_attack, e_attack,
-                                       power_profile, profile, gamma,
-                                       cd_front, mass_ratio, n_half, settings)
+        t_f, post_times, post_x, post_v, post_p, post_e = _ride_quasi_steady(
+            x_attack, t_attack, e_attack, power_profile, profile, gamma,
+            cd_front, mass_ratio, n_half, settings)
     else:
-        t_f, post = _ride_full(x_attack, t_attack, v_attack, e_attack,
-                               power_profile, profile, gamma, cd_front,
-                               mass_ratio, scales.inertia, n_half, settings,
-                               method)
+        t_f, state = _ride_full(x_attack, t_attack, v_attack, e_attack,
+                                power_profile.power_at, profile, gamma,
+                                cd_front, mass_ratio, scales.inertia, settings,
+                                method, "rider")
+        post_times = np.linspace(t_attack, t_f, n_half)
+        post_x, post_v, post_e = state(post_times)
+        post_p = np.asarray(power_profile.power_at(post_times - t_attack),
+                            dtype=float)
 
     # keep the attack instant twice (lurk-side and attack-side samples) so a
     # trapezoid over the power series sees the jump as a vertical step
-    post_times, post_x, post_v, post_p, post_e = post
     rider = Trajectory(
         times=np.concatenate((pre_times, post_times)),
-        positions=np.concatenate((np.asarray(pel.position(pre_times), dtype=float),
+        positions=np.concatenate((np.asarray(position(pre_times), dtype=float),
                                   post_x)),
         velocities=np.concatenate((pre_vel, post_v)),
         powers=np.concatenate((pre_pow, post_p)),
@@ -366,22 +337,22 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
     )
     return BreakawayRun(
         rider=rider, peloton=peloton,
-        time_gap=pel.t_finish - t_f,
+        time_gap=t_p - t_f,
         attack_time=t_attack, attack_position=x_attack,
         rider_energy=float(rider.cumulative_energy[-1]),
-        peloton_energy=pel.t_finish,
+        peloton_energy=t_p,
     )
 
 
-def _sample_peloton(pel: _PelotonSolution, n_samples: int) -> Trajectory:
-    times = np.linspace(0.0, pel.t_finish, n_samples)
+def _sample_peloton(t_p, position, velocity, n_samples: int) -> Trajectory:
+    times = np.linspace(0.0, t_p, n_samples)
     return Trajectory(
         times=times,
-        positions=np.asarray(pel.position(times), dtype=float),
-        velocities=np.asarray(pel.velocity(times), dtype=float),
+        positions=np.asarray(position(times), dtype=float),
+        velocities=np.asarray(velocity(times), dtype=float),
         powers=np.ones_like(times),
         cumulative_energy=times.copy(),
-        finish_time=pel.t_finish,
+        finish_time=t_p,
     )
 
 
@@ -394,11 +365,16 @@ def _cumtrapz(values, times):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def _ride_full(x0, t0, v0, e0, power_profile, profile, gamma, cd_front,
-               mass_ratio, eps, n_samples, settings, method):
+def _ride_full(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio,
+               eps, settings, method, who):
+    """Ride from state (x0, v0, e0) at time t0 at power(t - t0) until x = 1.
+
+    Returns the finish time and the dense state (x, v, energy) as a function
+    of time, held at its finish value beyond the finish.
+    """
     def rhs(t, y):
         x, v, _ = y
-        p = float(power_profile.power_at(t - t0))
+        p = float(power(t - t0))
         theta = float(profile.steepness(x))
         dv = (p / v - cd_front * v * v
               - mass_ratio * gamma * math.sin(theta)) / (eps * mass_ratio)
@@ -418,14 +394,11 @@ def _ride_full(x0, t0, v0, e0, power_profile, profile, gamma, cd_front,
                                 events=(finish, stall), settings=settings,
                                 method=method)
     if sol.t_events[1].size:
-        raise StallError("rider stalled after the attack")
+        raise StallError(f"{who} stalled before the finish line")
     if not sol.t_events[0].size:
-        raise RiderNeverFinishesError("rider never reached the finish line")
+        raise RiderNeverFinishesError(f"{who} never reached the finish line")
     t_f = float(sol.t_events[0][0])
-    times = np.linspace(t0, t_f, n_samples)
-    states = sol.sol(np.minimum(times, t_f))
-    powers = np.asarray(power_profile.power_at(times - t0), dtype=float)
-    return t_f, (times, states[0], states[1], powers, states[2])
+    return t_f, lambda t: sol.sol(np.minimum(t, t_f))
 
 
 def _ride_quasi_steady(x0, t0, e0, power_profile, profile, gamma, cd_front,
@@ -445,11 +418,9 @@ def _ride_quasi_steady(x0, t0, e0, power_profile, profile, gamma, cd_front,
     sol = ode_solve_with_events(rhs, [t0, e0], (x0, 1.0), settings=settings,
                                 method="rk45")
     xs = np.linspace(x0, 1.0, n_samples)
-    states = sol.sol(xs)
-    times = states[0]
-    energies = states[1]
+    times, energies = sol.sol(xs)
     speeds = np.empty_like(xs)
     powers = np.empty_like(xs)
     for k, (x, t) in enumerate(zip(xs, times)):
         speeds[k], powers[k] = speed_at(float(x), float(t))
-    return float(times[-1]), (times, xs, speeds, powers, energies)
+    return float(times[-1]), times, xs, speeds, powers, energies

@@ -64,6 +64,23 @@ class TestFlatCommand:
     def test_unknown_command_exits_one(self):
         assert main(["describe"]) == 1
 
+    def test_fractional_integer_sweep_exits_one(self, capsys):
+        code = main(["flat", "--set", "sweep.parameter=crash.n_riders",
+                     "--set", "sweep.lo=50", "--set", "sweep.hi=51",
+                     "--set", "sweep.points=4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: bad value for crash.n_riders: ")
+
+    def test_integral_integer_sweep(self, capsys):
+        code, out = run_cli(["flat", "--set", "sweep.parameter=crash.n_riders",
+                             "--set", "sweep.lo=50", "--set", "sweep.hi=52",
+                             "--set", "sweep.points=3"], capsys)
+        assert code == 0
+        _, _, rows = parse_table(out)
+        assert [r["crash.n_riders"] for r in rows] == ["50", "51", "52"]
+
 
 class TestDeterminismAndEcho:
     def test_byte_identical_reruns(self, tmp_path):
@@ -175,6 +192,17 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_binary_course_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "course.bin"
+        header = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
+        path.write_bytes((header * 2)[:200])
+        assert main(["terrain", "--course", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("course file error:")
+        assert str(path) in err
         assert "Traceback" not in err
 
 

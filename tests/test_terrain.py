@@ -256,6 +256,18 @@ class TestBreakaway:
         with pytest.raises(RiderNeverFinishesError):
             simulate_breakaway(0.5, 1e-6, FLAT, SCALES, method="bdf")
 
+    @pytest.mark.parametrize("inertia, method", [
+        (5e-4, "auto"),   # auto picks BDF below inertia 1e-3
+        (0.005, "rk45"),
+    ])
+    def test_unit_rider_ties_peloton(self, inertia, method):
+        # the peloton is the rider at unit power, drag and mass: exact tie
+        scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
+        run = simulate_breakaway(0.0, 1.0, demo_profile(), scales,
+                                 cd_front=1.0, mass_ratio=1.0, method=method)
+        assert run.time_gap == 0.0
+        assert run.rider.finish_time == run.peloton.finish_time
+
     def test_bad_attack_position(self):
         with pytest.raises(ValueError):
             simulate_breakaway(1.0, 3.6, FLAT, SCALES)
