@@ -12,6 +12,7 @@ omitted when the key is unambiguous).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .crash import CrashModel
@@ -101,7 +102,10 @@ def _coerce(section: str, key: str, value) -> object:
             return value if isinstance(value, bool) else _parse_bool(value)
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("not an integer")  # int() would truncate it
-        return kind(value)
+        coerced = kind(value)
+        if kind is float and not math.isfinite(coerced):
+            raise ValueError("not finite")
+        return coerced
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
 

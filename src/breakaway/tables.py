@@ -40,8 +40,8 @@ def _json_value(value):
     if isinstance(value, enum.Enum):
         return str(value.value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return None
+        if not math.isfinite(value):
+            return None  # JSON has no NaN or infinity
         # pin to 12 significant digits so renderings are stable
         return float(f"{value:.12g}")
     if isinstance(value, (int, str)):
@@ -76,7 +76,7 @@ class ResultTable:
             "columns": list(self.columns),
             "rows": [[_json_value(v) for v in row] for row in self.rows],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":

@@ -61,6 +61,21 @@ class TestFlatCommand:
         code = main(["flat", "--set", "strategy.risk_index=high"])
         assert code == 1
 
+    @pytest.mark.parametrize("args", [
+        ["terrain", "--course", "flat", "--set", "terrain.quasi_steady=true",
+         "--set", "terrain.attack_power=nan"],
+        ["terrain", "--set", "terrain.attack_power=nan"],
+        ["microstructure", "--set", "micro.attack_power=nan"],
+        ["flat", "--set", "strategy.energy_budget=inf"],
+    ])
+    def test_non_finite_value_exits_one(self, args, capsys):
+        # a NaN power used to run the terrain and microstructure solvers
+        # without bound, and an infinite budget printed p_a_star=inf
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: bad value for ")
+
     def test_unknown_command_exits_one(self):
         assert main(["describe"]) == 1
 
@@ -267,6 +282,19 @@ class TestCrashMcCommand:
         row = rows[0]
         assert abs(float(row["z_score"])) <= 4.0
         assert float(row["analytic"]) == pytest.approx(0.044438, abs=1e-5)
+
+    def test_json_is_strict(self, capsys):
+        # one trial has an infinite standard error: null in JSON, inf in CSV
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        _, out = run_cli(["crash-mc", "--trials", "1", "--format", "json"],
+                         capsys)
+        doc = json.loads(out, parse_constant=reject)
+        row = dict(zip(doc["columns"], doc["rows"][0]))
+        assert row["std_error"] is None
+        _, out = run_cli(["crash-mc", "--trials", "1"], capsys)
+        assert parse_table(out)[2][0]["std_error"] == "inf"
 
     def test_zero_intensity(self, capsys):
         code, out = run_cli(["crash-mc", "--set", "crash.intensity=0",

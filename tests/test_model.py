@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,11 +103,11 @@ class TestPowerProfile:
         assert profile.energy(1.0) == pytest.approx(1.0)
 
     def test_step_attack_energy(self):
-        profile = PowerProfile.step_attack(0.46, 0.5, 1.43)
+        profile = PowerProfile(0.46, 0.5, 1.43)
         assert profile.energy(1.0) == pytest.approx(0.23 + 0.715, rel=1e-14)
 
     def test_power_lookup(self):
-        profile = PowerProfile.step_attack(0.46, 0.5, 1.43)
+        profile = PowerProfile(0.46, 0.5, 1.43)
         assert profile.power_at(0.2) == pytest.approx(0.46)
         assert profile.power_at(0.9) == pytest.approx(1.43)
         ts = np.array([0.0, 0.499, 0.5, 0.75])
@@ -119,13 +120,13 @@ class TestPowerProfile:
             assert profile.energy(t) == pytest.approx(ref, rel=1e-10)
 
     def test_negative_levels_clamped(self):
-        profile = PowerProfile.piecewise_constant([0.0, 0.5], [-1.0, 2.0])
+        profile = PowerProfile(-1.0, 0.5, 2.0)
         assert profile.power_at(0.2) == 0.0
         assert profile.energy(1.0) == pytest.approx(1.0)
 
     def test_exponential_clamp_crossing(self):
         # decays through zero at t = ln(2)/2; energy integrates the clamp
-        profile = PowerProfile([0.0], [("exp", -0.5, 1.0, 2.0, 0.0)])
+        profile = PowerProfile.fatigue_attack(0.0, 0.0, 0.5, -0.5, 2.0)
         assert profile.power_at(2.0) == 0.0
         assert profile.power_at(0.0) == pytest.approx(0.5)
         ref, _ = quad(profile.power_at, 0.0, 3.0, epsabs=1e-13, limit=200)
@@ -146,15 +147,20 @@ class TestPowerProfile:
         # cancellation unless written with expm1
         mpmath = pytest.importorskip("mpmath")
         for rate in (1e-9, 1e-5, 1.0):
-            profile = PowerProfile([0.0], [("exp", 0.0, 1.0, rate, 0.0)])
+            profile = PowerProfile.fatigue_attack(0.0, 0.0, 1.0, 0.0, rate)
             for t in (0.5, 1.0, 1.7):
                 with mpmath.workdps(30):
                     exact = float(-mpmath.expm1(-mpmath.mpf(rate) * t) / rate)
                 assert profile.energy(t) == pytest.approx(exact, rel=4.5e-16,
                                                           abs=0.0)
 
-    def test_bad_breakpoints(self):
-        with pytest.raises(ValueError):
-            PowerProfile([0.5], [("const", 1.0)])
-        with pytest.raises(ValueError):
-            PowerProfile([0.0, 0.0], [("const", 1.0), ("const", 2.0)])
+    def test_large_rate_lurk_phase_does_not_overflow(self):
+        # exp(-mu * (t - attack_time)) overflows on lurk-phase times at large mu
+        profile = PowerProfile.fatigue_attack(0.46, 0.9, 5.0, 0.46, 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            powers = profile.power_at(np.linspace(0.0, 1.0, 5))
+            energy = profile.energy(1.0)
+        burst = 0.46 + 4.54 * math.exp(-1000.0 * (1.0 - 0.9))
+        assert powers.tolist() == [0.46] * 4 + [burst]
+        assert energy == 0.46454
