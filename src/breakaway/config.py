@@ -35,8 +35,8 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# section -> key -> (type, default)
-SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
+# section -> key -> (type, default[, allowed: choices, or an interval like "[0, 1)"])
+SCHEMA: dict[str, dict[str, tuple]] = {
     "model": {
         "cd_front": (float, 1.43),
         "cd_lurk": (float, 0.46),
@@ -62,12 +62,12 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "p_sustain": (float, 0.0),
     },
     "terrain": {
-        "epsilon": (float, 0.005),
+        "epsilon": (float, 0.005, "(0, inf)"),
         "gravity_ratio": (float, 40.0),
-        "attack_position": (float, 0.5),
+        "attack_position": (float, 0.5, "[0, 1)"),
         "attack_power": (float, 3.6),
         "quasi_steady": (bool, False),
-        "method": (str, "auto"),
+        "method": (str, "auto", ("auto", "rk45", "bdf")),
         "course": (str, "demo"),
         "samples": (int, 257),
     },
@@ -84,7 +84,7 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "points": (int, 0),
     },
     "mc": {
-        "trials": (int, 100000),
+        "trials": (int, 100000, "[2, inf)"),  # one trial has no std. error
         "seed": (int, 12345),
         "attack_position": (float, 0.5),
     },
@@ -95,8 +95,16 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
 }
 
 
+def _allows(allowed, value) -> bool:
+    if isinstance(allowed, tuple):
+        return value in allowed
+    lo, hi = (float(end) for end in allowed[1:-1].split(","))
+    return ((lo <= value) if allowed[0] == "[" else (lo < value)) and (
+        (value <= hi) if allowed[-1] == "]" else (value < hi))
+
+
 def _coerce(section: str, key: str, value) -> object:
-    kind, _ = SCHEMA[section][key]
+    kind, _, *allowed = SCHEMA[section][key]
     try:
         if kind is bool:
             return value if isinstance(value, bool) else _parse_bool(value)
@@ -105,9 +113,12 @@ def _coerce(section: str, key: str, value) -> object:
         coerced = kind(value)
         if kind is float and not math.isfinite(coerced):
             raise ValueError("not finite")
-        return coerced
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
+    if allowed and not _allows(allowed[0], coerced):
+        shown = ", ".join(allowed[0]) if isinstance(allowed[0], tuple) else allowed[0]
+        raise ConfigError(f"bad value for {section}.{key}: {value!r} (allowed: {shown})")
+    return coerced
 
 
 def _resolve_key(name: str) -> tuple[str, str]:
@@ -137,7 +148,7 @@ class RunConfig:
 
     @classmethod
     def defaults(cls) -> "RunConfig":
-        return cls({s: {k: d for k, (_, d) in keys.items()} for s, keys in SCHEMA.items()})
+        return cls({s: {k: d for k, (_, d, *_) in keys.items()} for s, keys in SCHEMA.items()})
 
     @classmethod
     def load(cls, config_path=None, overrides=()) -> "RunConfig":

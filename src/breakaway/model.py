@@ -6,7 +6,8 @@ total energy spend is one.  This module holds the exponential drafting-drag
 law, the dimensionless ratios of the terrain dynamics, and the one power
 schedule of the package: PowerProfile, a lurk phase followed by a burst that
 decays exponentially toward a sustainable floor (a constant-power attack is
-its zero-rate case), with exact, closed-form energy accounting.
+its zero-rate case), with exact, closed-form energy accounting and a
+plain-Python path for a float time that is bit-identical to the array path.
 
 The standard calibration keeps the front-rider drag ratio (1.43) and the
 position-5 lurking power (0.46) as independent inputs rather than deriving
@@ -110,7 +111,16 @@ class PowerProfile:
         return cls(p_lurk, attack_time, p_max, p_sustain, mu)
 
     def power_at(self, t):
-        """Power at time(s) t, clamped at zero."""
+        """Power at time(s) t, clamped at zero; bit-identical for a float t."""
+        if isinstance(t, float):
+            if t < self.attack_time:
+                p = self.p_lurk
+            elif self.mu == 0.0:
+                p = self.p_max
+            else:
+                p = self.p_sustain + (self.p_max - self.p_sustain) * float(np.exp(
+                    -self.mu * max(t - self.attack_time, 0.0)))
+            return 0.0 if p <= 0.0 else p  # as np.maximum: -0.0 gives 0.0, NaN passes
         t = np.asarray(t, dtype=float)
         if self.mu == 0.0:
             burst = self.p_max

@@ -19,10 +19,14 @@ While the rider hides in the pack they move with the peloton; the power that
 holds them there follows from eliminating the gravity term between the two
 equations of motion: P_lurk = m + (C_d - m) v^3, clamped at zero on descents
 where no pedaling is needed.
+
+The built-in slopes and PowerProfile.power_at take a plain-Python path for a
+float argument, bit-identical to their array path (arctan and exp stay numpy's).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -74,9 +78,10 @@ class CourseProfile:
 
     @classmethod
     def flat(cls) -> "CourseProfile":
-        return cls(height=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   slope=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   label="flat")
+        def zero(x):
+            return 0.0 if isinstance(x, float) else np.zeros(np.shape(x))
+
+        return cls(height=zero, slope=zero, label="flat")
 
     @classmethod
     def from_sinusoids(cls, sin_amps=(), cos_amps=(),
@@ -89,6 +94,10 @@ class CourseProfile:
         b = np.asarray(cos_amps, dtype=float)
         ka = 2.0 * np.pi * np.arange(1, a.size + 1)
         kb = 2.0 * np.pi * np.arange(1, b.size + 1)
+        # numpy sums under eight terms in order, as the float loop below does
+        in_order = max(a.size, b.size) < 8
+        sin_terms = list(zip((a * ka).tolist(), ka.tolist()))
+        cos_terms = list(zip((b * kb).tolist(), kb.tolist()))
 
         def height(x):
             x = np.asarray(x, dtype=float)[..., None]
@@ -97,6 +106,13 @@ class CourseProfile:
             return out
 
         def slope(x):
+            if in_order and isinstance(x, float):
+                x, up, down = float(x), 0.0, 0.0
+                for c, k in sin_terms:
+                    up += c * math.cos(k * x)
+                for c, k in cos_terms:
+                    down += c * math.sin(k * x)
+                return up - down
             x = np.asarray(x, dtype=float)[..., None]
             out = np.sum(a * ka * np.cos(ka * x), axis=-1)
             out -= np.sum(b * kb * np.sin(kb * x), axis=-1)
@@ -116,7 +132,19 @@ class CourseProfile:
         if abs(xs[0]) > 1e-12 or abs(xs[-1] - 1.0) > 1e-12:
             raise CourseFileError("course table must span x = 0 to x = 1")
         interp = PchipInterpolator(xs, hs)
-        return cls(height=interp, slope=interp.derivative(), label=label)
+        deriv = interp.derivative()
+        knots, pieces = deriv.x.tolist(), deriv.c[::-1].T.tolist()  # ascending powers
+
+        def slope(x):
+            if not isinstance(x, float):
+                return deriv(x)
+            # PPoly's steps: clamped right-open interval, Horner in ascending powers
+            x = float(x)
+            i = min(max(bisect.bisect_right(knots, x) - 1, 0), len(knots) - 2)
+            (c0, c1, c2), s = pieces[i], x - knots[i]
+            return 0.0 + c0 + c1 * s + c2 * (s * s)
+
+        return cls(height=interp, slope=slope, label=label)
 
 
 def load_course_table(path) -> CourseProfile:
@@ -257,12 +285,6 @@ def simulate_peloton(profile: CourseProfile, scales: ScaleSet,
                                            method, settings), n_samples)
 
 
-def _as_profile(attack) -> PowerProfile:
-    if isinstance(attack, PowerProfile):
-        return attack
-    return PowerProfile.constant(float(attack))
-
-
 def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
                        scales: ScaleSet,
                        cd_front: float = 1.43, cd_lurk: float = 0.46,
@@ -293,7 +315,8 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         return BreakawayRun(rider, peloton, 0.0, math.nan, math.nan,
                             float(energy[-1]), t_p)
 
-    power_profile = _as_profile(attack)
+    power_profile = (attack if isinstance(attack, PowerProfile)
+                     else PowerProfile.constant(float(attack)))
 
     # the rider tracks the peloton, so they reach x_attack when it does
     if x_attack == 0.0:

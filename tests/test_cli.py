@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -266,6 +267,45 @@ class TestTerrainCommand:
         assert main(["terrain", "--course", str(course)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "terrain.method=foo",
+        "terrain.attack_position=1",
+        "terrain.attack_position=-0.1",
+        "terrain.epsilon=0",
+    ])
+    def test_out_of_range_key_exits_one(self, setting, capsys):
+        assert main(["terrain", "--set", setting]) == 1
+        err = capsys.readouterr().err
+        key = setting.split("=")[0]
+        assert err.startswith(f"error: bad value for {key}: ")
+        assert err.count("\n") == 1
+
+    # RK45 at the default inertia: these digits held with SIM_SETTINGS
+    # tightened 100x and 1000x, so they are pinned as printed
+    DEMO_RK45 = {"t_peloton": "1.30056616984", "t_rider": "0.932801547202",
+                 "delta_t": "0.367764622633", "attack_time": "0.532549111652",
+                 "rider_energy": "1.70838066336",
+                 "peloton_energy": "1.30056616984"}
+    # BDF at inertia 5e-4 prints about two digits its tolerances do not
+    # certify; pinned against the same ride with SIM_SETTINGS 1000x tighter
+    DEMO_BDF = {"t_peloton": 1.30161408292, "t_rider": 0.932698597375,
+                "delta_t": 0.368915485543, "attack_time": 0.532224140808,
+                "rider_energy": 1.70832191308,
+                "peloton_energy": 1.30161408292}
+
+    def test_demo_full_dynamics_pinned(self, capsys):
+        code, out = run_cli(["terrain", "--course", "demo"], capsys)
+        assert code == 0
+        meta, _, _ = parse_table(out)
+        assert {k: meta[f"summary.{k}"] for k in self.DEMO_RK45} == self.DEMO_RK45
+        # "auto" picks BDF below inertia 1e-3
+        code, out = run_cli(["terrain", "--course", "demo",
+                             "--set", "terrain.epsilon=5e-4"], capsys)
+        assert code == 0
+        meta, _, _ = parse_table(out)
+        for key, ref in self.DEMO_BDF.items():
+            assert float(meta[f"summary.{key}"]) == pytest.approx(ref, rel=2e-9)
+
     def test_never_finishing_attack_exits_two(self, capsys):
         code = main(["terrain", "--course", "flat",
                      "--set", "terrain.attack_power=1e-6",
@@ -283,18 +323,31 @@ class TestCrashMcCommand:
         assert abs(float(row["z_score"])) <= 4.0
         assert float(row["analytic"]) == pytest.approx(0.044438, abs=1e-5)
 
-    def test_json_is_strict(self, capsys):
-        # one trial has an infinite standard error: null in JSON, inf in CSV
+    def test_json_is_strict(self, capsys, monkeypatch):
+        # an infinite standard error is null in JSON and inf in CSV
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        _, out = run_cli(["crash-mc", "--trials", "1", "--format", "json"],
-                         capsys)
+        monkeypatch.setattr(cli, "monte_carlo_exposure",
+                            lambda trace, model, trials, seed: (3.0, math.inf))
+        _, out = run_cli(["crash-mc", "--format", "json"], capsys)
         doc = json.loads(out, parse_constant=reject)
         row = dict(zip(doc["columns"], doc["rows"][0]))
         assert row["std_error"] is None
-        _, out = run_cli(["crash-mc", "--trials", "1"], capsys)
+        _, out = run_cli(["crash-mc"], capsys)
         assert parse_table(out)[2][0]["std_error"] == "inf"
+
+    @pytest.mark.parametrize("args", [
+        ["--trials", "1", "--set", "crash.intensity=50"],
+        ["--trials", "0"],
+        ["--set", "mc.trials=1"],
+    ])
+    def test_too_few_trials_exits_one(self, args, capsys):
+        # one trial has an infinite standard error, so the gate could not trip
+        assert main(["crash-mc"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for mc.trials: ")
+        assert err.count("\n") == 1
 
     def test_zero_intensity(self, capsys):
         code, out = run_cli(["crash-mc", "--set", "crash.intensity=0",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -164,3 +166,18 @@ class TestPowerProfile:
         burst = 0.46 + 4.54 * math.exp(-1000.0 * (1.0 - 0.9))
         assert powers.tolist() == [0.46] * 4 + [burst]
         assert energy == 0.46454
+
+    def test_scalar_path_bit_identical(self):
+        # a float t takes a plain-Python path; its bits equal the array path's
+        rng = np.random.default_rng(11)
+        levels = (0.0, -0.0, 0.46, -0.5, 4.0)
+        for p_lurk, attack_time, p_max, p_sustain, mu in itertools.product(
+                levels, (0.0, -0.0, -0.5, 0.4), levels, levels,
+                (0.0, 1e-9, 0.37, 25.0, 1e3, 1e5)):
+            profile = PowerProfile(p_lurk, attack_time, p_max, p_sustain, mu)
+            ts = [0.0, -0.0, attack_time, attack_time + 1e-12,
+                  *rng.uniform(0.0, 3.0, 4)]
+            for t in map(float, ts):
+                scalar = struct.pack("<d", profile.power_at(t))
+                assert struct.pack("<d", profile.power_at(np.float64(t))) == scalar
+                assert struct.pack("<d", profile.power_at(np.array(t))) == scalar

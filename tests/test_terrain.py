@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -50,6 +51,40 @@ class TestProfiles:
         mids = np.linspace(0.05, 0.95, 13)
         fd = (profile.height(mids + h) - profile.height(mids - h)) / (2.0 * h)
         assert profile.slope(mids) == pytest.approx(fd, abs=1e-6)
+
+
+def _table_course(n):
+    rng = np.random.default_rng(n)
+    xs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+    return xs, CourseProfile.from_table(xs, rng.uniform(-0.01, 0.01, n))
+
+
+class TestScalarFastPath:
+    """A float x takes a plain-Python slope whose bits equal the array path's."""
+
+    @pytest.mark.parametrize("name", [
+        "flat", "demo", "harmonics", "many-harmonics",
+        "table-2", "table-3", "table-5", "table-11", "table-40",
+    ])
+    def test_steepness_bit_identical(self, name):
+        knots = []
+        if name == "flat":
+            profile = FLAT
+        elif name == "demo":
+            profile = demo_profile()
+        elif name.startswith("table"):
+            knots, profile = _table_course(int(name.split("-")[1]))
+        else:  # past seven terms numpy no longer sums in order
+            n = 7 if name == "harmonics" else 12
+            profile = CourseProfile.from_sinusoids(
+                sin_amps=0.004 / np.arange(1, n + 1),
+                cos_amps=-0.003 / np.arange(1, n - 1) ** 2)
+        xs = [-0.0, 0.0, 1.0, -1e-9, 1.0 + 1e-9, -0.05, 1.05, *knots,
+              *np.random.default_rng(7).uniform(0.0, 1.0, 2000)]
+        for x in map(float, xs):
+            scalar = struct.pack("<d", profile.steepness(x))
+            assert struct.pack("<d", profile.steepness(np.float64(x))) == scalar
+            assert struct.pack("<d", profile.steepness(np.array(x))) == scalar
 
 
 class TestCourseFiles:
