@@ -8,7 +8,6 @@ fatigue-limited attacks, terrain simulation and attack-onset diagnostics.
 from .crash import (
     CrashModel,
     PositionTrace,
-    exposure,
     exposure_simple_attack,
     involvement_given_crash,
     monte_carlo_exposure,
@@ -34,7 +33,6 @@ from .flat import (
     optimal_attack,
     time_gap_from_position,
     time_gap_from_power,
-    win_frontier,
 )
 from .model import (
     DragParams,

@@ -44,20 +44,20 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "cd_min": (float, 0.05),
         "decay": (float, 0.25),
         "cd_avg": (float, 0.9 / 1.43),
-        "position": (float, 5.0),
+        "position": (float, 5.0, "[1, inf)"),
         "mass_ratio": (float, 1.0),
     },
     "crash": {
-        "n_riders": (int, 75),
-        "omega": (float, 0.5),
-        "intensity": (float, 2.0),
+        "n_riders": (int, 75, "[1, inf)"),
+        "omega": (float, 0.5, "(0, inf)"),
+        "intensity": (float, 2.0, "[0, inf)"),
     },
     "strategy": {
-        "energy_budget": (float, 1.2),
-        "risk_index": (float, 0.8),
+        "energy_budget": (float, 1.2, "[0, inf)"),
+        "risk_index": (float, 0.8, "[0, 1]"),
     },
     "fatigue": {
-        "mu": (float, 1.0),
+        "mu": (float, 1.0, "[0, inf)"),
         # 0 means "use the lurking power", the standard assumption
         "p_sustain": (float, 0.0),
     },
@@ -72,7 +72,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "samples": (int, 257),
     },
     "micro": {
-        "epsilon": (float, 0.005),
+        "epsilon": (float, 0.005, "(0, inf)"),
         "gamma_ratio": (float, 1.0),
         "attack_power": (float, 4.0),
         "samples": (int, 513),
@@ -81,16 +81,16 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "parameter": (str, ""),
         "lo": (float, 0.0),
         "hi": (float, 1.0),
-        "points": (int, 0),
+        "points": (int, 0, "[0, inf)"),
     },
     "mc": {
         "trials": (int, 100000, "[2, inf)"),  # one trial has no std. error
-        "seed": (int, 12345),
-        "attack_position": (float, 0.5),
+        "seed": (int, 12345, "[0, inf)"),
+        "attack_position": (float, 0.5, "[0, 1]"),
     },
     "output": {
         "format": (str, "csv"),
-        "jobs": (int, 1),
+        "jobs": (int, 1, "[1, inf)"),
     },
 }
 

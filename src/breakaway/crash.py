@@ -7,34 +7,27 @@ probability given a crash has the closed form
 
     H(i; omega) = (1 - exp(-omega*i)) / (N * (1 - exp(-omega))),
 
-and a rider's crash exposure over the race is the crash intensity times the
-course integral of H at the rider's (piecewise-constant) drafting position.
-Exposure is an expected involvement count, so it scales linearly with the
-intensity and may exceed one.
-
-Custom start distributions and propagation kernels plug in through
-CrashModel, and exposure then sums the kernel over start ranks instead of
-using the closed form; exposure_simple_attack is the explicit formula for
-the lurk-then-attack trace.  A chunked, vectorized Monte Carlo estimator
-serves as the independent oracle for the analytic integrals.
+and crashes occur at a constant intensity along the course.  A rider's crash
+exposure over the race is that intensity times the course integral of H at
+the rider's drafting position; exposure_simple_attack is the explicit
+formula for the lurk-then-attack trace.  Exposure is an expected involvement
+count, so it scales linearly with the intensity and may exceed one.  A
+chunked, vectorized Monte Carlo estimator serves as the independent oracle
+for that formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .numerics import DEFAULT_SETTINGS, integrate_adaptive
 
 __all__ = [
     "CrashModel",
     "PositionTrace",
     "propagation_probability",
     "involvement_given_crash",
-    "exposure",
     "exposure_simple_attack",
     "monte_carlo_exposure",
 ]
@@ -114,97 +107,27 @@ class PositionTrace:
         out = np.asarray(self.positions, dtype=float)[idx]
         return float(out) if out.ndim == 0 else out
 
-    def segments(self):
-        """Yield (x_lo, x_hi, position) triples."""
-        for k, pos in enumerate(self.positions):
-            yield self.boundaries[k], self.boundaries[k + 1], pos
-
-
-def _exponential_kernel(omega: float) -> Callable:
-    def kernel(position, start):
-        return propagation_probability(position, start, omega)
-    return kernel
-
 
 @dataclass(frozen=True)
 class CrashModel:
     """Crash propagation parameters.
 
-    intensity is the expected crash count per unit course length (a callable
-    of x is accepted for inhomogeneous courses).  start_distribution is a
-    probability mass over start ranks 1..N (uniform when omitted); kernel is
-    the involvement probability kernel(position, start) (exponential
-    backward propagation when omitted).
+    omega is the backward propagation rate, intensity the expected crash
+    count per unit course length, and n_riders the peloton size over which
+    a crash's start rank is uniform.
     """
 
     omega: float = 0.5
-    intensity: float | Callable = 2.0
+    intensity: float = 2.0
     n_riders: int = 75
-    start_distribution: tuple[float, ...] | None = None
-    kernel: Callable | None = None
 
     def __post_init__(self):
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
-        if not callable(self.intensity) and self.intensity < 0.0:
+        if self.intensity < 0.0:
             raise ValueError("intensity must be non-negative")
         if self.n_riders < 1:
             raise ValueError("n_riders must be at least 1")
-        if self.start_distribution is not None:
-            w = np.asarray(self.start_distribution, dtype=float)
-            if w.size != self.n_riders:
-                raise ValueError("start_distribution must have one weight per rider")
-            if np.any(w < 0.0) or not math.isclose(float(w.sum()), 1.0,
-                                                   rel_tol=0.0, abs_tol=1e-9):
-                raise ValueError("start_distribution must be a probability mass")
-            object.__setattr__(self, "start_distribution", tuple(float(v) for v in w))
-        if self.kernel is not None:
-            # spot-check the kernel contract at the start rank
-            at_start = float(np.asarray(self.kernel(1.0, 1.0)))
-            ahead = float(np.asarray(self.kernel(1.0, 2.0)))
-            if abs(at_start - 1.0) > 1e-9 or abs(ahead) > 1e-9:
-                raise ValueError("kernel must give 1 at the start rank and 0 ahead of it")
-
-    def kernel_or_default(self) -> Callable:
-        return self.kernel if self.kernel is not None else _exponential_kernel(self.omega)
-
-    def start_weights(self) -> np.ndarray:
-        if self.start_distribution is None:
-            return np.full(self.n_riders, 1.0 / self.n_riders)
-        return np.asarray(self.start_distribution, dtype=float)
-
-    def involvement_general(self, position) -> np.ndarray:
-        """Sum over start ranks of kernel(position, k) * P(start = k)."""
-        position = np.atleast_1d(np.asarray(position, dtype=float))
-        starts = np.arange(1, self.n_riders + 1, dtype=float)
-        kern = self.kernel_or_default()
-        probs = kern(position[:, None], starts[None, :])
-        return probs @ self.start_weights()
-
-
-def _segment_intensity_mass(model: CrashModel, x_lo: float, x_hi: float) -> float:
-    """Integral of the crash intensity over one course segment."""
-    if callable(model.intensity):
-        value, _ = integrate_adaptive(model.intensity, x_lo, x_hi, DEFAULT_SETTINGS)
-        return value
-    return model.intensity * (x_hi - x_lo)
-
-
-def exposure(trace: PositionTrace, model: CrashModel) -> float:
-    """Expected crash involvements over the race.
-
-    Uses the uniform-start closed form when the model has neither a kernel
-    nor a start distribution, and the sum over start ranks otherwise.
-    """
-    closed_form = model.kernel is None and model.start_distribution is None
-    total = 0.0
-    for x_lo, x_hi, pos in trace.segments():
-        if closed_form:
-            h = involvement_given_crash(pos, model.omega, model.n_riders)
-        else:
-            h = float(model.involvement_general(pos)[0])
-        total += h * _segment_intensity_mass(model, x_lo, x_hi)
-    return total
 
 
 def exposure_simple_attack(x_attack: float, position: float,
@@ -212,37 +135,22 @@ def exposure_simple_attack(x_attack: float, position: float,
     """Exposure for the lurk-then-attack trace, as an explicit formula."""
     if not 0.0 <= x_attack <= 1.0:
         raise ValueError("attack position must lie in [0, 1]")
-    if callable(model.intensity):
-        raise ValueError("closed form requires a constant intensity")
     ratio = np.expm1(-model.omega * position) / np.expm1(-model.omega)
     return model.intensity / model.n_riders * (x_attack * ratio + 1.0 - x_attack)
-
-
-def _intensity_bound(model: CrashModel) -> float:
-    if not callable(model.intensity):
-        return float(model.intensity)
-    grid = np.linspace(0.0, 1.0, 2049)
-    return float(np.max([model.intensity(x) for x in grid])) * 1.0000001
 
 
 def monte_carlo_exposure(trace: PositionTrace, model: CrashModel,
                          trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the exposure with its standard error.
 
-    Per trial: crash count ~ Poisson(total intensity); each crash gets a
-    uniform course location (thinned when the intensity varies with x), a
-    start rank from the start distribution, and a Bernoulli involvement from
-    the kernel.  Trials are partitioned into a fixed number of seed-derived
-    substreams and reduced in order, so results are reproducible for a given
-    seed regardless of how the chunks are executed.
+    Per trial: crash count ~ Poisson(intensity); each crash gets a uniform
+    course location, a uniform start rank and a Bernoulli involvement with
+    the propagation probability.  Trials are partitioned into a fixed number
+    of seed-derived substreams and reduced in order, so results are
+    reproducible for a given seed regardless of how the chunks are executed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    lam_max = _intensity_bound(model)
-    kern = model.kernel_or_default()
-    weights = model.start_weights()
-    uniform_start = model.start_distribution is None
-
     children = np.random.SeedSequence(seed).spawn(_MC_CHUNKS)
     base, extra = divmod(trials, _MC_CHUNKS)
     sum_x = 0.0
@@ -252,22 +160,14 @@ def monte_carlo_exposure(trace: PositionTrace, model: CrashModel,
         if n == 0:
             continue
         rng = np.random.default_rng(child)
-        counts = rng.poisson(lam_max, size=n)
+        counts = rng.poisson(model.intensity, size=n)
         total = int(counts.sum())
         if total == 0:
             continue
         x = rng.uniform(0.0, 1.0, size=total)
-        keep = np.ones(total, dtype=bool)
-        if callable(model.intensity):
-            accept = np.asarray([model.intensity(v) for v in x]) / lam_max
-            keep = rng.uniform(0.0, 1.0, size=total) < accept
-        if uniform_start:
-            starts = rng.integers(1, model.n_riders + 1, size=total).astype(float)
-        else:
-            starts = (rng.choice(model.n_riders, size=total, p=weights) + 1.0)
-        pos = trace.position_at(x)
-        p_inv = np.asarray(kern(pos, starts), dtype=float)
-        hits = keep & (rng.uniform(0.0, 1.0, size=total) < p_inv)
+        starts = rng.integers(1, model.n_riders + 1, size=total).astype(float)
+        p_inv = propagation_probability(trace.position_at(x), starts, model.omega)
+        hits = rng.uniform(0.0, 1.0, size=total) < p_inv
         trial_idx = np.repeat(np.arange(n), counts)
         per_trial = np.bincount(trial_idx[hits], minlength=n).astype(float)
         sum_x += float(per_trial.sum())

@@ -42,7 +42,6 @@ __all__ = [
     "critical_risk",
     "min_energy_to_win",
     "min_risk_to_win",
-    "win_frontier",
 ]
 
 _TIE_TOL = 1e-12  # boundary wins objective ties at this resolution
@@ -188,8 +187,6 @@ def interior_optimum(problem: StrategyProblem) -> InteriorOptimum | None:
     crash = problem.crash
     ratio = involvement_given_crash(problem.position, crash.omega,
                                     crash.n_riders) * crash.n_riders
-    if callable(crash.intensity):
-        raise ValueError("interior optimum requires a constant crash intensity")
     sqrt_front = math.sqrt(problem.cd_front)
     a3 = 0.5 * beta * sqrt_front * problem.cd_lurk
     a1 = -1.5 * beta * sqrt_front
@@ -259,8 +256,6 @@ def optimal_attack(problem: StrategyProblem) -> StrategyResult:
 def critical_risk(problem: StrategyProblem) -> float:
     """Risk index at which the optimum jumps from the boundary to the interior."""
     crash = problem.crash
-    if callable(crash.intensity):
-        raise ValueError("critical risk requires a constant crash intensity")
     ratio = involvement_given_crash(problem.position, crash.omega,
                                     crash.n_riders) * crash.n_riders
     a = crash.intensity / crash.n_riders * (ratio - 1.0)
@@ -286,9 +281,3 @@ def min_risk_to_win(problem: StrategyProblem, energy_budget: float) -> float | N
     if energy_budget >= problem.cd_front:
         return 0.0
     return critical_risk(problem)
-
-
-def win_frontier(problem: StrategyProblem):
-    """Both sides of the winning frontier as callables (energy_of_risk, risk_of_energy)."""
-    return (lambda beta: min_energy_to_win(problem, beta),
-            lambda energy: min_risk_to_win(problem, energy))

@@ -313,6 +313,35 @@ class TestTerrainCommand:
         assert code == 2
 
 
+# one probe per key that the flat, fatigue, microstructure and crash-mc
+# commands read; each used to end in a traceback or run on regardless
+RANGE_PROBES = [
+    (["flat", "--set", "strategy.risk_index=1.5"], "strategy.risk_index"),
+    (["flat", "--set", "strategy.energy_budget=-1"], "strategy.energy_budget"),
+    (["flat", "--set", "crash.omega=0"], "crash.omega"),
+    (["flat", "--set", "crash.n_riders=0"], "crash.n_riders"),
+    (["flat", "--set", "crash.intensity=-1"], "crash.intensity"),
+    (["fatigue", "--set", "fatigue.mu=-1"], "fatigue.mu"),
+    (["microstructure", "--set", "micro.epsilon=0"], "micro.epsilon"),
+    (["flat", "--set", "sweep.parameter=strategy.risk_index",
+      "--set", "sweep.points=-3"], "sweep.points"),
+    (["crash-mc", "--set", "mc.attack_position=1.5"], "mc.attack_position"),
+    (["crash-mc", "--set", "model.position=0.5"], "model.position"),
+    (["crash-mc", "--seed", "-1"], "mc.seed"),
+    (["flat", "--jobs", "0"], "output.jobs"),
+    (["flat", "--jobs", "-1"], "output.jobs"),
+]
+
+
+@pytest.mark.parametrize("argv, key", RANGE_PROBES,
+                         ids=[" ".join(argv[-2:]) for argv, _ in RANGE_PROBES])
+def test_out_of_range_probe_exits_one(argv, key, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad value for {key}: ")
+    assert err.count("\n") == 1
+
+
 class TestCrashMcCommand:
     def test_agrees_with_analytic(self, capsys):
         code, out = run_cli(["crash-mc", "--trials", "50000", "--seed", "3"],

@@ -19,7 +19,6 @@ from breakaway.flat import (
     optimal_attack,
     time_gap_from_position,
     time_gap_from_power,
-    win_frontier,
 )
 
 PROBLEM = StrategyProblem(energy_budget=1.2, risk_index=0.8)
@@ -355,11 +354,6 @@ class TestCriticalRiskAndFrontier:
         assert min_risk_to_win(PROBLEM, 2.0) == 0.0
         assert min_risk_to_win(PROBLEM, 1.0) == pytest.approx(beta_star)
         assert min_risk_to_win(PROBLEM, 0.3) is None
-
-    def test_win_frontier_callables(self):
-        energy_of, risk_of = win_frontier(PROBLEM)
-        assert energy_of(0.5) == 0.46
-        assert risk_of(2.0) == 0.0
 
     def test_interior_powers_collapse_across_budgets(self):
         # on the interior branch the optimal power does not depend on the
