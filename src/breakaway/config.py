@@ -38,14 +38,14 @@ def _parse_bool(text: str) -> bool:
 # section -> key -> (type, default[, allowed: choices, or an interval like "[0, 1)"])
 SCHEMA: dict[str, dict[str, tuple]] = {
     "model": {
-        "cd_front": (float, 1.43),
-        "cd_lurk": (float, 0.46),
-        "cd_max": (float, 0.9),
-        "cd_min": (float, 0.05),
-        "decay": (float, 0.25),
-        "cd_avg": (float, 0.9 / 1.43),
+        "cd_front": (float, 1.43, "(0, inf)"),
+        "cd_lurk": (float, 0.46, "(0, inf)"),  # < cd_front, see strategy_problem
+        "cd_max": (float, 0.9, "(0, inf)"),
+        "cd_min": (float, 0.05, "(0, inf)"),   # < cd_max, see drag_params
+        "decay": (float, 0.25, "(0, inf)"),
+        "cd_avg": (float, 0.9 / 1.43, "(0, inf)"),
         "position": (float, 5.0, "[1, inf)"),
-        "mass_ratio": (float, 1.0),
+        "mass_ratio": (float, 1.0, "(0, inf)"),
     },
     "crash": {
         "n_riders": (int, 75, "[1, inf)"),
@@ -69,13 +69,13 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "quasi_steady": (bool, False),
         "method": (str, "auto", ("auto", "rk45", "bdf")),
         "course": (str, "demo"),
-        "samples": (int, 257),
+        "samples": (int, 257, "[0, inf)"),
     },
     "micro": {
         "epsilon": (float, 0.005, "(0, inf)"),
-        "gamma_ratio": (float, 1.0),
+        "gamma_ratio": (float, 1.0, "(0, inf)"),
         "attack_power": (float, 4.0),
-        "samples": (int, 513),
+        "samples": (int, 513, "[1, inf)"),
     },
     "sweep": {
         "parameter": (str, ""),
@@ -89,7 +89,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "attack_position": (float, 0.5, "[0, 1]"),
     },
     "output": {
-        "format": (str, "csv"),
+        "format": (str, "csv", ("csv", "json")),
         "jobs": (int, 1, "[1, inf)"),
     },
 }
@@ -195,10 +195,18 @@ class RunConfig:
 
     # -- builders ------------------------------------------------------------
 
+    def _order_error(self, key: str, bound: str, exc: ValueError) -> ConfigError:
+        # the per-key ranges leave only the order of a key pair to the dataclass
+        return ConfigError(f"bad value for model.{key}: {self.get('model', key)!r} "
+                           f"({exc}; model.{bound} = {self.get('model', bound)!r})")
+
     def drag_params(self) -> DragParams:
-        return DragParams(cd_max=self.get("model", "cd_max"),
-                          cd_min=self.get("model", "cd_min"),
-                          decay=self.get("model", "decay"))
+        try:
+            return DragParams(cd_max=self.get("model", "cd_max"),
+                              cd_min=self.get("model", "cd_min"),
+                              decay=self.get("model", "decay"))
+        except ValueError as exc:
+            raise self._order_error("cd_min", "cd_max", exc) from exc
 
     def crash_model(self) -> CrashModel:
         return CrashModel(omega=self.get("crash", "omega"),
@@ -206,14 +214,17 @@ class RunConfig:
                           n_riders=self.get("crash", "n_riders"))
 
     def strategy_problem(self) -> StrategyProblem:
-        return StrategyProblem(
-            energy_budget=self.get("strategy", "energy_budget"),
-            risk_index=self.get("strategy", "risk_index"),
-            position=self.get("model", "position"),
-            cd_front=self.get("model", "cd_front"),
-            cd_lurk=self.get("model", "cd_lurk"),
-            crash=self.crash_model(),
-        )
+        try:
+            return StrategyProblem(
+                energy_budget=self.get("strategy", "energy_budget"),
+                risk_index=self.get("strategy", "risk_index"),
+                position=self.get("model", "position"),
+                cd_front=self.get("model", "cd_front"),
+                cd_lurk=self.get("model", "cd_lurk"),
+                crash=self.crash_model(),
+            )
+        except ValueError as exc:
+            raise self._order_error("cd_lurk", "cd_front", exc) from exc
 
     def p_sustain(self) -> float | None:
         value = self.get("fatigue", "p_sustain")

@@ -15,18 +15,19 @@ from implicit differentiation of the budget and arrival constraints.  The
 zero-gap boundary is the root of the arrival condition at t_f = 1, so its
 row reports t_f = 1 and no time gap exactly.
 
-The quadrature behind the speed integral sums each Gauss-Legendre panel
-with numpy and the panel sums with math.fsum, so its rounding does not
-depend on a BLAS build.  The budget and arrival residuals are rounding
-noise below RESIDUAL_FLOOR; reported_residual maps them to 0 for tables,
-while `converged` tests the raw values.
+The speed integral behind the arrival constraint, and its slope in the
+burst amplitude, are elementary, so each costs the same few operations
+at any fatigue rate.  The reported arrival residual checks them against
+an independent adaptive quadrature.  The budget and arrival residuals are
+rounding noise below RESIDUAL_FLOOR; reported_residual maps them to 0 for
+tables, while `converged` tests the raw values.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def reported_residual(value: float) -> float:
     """A constraint residual as tables print it: 0 at or below RESIDUAL_FLOOR.
 
     The floor sits above the ~1e-13 gap between the adaptive reference
-    quadrature and the fixed Gauss-Legendre rule, and far below the 1e-8
+    quadrature and the closed-form speed integral, and far below the 1e-8
     gate of FatigueResult.converged, which sees the raw value.
     """
     return 0.0 if value <= RESIDUAL_FLOOR else value
@@ -85,8 +86,8 @@ class FatigueResult:
 
 
 def _burst_integral(delta: float, mu: float) -> float:
-    """Integral of exp(-mu s) over [0, delta]; exact at mu = 0."""
-    if mu == 0.0:
+    """Integral of exp(-mu s) over [0, delta]; an underflowing mu * delta is mu = 0."""
+    if mu * delta < sys.float_info.min:  # expm1 would give 0; this errs by O(mu delta)
         return delta
     return -math.expm1(-mu * delta) / mu
 
@@ -110,57 +111,37 @@ def p_max_from_budget(energy_budget: float, x_attack: float, t_finish: float,
     return p_sustain + max(burst_energy, 0.0) / _burst_integral(delta, mu)
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def _panels(delta: float, mu: float):
-    """Gauss-Legendre nodes on [0, delta], panels sized to the decay scale.
-
-    Returns (offsets, weights): one row of 32 nodes per panel and the
-    matching weights, already scaled to the panel width.
-    """
-    n_panels = 1 + int(mu * delta / 4.0)
-    nodes, weights = _gauss_nodes(32)
-    h = delta / n_panels
-    offsets = h * (np.arange(n_panels)[:, None] + 0.5 * (nodes[None, :] + 1.0))
-    return offsets, 0.5 * h * weights
-
-
-def _panel_sum(values, weights) -> float:
-    """Quadrature sum in a fixed order: numpy within a panel, fsum across."""
-    return math.fsum((values * weights).sum(axis=1))
-
-
 def _speed_integral(delta: float, p_max: float, p_sustain: float,
                     mu: float) -> float:
-    """Integral of (p_sustain + (p_max - p_sustain) e^{-mu s})^(1/3) over [0, delta].
+    """Integral of y = (p_sustain + A e^{-mu s})^(1/3), A = p_max - p_sustain, to delta.
 
-    Fixed-order Gauss-Legendre on panels sized to the decay scale; the
-    integrand is smooth, so this sits far below 1e-12 absolute error.
+    Closed form; needs p_sustain > 0, which the callers guarantee.  In y, from
+    y0 at s = 0 to y1 at delta, the integral is rational.  D = y0 - y1 from a
+    difference of cubes, one log1p and one atan keep every term free of
+    catastrophic cancellation at any mu.
     """
-    if delta <= 0.0:
-        return 0.0
-    offsets, weights = _panels(delta, mu)
-    values = np.cbrt(p_sustain + (p_max - p_sustain) * np.exp(-mu * offsets))
-    return _panel_sum(values, weights)
+    y0 = float(np.cbrt(p_max))
+    if mu * delta < sys.float_info.min:  # as in _burst_integral
+        return delta * y0
+    c = float(np.cbrt(p_sustain))
+    y1 = float(np.cbrt(p_sustain + (p_max - p_sustain) * math.exp(-mu * delta)))
+    d = (p_max - p_sustain) * -math.expm1(-mu * delta) / (y0 * y0 + y0 * y1 + y1 * y1)
+    c_root3 = c * math.sqrt(3.0)
+    u0, u1 = (2.0 * y0 + c) / c_root3, (2.0 * y1 + c) / c_root3
+    log_term = math.log1p(d * (y0 + y1 + c) / (y1 * y1 + c * y1 + c * c))
+    atan_term = math.atan(2.0 * d / c_root3 / (1.0 + u0 * u1))
+    return c * delta + (3.0 * d - 1.5 * c * log_term - c_root3 * atan_term) / mu
 
 
 def _speed_integral_slope(delta: float, p_max: float, p_sustain: float,
                           mu: float) -> float:
-    """Derivative of _speed_integral in the burst amplitude p_max - p_sustain.
+    """Derivative of _speed_integral in the burst amplitude A = p_max - p_sustain.
 
-    The integral of (1/3) (p_sustain + A e^{-mu s})^(-2/3) e^{-mu s} over
-    [0, delta], on the same panels.
+    In y it is (y0 - y1) / (A mu), the burst integral over y0^2 + y0 y1 + y1^2.
     """
-    if delta <= 0.0:
-        return 0.0
-    offsets, weights = _panels(delta, mu)
-    decay = np.exp(-mu * offsets)
-    speed = np.cbrt(p_sustain + (p_max - p_sustain) * decay)
-    return _panel_sum(decay / (3.0 * speed * speed), weights)
+    y0 = float(np.cbrt(p_max))
+    y1 = float(np.cbrt(p_sustain + (p_max - p_sustain) * math.exp(-mu * delta)))
+    return _burst_integral(delta, mu) / (y0 * y0 + y0 * y1 + y1 * y1)
 
 
 # -- constrained solve at a fixed attack position ----------------------------

@@ -17,6 +17,7 @@ both from the drag law, which cannot produce that pair simultaneously.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +141,7 @@ class PowerProfile:
             total += max(self.p_lurk, 0.0) * min(t, start)
         if t <= start:
             return total
-        if self.mu == 0.0:
+        if self.mu * (t - self.attack_time) < sys.float_info.min:  # underflow: as mu = 0
             return total + max(self.p_max, 0.0) * (t - start)
         floor, amp, rate = self.p_sustain, self.p_max - self.p_sustain, self.mu
 

@@ -176,9 +176,12 @@ class TestFatigueCommand:
         _, _, rows = parse_table(out)   # the row is still emitted, flagged
         assert rows[0]["converged"] == "false"
 
-    def test_vanishing_fatigue_converges(self, capsys):
-        # the budget residual's energy integral must not cancel at tiny mu
-        code, out = run_cli(["fatigue", "--set", "fatigue.mu=1e-9"], capsys)
+    @pytest.mark.parametrize("mu", ["1e-9", "1e-320", "5e-324", "1e6"])
+    def test_vanishing_fatigue_converges(self, mu, capsys):
+        # the budget residual's energy integral must not cancel at tiny mu,
+        # a subnormal mu must not underflow the burst integral to 0, and a
+        # fast decay must cost no more than a slow one
+        code, out = run_cli(["fatigue", "--set", f"fatigue.mu={mu}"], capsys)
         assert code == 0
         _, _, rows = parse_table(out)
         assert rows[0]["converged"] == "true"
@@ -330,6 +333,20 @@ RANGE_PROBES = [
     (["crash-mc", "--seed", "-1"], "mc.seed"),
     (["flat", "--jobs", "0"], "output.jobs"),
     (["flat", "--jobs", "-1"], "output.jobs"),
+    # cd_lurk=2 and cd_min=1 break only the order of a key pair
+    (["flat", "--set", "model.cd_lurk=2"], "model.cd_lurk"),
+    (["fatigue", "--set", "model.cd_front=-1"], "model.cd_front"),
+    (["microstructure", "--set", "model.cd_min=1"], "model.cd_min"),
+    (["flat", "--set", "output.format=xml"], "output.format"),
+    (["microstructure", "--set", "model.decay=0"], "model.decay"),
+    (["microstructure", "--set", "model.cd_avg=0"], "model.cd_avg"),
+    (["microstructure", "--set", "model.cd_avg=-1"], "model.cd_avg"),
+    (["microstructure", "--set", "model.mass_ratio=0"], "model.mass_ratio"),
+    (["microstructure", "--set", "micro.gamma_ratio=0"], "micro.gamma_ratio"),
+    (["microstructure", "--set", "micro.gamma_ratio=-1"], "micro.gamma_ratio"),
+    (["microstructure", "--set", "micro.samples=0"], "micro.samples"),
+    (["terrain", "--set", "terrain.quasi_steady=1",
+      "--set", "terrain.samples=-1"], "terrain.samples"),
 ]
 
 

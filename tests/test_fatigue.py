@@ -367,7 +367,28 @@ def _mpmath_optimum(mp, beta):
 
 
 class TestMpmathOracle:
-    """The certified optimum against an independent 25-digit reference."""
+    """The certified optimum and the closed forms against independent mpmath references."""
+
+    @pytest.mark.parametrize("mu", [1e-9, 1e-3, 1.0, 400.0, 1e6])
+    def test_speed_integral_matches_mpmath(self, mu):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(23)
+        with mpmath.workdps(40):
+            for _ in range(4):
+                delta, p_s = rng.uniform(0.01, 1.0), rng.uniform(0.05, 2.0)
+                p_max = p_s + 10.0 ** rng.uniform(-6.0, 1.5)
+                amp = mpmath.mpf(p_max) - mpmath.mpf(p_s)
+                decay = lambda s: mpmath.exp(-mu * s)
+                speed = lambda s: mpmath.cbrt(p_s + amp * decay(s))
+                # breakpoints at multiples of the decay length 1/mu
+                points = ([0] + [mpmath.mpf(j) / mu for j in (1, 4, 16, 64)
+                                 if j / mu < delta] + [delta])
+                value = mpmath.quad(speed, points)
+                slope = mpmath.quad(lambda s: decay(s) / (3 * speed(s) ** 2), points)
+                assert _speed_integral(delta, p_max, p_s, mu) == pytest.approx(
+                    float(value), rel=2e-15)
+                assert _speed_integral_slope(delta, p_max, p_s, mu) == pytest.approx(
+                    float(slope), rel=2e-15)
 
     @pytest.mark.parametrize("beta", ["0", "0.1", "0.5", "1"])
     def test_optimum_matches_mpmath(self, beta):
