@@ -7,7 +7,6 @@ fatigue-limited attacks, terrain simulation and attack-onset diagnostics.
 
 from .crash import (
     CrashModel,
-    PositionTrace,
     exposure_simple_attack,
     involvement_given_crash,
     monte_carlo_exposure,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, fatigue, flat, microstructure, terrain
 from .config import ConfigError, RunConfig, _resolve_key
-from .crash import PositionTrace, exposure_simple_attack, monte_carlo_exposure
+from .crash import exposure_simple_attack, monte_carlo_exposure
 from .model import PowerProfile
 from .numerics import NumericsError
 from .tables import ResultTable
@@ -248,9 +248,9 @@ def cmd_crash_mc(cfg: RunConfig) -> tuple[ResultTable, int]:
     x_attack = cfg.get("mc", "attack_position")
     trials = cfg.get("mc", "trials")
     seed = cfg.get("mc", "seed")
-    trace = PositionTrace.simple_attack(position, x_attack)
     analytic = exposure_simple_attack(x_attack, position, model)
-    estimate, stderr = monte_carlo_exposure(trace, model, trials, seed)
+    estimate, stderr = monte_carlo_exposure(x_attack, position, trials, seed,
+                                            model)
     z = 0.0 if stderr == 0.0 else (estimate - analytic) / stderr
     table = _new_table("crash-mc", cfg,
                        ["analytic", "estimate", "std_error", "z_score",
@@ -276,7 +276,11 @@ def cmd_microstructure(cfg: RunConfig) -> tuple[ResultTable, int]:
         gamma_ratio=cfg.get("micro", "gamma_ratio"),
         n_samples=cfg.get("micro", "samples"),
     )
-    full = microstructure.full_ode_attack(**kwargs)
+    try:
+        full = microstructure.full_ode_attack(**kwargs)
+    except microstructure.StartDragError as exc:  # an input, not a solver failure
+        raise ConfigError(f"bad value for micro.attack_power: "
+                          f"{kwargs['power']!r} ({exc})") from exc
     composite, layer = microstructure.composite_attack(**kwargs)
     deviation = microstructure.max_relative_deviation(composite, full)
     table = _new_table("microstructure", cfg,

@@ -59,7 +59,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "fatigue": {
         "mu": (float, 1.0, "[0, inf)"),
         # 0 means "use the lurking power", the standard assumption
-        "p_sustain": (float, 0.0),
+        "p_sustain": (float, 0.0, "[0, inf)"),
     },
     "terrain": {
         "epsilon": (float, 0.005, "(0, inf)"),
@@ -74,7 +74,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "micro": {
         "epsilon": (float, 0.005, "(0, inf)"),
         "gamma_ratio": (float, 1.0, "(0, inf)"),
-        "attack_power": (float, 4.0),
+        "attack_power": (float, 4.0, "(0, inf)"),  # see cmd_microstructure
         "samples": (int, 513, "[1, inf)"),
     },
     "sweep": {

@@ -9,11 +9,12 @@ probability given a crash has the closed form
 
 and crashes occur at a constant intensity along the course.  A rider's crash
 exposure over the race is that intensity times the course integral of H at
-the rider's drafting position; exposure_simple_attack is the explicit
-formula for the lurk-then-attack trace.  Exposure is an expected involvement
-count, so it scales linearly with the intensity and may exceed one.  A
-chunked, vectorized Monte Carlo estimator serves as the independent oracle
-for that formula.
+the rider's drafting position.  The paper's rider has one trace: in the
+pack at a fixed position until the attack point x_a, then solo at the
+front; exposure_simple_attack is the explicit formula for it.  Exposure is
+an expected involvement count, so it scales linearly with the intensity and
+may exceed one.  A chunked, vectorized Monte Carlo estimator of the same
+trace serves as the independent oracle for that formula.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "CrashModel",
-    "PositionTrace",
     "propagation_probability",
     "involvement_given_crash",
     "exposure_simple_attack",
@@ -67,48 +67,6 @@ def involvement_given_crash(position, omega: float, n_riders: int):
 
 
 @dataclass(frozen=True)
-class PositionTrace:
-    """Piecewise-constant drafting position along the course x in [0, 1]."""
-
-    boundaries: tuple[float, ...]
-    positions: tuple[float, ...]
-
-    def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
-        p = np.asarray(self.positions, dtype=float)
-        if b.size != p.size + 1:
-            raise ValueError("need len(boundaries) == len(positions) + 1")
-        if b[0] != 0.0 or b[-1] != 1.0:
-            raise ValueError("trace must span [0, 1]")
-        if np.any(np.diff(b) <= 0.0):
-            raise ValueError("boundaries must increase strictly")
-        if np.any(p < 1.0):
-            raise ValueError("drafting positions must be >= 1")
-
-    @classmethod
-    def constant(cls, position: float) -> "PositionTrace":
-        return cls((0.0, 1.0), (float(position),))
-
-    @classmethod
-    def simple_attack(cls, position: float, x_attack: float) -> "PositionTrace":
-        """In the pack at `position` until x_attack, then solo at the front."""
-        if not 0.0 <= x_attack <= 1.0:
-            raise ValueError("attack position must lie in [0, 1]")
-        if x_attack <= 0.0:
-            return cls.constant(1.0)
-        if x_attack >= 1.0:
-            return cls.constant(position)
-        return cls((0.0, float(x_attack), 1.0), (float(position), 1.0))
-
-    def position_at(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.boundaries, x, side="right") - 1,
-                      0, len(self.positions) - 1)
-        out = np.asarray(self.positions, dtype=float)[idx]
-        return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
 class CrashModel:
     """Crash propagation parameters.
 
@@ -139,16 +97,22 @@ def exposure_simple_attack(x_attack: float, position: float,
     return model.intensity / model.n_riders * (x_attack * ratio + 1.0 - x_attack)
 
 
-def monte_carlo_exposure(trace: PositionTrace, model: CrashModel,
-                         trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the exposure with its standard error.
+def monte_carlo_exposure(x_attack: float, position: float, trials: int,
+                         seed: int, model: CrashModel) -> tuple[float, float]:
+    """Monte Carlo estimate of exposure_simple_attack, with its standard error.
 
     Per trial: crash count ~ Poisson(intensity); each crash gets a uniform
     course location, a uniform start rank and a Bernoulli involvement with
-    the propagation probability.  Trials are partitioned into a fixed number
-    of seed-derived substreams and reduced in order, so results are
-    reproducible for a given seed regardless of how the chunks are executed.
+    the propagation probability at the rider's position there: `position`
+    before x_attack, the front after it.  Trials are partitioned into a
+    fixed number of seed-derived substreams and reduced in order, so results
+    are reproducible for a given seed regardless of how the chunks are
+    executed.
     """
+    if not 0.0 <= x_attack <= 1.0:
+        raise ValueError("attack position must lie in [0, 1]")
+    if position < 1.0:
+        raise ValueError("position must be >= 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     children = np.random.SeedSequence(seed).spawn(_MC_CHUNKS)
@@ -166,7 +130,8 @@ def monte_carlo_exposure(trace: PositionTrace, model: CrashModel,
             continue
         x = rng.uniform(0.0, 1.0, size=total)
         starts = rng.integers(1, model.n_riders + 1, size=total).astype(float)
-        p_inv = propagation_probability(trace.position_at(x), starts, model.omega)
+        p_inv = propagation_probability(np.where(x < x_attack, position, 1.0),
+                                       starts, model.omega)
         hits = rng.uniform(0.0, 1.0, size=total) < p_inv
         trial_idx = np.repeat(np.arange(n), counts)
         per_trial = np.bincount(trial_idx[hits], minlength=n).astype(float)

@@ -2,7 +2,7 @@
 
 After attacking at time t_a the rider's power is
 (p_max - p_sustain) * exp(-mu (t - t_a)) + p_sustain, the schedule that
-PowerProfile.fatigue_attack builds, so the finish time has no closed form
+a PowerProfile describes, so the finish time has no closed form
 and the strategy optimum is found numerically.  The three-variable
 constrained problem (attack position, peak power, finish time) collapses
 to nested scalar solves: given the attack position, the peak power follows
@@ -93,17 +93,13 @@ def _burst_integral(delta: float, mu: float) -> float:
 
 
 def p_max_from_budget(energy_budget: float, x_attack: float, t_finish: float,
-                      p_sustain: float, mu: float,
-                      p_lurk: float | None = None) -> float:
+                      p_sustain: float, mu: float, p_lurk: float) -> float:
     """Peak power that makes the schedule spend exactly energy_budget by t_finish.
 
-    p_lurk defaults to p_sustain.  Round-trips with the energy of
-    PowerProfile.fatigue_attack.
+    Round-trips with PowerProfile.energy.
     """
     if t_finish <= x_attack:
         raise ValueError("need t_finish > x_attack")
-    if p_lurk is None:
-        p_lurk = p_sustain
     delta = t_finish - x_attack
     burst_energy = energy_budget - p_lurk * x_attack - p_sustain * delta
     if burst_energy < -1e-14 * max(1.0, energy_budget):
@@ -251,7 +247,12 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     def solve(x, inner=settings):
         nonlocal n_solves
         n_solves += 1
-        return _attack_solve(x, budget, p_s, p_lurk, mu, cd_front, inner)
+        solved = _attack_solve(x, budget, p_s, p_lurk, mu, cd_front, inner)
+        if solved is None and x == x_feas:
+            # the closed-form boundary can land infeasible by rounding; there
+            # riding steadily at p_s spends the budget exactly on arrival
+            return x + (budget - p_lurk * x) / p_s, p_s
+        return solved
 
     def no_win() -> FatigueResult:
         return FatigueResult(None, None, None, 0.0, (1.0 - beta) * exposure(1.0),
@@ -262,8 +263,8 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         return no_win()
 
     def time_gap_at(x):
-        # a finite sentinel keeps the zero-gap bracketing well posed if the
-        # closed-form feasibility boundary lands infeasible by rounding
+        # a finite sentinel marks an attack from which the budget cannot
+        # bring the rider home
         solved = solve(x)
         return -1.0 if solved is None else 1.0 - solved[0]
 
@@ -316,7 +317,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
                 best = interior
 
     x_best, t_finish, p_max = best
-    schedule = PowerProfile.fatigue_attack(p_lurk, x_best, p_max, p_s, mu)
+    schedule = PowerProfile(p_lurk, x_best, p_max, p_s, mu)
     budget_res = abs(schedule.energy(t_finish) - budget)
     integrand = lambda s: np.cbrt(p_s + (p_max - p_s) * np.exp(-mu * s))
     arrival, _ = integrate_adaptive(integrand, 0.0, t_finish - x_best, settings)

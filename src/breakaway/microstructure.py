@@ -6,12 +6,10 @@ delta = gamma_ratio * eps**2), where the drag falls with the rider's depth,
 followed by a solo relaxation at frozen front drag toward the equilibrium
 attack speed (P/C_front)**(1/3).
 
-The module provides three views of this:
+The module provides two views of this:
 
 * ``peloton_passage``: the leading-order passage layer
   gamma * m * zeta'' = P - C(zeta), integrated to the front-crossing event;
-* ``post_escape_velocity``: the quoted logistic closed form for the
-  relaxation phase;
 * ``composite_attack`` / ``full_ode_attack``: a finite-inertia composite
   (passage layer solved in the stretched relative coordinate with the
   velocity feedback retained, then the exact frozen-drag relaxation)
@@ -42,9 +40,9 @@ __all__ = [
     "PassageLayer",
     "AttackSeries",
     "NeverReachesFrontError",
+    "StartDragError",
     "relative_drag_behind_front",
     "peloton_passage",
-    "post_escape_velocity",
     "full_ode_attack",
     "composite_attack",
     "max_relative_deviation",
@@ -57,6 +55,10 @@ class NeverReachesFrontError(NumericsError):
     """The attack power cannot push the rider to the front of the pack."""
 
 
+class StartDragError(NeverReachesFrontError):
+    """The attack power does not exceed the drag at the start depth."""
+
+
 def relative_drag_behind_front(zeta, drag: DragParams, cd_avg: float):
     """Normalized drag at signed pack coordinate zeta (zeta = 0 is the front).
 
@@ -66,13 +68,22 @@ def relative_drag_behind_front(zeta, drag: DragParams, cd_avg: float):
     return drag_at_depth(-np.asarray(zeta, dtype=float), drag) / cd_avg
 
 
+def _start_surplus(zeta0: float, power: float, drag: DragParams,
+                   cd_avg: float) -> float:
+    """Power less the drag at the start coordinate zeta0; positive or raises."""
+    start_drag = float(relative_drag_behind_front(zeta0, drag, cd_avg))
+    if power <= start_drag:
+        raise StartDragError(f"need more than {start_drag!r}, the drag at "
+                             f"the start depth {-zeta0!r}")
+    return power - start_drag
+
+
 @dataclass(frozen=True)
 class PassageLayer:
     """Leading-order passage through the pack, in inner time units."""
 
     duration: float      # front-crossing inner time
-    front_speed: float   # 1 + exit slope, the layer's velocity reconstruction
-    exit_slope: float    # d zeta / d tau at the crossing
+    exit_slope: float    # d zeta / d tau at the crossing; speed 1 + exit_slope
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,6 @@ class LayerSolution:
     front_speed: float               # speed at the front crossing
     relaxation: Callable             # inner time tau -> speed, from the crossing
     terminal_speed: float            # (P / C_front)**(1/3)
-    gamma_ratio: float
 
 
 @dataclass(frozen=True)
@@ -107,10 +117,8 @@ def peloton_passage(position: float, power: float, drag: DragParams,
         raise ValueError("position must be >= 1")
     zeta0 = -(position - 1.0)
     if zeta0 == 0.0:
-        return PassageLayer(duration=0.0, front_speed=1.0, exit_slope=0.0)
-    if power <= relative_drag_behind_front(zeta0, drag, cd_avg):
-        raise NeverReachesFrontError(
-            "power does not exceed the local drag; the rider cannot accelerate")
+        return PassageLayer(duration=0.0, exit_slope=0.0)
+    _start_surplus(zeta0, power, drag, cd_avg)
 
     scale = gamma_ratio * mass_ratio
 
@@ -135,24 +143,7 @@ def peloton_passage(position: float, power: float, drag: DragParams,
         raise NeverReachesFrontError("the rider turned back before the front")
     tau_d = float(sol.t_events[0][0])
     exit_slope = float(sol.y_events[0][0][1])
-    return PassageLayer(duration=tau_d, front_speed=1.0 + exit_slope,
-                        exit_slope=exit_slope)
-
-
-def post_escape_velocity(tau, v_front: float, power: float,
-                         cd_front_raw: float, mass_ratio: float = 1.0):
-    """Closed-form relaxation speed after escaping the pack.
-
-    v(tau) = P v_f / (C v_f + (P - C v_f) exp(-P tau / m)); starts at
-    v_front and decays exponentially toward power / cd_front_raw.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("tau must be non-negative")
-    shed = power - cd_front_raw * v_front
-    out = (power * v_front
-           / (cd_front_raw * v_front + shed * np.exp(-power * tau / mass_ratio)))
-    return float(out) if out.ndim == 0 else out
+    return PassageLayer(duration=tau_d, exit_slope=exit_slope)
 
 
 def _attack_rhs(power, drag, cd_avg, mass_ratio, eps, delta):
@@ -229,10 +220,7 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
     delta = gamma_ratio * eps**2
     if zeta0 == 0.0:
         return 0.0, 1.0, np.array([0.0]), np.array([1.0])
-    g0 = power - float(relative_drag_behind_front(zeta0, drag, cd_avg))
-    if g0 <= 0.0:
-        raise NeverReachesFrontError(
-            "power does not exceed the local drag; the rider cannot accelerate")
+    g0 = _start_surplus(zeta0, power, drag, cd_avg)
     dz0 = 1e-8 * abs(zeta0)
     v1 = 1.0 + math.sqrt(2.0 * gamma_ratio * eps * g0 * dz0 / mass_ratio)
     t1 = delta * math.sqrt(2.0 * mass_ratio * dz0 / (gamma_ratio * eps * g0))
@@ -306,7 +294,6 @@ def composite_attack(eps: float, position: float, power: float,
         front_speed=v_front,
         relaxation=relaxation,
         terminal_speed=terminal,
-        gamma_ratio=gamma_ratio,
     )
     return series, layer
 

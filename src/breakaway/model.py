@@ -105,12 +105,6 @@ class PowerProfile:
     def constant(cls, level: float) -> "PowerProfile":
         return cls(level, 0.0, level)
 
-    @classmethod
-    def fatigue_attack(cls, p_lurk: float, attack_time: float, p_max: float,
-                       p_sustain: float, mu: float) -> "PowerProfile":
-        """Lurk, then burst to p_max decaying at rate mu toward p_sustain."""
-        return cls(p_lurk, attack_time, p_max, p_sustain, mu)
-
     def power_at(self, t):
         """Power at time(s) t, clamped at zero; bit-identical for a float t."""
         if isinstance(t, float):

@@ -13,7 +13,6 @@ import pytest
 
 from breakaway.crash import (
     CrashModel,
-    PositionTrace,
     exposure_simple_attack,
     monte_carlo_exposure,
 )
@@ -120,10 +119,9 @@ def test_criterion_05_crash_oracle():
                            intensity=float(rng.uniform(0.5, 4.0)),
                            n_riders=n_riders)
         x_attack = float(rng.uniform(0.0, 1.0))
-        trace = PositionTrace.simple_attack(position, x_attack)
         analytic = exposure_simple_attack(x_attack, position, model)
-        estimate, stderr = monte_carlo_exposure(trace, model, 1_000_000,
-                                                seed=9000 + draw)
+        estimate, stderr = monte_carlo_exposure(x_attack, position, 1_000_000,
+                                                9000 + draw, model)
         assert abs(estimate - analytic) <= 4.0 * stderr
 
 
@@ -251,7 +249,7 @@ def test_criterion_11_round_trip_identities():
         mu = float(rng.uniform(0.0, 12.0))
         budget = p_l * x_a + p_s * (t_f - x_a) + float(rng.uniform(0.0, 1.5))
         p_max = p_max_from_budget(budget, x_a, t_f, p_s, mu, p_lurk=p_l)
-        schedule = PowerProfile.fatigue_attack(p_l, x_a, p_max, p_s, mu)
+        schedule = PowerProfile(p_l, x_a, p_max, p_s, mu)
         assert schedule.energy(t_f) == pytest.approx(budget, rel=1e-10)
 
     # energy bookkeeping of the constant-power schedule

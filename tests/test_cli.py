@@ -188,6 +188,18 @@ class TestFatigueCommand:
         assert rows[0]["budget_residual"] == "0"
         assert rows[0]["arrival_residual"] == "0"
 
+    @pytest.mark.parametrize("p_sustain", ["1.5", "2", "5"])
+    def test_sustain_above_front_drag_converges(self, p_sustain, capsys):
+        # steady riding at p_sustain outpaces the peloton, so the earliest
+        # feasible attack already wins; rounding there must not make it
+        # infeasible
+        code, out = run_cli(["fatigue", "--set", f"fatigue.p_sustain={p_sustain}"],
+                            capsys)
+        assert code == 0
+        _, _, rows = parse_table(out)
+        assert rows[0]["converged"] == "true"
+        assert float(rows[0]["delta_t"]) > 0.0
+
     def test_parallel_jobs_identical(self, tmp_path):
         args = ["fatigue", "--set", "sweep.parameter=strategy.risk_index",
                 "--set", "sweep.lo=0.2", "--set", "sweep.hi=0.8",
@@ -347,6 +359,13 @@ RANGE_PROBES = [
     (["microstructure", "--set", "micro.samples=0"], "micro.samples"),
     (["terrain", "--set", "terrain.quasi_steady=1",
       "--set", "terrain.samples=-1"], "terrain.samples"),
+    (["fatigue", "--set", "fatigue.p_sustain=-1"], "fatigue.p_sustain"),
+    (["microstructure", "--set", "micro.attack_power=0"], "micro.attack_power"),
+    (["microstructure", "--set", "micro.attack_power=-1"], "micro.attack_power"),
+    # at or below the drag at the start depth, 0.576286067493209 at position 5
+    (["microstructure", "--set", "micro.attack_power=0.3"], "micro.attack_power"),
+    (["microstructure", "--set", "micro.attack_power=0.576286067493209"],
+     "micro.attack_power"),
 ]
 
 
@@ -375,7 +394,8 @@ class TestCrashMcCommand:
             raise ValueError(f"non-standard JSON constant {name}")
 
         monkeypatch.setattr(cli, "monte_carlo_exposure",
-                            lambda trace, model, trials, seed: (3.0, math.inf))
+                            lambda x_attack, position, trials, seed, model:
+                            (3.0, math.inf))
         _, out = run_cli(["crash-mc", "--format", "json"], capsys)
         doc = json.loads(out, parse_constant=reject)
         row = dict(zip(doc["columns"], doc["rows"][0]))
@@ -412,7 +432,7 @@ class TestCrashMcCommand:
         assert abs(float(rows[0]["estimate"]) - limit) < 5e-4
 
     def test_statistical_gate_exit_code(self, capsys, monkeypatch):
-        def biased(trace, model, trials, seed):
+        def biased(x_attack, position, trials, seed, model):
             return 1.0, 1e-6
         monkeypatch.setattr(cli, "monte_carlo_exposure", biased)
         assert main(["crash-mc"]) == 3
@@ -429,6 +449,12 @@ class TestMicrostructureCommand:
         assert float(meta["summary.max_rel_deviation"]) < 5.0 * eps
         assert float(meta["summary.terminal_speed"]) == pytest.approx(
             (4.0 / 1.43) ** (1.0 / 3.0), abs=1e-9)
+
+    def test_turning_back_mid_pack_exits_two(self, capsys):
+        # above the drag at the start depth but below the drag further up
+        assert main(["microstructure", "--set", "micro.attack_power=0.7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
 
     def test_front_start_has_empty_passage(self, capsys):
         code, out = run_cli(["microstructure", "--set", "model.position=1",

@@ -5,7 +5,6 @@ import pytest
 
 from breakaway.crash import (
     CrashModel,
-    PositionTrace,
     exposure_simple_attack,
     involvement_given_crash,
     monte_carlo_exposure,
@@ -21,11 +20,11 @@ def involvement_brute(position, omega, n_riders):
                for k in range(1, int(position) + 1)) / n_riders
 
 
-def exposure_brute(trace, model, n_grid=200_001):
+def exposure_brute(x_attack, position, model, n_grid=200_001):
     """Independent oracle: midpoint rule over the course."""
     xs = (np.arange(n_grid) + 0.5) / n_grid
-    h = involvement_given_crash(trace.position_at(xs), model.omega,
-                                model.n_riders)
+    h = involvement_given_crash(np.where(xs < x_attack, position, 1.0),
+                                model.omega, model.n_riders)
     return model.intensity * float(np.mean(h))
 
 
@@ -79,27 +78,20 @@ class TestInvolvement:
 
 
 class TestTraces:
-    def test_constant(self):
-        trace = PositionTrace.constant(5)
-        assert trace.position_at(0.3) == 5.0
-
-    def test_simple_attack_lookup(self):
-        trace = PositionTrace.simple_attack(5, 0.5)
-        assert trace.position_at(0.49) == 5.0
-        assert trace.position_at(0.5) == 1.0
-        assert trace.position_at(np.array([0.0, 0.75])) == pytest.approx([5.0, 1.0])
+    """The lurk-then-attack trace as the Monte Carlo estimator draws it."""
 
     def test_degenerate_attacks(self):
-        assert PositionTrace.simple_attack(5, 0.0).positions == (1.0,)
-        assert PositionTrace.simple_attack(5, 1.0).positions == (5.0,)
+        # attacking at the start rides the whole course at the front, where
+        # the attack point no longer matters
+        front = monte_carlo_exposure(0.0, 5, 2_000, 3, MODEL)
+        assert monte_carlo_exposure(0.6, 1, 2_000, 3, MODEL) == front
+        assert monte_carlo_exposure(1.0, 1, 2_000, 3, MODEL) == front
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PositionTrace((0.0, 0.5), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            PositionTrace((0.0, 0.5, 1.0), (1.0, 0.5))
-        with pytest.raises(ValueError):
-            PositionTrace.simple_attack(5, 1.5)
+        for x_attack, position, trials in ((-0.1, 5, 10), (1.5, 5, 10),
+                                           (0.5, 0.5, 10), (0.5, 5, 0)):
+            with pytest.raises(ValueError):
+                monte_carlo_exposure(x_attack, position, trials, 0, MODEL)
 
 
 class TestExposure:
@@ -111,8 +103,7 @@ class TestExposure:
     def test_simple_attack_against_brute_force(self):
         # the midpoint oracle carries O(1/n) error at the trace discontinuity
         value = exposure_simple_attack(0.5, 5, MODEL)
-        trace = PositionTrace.simple_attack(5, 0.5)
-        assert value == pytest.approx(exposure_brute(trace, MODEL), rel=1e-5)
+        assert value == pytest.approx(exposure_brute(0.5, 5, MODEL), rel=1e-5)
         assert value == pytest.approx(0.04444, abs=5e-5)
 
     def test_never_attacking(self):
@@ -125,13 +116,13 @@ class TestExposure:
         for model in (MODEL, CrashModel(omega=0.15, intensity=3.0, n_riders=120)):
             for x_a in (0.0, 0.13, 0.37, 0.5, 0.81, 1.0):
                 for position in (1.0, 2.5, 5.0, 20.0, 74.0):
-                    trace = PositionTrace.simple_attack(position, x_a)
                     # one midpoint cell straddles the attack point
                     jump = model.intensity * (
                         involvement_given_crash(position, model.omega, model.n_riders)
                         - involvement_given_crash(1.0, model.omega, model.n_riders))
                     assert exposure_simple_attack(x_a, position, model) == pytest.approx(
-                        exposure_brute(trace, model), rel=1e-12, abs=jump / 200_001)
+                        exposure_brute(x_a, position, model), rel=1e-12,
+                        abs=jump / 200_001)
 
     def test_front_rider_independent_of_attack(self):
         values = [exposure_simple_attack(x, 1, MODEL) for x in (0.0, 0.4, 1.0)]
@@ -166,28 +157,25 @@ class TestExposure:
 
 class TestMonteCarlo:
     def test_zero_intensity(self):
-        trace = PositionTrace.simple_attack(5, 0.5)
-        estimate, _ = monte_carlo_exposure(trace, CrashModel(intensity=0.0),
-                                           10_000, seed=1)
+        estimate, _ = monte_carlo_exposure(0.5, 5, 10_000, 1,
+                                           CrashModel(intensity=0.0))
         assert estimate == 0.0
 
     def test_agrees_with_analytic(self):
-        trace = PositionTrace.simple_attack(5, 0.5)
-        estimate, stderr = monte_carlo_exposure(trace, MODEL, 100_000, seed=42)
+        estimate, stderr = monte_carlo_exposure(0.5, 5, 100_000, 42, MODEL)
         analytic = exposure_simple_attack(0.5, 5, MODEL)
         assert abs(estimate - analytic) < 4.0 * stderr
 
     def test_deterministic_for_seed(self):
-        trace = PositionTrace.simple_attack(5, 0.5)
-        a = monte_carlo_exposure(trace, MODEL, 50_000, seed=7)
-        b = monte_carlo_exposure(trace, MODEL, 50_000, seed=7)
+        a = monte_carlo_exposure(0.5, 5, 50_000, 7, MODEL)
+        b = monte_carlo_exposure(0.5, 5, 50_000, 7, MODEL)
         assert a == b
-        c = monte_carlo_exposure(trace, MODEL, 50_000, seed=8)
+        c = monte_carlo_exposure(0.5, 5, 50_000, 8, MODEL)
         assert a != c
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            monte_carlo_exposure(PositionTrace.constant(1), MODEL, 0, seed=0)
+            monte_carlo_exposure(0.5, 1, 0, 0, MODEL)
 
 
 class TestMonteCarloPinned:
@@ -207,5 +195,5 @@ class TestMonteCarloPinned:
 
     @pytest.mark.parametrize("model, position, x_attack, expected", PINNED)
     def test_exact_floats(self, model, position, x_attack, expected):
-        trace = PositionTrace.simple_attack(position, x_attack)
-        assert monte_carlo_exposure(trace, model, 20_003, seed=2024) == expected
+        assert monte_carlo_exposure(x_attack, position, 20_003, 2024,
+                                    model) == expected

@@ -24,7 +24,7 @@ def schedule_with(**kw) -> PowerProfile:
     """The fatigue schedule: lurk, then a burst decaying toward p_sustain."""
     base = dict(p_lurk=0.46, attack_time=0.5, p_max=4.0, p_sustain=0.46, mu=1.0)
     base.update(kw)
-    return PowerProfile.fatigue_attack(**base)
+    return PowerProfile(**base)
 
 
 def position_after_attack(t, t_a, p_max, mu, p_s=0.46, cd_front=1.43):
@@ -102,13 +102,14 @@ class TestTotalEnergy:
 class TestPeakPowerFromBudget:
     def test_zero_surplus(self):
         budget = 0.46 * 0.5 + 0.46 * 0.5
-        assert p_max_from_budget(budget, 0.5, 1.0, 0.46, 2.0) == pytest.approx(0.46)
+        p_max = p_max_from_budget(budget, 0.5, 1.0, 0.46, 2.0, 0.46)
+        assert p_max == pytest.approx(0.46)
 
     def test_no_fatigue_spreads_uniformly(self):
         budget = 0.46 * 0.5 + 0.46 * 0.5 + 0.7
         expected = 0.46 + 0.7 / 0.5
-        assert p_max_from_budget(budget, 0.5, 1.0, 0.46, 0.0) == pytest.approx(
-            expected, rel=1e-13)
+        p_max = p_max_from_budget(budget, 0.5, 1.0, 0.46, 0.0, 0.46)
+        assert p_max == pytest.approx(expected, rel=1e-13)
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
@@ -120,12 +121,12 @@ class TestPeakPowerFromBudget:
             mu = rng.uniform(0.0, 10.0)
             budget = p_l * x_a + p_s * (t_f - x_a) + rng.uniform(0.0, 1.5)
             p_max = p_max_from_budget(budget, x_a, t_f, p_s, mu, p_lurk=p_l)
-            schedule = PowerProfile.fatigue_attack(p_l, x_a, p_max, p_s, mu)
+            schedule = PowerProfile(p_l, x_a, p_max, p_s, mu)
             assert schedule.energy(t_f) == pytest.approx(budget, rel=1e-10)
 
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudgetError):
-            p_max_from_budget(0.1, 0.5, 1.0, 0.46, 1.0)
+            p_max_from_budget(0.1, 0.5, 1.0, 0.46, 1.0, 0.46)
 
 
 class TestPositionAfterAttack:
@@ -285,8 +286,8 @@ class TestOptimizeFatigue:
 
     def test_post_attack_speed_monotone_decreasing(self):
         result = optimize_fatigue(problem_with(), mu=3.0)
-        schedule = PowerProfile.fatigue_attack(0.46, result.attack_position,
-                                               result.peak_power, 0.46, 3.0)
+        schedule = PowerProfile(0.46, result.attack_position,
+                                result.peak_power, 0.46, 3.0)
         ts = np.linspace(result.attack_position, result.finish_time, 64)
         speeds = (schedule.power_at(ts) / 1.43) ** (1.0 / 3.0)
         assert np.all(np.diff(speeds) <= 1e-15)

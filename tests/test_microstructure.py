@@ -12,7 +12,6 @@ from breakaway.microstructure import (
     full_ode_attack,
     max_relative_deviation,
     peloton_passage,
-    post_escape_velocity,
     relative_drag_behind_front,
     _passage_finite,
 )
@@ -50,7 +49,7 @@ class TestPassageLayer:
     def test_front_start_is_trivial(self):
         layer = peloton_passage(1.0, 4.0, DRAG, CD_AVG)
         assert layer.duration == 0.0
-        assert layer.front_speed == 1.0
+        assert 1.0 + layer.exit_slope == 1.0
 
     def test_energy_identity(self):
         # the layer is conservative: (gamma m / 2) u^2 equals the work done
@@ -105,32 +104,6 @@ class TestPassageLayer:
             ratios.append((v_front - 1.0) / (math.sqrt(eps) * layer.exit_slope))
         assert ratios[0] == pytest.approx(1.0, abs=0.05)
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
-
-
-class TestPostEscape:
-    def test_matching_condition(self):
-        assert post_escape_velocity(0.0, 1.4, 4.0, CD_FRONT) == pytest.approx(1.4)
-
-    def test_long_time_limit(self):
-        assert post_escape_velocity(200.0, 1.4, 4.0, CD_FRONT) == pytest.approx(
-            4.0 / CD_FRONT, rel=1e-12)
-
-    def test_equilibrium_start_stays_constant(self):
-        v_eq = 4.0 / CD_FRONT
-        taus = np.linspace(0.0, 5.0, 11)
-        assert post_escape_velocity(taus, v_eq, 4.0, CD_FRONT) == pytest.approx(
-            [v_eq] * 11)
-
-    def test_monotone_between_endpoints(self):
-        taus = np.linspace(0.0, 30.0, 400)
-        rising = post_escape_velocity(taus, 1.2, 4.0, CD_FRONT)
-        assert np.all(np.diff(rising) >= -1e-15)
-        falling = post_escape_velocity(taus, 3.5, 4.0, CD_FRONT)
-        assert np.all(np.diff(falling) <= 1e-15)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            post_escape_velocity(-0.1, 1.4, 4.0, CD_FRONT)
 
 
 class TestCompositeVsFull:

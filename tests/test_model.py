@@ -116,7 +116,7 @@ class TestPowerProfile:
         assert profile.power_at(ts) == pytest.approx([0.46, 0.46, 1.43, 1.43])
 
     def test_fatigue_profile_matches_quadrature(self):
-        profile = PowerProfile.fatigue_attack(0.46, 0.4, 4.0, 0.46, 2.5)
+        profile = PowerProfile(0.46, 0.4, 4.0, 0.46, 2.5)
         for t in (0.2, 0.4, 0.9, 1.7):
             ref, _ = quad(profile.power_at, 0.0, t, epsabs=1e-13, epsrel=1e-13)
             assert profile.energy(t) == pytest.approx(ref, rel=1e-10)
@@ -128,14 +128,14 @@ class TestPowerProfile:
 
     def test_exponential_clamp_crossing(self):
         # decays through zero at t = ln(2)/2; energy integrates the clamp
-        profile = PowerProfile.fatigue_attack(0.0, 0.0, 0.5, -0.5, 2.0)
+        profile = PowerProfile(0.0, 0.0, 0.5, -0.5, 2.0)
         assert profile.power_at(2.0) == 0.0
         assert profile.power_at(0.0) == pytest.approx(0.5)
         ref, _ = quad(profile.power_at, 0.0, 3.0, epsabs=1e-13, limit=200)
         assert profile.energy(3.0) == pytest.approx(ref, rel=1e-9)
 
     def test_energy_non_decreasing_and_additive(self):
-        profile = PowerProfile.fatigue_attack(0.3, 0.3, 5.0, 0.5, 4.0)
+        profile = PowerProfile(0.3, 0.3, 5.0, 0.5, 4.0)
         ts = np.linspace(0.0, 2.0, 50)
         energies = [profile.energy(t) for t in ts]
         assert np.all(np.diff(energies) >= -1e-15)
@@ -149,7 +149,7 @@ class TestPowerProfile:
         # cancellation unless written with expm1
         mpmath = pytest.importorskip("mpmath")
         for rate in (1e-9, 1e-5, 1.0):
-            profile = PowerProfile.fatigue_attack(0.0, 0.0, 1.0, 0.0, rate)
+            profile = PowerProfile(0.0, 0.0, 1.0, 0.0, rate)
             for t in (0.5, 1.0, 1.7):
                 with mpmath.workdps(30):
                     exact = float(-mpmath.expm1(-mpmath.mpf(rate) * t) / rate)
@@ -158,7 +158,7 @@ class TestPowerProfile:
 
     def test_large_rate_lurk_phase_does_not_overflow(self):
         # exp(-mu * (t - attack_time)) overflows on lurk-phase times at large mu
-        profile = PowerProfile.fatigue_attack(0.46, 0.9, 5.0, 0.46, 1000.0)
+        profile = PowerProfile(0.46, 0.9, 5.0, 0.46, 1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             powers = profile.power_at(np.linspace(0.0, 1.0, 5))

@@ -273,7 +273,7 @@ class TestBreakaway:
         assert abs(a.rider.finish_time - b.rider.finish_time) < 1e-7
 
     def test_fatigue_profile_attack(self):
-        attack = PowerProfile.fatigue_attack(0.46, 0.0, 5.0, 0.46, 3.0)
+        attack = PowerProfile(0.46, 0.0, 5.0, 0.46, 3.0)
         run = simulate_breakaway(0.5, attack, FLAT, SCALES, quasi_steady=True)
         assert run.rider.finish_time < run.peloton.finish_time + 1.0
         # the attack-side sample at the junction carries the full peak power
