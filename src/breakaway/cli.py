@@ -265,34 +265,28 @@ def cmd_crash_mc(cfg: RunConfig) -> tuple[ResultTable, int]:
 
 def cmd_microstructure(cfg: RunConfig) -> tuple[ResultTable, int]:
     drag = cfg.drag_params()
-    cd_avg = cfg.get("model", "cd_avg")
-    eps = cfg.get("micro", "epsilon")
-    kwargs = dict(
-        eps=eps,
-        position=cfg.get("model", "position"),
-        power=cfg.get("micro", "attack_power"),
-        drag=drag, cd_avg=cd_avg,
-        mass_ratio=cfg.get("model", "mass_ratio"),
-        gamma_ratio=cfg.get("micro", "gamma_ratio"),
-        n_samples=cfg.get("micro", "samples"),
-    )
+    power = cfg.get("micro", "attack_power")
     try:
-        full = microstructure.full_ode_attack(**kwargs)
+        onset = microstructure.attack_onset(
+            cfg.get("micro", "epsilon"), cfg.get("model", "position"), power,
+            drag, cfg.get("model", "cd_avg"),
+            mass_ratio=cfg.get("model", "mass_ratio"),
+            gamma_ratio=cfg.get("micro", "gamma_ratio"),
+            n_samples=cfg.get("micro", "samples"))
     except microstructure.StartDragError as exc:  # an input, not a solver failure
         raise ConfigError(f"bad value for micro.attack_power: "
-                          f"{kwargs['power']!r} ({exc})") from exc
-    composite, layer = microstructure.composite_attack(**kwargs)
-    deviation = microstructure.max_relative_deviation(composite, full)
+                          f"{power!r} ({exc})") from exc
     table = _new_table("microstructure", cfg,
                        ["t", "v_composite", "v_full", "rel_deviation"])
-    table.add_metadata("summary.max_rel_deviation", deviation)
-    table.add_metadata("summary.front_speed", layer.front_speed)
-    table.add_metadata("summary.terminal_speed", layer.terminal_speed)
-    table.add_metadata("summary.passage_duration_inner", layer.passage_duration)
-    table.add_metadata("summary.front_crossing_time", composite.front_crossing_time)
-    for t, vc, vf in zip(composite.times, composite.velocities, full.velocities):
-        table.add_row(float(t), float(vc), float(vf),
-                      float(abs(vc - vf) / abs(vf)))
+    table.add_metadata("summary.max_rel_deviation",
+                       float(np.max(onset.rel_deviation)))
+    table.add_metadata("summary.front_speed", onset.front_speed)
+    table.add_metadata("summary.terminal_speed", onset.terminal_speed)
+    table.add_metadata("summary.passage_duration_inner", onset.passage_duration)
+    table.add_metadata("summary.front_crossing_time", onset.front_crossing_time)
+    for row in zip(onset.times, onset.v_composite, onset.v_full,
+                   onset.rel_deviation):
+        table.add_row(*map(float, row))
     return table, EXIT_OK
 
 

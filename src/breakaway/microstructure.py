@@ -10,11 +10,11 @@ The module provides two views of this:
 
 * ``peloton_passage``: the leading-order passage layer
   gamma * m * zeta'' = P - C(zeta), integrated to the front-crossing event;
-* ``composite_attack`` / ``full_ode_attack``: a finite-inertia composite
-  (passage layer solved in the stretched relative coordinate with the
-  velocity feedback retained, then the exact frozen-drag relaxation)
-  cross-validated against one monolithic integration of the full equation
-  of motion.
+* ``attack_onset``: on one window and one time grid, a finite-inertia
+  composite (passage layer solved in the stretched relative coordinate with
+  the velocity feedback retained, then the exact frozen-drag relaxation)
+  beside one monolithic integration of the full equation of motion, and
+  their pointwise relative deviation.
 
 Optimizers elsewhere always use the quasi-steady model; this module exists
 to quantify how quickly that limit is reached.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,16 +35,13 @@ from .numerics import (
 )
 
 __all__ = [
-    "LayerSolution",
     "PassageLayer",
-    "AttackSeries",
+    "AttackOnset",
     "NeverReachesFrontError",
     "StartDragError",
     "relative_drag_behind_front",
     "peloton_passage",
-    "full_ode_attack",
-    "composite_attack",
-    "max_relative_deviation",
+    "attack_onset",
 ]
 
 LAYER_SETTINGS = SolverSettings(abs_tol=1e-12, rel_tol=1e-11)
@@ -87,20 +83,17 @@ class PassageLayer:
 
 
 @dataclass(frozen=True)
-class LayerSolution:
-    """Finite-inertia two-layer decomposition of one attack."""
+class AttackOnset:
+    """Full and composite speeds of one attack on one time grid."""
 
-    passage_duration: float          # (t_front - t_attack) / eps**1.5
-    front_speed: float               # speed at the front crossing
-    relaxation: Callable             # inner time tau -> speed, from the crossing
-    terminal_speed: float            # (P / C_front)**(1/3)
-
-
-@dataclass(frozen=True)
-class AttackSeries:
     times: np.ndarray
-    velocities: np.ndarray
-    front_crossing_time: float
+    v_full: np.ndarray               # monolithic integration
+    v_composite: np.ndarray          # passage layer, then frozen-drag relaxation
+    rel_deviation: np.ndarray        # |v_composite - v_full| / |v_full|
+    front_crossing_time: float       # the composite's t_front
+    passage_duration: float          # t_front / eps**1.5
+    front_speed: float               # speed at the front crossing
+    terminal_speed: float            # (P / C_front)**(1/3)
 
 
 def peloton_passage(position: float, power: float, drag: DragParams,
@@ -111,14 +104,16 @@ def peloton_passage(position: float, power: float, drag: DragParams,
 
     The rider starts from rest relative to the pack at depth position - 1
     and is driven by the local power surplus P - C(zeta).  Continuous
-    (non-integer) start positions are allowed.
+    (non-integer) start positions are allowed.  A power at or below the
+    drag at the start depth raises StartDragError, at position 1 too, where
+    that drag is the front drag.
     """
     if position < 1.0:
         raise ValueError("position must be >= 1")
     zeta0 = -(position - 1.0)
+    _start_surplus(zeta0, power, drag, cd_avg)
     if zeta0 == 0.0:
         return PassageLayer(duration=0.0, exit_slope=0.0)
-    _start_surplus(zeta0, power, drag, cd_avg)
 
     scale = gamma_ratio * mass_ratio
 
@@ -146,66 +141,14 @@ def peloton_passage(position: float, power: float, drag: DragParams,
     return PassageLayer(duration=tau_d, exit_slope=exit_slope)
 
 
-def _attack_rhs(power, drag, cd_avg, mass_ratio, eps, delta):
-    def rhs(t, y):
-        zeta, v = y
-        c = float(relative_drag_behind_front(zeta, drag, cd_avg))
-        return [(v - 1.0) / delta,
-                (power / v - c * v * v) / (eps * mass_ratio)]
-    return rhs
-
-
 def _time_grid(eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio):
     """Window covering the passage and the relaxation settle-down."""
-    if position > 1.0:
-        lead = peloton_passage(position, power, drag, cd_avg, mass_ratio,
-                               gamma_ratio)
-        passage = 4.0 * eps**1.5 * lead.duration
-    else:
-        passage = 0.0
+    lead = peloton_passage(position, power, drag, cd_avg, mass_ratio,
+                           gamma_ratio)
+    passage = 4.0 * eps**1.5 * lead.duration
     v_eq = (power * cd_avg / drag.cd_max) ** (1.0 / 3.0)
     settle = 16.0 * eps * mass_ratio * v_eq**2 / power
     return passage + settle
-
-
-def full_ode_attack(eps: float, position: float, power: float,
-                    drag: DragParams, cd_avg: float,
-                    mass_ratio: float = 1.0, gamma_ratio: float = 1.0,
-                    t_end: float | None = None, n_samples: int = 2001,
-                    settings: SolverSettings = LAYER_SETTINGS) -> AttackSeries:
-    """Monolithic integration of the attack with position-dependent drag.
-
-    State is the signed pack coordinate and the speed; the peloton head
-    advances at unit speed, so the relative coordinate moves at (v - 1) on
-    the spacing scale delta = gamma_ratio * eps**2.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    delta = gamma_ratio * eps**2
-    if t_end is None:
-        t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
-                           gamma_ratio)
-    rhs = _attack_rhs(power, drag, cd_avg, mass_ratio, eps, delta)
-
-    def front(t, y):
-        return y[0]
-    front.terminal = False
-    front.direction = 1.0
-
-    def stall(t, y):
-        return y[1] - 1e-9
-    stall.terminal = True
-    stall.direction = -1.0
-
-    sol = ode_solve_with_events(rhs, [-(position - 1.0), 1.0], (0.0, t_end),
-                                events=(front, stall), settings=settings)
-    if sol.t_events[1].size:
-        raise NumericsError("rider stalled during the attack onset")
-    t_cross = float(sol.t_events[0][0]) if sol.t_events[0].size else 0.0
-    times = np.linspace(0.0, t_end, n_samples)
-    velocities = sol.sol(times)[1]
-    return AttackSeries(times=times, velocities=velocities,
-                        front_crossing_time=t_cross)
 
 
 def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
@@ -247,27 +190,47 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
     return float(states[0][-1]), float(states[1][-1]), times, speeds
 
 
-def composite_attack(eps: float, position: float, power: float,
-                     drag: DragParams, cd_avg: float,
-                     mass_ratio: float = 1.0, gamma_ratio: float = 1.0,
-                     t_end: float | None = None, n_samples: int = 2001,
-                     settings: SolverSettings = LAYER_SETTINGS):
-    """Two-layer composite velocity through an attack.
+def attack_onset(eps: float, position: float, power: float,
+                 drag: DragParams, cd_avg: float,
+                 mass_ratio: float = 1.0, gamma_ratio: float = 1.0,
+                 n_samples: int = 2001,
+                 settings: SolverSettings = LAYER_SETTINGS) -> AttackOnset:
+    """Full and composite speeds of one attack on one window and one grid.
 
-    Layer one crosses the peloton in the stretched relative coordinate;
-    layer two relaxes the speed at frozen front drag in the inner time
-    (t - t_front) / eps.  Returns (AttackSeries, LayerSolution).
+    The full view integrates the equation of motion in the signed pack
+    coordinate and the speed; the peloton head advances at unit speed, so
+    the relative coordinate moves at (v - 1) on the spacing scale
+    delta = gamma_ratio * eps**2.  The composite crosses the peloton in the
+    stretched relative coordinate, then relaxes the speed at frozen front
+    drag in the inner time (t - t_front) / eps.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if t_end is None:
-        t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
-                           gamma_ratio)
+    t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
+                       gamma_ratio)
+    times = np.linspace(0.0, t_end, n_samples)
+    delta = gamma_ratio * eps**2
+
+    def rhs(t, y):
+        zeta, v = y
+        c = float(relative_drag_behind_front(zeta, drag, cd_avg))
+        return [(v - 1.0) / delta,
+                (power / v - c * v * v) / (eps * mass_ratio)]
+
+    def stall(t, y):
+        return y[1] - 1e-9
+    stall.terminal = True
+    stall.direction = -1.0
+
+    full = ode_solve_with_events(rhs, [-(position - 1.0), 1.0], (0.0, t_end),
+                                 events=(stall,), settings=settings)
+    if full.t_events[0].size:
+        raise NumericsError("rider stalled during the attack onset")
+    v_full = full.sol(times)[1]
+
     t_front, v_front, pass_t, pass_v = _passage_finite(
         eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio, settings)
-
     cd_front = drag.cd_max / cd_avg
-    terminal = (power / cd_front) ** (1.0 / 3.0)
     tau_end = max((t_end - t_front) / eps, 1.0)
 
     def relax_rhs(tau, y):
@@ -276,33 +239,16 @@ def composite_attack(eps: float, position: float, power: float,
 
     relax = ode_solve_with_events(relax_rhs, [v_front], (0.0, tau_end),
                                   settings=settings)
-
-    def relaxation(tau):
-        tau = np.clip(np.asarray(tau, dtype=float), 0.0, tau_end)
-        return relax.sol(tau)[0]
-
-    times = np.linspace(0.0, t_end, n_samples)
-    velocities = np.where(
+    v_composite = np.where(
         times <= t_front,
         np.interp(times, pass_t, pass_v),
-        relaxation(np.maximum(times - t_front, 0.0) / eps),
+        relax.sol(np.maximum(times - t_front, 0.0) / eps)[0],
     )
-    series = AttackSeries(times=times, velocities=velocities,
-                          front_crossing_time=t_front)
-    layer = LayerSolution(
+    return AttackOnset(
+        times=times, v_full=v_full, v_composite=v_composite,
+        rel_deviation=np.abs(v_composite - v_full) / np.abs(v_full),
+        front_crossing_time=t_front,
         passage_duration=t_front / eps**1.5,
         front_speed=v_front,
-        relaxation=relaxation,
-        terminal_speed=terminal,
+        terminal_speed=(power / cd_front) ** (1.0 / 3.0),
     )
-    return series, layer
-
-
-def max_relative_deviation(series_a: AttackSeries,
-                           series_b: AttackSeries) -> float:
-    """Largest pointwise relative velocity difference on the common grid."""
-    if series_a.times.shape != series_b.times.shape or np.any(
-            series_a.times != series_b.times):
-        raise ValueError("series must share one time grid")
-    return float(np.max(np.abs(series_a.velocities - series_b.velocities)
-                        / np.abs(series_b.velocities)))

@@ -249,8 +249,7 @@ def _solve_peloton(profile: CourseProfile, scales: ScaleSet,
         vs = _quasi_steady_root(1.0, slope_term, 1.0)
         if np.any(vs < _V_STALL):
             raise StallError("peloton speed collapsed on the course")
-        ts = np.concatenate(([0.0], np.cumsum(
-            0.5 * (1.0 / vs[1:] + 1.0 / vs[:-1]) * np.diff(xs))))
+        ts = _cumtrapz(1.0 / vs, xs)
         return (float(ts[-1]), lambda t: np.interp(t, ts, xs),
                 lambda t: np.interp(t, ts, vs))
     # the peloton is a rider at unit power, unit drag and unit mass

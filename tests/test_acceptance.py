@@ -28,11 +28,7 @@ from breakaway.flat import (
     min_risk_to_win,
     optimal_attack,
 )
-from breakaway.microstructure import (
-    composite_attack,
-    full_ode_attack,
-    max_relative_deviation,
-)
+from breakaway.microstructure import attack_onset
 from breakaway.model import DragParams, PowerProfile, ScaleSet
 from breakaway.terrain import CourseProfile, simulate_breakaway, simulate_peloton
 
@@ -178,14 +174,13 @@ def test_criterion_09_microstructure_agreement():
     # giving the rise-then-relax shape with a single interior maximum
     kwargs = dict(eps=eps, position=5.0, power=4.0, drag=drag, cd_avg=cd_avg,
                   gamma_ratio=6.0)
-    full = full_ode_attack(**kwargs)
-    comp, layer = composite_attack(**kwargs)
-    assert max_relative_deviation(comp, full) < 5.0 * eps
+    onset = attack_onset(**kwargs)
+    assert np.max(onset.rel_deviation) < 5.0 * eps
     v_eq = (4.0 / 1.43) ** (1.0 / 3.0)
-    assert abs(layer.terminal_speed - v_eq) < 1e-12
-    assert abs(full.velocities[-1] - v_eq) < 1e-6
-    assert abs(comp.velocities[-1] - v_eq) < 1e-6
-    v = full.velocities
+    assert abs(onset.terminal_speed - v_eq) < 1e-12
+    assert abs(onset.v_full[-1] - v_eq) < 1e-6
+    assert abs(onset.v_composite[-1] - v_eq) < 1e-6
+    v = onset.v_full
     k = int(np.argmax(v))
     assert 0 < k < v.size - 1
     moves = np.diff(v)

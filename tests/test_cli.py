@@ -366,6 +366,13 @@ RANGE_PROBES = [
     (["microstructure", "--set", "micro.attack_power=0.3"], "micro.attack_power"),
     (["microstructure", "--set", "micro.attack_power=0.576286067493209"],
      "micro.attack_power"),
+    # at the front the start depth is 0, where the drag is the front drag 1.43
+    (["microstructure", "--set", "model.position=1",
+      "--set", "micro.attack_power=0.1"], "micro.attack_power"),
+    (["microstructure", "--set", "model.position=1",
+      "--set", "micro.attack_power=1.0"], "micro.attack_power"),
+    (["microstructure", "--set", "model.position=1",
+      "--set", "micro.attack_power=1.43"], "micro.attack_power"),
 ]
 
 
@@ -457,8 +464,11 @@ class TestMicrostructureCommand:
         assert err.startswith("numerical failure: ")
 
     def test_front_start_has_empty_passage(self, capsys):
-        code, out = run_cli(["microstructure", "--set", "model.position=1",
-                             "--set", "micro.samples=16"], capsys)
-        assert code == 0
-        meta, _, _ = parse_table(out)
-        assert float(meta["summary.passage_duration_inner"]) == 0.0
+        # any power above the front drag 1.43 runs from the front
+        for power in ("4.0", "1.44"):
+            code, out = run_cli(["microstructure", "--set", "model.position=1",
+                                 "--set", f"micro.attack_power={power}",
+                                 "--set", "micro.samples=16"], capsys)
+            assert code == 0
+            meta, _, _ = parse_table(out)
+            assert float(meta["summary.passage_duration_inner"]) == 0.0

@@ -8,9 +8,7 @@ from breakaway.model import DragParams
 from breakaway.numerics import SolverSettings
 from breakaway.microstructure import (
     NeverReachesFrontError,
-    composite_attack,
-    full_ode_attack,
-    max_relative_deviation,
+    attack_onset,
     peloton_passage,
     relative_drag_behind_front,
     _passage_finite,
@@ -110,28 +108,25 @@ class TestCompositeVsFull:
     EPS = 0.005
     GAMMA = 6.0   # slow enough passage that the rider crests above the solo speed
 
-    def run_pair(self, **kw):
+    def run_onset(self, **kw):
         args = dict(eps=self.EPS, position=5.0, power=4.0, drag=DRAG,
                     cd_avg=CD_AVG, gamma_ratio=self.GAMMA)
         args.update(kw)
-        full = full_ode_attack(**args)
-        comp, layer = composite_attack(**args)
-        return full, comp, layer
+        return attack_onset(**args)
 
     def test_agreement_bound(self):
-        full, comp, _ = self.run_pair()
-        assert max_relative_deviation(comp, full) < 5.0 * self.EPS
+        onset = self.run_onset()
+        assert np.max(onset.rel_deviation) < 5.0 * self.EPS
 
     def test_terminal_speed(self):
-        full, comp, layer = self.run_pair()
+        onset = self.run_onset()
         v_eq = (4.0 / CD_FRONT) ** (1.0 / 3.0)
-        assert layer.terminal_speed == pytest.approx(v_eq, abs=1e-12)
-        assert abs(full.velocities[-1] - v_eq) < 1e-6
-        assert abs(comp.velocities[-1] - v_eq) < 1e-6
+        assert onset.terminal_speed == pytest.approx(v_eq, abs=1e-12)
+        assert abs(onset.v_full[-1] - v_eq) < 1e-6
+        assert abs(onset.v_composite[-1] - v_eq) < 1e-6
 
     def test_single_interior_maximum(self):
-        full, _, _ = self.run_pair()
-        v = full.velocities
+        v = self.run_onset().v_full
         k = int(np.argmax(v))
         assert 0 < k < v.size - 1
         moves = np.diff(v)
@@ -139,31 +134,32 @@ class TestCompositeVsFull:
         assert np.sum(np.diff(np.sign(moves)) != 0) == 1
 
     def test_matching_at_front_crossing(self):
-        _, comp, layer = self.run_pair()
-        assert layer.relaxation(0.0) == pytest.approx(layer.front_speed,
-                                                      rel=1e-12)
-        assert layer.front_speed > layer.terminal_speed
+        # the passage hands its crossing speed to the relaxation: the
+        # composite samples either side of the crossing lie within one
+        # sample-to-sample step (the larger of the steps just outside them)
+        # of it, so a relaxation started from any other speed shows
+        onset = self.run_onset()
+        v = onset.v_composite
+        k = int(np.searchsorted(onset.times, onset.front_crossing_time))
+        assert 1 < k < v.size - 1
+        step = max(abs(v[k - 1] - v[k - 2]), abs(v[k + 1] - v[k]))
+        assert abs(v[k - 1] - onset.front_speed) <= step
+        assert abs(v[k] - onset.front_speed) <= step
+        assert onset.front_speed > onset.terminal_speed
 
     def test_passage_empty_from_front(self):
-        full, comp, layer = self.run_pair(position=1.0)
-        assert layer.passage_duration == 0.0
-        assert comp.front_crossing_time == 0.0
+        onset = self.run_onset(position=1.0)
+        assert onset.passage_duration == 0.0
+        assert onset.front_crossing_time == 0.0
         # pure relaxation: monotone rise toward the solo speed
-        assert np.all(np.diff(comp.velocities) >= -1e-12)
-        assert max_relative_deviation(comp, full) < 5.0 * self.EPS
+        assert np.all(np.diff(onset.v_composite) >= -1e-12)
+        assert np.max(onset.rel_deviation) < 5.0 * self.EPS
 
     def test_quasi_steady_limit(self):
         # with smaller inertia the speed settles essentially instantly
         for eps in (2e-3, 5e-4):
-            full = full_ode_attack(eps, 5.0, 4.0, DRAG, CD_AVG,
-                                   gamma_ratio=self.GAMMA)
+            onset = attack_onset(eps, 5.0, 4.0, DRAG, CD_AVG,
+                                 gamma_ratio=self.GAMMA)
             v_eq = (4.0 / CD_FRONT) ** (1.0 / 3.0)
-            settled = full.times > 0.75 * full.times[-1]
-            assert np.max(np.abs(full.velocities[settled] - v_eq)) < 0.05
-
-    def test_grid_mismatch_rejected(self):
-        full, comp, _ = self.run_pair()
-        other = full_ode_attack(self.EPS, 5.0, 4.0, DRAG, CD_AVG,
-                                gamma_ratio=self.GAMMA, n_samples=11)
-        with pytest.raises(ValueError):
-            max_relative_deviation(comp, other)
+            settled = onset.times > 0.75 * onset.times[-1]
+            assert np.max(np.abs(onset.v_full[settled] - v_eq)) < 0.05
