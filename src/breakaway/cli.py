@@ -178,7 +178,7 @@ def _fatigue_row(cfg: RunConfig) -> list:
         result.time_gap,
         result.objective,
         result.status,
-        result.converged,
+        bool(result.converged),
         fatigue.reported_residual(result.budget_residual),
         fatigue.reported_residual(result.arrival_residual),
     ]
@@ -190,7 +190,7 @@ def cmd_fatigue(cfg: RunConfig) -> tuple[ResultTable, int]:
                           "objective", "status", "converged", "budget_residual",
                           "arrival_residual"], _fatigue_row)
     # partial failure: the rows that did not converge are still emitted
-    converged = all(row[6] is not False for row in rows)
+    converged = all(row[6] for row in rows)
     return table, EXIT_OK if converged else EXIT_NUMERICAL
 
 

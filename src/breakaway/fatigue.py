@@ -322,7 +322,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     integrand = lambda s: np.cbrt(p_s + (p_max - p_s) * np.exp(-mu * s))
     arrival, _ = integrate_adaptive(integrand, 0.0, t_finish - x_best, settings)
     arrival_res = abs(x_best + arrival / cd_front ** (1.0 / 3.0) - 1.0)
-    converged = budget_res < 1e-8 and arrival_res < 1e-8
+    converged = bool(budget_res < 1e-8 and arrival_res < 1e-8)
     return FatigueResult(
         attack_position=x_best,
         peak_power=p_max,

@@ -8,12 +8,12 @@ gravity-to-drag force ratio.  Two integration modes are provided:
   an event handler that stops exactly at the finish line, explicit adaptive
   or implicit multistep per the stiffness of the run;
 * the quasi-steady limit (epsilon = 0), where the speed is the positive root
-  of C_d v^3 + m*gamma*sin(theta) v = P at every point and the race is
-  marched in distance.
+  of C_d v^3 + m*gamma*sin(theta) v = P at every point; the race is still
+  marched in time, with position and energy as the state, always by RK45
+  and at tolerances 100x tighter than SIM_SETTINGS.
 
-The peloton is the unit rider: power, drag and mass all 1.  Under full
-dynamics it rides the same integrator as the breakaway rider; in the
-quasi-steady limit its speed is the cubic root on a fixed distance grid.
+The peloton is the unit rider: power, drag and mass all 1.  In both limits
+it rides the same integrator as the breakaway rider.
 
 While the rider hides in the pack they move with the peloton; the power that
 holds them there follows from eliminating the gravity term between the two
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 SIM_SETTINGS = SolverSettings(abs_tol=1e-12, rel_tol=1e-10)
+# at SIM_SETTINGS a quasi-steady ride marched in time is off in the 10th
+# digit (demo peloton 1.30172411722, not 1.30172411696); its steps are cheap
+_QUASI_STEADY_SETTINGS = SolverSettings(abs_tol=1e-14, rel_tol=1e-12)
 
 _V_STALL = 1e-9
 _HORIZON = 50.0   # generous multiple of any sane dimensionless race time
@@ -213,56 +216,33 @@ class BreakawayRun:
     peloton_energy: float
 
 
-def _quasi_steady_root(drag, slope_term, power):
-    """Largest real root of drag*v^3 + slope_term*v - power = 0 (vectorized).
+def _quasi_steady_root(drag: float, slope_term: float, power: float) -> float:
+    """Largest real root of drag*v^3 + slope_term*v - power = 0.
 
     This is the physical speed branch: unique for uphill, and the stable
     fast branch on descents where gravity dominates.
     """
-    drag = np.asarray(drag, dtype=float)
-    p = np.asarray(slope_term, dtype=float) / drag
-    q = -np.asarray(power, dtype=float) / drag
-    p, q = np.broadcast_arrays(p, q)
+    p = slope_term / drag
+    q = -power / drag
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    out = np.empty_like(q)
-
-    single = disc >= 0.0
-    if np.any(single):
-        s = np.sqrt(disc[single])
-        out[single] = (np.cbrt(-q[single] / 2.0 + s)
-                       + np.cbrt(-q[single] / 2.0 - s))
-    triple = ~single
-    if np.any(triple):
-        pt, qt = p[triple], q[triple]
-        amp = 2.0 * np.sqrt(-pt / 3.0)
-        ang = np.arccos(np.clip(3.0 * qt / (pt * amp), -1.0, 1.0)) / 3.0
-        out[triple] = amp * np.cos(ang)
-    return float(out) if out.ndim == 0 else out
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        return float(np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s))
+    amp = 2.0 * math.sqrt(-p / 3.0)
+    ang = np.arccos(min(max(3.0 * q / (p * amp), -1.0), 1.0)) / 3.0
+    return float(amp * np.cos(ang))
 
 
-def _solve_peloton(profile: CourseProfile, scales: ScaleSet,
-                   quasi_steady: bool, method: str, settings: SolverSettings):
-    """(finish time, position(t), velocity(t)) of the unit-power peloton."""
-    if quasi_steady:
-        xs = np.linspace(0.0, 1.0, 8193)
-        slope_term = scales.gravity_ratio * np.sin(profile.steepness(xs))
-        vs = _quasi_steady_root(1.0, slope_term, 1.0)
-        if np.any(vs < _V_STALL):
-            raise StallError("peloton speed collapsed on the course")
-        ts = _cumtrapz(1.0 / vs, xs)
-        return (float(ts[-1]), lambda t: np.interp(t, ts, xs),
-                lambda t: np.interp(t, ts, vs))
-    # the peloton is a rider at unit power, unit drag and unit mass
-    t_p, dense = _ride_full(0.0, 0.0, 1.0, 0.0, lambda s: 1.0, profile,
-                            scales.gravity_ratio, 1.0, 1.0, scales.inertia,
-                            settings, method, "peloton")
-    return t_p, lambda t: dense(t)[0], lambda t: dense(t)[1]
-
-
-def _resolve_method(scales: ScaleSet, quasi_steady: bool, method: str) -> str:
-    if method != "auto":
-        return method
-    return "bdf" if (not quasi_steady and scales.inertia < 1e-3) else "rk45"
+def _ride_peloton(profile: CourseProfile, gamma: float, eps: float,
+                  settings: SolverSettings, method: str, n_samples: int):
+    """The peloton, a rider at unit power, drag and mass: (state(t), samples)."""
+    t_p, state = _ride(0.0, 0.0, 1.0, 0.0, lambda s: 1.0, profile, gamma,
+                       1.0, 1.0, eps, settings, method, "peloton")
+    times = np.linspace(0.0, t_p, n_samples)
+    positions, velocities, _ = state(times)
+    return state, Trajectory(times, positions, velocities,
+                             powers=np.ones_like(times),
+                             cumulative_energy=times.copy(), finish_time=t_p)
 
 
 def _lurk_power(velocities, cd_position: float, mass_ratio: float):
@@ -279,9 +259,9 @@ def simulate_peloton(profile: CourseProfile, scales: ScaleSet,
                      n_samples: int = 1025,
                      settings: SolverSettings = SIM_SETTINGS) -> Trajectory:
     """Ride the peloton (unit power) over the course until x = 1."""
-    method = _resolve_method(scales, quasi_steady, method)
-    return _sample_peloton(*_solve_peloton(profile, scales, quasi_steady,
-                                           method, settings), n_samples)
+    eps = 0.0 if quasi_steady else scales.inertia
+    return _ride_peloton(profile, scales.gravity_ratio, eps, settings, method,
+                         n_samples)[1]
 
 
 def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
@@ -300,10 +280,10 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
     """
     if not 0.0 <= x_attack < 1.0:
         raise ValueError("attack position must lie in [0, 1)")
-    method = _resolve_method(scales, quasi_steady, method)
-    t_p, position, velocity = _solve_peloton(profile, scales, quasi_steady,
-                                             method, settings)
-    peloton = _sample_peloton(t_p, position, velocity, n_samples)
+    gamma, eps = scales.gravity_ratio, 0.0 if quasi_steady else scales.inertia
+    peloton_state, peloton = _ride_peloton(profile, gamma, eps, settings,
+                                           method, n_samples)
+    t_p = peloton.finish_time
     n_half = max(n_samples // 2, 33)
 
     if attack is None:
@@ -322,36 +302,28 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         t_attack = 0.0
     else:
         t_attack = find_root_bracketed(
-            lambda t: float(position(t)) - x_attack, 0.0, t_p, settings)
-    v_attack = float(velocity(t_attack))
+            lambda t: float(peloton_state(t)[0]) - x_attack, 0.0, t_p, settings)
 
     pre_times = np.linspace(0.0, t_attack, n_half) if t_attack > 0.0 else np.array([0.0])
-    pre_vel = np.asarray(velocity(pre_times), dtype=float)
+    pre_x, pre_vel, _ = peloton_state(pre_times)
     pre_pow = _lurk_power(pre_vel, cd_lurk, mass_ratio)
     pre_energy = _cumtrapz(pre_pow, pre_times)
     e_attack = float(pre_energy[-1])
 
-    gamma = scales.gravity_ratio
-    if quasi_steady:
-        t_f, post_times, post_x, post_v, post_p, post_e = _ride_quasi_steady(
-            x_attack, t_attack, e_attack, power_profile, profile, gamma,
-            cd_front, mass_ratio, n_half, settings)
-    else:
-        t_f, state = _ride_full(x_attack, t_attack, v_attack, e_attack,
-                                power_profile.power_at, profile, gamma,
-                                cd_front, mass_ratio, scales.inertia, settings,
-                                method, "rider")
-        post_times = np.linspace(t_attack, t_f, n_half)
-        post_x, post_v, post_e = state(post_times)
-        post_p = np.asarray(power_profile.power_at(post_times - t_attack),
-                            dtype=float)
+    v_attack = float(peloton_state(t_attack)[1])
+    t_f, state = _ride(x_attack, t_attack, v_attack, e_attack,
+                       power_profile.power_at, profile, gamma, cd_front,
+                       mass_ratio, eps, settings, method, "rider")
+    post_times = np.linspace(t_attack, t_f, n_half)
+    post_x, post_v, post_e = state(post_times)
+    post_p = np.asarray(power_profile.power_at(post_times - t_attack),
+                        dtype=float)
 
     # keep the attack instant twice (lurk-side and attack-side samples) so a
     # trapezoid over the power series sees the jump as a vertical step
     rider = Trajectory(
         times=np.concatenate((pre_times, post_times)),
-        positions=np.concatenate((np.asarray(position(pre_times), dtype=float),
-                                  post_x)),
+        positions=np.concatenate((pre_x, post_x)),
         velocities=np.concatenate((pre_vel, post_v)),
         powers=np.concatenate((pre_pow, post_p)),
         cumulative_energy=np.concatenate((pre_energy, post_e)),
@@ -366,18 +338,6 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
     )
 
 
-def _sample_peloton(t_p, position, velocity, n_samples: int) -> Trajectory:
-    times = np.linspace(0.0, t_p, n_samples)
-    return Trajectory(
-        times=times,
-        positions=np.asarray(position(times), dtype=float),
-        velocities=np.asarray(velocity(times), dtype=float),
-        powers=np.ones_like(times),
-        cumulative_energy=times.copy(),
-        finish_time=t_p,
-    )
-
-
 def _cumtrapz(values, times):
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -387,20 +347,42 @@ def _cumtrapz(values, times):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def _ride_full(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio,
-               eps, settings, method, who):
+def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
+          settings, method, who):
     """Ride from state (x0, v0, e0) at time t0 at power(t - t0) until x = 1.
 
-    Returns the finish time and the dense state (x, v, energy) as a function
-    of time, held at its finish value beyond the finish.
+    Method "auto" picks BDF below inertia 1e-3, RK45 above.  eps = 0 is the
+    quasi-steady limit: the state is (x, energy), the speed is the cubic root
+    at (x, t), v0 is not used, and the march is RK45 at
+    _QUASI_STEADY_SETTINGS whatever settings and method say.  Returns the
+    finish time and the dense state (x, v, energy) as a function of time,
+    held at its finish value beyond the finish.
     """
-    def rhs(t, y):
-        x, v, _ = y
-        p = float(power(t - t0))
-        theta = float(profile.steepness(x))
-        dv = (p / v - cd_front * v * v
-              - mass_ratio * gamma * math.sin(theta)) / (eps * mass_ratio)
-        return [v, dv, p]
+    def speed(x, p):
+        slope_term = mass_ratio * gamma * math.sin(float(profile.steepness(x)))
+        v = _quasi_steady_root(cd_front, slope_term, p)
+        if v < _V_STALL:
+            raise StallError(f"{who} stalled before the finish line")
+        return v
+
+    if eps == 0.0:
+        y0, settings, method = [x0, e0], _QUASI_STEADY_SETTINGS, "rk45"
+
+        def rhs(t, y):
+            p = float(power(t - t0))
+            return [speed(y[0], p), p]
+    else:
+        y0 = [x0, v0, e0]
+        if method == "auto":
+            method = "bdf" if eps < 1e-3 else "rk45"
+
+        def rhs(t, y):
+            x, v, _ = y
+            p = float(power(t - t0))
+            theta = float(profile.steepness(x))
+            dv = (p / v - cd_front * v * v
+                  - mass_ratio * gamma * math.sin(theta)) / (eps * mass_ratio)
+            return [v, dv, p]
 
     def finish(t, y):
         return y[0] - 1.0
@@ -412,37 +394,22 @@ def _ride_full(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio,
     stall.terminal = True
     stall.direction = -1.0
 
-    sol = ode_solve_with_events(rhs, [x0, v0, e0], (t0, t0 + _HORIZON),
-                                events=(finish, stall), settings=settings,
-                                method=method)
-    if sol.t_events[1].size:
+    # a quasi-steady stall raises in speed(), where the cubic root is taken
+    events = (finish,) if eps == 0.0 else (finish, stall)
+    sol = ode_solve_with_events(rhs, y0, (t0, t0 + _HORIZON), events=events,
+                                settings=settings, method=method)
+    if eps != 0.0 and sol.t_events[1].size:
         raise StallError(f"{who} stalled before the finish line")
     if not sol.t_events[0].size:
         raise RiderNeverFinishesError(f"{who} never reached the finish line")
     t_f = float(sol.t_events[0][0])
-    return t_f, lambda t: sol.sol(np.minimum(t, t_f))
+    if eps != 0.0:
+        return t_f, lambda t: sol.sol(np.minimum(t, t_f))
 
-
-def _ride_quasi_steady(x0, t0, e0, power_profile, profile, gamma, cd_front,
-                       mass_ratio, n_samples, settings):
-    def speed_at(x, t):
-        p = float(power_profile.power_at(t - t0))
-        slope_term = mass_ratio * gamma * math.sin(float(profile.steepness(x)))
-        v = _quasi_steady_root(cd_front, slope_term, p)
-        if v < _V_STALL:
-            raise StallError("rider stalled after the attack")
-        return v, p
-
-    def rhs(x, y):
-        v, p = speed_at(x, y[0])
-        return [1.0 / v, p / v]
-
-    sol = ode_solve_with_events(rhs, [t0, e0], (x0, 1.0), settings=settings,
-                                method="rk45")
-    xs = np.linspace(x0, 1.0, n_samples)
-    times, energies = sol.sol(xs)
-    speeds = np.empty_like(xs)
-    powers = np.empty_like(xs)
-    for k, (x, t) in enumerate(zip(xs, times)):
-        speeds[k], powers[k] = speed_at(float(x), float(t))
-    return float(times[-1]), times, xs, speeds, powers, energies
+    def state(t):
+        t = np.minimum(t, t_f)
+        x, e = sol.sol(t)
+        v = [speed(xk, float(power(tk - t0)))
+             for xk, tk in zip(np.ravel(x).tolist(), np.ravel(t).tolist())]
+        return np.array([x, np.reshape(v, np.shape(x)), e])
+    return t_f, state

@@ -1,7 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import breakaway.cli as cli
 from breakaway.cli import main
@@ -176,6 +178,22 @@ class TestFatigueCommand:
         _, _, rows = parse_table(out)   # the row is still emitted, flagged
         assert rows[0]["converged"] == "false"
 
+    def test_numpy_false_is_not_converged(self, capsys, monkeypatch):
+        # a numpy bool is neither `False` by identity nor printed as `false`
+        # unless the command turns it into a plain bool
+        from breakaway.fatigue import FatigueResult
+
+        def stuck(problem, mu, p_sustain=None):
+            return FatigueResult(0.5, 4.0, 0.95, 0.05, -0.03,
+                                 converged=np.False_,
+                                 budget_residual=math.nan,
+                                 arrival_residual=math.nan)
+        monkeypatch.setattr(cli.fatigue, "optimize_fatigue", stuck)
+        code, out = run_cli(["fatigue"], capsys)
+        assert code == 2
+        _, _, rows = parse_table(out)
+        assert rows[0]["converged"] == "false"
+
     @pytest.mark.parametrize("mu", ["1e-9", "1e-320", "5e-324", "1e6"])
     def test_vanishing_fatigue_converges(self, mu, capsys):
         # the budget residual's energy integral must not cancel at tiny mu,
@@ -321,11 +339,81 @@ class TestTerrainCommand:
         for key, ref in self.DEMO_BDF.items():
             assert float(meta[f"summary.{key}"]) == pytest.approx(ref, rel=2e-9)
 
+    def test_quasi_steady_ignores_method(self, capsys):
+        # the quasi-steady ride is always RK45, whatever terrain.method says
+        outputs = []
+        for method in ("bdf", "rk45", "auto"):
+            code, out = run_cli(["terrain", "--course", "demo",
+                                 "--set", "terrain.quasi_steady=true",
+                                 "--set", f"terrain.method={method}"], capsys)
+            assert code == 0
+            outputs.append([line for line in out.splitlines()
+                            if not line.startswith("# config.terrain.method ")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_never_finishing_attack_exits_two(self, capsys):
         code = main(["terrain", "--course", "flat",
                      "--set", "terrain.attack_power=1e-6",
                      "--set", "terrain.method=bdf"])
         assert code == 2
+
+
+class TestQuasiSteadyReference:
+    """Quasi-steady summaries against an independent quadrature.
+
+    In the quasi-steady limit the time to ride [a, b] is the integral of
+    1/v(x), v the largest real root of drag v^3 + gamma sin(theta) v = power.
+    QUADPACK integrates it knot interval by knot interval, with v from
+    numpy.roots, so the PCHIP kinks never fall inside a panel.
+    """
+
+    # the course table of the perfbench validate workload at seed 101
+    TABLE = [(0.0, 0.0), (0.1, -0.000298546), (0.2, 0.002329763),
+             (0.3, 0.005329763), (0.4, 0.005381263), (0.5, 0.002672042),
+             (0.6, 0.000539437), (0.7, 0.001013606), (0.8, 0.002362193),
+             (0.9, 0.001895791), (1.0, 0.0)]
+
+    @staticmethod
+    def reference(profile, knots, x_attack, power, gamma=40.0, cd_front=1.43):
+        def pace(x, drag, p):
+            slope_term = gamma * math.sin(math.atan(float(profile.slope(x))))
+            roots = np.roots([drag, 0.0, slope_term, -p])
+            return 1.0 / max(r.real for r in roots if abs(r.imag) < 1e-9)
+
+        def elapsed(a, b, drag, p):
+            cuts = [a, *(k for k in knots if a < k < b), b]
+            return sum(quad(pace, u, w, args=(drag, p), epsabs=1e-13,
+                            epsrel=1e-12, limit=500)[0]
+                       for u, w in zip(cuts, cuts[1:]))
+
+        t_attack = elapsed(0.0, x_attack, 1.0, 1.0)
+        return {"t_peloton": elapsed(0.0, 1.0, 1.0, 1.0),
+                "attack_time": t_attack,
+                "t_rider": t_attack + elapsed(x_attack, 1.0, cd_front, power)}
+
+    # the validate ops quasi-steady-0 (demo) and quasi-steady-1 (table)
+    @pytest.mark.parametrize("course, x_attack, power", [
+        ("demo", 0.689069, 3.14134),
+        ("table", 0.7014, 2.85505),
+    ])
+    def test_summary_matches_quadrature(self, course, x_attack, power,
+                                        tmp_path, capsys):
+        from breakaway.terrain import CourseProfile, demo_profile
+        if course == "demo":
+            profile, knots = demo_profile(), []
+        else:
+            knots, heights = zip(*self.TABLE)
+            profile = CourseProfile.from_table(knots, heights)
+            course = tmp_path / "course.txt"
+            course.write_text("".join(f"{x} {h}\n" for x, h in self.TABLE))
+        code, out = run_cli(["terrain", "--course", str(course),
+                             "--set", "terrain.quasi_steady=true",
+                             "--set", f"terrain.attack_position={x_attack}",
+                             "--set", f"terrain.attack_power={power}"], capsys)
+        assert code == 0
+        meta, _, _ = parse_table(out)
+        for key, ref in self.reference(profile, knots, x_attack, power).items():
+            assert abs(float(meta[f"summary.{key}"]) - ref) < 1e-9, key
 
 
 # one probe per key that the flat, fatigue, microstructure and crash-mc

@@ -9,6 +9,7 @@ numerics and the rendering.  Regenerate deliberately with:
 """
 
 import os
+import runpy
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,10 @@ def test_golden(name, tmp_path):
         golden.write_bytes(produced.read_bytes())
     assert golden.exists(), f"golden file missing; regenerate with BREAKAWAY_REGEN=1"
     assert produced.read_bytes() == golden.read_bytes()
+
+
+def test_runs_match_benchmark():
+    # the benchmark replays these argument vectors against these files to
+    # score its golden_ratio, so the two lists must not drift apart
+    workloads = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    assert RUNS == runpy.run_path(str(workloads))["GOLDEN"]

@@ -94,9 +94,10 @@ class TestQuasiSteadySpeed:
         rng = np.random.default_rng(3)
         p = rng.uniform(0.1, 5.0, 200)
         c = rng.uniform(0.2, 2.0, 200)
-        base = quasi_steady_speed(p, c)
-        assert np.all(quasi_steady_speed(p * 1.1, c) > base)
-        assert np.all(quasi_steady_speed(p, c * 1.1) < base)
+        for pk, ck in zip(p.tolist(), c.tolist()):
+            base = quasi_steady_speed(pk, ck)
+            assert quasi_steady_speed(pk * 1.1, ck) > base
+            assert quasi_steady_speed(pk, ck * 1.1) < base
 
 
 class TestPowerProfile:
