@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -122,6 +121,8 @@ def _sweep(command: str, cfg: RunConfig, columns: list[str], row_fn):
     table = _new_table(command, cfg, columns)
     jobs = cfg.get("output", "jobs")
     if jobs > 1 and len(configs) > 1:
+        from multiprocessing import Pool
+
         with Pool(processes=jobs) as pool:
             rows = pool.map(row_fn, configs)  # input order preserved
     else:

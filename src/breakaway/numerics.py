@@ -1,11 +1,12 @@
 """Shared deterministic numerical kernels.
 
-Thin, deterministic wrappers around well-tested SciPy routines (Brent root
-finding on a given bracket, adaptive Gauss-Kronrod quadrature, adaptive ODE
-integration with event detection) plus two hand-rolled pieces the rest of
-the package leans on: a closed-form real-root solver for depressed cubics
-and a grid-seeded scalar minimizer with a documented tie-break, refined by
-golden section or, given the derivative, by Brent's method on its root.
+The package's own, on Python floats: a closed-form real-root solver for
+depressed cubics; Brent's bracketed root, a step-for-step port of SciPy's C
+brentq (so its roots are SciPy's bit for bit); adaptive Gauss-Kronrod G7-K15
+quadrature; and a grid-seeded scalar minimizer with a documented tie-break,
+refined by golden section or, given the derivative, by Brent on its root.
+Only ODE integration with events wraps SciPy (solve_ivp), imported on the
+first call, so a process that integrates no ODE never loads SciPy.
 
 Everything here is stateless and re-entrant.  What a result certifies is
 its tolerance, not its bits.  Brent roots, and the derivative path of
@@ -19,12 +20,12 @@ where the solver behind it is certified below that digit.
 
 from __future__ import annotations
 
+import heapq
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 
 class NumericsError(Exception):
@@ -120,39 +121,112 @@ def solve_cubic_real(a3: float, a1: float, a0: float) -> list[float]:
 
 def find_root_bracketed(f, lo: float, hi: float,
                         settings: SolverSettings = DEFAULT_SETTINGS) -> float:
-    """Brent-style root of f on [lo, hi]; requires f(lo) and f(hi) to straddle 0."""
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
+    """Brent's root of f on [lo, hi]; f(lo) and f(hi) must differ in sign.
+
+    A step-for-step port of SciPy's C brentq (Brent 1973, ch. 4) with
+    xtol = settings.abs_tol and rtol = 4 machine eps: the same iterates and
+    the same float root, from as many evaluations of f as SciPy counts.
+    Raises BracketError for ends of one sign or a NaN at an end, and
+    ToleranceError for a NaN at an iterate or after max_iterations steps.
+    """
+    xtol, rtol = settings.abs_tol, 4.0 * sys.float_info.epsilon
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.isnan(fpre) or math.isnan(fcur) \
+            or math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
-    return optimize.brentq(
-        f, lo, hi,
-        xtol=settings.abs_tol,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=settings.max_iterations,
-    )
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(settings.max_iterations):
+        if fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ToleranceError(f"NaN value at x = {xcur!r}")
+    raise ToleranceError(f"no root to {xtol:g} in {settings.max_iterations} iterations")
+
+
+# QUADPACK dqk15: the 15-point Kronrod abscissae and weights (centre last),
+# and the weights of the embedded 7-point Gauss rule at nodes 1, 3, 5 and 0
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+        0.5860872354676911, 0.4058451513773972, 0.20778495500789848)
+_WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+        0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
+
+
+def _kronrod15(f, a: float, b: float):
+    """QUADPACK dqk15 on [a, b]: (error estimate, integral)."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    f_c = float(f(centre))
+    pairs = [(float(f(centre - half * x)), float(f(centre + half * x))) for x in _XGK]
+    res_g = _WG[3] * f_c + sum(w * sum(pairs[j]) for j, w in zip((1, 3, 5), _WG))
+    res_k = _WGK[7] * f_c + sum(w * (u + v) for w, (u, v) in zip(_WGK, pairs))
+    mean = 0.5 * res_k
+    res_abs = _WGK[7] * abs(f_c) + sum(w * (abs(u) + abs(v)) for w, (u, v) in zip(_WGK, pairs))
+    res_asc = _WGK[7] * abs(f_c - mean) + sum(
+        w * (abs(u - mean) + abs(v - mean)) for w, (u, v) in zip(_WGK, pairs))
+    res_abs, res_asc = res_abs * abs(half), res_asc * abs(half)
+    err = abs((res_k - res_g) * half)
+    if res_asc != 0.0 and err != 0.0:
+        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+    if res_abs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * res_abs, err)
+    return err, res_k * half
 
 
 def integrate_adaptive(f, a: float, b: float,
                        settings: SolverSettings = DEFAULT_SETTINGS):
-    """Adaptive Gauss-Kronrod integral of f over [a, b].
+    """Adaptive Gauss-Kronrod G7-K15 integral of f over [a, b].
 
-    Returns (value, error_estimate).  Raises ToleranceError if the
-    quadrature reports non-convergence.
+    QUADPACK's QAG without extrapolation (Piessens et al. 1983): bisect the
+    panel with the largest error estimate until the summed estimate is at
+    most max(abs_tol, rel_tol * |value|).  f is called at one float at a
+    time.  Returns (value, error_estimate).  Raises ToleranceError when
+    max_iterations panels do not reach the tolerance.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, err = integrate.quad(
-                f, a, b, epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                limit=max(1, settings.max_iterations),
-            )
-        except integrate.IntegrationWarning as exc:
-            raise ToleranceError(str(exc)) from exc
-    return value, err
+    a, b = float(a), float(b)
+    err, value = _kronrod15(f, a, b)
+    panels = [(-err, a, b, value)]  # a heap, largest error first
+    while True:
+        err = -math.fsum(p[0] for p in panels)
+        value = math.fsum(p[3] for p in panels)
+        if err <= max(settings.abs_tol, settings.rel_tol * abs(value)):
+            return value, err
+        if len(panels) >= settings.max_iterations:
+            raise ToleranceError(f"quadrature error {err:g} after {len(panels)} panels")
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        for u, v in ((lo, mid), (mid, hi)):
+            err, value = _kronrod15(f, u, v)
+            heapq.heappush(panels, (-err, u, v, value))
 
 
 def ode_solve_with_events(rhs, y0, t_span, events=(),
@@ -169,6 +243,8 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     scipy_method = {"rk45": "RK45", "bdf": "BDF"}.get(method.lower())
     if scipy_method is None:
         raise ValueError(f"unknown integration method {method!r}")
+    from scipy import integrate
+
     sol = integrate.solve_ivp(
         rhs, t_span, np.atleast_1d(np.asarray(y0, dtype=float)),
         method=scipy_method,

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .model import PowerProfile, ScaleSet
 from .numerics import (
@@ -134,6 +133,8 @@ class CourseProfile:
             raise CourseFileError("course x samples must increase strictly")
         if abs(xs[0]) > 1e-12 or abs(xs[-1] - 1.0) > 1e-12:
             raise CourseFileError("course table must span x = 0 to x = 1")
+        from scipy.interpolate import PchipInterpolator
+
         interp = PchipInterpolator(xs, hs)
         deriv = interp.derivative()
         knots, pieces = deriv.x.tolist(), deriv.c[::-1].T.tolist()  # ascending powers

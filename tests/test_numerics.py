@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
 
 from breakaway.numerics import (
     BracketError,
@@ -71,6 +72,58 @@ class TestRootFinding:
         with pytest.raises(BracketError):
             find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    def test_matches_scipy_brentq_bit_for_bit(self):
+        # the port takes SciPy's iterates: the same float root from the
+        # same number of evaluations of f, over four function families
+        families = (
+            lambda c: lambda x: x**3 - c,
+            lambda c: lambda x: math.exp(x) - 1.0 - c,
+            lambda c: lambda x: math.atan(c * (x - 0.3)),
+            lambda c: lambda x: math.cos(x) - c * x,
+        )
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 2_000:
+            f = families[checked % len(families)](float(rng.uniform(0.05, 3.0)))
+            lo, hi = float(rng.uniform(-2.0, 0.2)), float(rng.uniform(0.35, 4.0))
+            if f(lo) * f(hi) >= 0.0:
+                continue
+            abs_tol = 10.0 ** rng.uniform(-15.0, -10.0)
+            calls = []
+
+            def counted(x):
+                calls.append(x)
+                return f(x)
+
+            root = find_root_bracketed(counted, lo, hi, SolverSettings(abs_tol=abs_tol))
+            ref, r = optimize.brentq(f, lo, hi, xtol=abs_tol,
+                                     rtol=4.0 * np.finfo(float).eps,
+                                     maxiter=200, full_output=True)
+            assert type(root) is float
+            assert root == ref, (checked, lo, hi, abs_tol)
+            assert len(calls) == r.function_calls
+            checked += 1
+
+    def test_tiny_values_of_one_sign_are_no_bracket(self):
+        # 1e-200 * 1e-200 underflows to 0; the signs still agree
+        with pytest.raises(BracketError):
+            find_root_bracketed(lambda x: 1e-200, 0.0, 1.0)
+
+    def test_nan_at_an_end_is_no_bracket(self):
+        with pytest.raises(BracketError):
+            find_root_bracketed(lambda x: math.nan if x == 1.0 else -1.0, 0.0, 1.0)
+
+    def test_nan_at_an_iterate(self):
+        f = lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan
+        with pytest.raises(ToleranceError):
+            find_root_bracketed(f, 0.0, 1.0)
+
+    def test_iteration_budget(self):
+        settings = SolverSettings(abs_tol=1e-15, max_iterations=3)
+        with pytest.raises(ToleranceError):
+            find_root_bracketed(lambda x: math.atan(50.0 * (x - 0.3)), 0.0, 1.0,
+                                settings)
+
 
 class TestQuadrature:
     def test_constant(self):
@@ -89,6 +142,31 @@ class TestQuadrature:
         value, err = integrate_adaptive(lambda t: math.sin(10.0 * t), 0.0, 1.0)
         exact = (1.0 - math.cos(10.0)) / 10.0
         assert abs(value - exact) <= 10.0 * max(err, 1e-15)
+
+    @pytest.mark.parametrize("name, f, a, b", [
+        ("exp", lambda t: math.exp(-3.0 * t), 0.0, 2.0),
+        ("oscillatory", lambda t: math.cos(40.0 * t) * t, 0.0, 1.5),
+        ("runge", lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0),
+        ("sqrt", lambda t: math.sqrt(t), 0.0, 1.0),
+        ("reversed", lambda t: math.log1p(t), 1.0, 0.0),
+    ])
+    def test_agrees_with_quadpack(self, name, f, a, b):
+        settings = SolverSettings()
+        value, err = integrate_adaptive(f, a, b, settings)
+        ref, _ = integrate.quad(f, a, b, epsabs=1e-14, epsrel=1e-14, limit=500)
+        assert abs(value - ref) <= max(settings.abs_tol, settings.rel_tol * abs(ref))
+        assert abs(value - ref) <= 10.0 * max(err, 1e-15)
+
+    @pytest.mark.parametrize("mu", [0.3, 30.0, 400.0, 1e5])
+    def test_fatigue_integrand_agrees_with_quadpack(self, mu):
+        # the arrival-residual integrand: speed after the attack, p_max = 1.9
+        p_s, amplitude, span = 0.8, 1.1, 0.55
+        f = lambda s: np.cbrt(p_s + amplitude * np.exp(-mu * s))
+        settings = SolverSettings()
+        value, _ = integrate_adaptive(f, 0.0, span, settings)
+        ref, _ = integrate.quad(f, 0.0, span, epsabs=1e-14, epsrel=1e-14, limit=500)
+        assert type(value) is float
+        assert abs(value - ref) <= max(settings.abs_tol, settings.rel_tol * abs(ref))
 
 
 class TestOdeEvents:
