@@ -167,12 +167,16 @@ def _attack_solve(x: float, energy_budget: float, p_sustain: float,
         return _speed_integral(delta, p_sustain + burst, p_sustain, mu) - distance
 
     lo = 1e-13 * max(1.0, delta_max)
-    if surplus(lo) >= 0.0:
+    s_lo = surplus(lo)
+    if s_lo >= 0.0:
         delta = lo
-    elif surplus(delta_max) <= 0.0:
+    elif (s_hi := surplus(delta_max)) <= 0.0:
         delta = delta_max
     else:
-        delta = find_root_bracketed(surplus, lo, delta_max, settings)
+        # Brent starts by evaluating both ends: answer those from here
+        ends = {lo: s_lo, delta_max: s_hi}
+        delta = find_root_bracketed(
+            lambda d: ends.pop(d) if d in ends else surplus(d), lo, delta_max, settings)
     p_max = p_sustain + (e_rem - p_sustain * delta) / _burst_integral(delta, mu)
     return x + delta, p_max
 

@@ -5,8 +5,13 @@ depressed cubics; Brent's bracketed root, a step-for-step port of SciPy's C
 brentq (so its roots are SciPy's bit for bit); adaptive Gauss-Kronrod G7-K15
 quadrature; and a grid-seeded scalar minimizer with a documented tie-break,
 refined by golden section or, given the derivative, by Brent on its root.
-Only ODE integration with events wraps SciPy (solve_ivp), imported on the
-first call, so a process that integrates no ODE never loads SciPy.
+
+ODE integration with events is the package's own Dormand-Prince 5(4) loop
+(Dormand & Prince 1980), a port of SciPy 1.17's RK45 that performs the same
+numpy operations on the same shapes in the same order: the same steps,
+evaluations, event roots (by the Brent port) and dense output, bit for bit.
+Only the implicit BDF mode for stiff runs wraps SciPy's solve_ivp, imported
+on its first use, so a process that rides no BDF never loads SciPy.
 
 Everything here is stateless and re-entrant.  What a result certifies is
 its tolerance, not its bits.  Brent roots, and the derivative path of
@@ -21,9 +26,11 @@ where the solver behind it is certified below that digit.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -229,32 +236,230 @@ def integrate_adaptive(f, a: float, b: float,
             heapq.heappush(panels, (-err, u, v, value))
 
 
+# Dormand-Prince 5(4) as SciPy's RK45 holds it: nodes, stage matrix, 5th-order
+# weights, error weights and Shampine's (1986) quartic dense-output matrix
+_RK45_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK45_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK45_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK45_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK45_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_RK45_STAGES = tuple((s, _RK45_A[s, :s], _RK45_C[s]) for s in range(1, 6))
+# SciPy locates an event with brentq at xtol = rtol = 4 eps, maxiter 100
+_EVENT_SETTINGS = SolverSettings(abs_tol=4.0 * _EPS, max_iterations=100)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+class OdeResult(SimpleNamespace):
+    """An RK45 integration, with the fields of solve_ivp's result callers read.
+
+    t and y: the step times and states; sol: the dense solution; t_events
+    and y_events: per event, its crossing times and states; nfev: rhs
+    evaluations; status: 0 at the end of t_span, 1 at a terminal event;
+    njev = nlu = 0; success is True.
+    """
+
+
+class _Rk45Step:
+    """The quartic interpolant of one accepted step (SciPy's RkDenseOutput)."""
+
+    __slots__ = ("t_old", "h", "Q", "y_old")
+
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = self.h * np.dot(self.Q, np.cumprod(np.tile(x, 4)))
+            y += self.y_old
+        else:
+            y = self.h * np.dot(self.Q, np.cumprod(np.tile(x, (4, 1)), axis=0))
+            y += self.y_old[:, None]
+        return y
+
+
+class _DenseSolution:
+    """Piecewise interpolant over the steps, as SciPy's OdeSolution.
+
+    A time on a step boundary takes the earlier step; times outside the
+    steps take the first or the last one.
+    """
+
+    def __init__(self, ts, steps):
+        self.ts, self.steps = ts, steps
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        last = len(self.steps) - 1
+        if t.ndim == 0:
+            k = np.searchsorted(self.ts, t, side="left")
+            return self.steps[min(max(k - 1, 0), last)](t)
+        # one interpolant call per run of points in one step, in time order
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
+        ys, start = [], 0
+        for k, group in itertools.groupby(segments.tolist()):
+            end = start + len(list(group))
+            ys.append(self.steps[k](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, reverse]
+
+
+def _rms(x):
+    """SciPy's RMS norm of an error or scale vector."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(rhs, y0, t0, t_bound, events, rtol, atol, max_step, dense_output):
+    """SciPy 1.17's solve_ivp(method="RK45") for t_bound > t0, float for float.
+
+    The same numpy operations on the same shapes in the same order (BLAS dot
+    products included), so the same steps, evaluations, events and dense
+    output.  Every event is terminal.
+    """
+    nfev = 0
+
+    def fun(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(rhs(t, y), dtype=float)
+
+    t, y = t0, y0
+    f = fun(t, y)
+    # select_initial_step (Hairer, Norsett & Wanner, sec. II.4)
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, interval, max_step)
+
+    K = np.empty((7, y.size))
+    # views into K on the stages so far: the shapes and strides SciPy's take
+    stages = [(s, K[:s].T, a, c) for s, a, c in _RK45_STAGES]
+    K_stages, K_all = K[:-1].T, K.T
+    ts, ys, steps = [t], [y], []
+    directions = [getattr(event, "direction", 0) for event in events]
+    g = [event(t, y) for event in events]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    status = None
+    while status is None:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(_TOO_SMALL_STEP + " (consider method='bdf')")
+            t_new = min(t + h_abs, t_bound)
+            h_abs = h = t_new - t
+            K[0] = f
+            for s, K_s, a, c in stages:
+                dy = np.dot(K_s, a) * h
+                K[s] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K_stages, _RK45_B)
+            f_new = K[-1] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K_all, _RK45_E) * h / scale)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if t >= t_bound:
+            status = 0
+        step = _Rk45Step(t_old, t, y_old, K_all.dot(_RK45_P))
+        steps.append(step)
+        g_new = [event(t, y) for event in events]
+        active = [k for k, (a, b, d) in enumerate(zip(g, g_new, directions))
+                  if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
+        if active:
+            # every event is terminal: keep the earliest root (a tie, the first)
+            roots = [find_root_bracketed(lambda s: events[k](s, step(s)), t_old, t,
+                                         _EVENT_SETTINGS) for k in active]
+            first = min(range(len(roots)), key=roots.__getitem__)
+            t = roots[first]
+            y = step(t)
+            t_events[active[first]].append(t)
+            y_events[active[first]].append(y)
+            status = 1
+        g = g_new
+        if dense_output and len(ts) > 1 and ts[-1] == t:
+            steps.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+    ts = np.array(ts)
+    return OdeResult(
+        t=ts, y=np.vstack(ys).T, sol=_DenseSolution(ts, steps) if dense_output else None,
+        t_events=[np.asarray(te) for te in t_events],
+        y_events=[np.asarray(ye) for ye in y_events],
+        nfev=nfev, njev=0, nlu=0, status=status, success=True)
+
+
 def ode_solve_with_events(rhs, y0, t_span, events=(),
                           settings: SolverSettings = DEFAULT_SETTINGS,
                           method: str = "rk45",
                           dense_output: bool = True,
                           max_step: float = math.inf):
-    """Adaptive ODE integration with event localization.
+    """Adaptive ODE integration with event localization, forward in time.
 
-    method "rk45" is the explicit embedded pair; "bdf" selects the implicit
-    multistep fallback for stiff runs.  Events follow SciPy conventions
-    (callable of (t, y) with optional .terminal / .direction attributes).
+    method "rk45" is the package's own Dormand-Prince 5(4) loop, SciPy's
+    RK45 float for float; "bdf" is SciPy's implicit multistep BDF for stiff
+    runs, imported on its first use.  An event is a callable of (t, y); its
+    optional .direction attribute (+1 rising, -1 falling, 0 either) selects
+    the crossings it sees.  Events are terminal: the first crossing ends the
+    integration (BDF, being SciPy's, needs each marked .terminal to do so).
+    Raises StiffnessError when the step falls below ten ulps of t.
     """
-    scipy_method = {"rk45": "RK45", "bdf": "BDF"}.get(method.lower())
-    if scipy_method is None:
+    t0, t_bound = map(float, t_span)
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    method = method.lower()
+    if method == "rk45":
+        if not t_bound > t0:
+            raise ValueError("t_span must increase")
+        return _rk45(rhs, y0, t0, t_bound, tuple(events),
+                     max(settings.rel_tol, 100 * _EPS), settings.abs_tol,
+                     max_step, dense_output)
+    if method != "bdf":
         raise ValueError(f"unknown integration method {method!r}")
     from scipy import integrate
 
     sol = integrate.solve_ivp(
-        rhs, t_span, np.atleast_1d(np.asarray(y0, dtype=float)),
-        method=scipy_method,
+        rhs, (t0, t_bound), y0, method="BDF",
         events=list(events) if events else None,
         rtol=settings.rel_tol, atol=settings.abs_tol,
         dense_output=dense_output, max_step=max_step,
     )
-    if not sol.success and sol.status == -1:
-        hint = " (consider method='bdf')" if scipy_method == "RK45" else ""
-        raise StiffnessError(sol.message + hint)
+    if sol.status == -1:
+        raise StiffnessError(sol.message)
     return sol
 
 
@@ -283,7 +488,10 @@ def minimize_scalar(f, lo: float, hi: float,
     if df is not None:
         d_a, d_b = df(a), df(b)
         if d_a < 0.0 < d_b:
-            x = find_root_bracketed(df, a, b, settings)
+            # Brent starts by evaluating both ends: answer those from here
+            ends = {float(a): d_a, float(b): d_b}
+            x = find_root_bracketed(lambda u: ends.pop(u) if u in ends else df(u),
+                                    a, b, settings)
             return float(x), float(f(x))
         if (k == 0 and d_a >= 0.0) or (k == len(xs) - 1 and d_b <= 0.0):
             return float(xs[k]), float(vals[k])

@@ -124,31 +124,88 @@ class CourseProfile:
 
     @classmethod
     def from_table(cls, xs, hs, label: str = "table") -> "CourseProfile":
-        """Monotone cubic interpolation of a sampled (x, h) course table."""
+        """Monotone cubic (PCHIP) interpolation of a sampled (x, h) course table.
+
+        SciPy's PchipInterpolator float for float: knot slopes by Fritsch &
+        Carlson's weighted harmonic mean with SciPy's three-point edge rule,
+        cubic Hermite pieces, each piece evaluated as PPoly does (interval
+        closed on the left, the end pieces extended).
+        """
         xs = np.asarray(xs, dtype=float)
         hs = np.asarray(hs, dtype=float)
         if xs.size < 2:
             raise CourseFileError("course table needs at least two samples")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(hs))):
+            raise CourseFileError("course samples must be finite numbers")
         if np.any(np.diff(xs) <= 0.0):
             raise CourseFileError("course x samples must increase strictly")
         if abs(xs[0]) > 1e-12 or abs(xs[-1] - 1.0) > 1e-12:
             raise CourseFileError("course table must span x = 0 to x = 1")
-        from scipy.interpolate import PchipInterpolator
+        cubic, quadratic = _pchip_coefficients(xs, hs)
+        if not all(np.all(np.isfinite(c)) for c in cubic + quadratic):
+            raise CourseFileError("course slopes overflow")
+        knots, last = xs.tolist(), xs.size - 2
 
-        interp = PchipInterpolator(xs, hs)
-        deriv = interp.derivative()
-        knots, pieces = deriv.x.tolist(), deriv.c[::-1].T.tolist()  # ascending powers
+        def piecewise(coefficients):
+            """PPoly's sum c0 + c1 s + c2 s^2 + ..., one piece per interval."""
+            pieces = list(zip(*(c.tolist() for c in coefficients)))
 
-        def slope(x):
-            if not isinstance(x, float):
-                return deriv(x)
-            # PPoly's steps: clamped right-open interval, Horner in ascending powers
-            x = float(x)
-            i = min(max(bisect.bisect_right(knots, x) - 1, 0), len(knots) - 2)
-            (c0, c1, c2), s = pieces[i], x - knots[i]
-            return 0.0 + c0 + c1 * s + c2 * (s * s)
+            def evaluate(x):
+                if isinstance(x, float):
+                    i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
+                    c, s = pieces[i], x - knots[i]
+                else:
+                    x = np.asarray(x, dtype=float)
+                    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, last)
+                    c, s = [a[i] for a in coefficients], x - xs[i]
+                value, power = 0.0 + c[0], s
+                for k in range(1, len(c)):
+                    value = value + c[k] * power
+                    power = power * s
+                return value
+            return evaluate
 
-        return cls(height=interp, slope=slope, label=label)
+        return cls(height=piecewise(cubic), slope=piecewise(quadratic), label=label)
+
+
+def _pchip_coefficients(xs, hs):
+    """PCHIP pieces of h and h' in ascending powers of s = x - knot.
+
+    SciPy's CubicHermiteSpline coefficients and PPoly's derivative factors
+    1, 2, 3.  An overflow shows as an inf or a nan, not as a warning.
+    """
+    with np.errstate(all="ignore"):
+        widths = xs[1:] - xs[:-1]
+        chords = (hs[1:] - hs[:-1]) / widths
+        d = _pchip_slopes(widths, chords)
+        t = (d[:-1] + d[1:] - 2 * chords) / widths
+        cubic = (hs[:-1], d[:-1], (chords - d[:-1]) / widths - t, t / widths)
+        return cubic, (cubic[1], cubic[2] * 2.0, cubic[3] * 3.0)
+
+
+def _pchip_slopes(widths, chords):
+    """PCHIP knot slopes, as SciPy's PchipInterpolator finds them."""
+    if chords.size == 1:
+        return np.concatenate((chords, chords))
+    w1 = 2 * widths[1:] + widths[:-1]
+    w2 = widths[1:] + 2 * widths[:-1]
+    signs = np.sign(chords)
+    flat = (signs[1:] != signs[:-1]) | (chords[1:] == 0) | (chords[:-1] == 0)
+    # a zero chord divides by zero here; np.where drops those entries
+    inner = np.where(flat, 0.0, 1.0 / ((w1 / chords[:-1] + w2 / chords[1:]) / (w1 + w2)))
+    return np.concatenate(([_pchip_edge(widths[0], widths[1], chords[0], chords[1])],
+                           inner,
+                           [_pchip_edge(widths[-1], widths[-2], chords[-1], chords[-2])]))
+
+
+def _pchip_edge(h0, h1, m0, m1):
+    """SciPy's one-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def load_course_table(path) -> CourseProfile:

@@ -33,14 +33,21 @@ _SCIPY_PROBE = r"""
 import contextlib, io, json, sys
 from breakaway.cli import main
 
+course = sys.argv[1]
 seen = {"import": sorted(m for m in ("scipy", "multiprocessing") if m in sys.modules)}
+quasi_steady = ["--set", "terrain.quasi_steady=true"]
 runs = {
     "flat": ["flat"],
     "flat-sweep": ["flat", "--set", "sweep.parameter=strategy.risk_index",
                    "--set", "sweep.points=5"],
     "crash-mc": ["crash-mc", "--trials", "1000"],
     "fatigue": ["fatigue"],
-    "microstructure": ["microstructure"],
+    "microstructure": ["microstructure", "--set", "micro.samples=65"],
+    "quasi-steady-demo": ["terrain", "--course", "demo"] + quasi_steady,
+    "quasi-steady-table": ["terrain", "--course", course] + quasi_steady,
+    "rk45-demo": ["terrain", "--course", "demo"],
+    "rk45-table": ["terrain", "--course", course],
+    "bdf-demo": ["terrain", "--course", "demo", "--set", "terrain.epsilon=5e-4"],
 }
 for name, argv in runs.items():
     with contextlib.redirect_stdout(io.StringIO()):
@@ -50,15 +57,18 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_stays_off_the_startup_path():
-    # flat, crash-mc and fatigue need no SciPy; microstructure's ODEs do,
-    # which shows the probe can see the import
+def test_scipy_stays_off_the_startup_path(tmp_path):
+    # only a BDF ride needs SciPy, which shows the probe can see the import
     src = Path(__file__).resolve().parents[1] / "src"
+    course = tmp_path / "course.txt"
+    course.write_text("x h\n0 0\n0.25 0.004\n0.5 -0.002\n0.75 0.003\n1 0\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(course)], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == {
         "import": [], "flat": [0, False], "flat-sweep": [0, False],
         "crash-mc": [0, False], "fatigue": [0, False],
-        "microstructure": [0, True],
+        "microstructure": [0, False], "quasi-steady-demo": [0, False],
+        "quasi-steady-table": [0, False], "rk45-demo": [0, False],
+        "rk45-table": [0, False], "bdf-demo": [0, True],
     }

@@ -254,6 +254,20 @@ class TestFileErrors:
         assert str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("table", [
+        "0 0\nnan 0.1\n1 0\n",      # a nan x
+        "0 0\n0.5 inf\n1 0\n",      # an infinite height
+        "0 1e308\n1 -1e308\n",      # finite heights, overflowing slope
+    ])
+    def test_non_finite_course_exits_one(self, table, tmp_path, capsys):
+        path = tmp_path / "course.txt"
+        path.write_text("x h\n" + table)
+        assert main(["terrain", "--course", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("course file error:")
+        assert "Traceback" not in err
+
 
 class TestTerrainCommand:
     def test_flat_course_reduction(self, capsys):

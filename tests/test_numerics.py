@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+import breakaway.microstructure as microstructure
+import breakaway.terrain as terrain
+from breakaway.model import DragParams, ScaleSet
 from breakaway.numerics import (
+    DEFAULT_SETTINGS,
     BracketError,
     SolverSettings,
     StiffnessError,
@@ -215,6 +219,95 @@ class TestOdeEvents:
         sol = ode_solve_with_events(lambda t, y: [-1e6 * (y[0] - 1.0)], [0.0],
                                     (0.0, 1.0), method="bdf")
         assert sol.y[0][-1] == pytest.approx(1.0, abs=1e-6)
+
+
+def assert_solve_ivp_equal(result, rhs, y0, t_span, events=(),
+                           settings=DEFAULT_SETTINGS, max_step=math.inf):
+    """result is solve_ivp's RK45 run of the same problem, bit for bit."""
+    ref = integrate.solve_ivp(rhs, t_span, np.atleast_1d(np.asarray(y0, dtype=float)),
+                              method="RK45", events=list(events) or None,
+                              rtol=settings.rel_tol, atol=settings.abs_tol,
+                              dense_output=True, max_step=max_step)
+    assert (result.nfev, result.status, result.success) == (ref.nfev, ref.status, True)
+    assert (result.njev, result.nlu) == (0, 0)
+    assert result.t.tobytes() == ref.t.tobytes()
+    assert result.y.tobytes() == ref.y.tobytes()
+    for mine, theirs in zip(result.t_events, ref.t_events or ()):
+        assert mine.tobytes() == theirs.tobytes()
+    for mine, theirs in zip(result.y_events, ref.y_events or ()):
+        assert mine.tobytes() == theirs.tobytes()
+    # step boundaries, mid-steps and a point past the last step, unsorted
+    t = ref.t
+    probes = np.concatenate(((t[:-1] + t[1:]) / 2, t, [t[-1] + 0.1 * (t[-1] - t[0])]))
+    assert result.sol(probes).tobytes() == ref.sol(probes).tobytes()
+    for x in probes[::max(1, probes.size // 40)].tolist() + [t[0], t[-1], probes[-1]]:
+        assert result.sol(x).tobytes() == ref.sol(x).tobytes()
+    return ref
+
+
+class TestRk45MatchesScipy:
+    """The own Dormand-Prince loop is SciPy's RK45, float for float."""
+
+    @staticmethod
+    def replay(monkeypatch, module, run):
+        """Run, then check every RK45 solve it made against solve_ivp."""
+        calls = []
+        original = module.ode_solve_with_events
+
+        def record(rhs, y0, t_span, events=(), settings=DEFAULT_SETTINGS,
+                   method="rk45"):
+            result = original(rhs, y0, t_span, events, settings, method)
+            calls.append((result, rhs, y0, t_span, events, settings))
+            return result
+        monkeypatch.setattr(module, "ode_solve_with_events", record)
+        run()
+        for result, *problem in calls:
+            assert_solve_ivp_equal(result, *problem)
+        return len(calls)
+
+    def test_terrain_rides(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        xs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 7)), [1.0]))
+        course = terrain.CourseProfile.from_table(xs, rng.normal(0.0, 0.004, 9))
+        x_attack, power = rng.uniform(0.3, 0.7), rng.uniform(3.0, 4.0)
+        scales = ScaleSet(inertia=0.02, gravity_ratio=40.0)
+
+        def run():
+            for quasi_steady in (False, True):
+                terrain.simulate_breakaway(x_attack, power, course, scales,
+                                           quasi_steady=quasi_steady, n_samples=65)
+        assert self.replay(monkeypatch, terrain, run) == 4
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_microstructure_solves(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        drag = DragParams()
+        onset = lambda: microstructure.attack_onset(
+            rng.uniform(1e-3, 1e-2), rng.uniform(3.0, 12.0), rng.uniform(3.5, 5.0),
+            drag, 1.0, gamma_ratio=rng.uniform(1.0, 8.0), n_samples=65)
+        # the passage layer twice (leading order, finite inertia), the full
+        # attack and the relaxation
+        assert self.replay(monkeypatch, microstructure, onset) == 4
+
+    def test_max_step(self):
+        def ground(t, y):
+            return y[0]
+        ground.terminal = True
+        ground.direction = -1.0
+        rhs = lambda t, y: [y[1], -y[0] - 0.1 * y[1]]
+        result = ode_solve_with_events(rhs, [1.0, 0.0], (0.0, 20.0), events=(ground,),
+                                       max_step=0.05)
+        ref = assert_solve_ivp_equal(result, rhs, [1.0, 0.0], (0.0, 20.0),
+                                     events=(ground,), max_step=0.05)
+        assert np.max(np.diff(ref.t)) < 0.05 + 1e-15 and ref.status == 1
+
+    def test_stiffness_error_text(self):
+        exploding = lambda t, y: [y[0] ** 3 * 1e8]
+        ref = integrate.solve_ivp(exploding, (0.0, 10.0), [1.0], rtol=1e-8, atol=1e-10)
+        assert ref.status == -1
+        with pytest.raises(StiffnessError) as info:
+            ode_solve_with_events(exploding, [1.0], (0.0, 10.0))
+        assert str(info.value) == ref.message + " (consider method='bdf')"
 
 
 class TestMinimizeScalar:

@@ -10,6 +10,7 @@ from breakaway.numerics import RiderNeverFinishesError, SolverSettings, StallErr
 from breakaway.terrain import (
     CourseFileError,
     CourseProfile,
+    _pchip_coefficients,
     _quasi_steady_root,
     demo_profile,
     load_course_table,
@@ -85,6 +86,50 @@ class TestScalarFastPath:
             scalar = struct.pack("<d", profile.steepness(x))
             assert struct.pack("<d", profile.steepness(np.float64(x))) == scalar
             assert struct.pack("<d", profile.steepness(np.array(x))) == scalar
+
+
+class TestPchipMatchesScipy:
+    """A course table's PCHIP pieces are SciPy's PchipInterpolator's, bit for bit."""
+
+    @staticmethod
+    def tables(count):
+        rng = np.random.default_rng(1980)
+        for k in range(count):
+            n = 2 if k % 4 == 0 else int(rng.integers(3, 25))
+            xs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+            if k % 4 == 1:    # runs of equal heights: flat segments
+                hs = np.round(rng.uniform(-0.01, 0.01, n), 2)
+            elif k % 4 == 2:  # a monotone climb: no sign changes
+                hs = np.cumsum(rng.uniform(0.0, 0.01, n))
+            else:             # random heights: sign changes
+                hs = rng.normal(0.0, 0.01, n)
+            yield xs, hs
+
+    def test_coefficients_equal_scipy(self):
+        from scipy.interpolate import PchipInterpolator
+
+        flat = sign_changes = 0
+        for xs, hs in self.tables(2000):
+            chords = np.diff(hs)
+            flat += bool(np.any(chords == 0.0))
+            sign_changes += bool(np.any(chords[1:] * chords[:-1] < 0.0))
+            cubic, quadratic = _pchip_coefficients(xs, hs)
+            interp = PchipInterpolator(xs, hs)
+            assert np.array(cubic).tobytes() == interp.c[::-1].tobytes()
+            assert np.array(quadratic).tobytes() == interp.derivative().c[::-1].tobytes()
+        assert flat > 400 and sign_changes > 400
+
+    def test_slopes_equal_scipy_on_both_paths(self):
+        from scipy.interpolate import PchipInterpolator
+
+        xx = np.concatenate(([-0.05, 1.05], np.random.default_rng(3).uniform(0, 1, 50)))
+        for xs, hs in self.tables(200):
+            profile = CourseProfile.from_table(xs, hs)
+            grid = np.concatenate((xx, xs))
+            reference = PchipInterpolator(xs, hs).derivative()(grid)
+            assert profile.slope(grid).tobytes() == reference.tobytes()
+            assert struct.pack(f"<{grid.size}d", *map(profile.slope, grid.tolist())) \
+                == reference.tobytes()
 
 
 class TestCourseFiles:
