@@ -18,7 +18,6 @@ Monte Carlo statistical gate tripped.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -145,15 +144,15 @@ def _flat_row(cfg: RunConfig) -> list:
     beta_min = flat.min_risk_to_win(problem, problem.energy_budget)
     return [
         flat.min_attack_position(problem),
-        math.nan if result.attack_position is None else result.attack_position,
-        math.nan if result.attack_power is None else result.attack_power,
+        result.attack_position,
+        result.attack_power,
         result.time_gap,
         result.exposure,
         result.objective,
         result.branch,
         beta_crit,
         e_min,
-        math.nan if beta_min is None else beta_min,
+        beta_min,
     ]
 
 
@@ -173,9 +172,9 @@ def _fatigue_row(cfg: RunConfig) -> list:
     result = fatigue.optimize_fatigue(problem, mu=cfg.get("fatigue", "mu"),
                                       p_sustain=cfg.p_sustain())
     return [
-        math.nan if result.attack_position is None else result.attack_position,
-        math.nan if result.peak_power is None else result.peak_power,
-        math.nan if result.finish_time is None else result.finish_time,
+        result.attack_position,
+        result.peak_power,
+        result.finish_time,
         result.time_gap,
         result.objective,
         result.status,

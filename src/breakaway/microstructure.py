@@ -55,19 +55,19 @@ class StartDragError(NeverReachesFrontError):
     """The attack power does not exceed the drag at the start depth."""
 
 
-def relative_drag_behind_front(zeta, drag: DragParams, cd_avg: float):
+def relative_drag_behind_front(zeta: float, drag: DragParams, cd_avg: float) -> float:
     """Normalized drag at signed pack coordinate zeta (zeta = 0 is the front).
 
     Negative zeta means the rider is still inside the peloton at depth
     -zeta; positive zeta means clear of the front, at full drag.
     """
-    return drag_at_depth(-np.asarray(zeta, dtype=float), drag) / cd_avg
+    return drag_at_depth(-zeta, drag) / cd_avg
 
 
 def _start_surplus(zeta0: float, power: float, drag: DragParams,
                    cd_avg: float) -> float:
     """Power less the drag at the start coordinate zeta0; positive or raises."""
-    start_drag = float(relative_drag_behind_front(zeta0, drag, cd_avg))
+    start_drag = relative_drag_behind_front(zeta0, drag, cd_avg)
     if power <= start_drag:
         raise StartDragError(f"need more than {start_drag!r}, the drag at "
                              f"the start depth {-zeta0!r}")
@@ -170,7 +170,7 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
 
     def rhs(zeta, y):
         t, v = y
-        c = float(relative_drag_behind_front(zeta, drag, cd_avg))
+        c = relative_drag_behind_front(zeta, drag, cd_avg)
         dt = delta / (v - 1.0)
         return [dt, dt * (power / v - c * v * v) / (eps * mass_ratio)]
 
@@ -213,7 +213,7 @@ def attack_onset(eps: float, position: float, power: float,
 
     def rhs(t, y):
         zeta, v = y
-        c = float(relative_drag_behind_front(zeta, drag, cd_avg))
+        c = relative_drag_behind_front(zeta, drag, cd_avg)
         return [(v - 1.0) / delta,
                 (power / v - c * v * v) / (eps * mass_ratio)]
 

@@ -6,8 +6,8 @@ total energy spend is one.  This module holds the exponential drafting-drag
 law, the dimensionless ratios of the terrain dynamics, and the one power
 schedule of the package: PowerProfile, a lurk phase followed by a burst that
 decays exponentially toward a sustainable floor (a constant-power attack is
-its zero-rate case), with exact, closed-form energy accounting and a
-plain-Python path for a float time that is bit-identical to the array path.
+its zero-rate case), with exact, closed-form energy accounting.  The drag
+law and the schedule take one float, as the ODE right-hand sides call them.
 
 The standard calibration keeps the front-rider drag ratio (1.43) and the
 position-5 lurking power (0.46) as independent inputs rather than deriving
@@ -52,16 +52,15 @@ class DragParams:
             raise ValueError("decay must be positive")
 
 
-def drag_at_depth(depth, drag: DragParams):
+def drag_at_depth(depth: float, drag: DragParams) -> float:
     """Raw drag coefficient at a drafting depth measured in axle spacings.
 
     Depth 0 is the front of the peloton; anything ahead of the front
-    (negative depth) sees the full cd_max.  Accepts scalars or arrays.
+    (negative depth) sees the full cd_max.
     """
-    depth = np.asarray(depth, dtype=float)
-    sheltered = drag.cd_min + (drag.cd_max - drag.cd_min) * np.exp(-drag.decay * depth)
-    out = np.where(depth < 0.0, drag.cd_max, sheltered)
-    return float(out) if out.ndim == 0 else out
+    if depth < 0.0:
+        return drag.cd_max
+    return drag.cd_min + (drag.cd_max - drag.cd_min) * float(np.exp(-drag.decay * depth))
 
 
 @dataclass(frozen=True)
@@ -105,25 +104,16 @@ class PowerProfile:
     def constant(cls, level: float) -> "PowerProfile":
         return cls(level, 0.0, level)
 
-    def power_at(self, t):
-        """Power at time(s) t, clamped at zero; bit-identical for a float t."""
-        if isinstance(t, float):
-            if t < self.attack_time:
-                p = self.p_lurk
-            elif self.mu == 0.0:
-                p = self.p_max
-            else:
-                p = self.p_sustain + (self.p_max - self.p_sustain) * float(np.exp(
-                    -self.mu * max(t - self.attack_time, 0.0)))
-            return 0.0 if p <= 0.0 else p  # as np.maximum: -0.0 gives 0.0, NaN passes
-        t = np.asarray(t, dtype=float)
-        if self.mu == 0.0:
-            burst = self.p_max
-        else:  # lurk-phase times see exp(0), so a large mu cannot overflow
-            burst = self.p_sustain + (self.p_max - self.p_sustain) * np.exp(
-                -self.mu * np.maximum(t - self.attack_time, 0.0))
-        out = np.maximum(np.where(t < self.attack_time, self.p_lurk, burst), 0.0)
-        return float(out) if out.ndim == 0 else out
+    def power_at(self, t: float) -> float:
+        """Power at time t, clamped at zero."""
+        if t < self.attack_time:
+            p = self.p_lurk
+        elif self.mu == 0.0:
+            p = self.p_max
+        else:
+            p = self.p_sustain + (self.p_max - self.p_sustain) * float(np.exp(
+                -self.mu * max(t - self.attack_time, 0.0)))
+        return 0.0 if p <= 0.0 else p  # -0.0 gives 0.0, NaN passes
 
     def energy(self, t: float) -> float:
         """Cumulative energy consumed by time t (t >= 0), in closed form."""

@@ -329,12 +329,12 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _rk45(rhs, y0, t0, t_bound, events, rtol, atol, max_step, dense_output):
-    """SciPy 1.17's solve_ivp(method="RK45") for t_bound > t0, float for float.
+def _rk45(rhs, y0, t0, t_bound, events, rtol, atol):
+    """SciPy 1.17's solve_ivp(method="RK45", dense_output=True), float for float.
 
     The same numpy operations on the same shapes in the same order (BLAS dot
     products included), so the same steps, evaluations, events and dense
-    output.  Every event is terminal.
+    output.  Needs t_bound > t0.  Every event is terminal.
     """
     nfev = 0
 
@@ -356,7 +356,7 @@ def _rk45(rhs, y0, t0, t_bound, events, rtol, atol, max_step, dense_output):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, interval, max_step)
+    h_abs = min(100 * h0, h1, interval)
 
     K = np.empty((7, y.size))
     # views into K on the stages so far: the shapes and strides SciPy's take
@@ -370,7 +370,7 @@ def _rk45(rhs, y0, t0, t_bound, events, rtol, atol, max_step, dense_output):
     status = None
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -411,14 +411,14 @@ def _rk45(rhs, y0, t0, t_bound, events, rtol, atol, max_step, dense_output):
             y_events[active[first]].append(y)
             status = 1
         g = g_new
-        if dense_output and len(ts) > 1 and ts[-1] == t:
+        if len(ts) > 1 and ts[-1] == t:
             steps.pop()
         else:
             ts.append(t)
             ys.append(y)
     ts = np.array(ts)
     return OdeResult(
-        t=ts, y=np.vstack(ys).T, sol=_DenseSolution(ts, steps) if dense_output else None,
+        t=ts, y=np.vstack(ys).T, sol=_DenseSolution(ts, steps),
         t_events=[np.asarray(te) for te in t_events],
         y_events=[np.asarray(ye) for ye in y_events],
         nfev=nfev, njev=0, nlu=0, status=status, success=True)
@@ -426,9 +426,7 @@ def _rk45(rhs, y0, t0, t_bound, events, rtol, atol, max_step, dense_output):
 
 def ode_solve_with_events(rhs, y0, t_span, events=(),
                           settings: SolverSettings = DEFAULT_SETTINGS,
-                          method: str = "rk45",
-                          dense_output: bool = True,
-                          max_step: float = math.inf):
+                          method: str = "rk45"):
     """Adaptive ODE integration with event localization, forward in time.
 
     method "rk45" is the package's own Dormand-Prince 5(4) loop, SciPy's
@@ -437,7 +435,9 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     optional .direction attribute (+1 rising, -1 falling, 0 either) selects
     the crossings it sees.  Events are terminal: the first crossing ends the
     integration (BDF, being SciPy's, needs each marked .terminal to do so).
-    Raises StiffnessError when the step falls below ten ulps of t.
+    The step size has no cap, and the result always carries the dense
+    solution .sol.  Raises StiffnessError when the step falls below ten
+    ulps of t.
     """
     t0, t_bound = map(float, t_span)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -446,8 +446,7 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
         if not t_bound > t0:
             raise ValueError("t_span must increase")
         return _rk45(rhs, y0, t0, t_bound, tuple(events),
-                     max(settings.rel_tol, 100 * _EPS), settings.abs_tol,
-                     max_step, dense_output)
+                     max(settings.rel_tol, 100 * _EPS), settings.abs_tol)
     if method != "bdf":
         raise ValueError(f"unknown integration method {method!r}")
     from scipy import integrate
@@ -456,7 +455,7 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
         rhs, (t0, t_bound), y0, method="BDF",
         events=list(events) if events else None,
         rtol=settings.rel_tol, atol=settings.abs_tol,
-        dense_output=dense_output, max_step=max_step,
+        dense_output=True,
     )
     if sol.status == -1:
         raise StiffnessError(sol.message)

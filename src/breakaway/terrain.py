@@ -20,8 +20,8 @@ holds them there follows from eliminating the gravity term between the two
 equations of motion: P_lurk = m + (C_d - m) v^3, clamped at zero on descents
 where no pedaling is needed.
 
-The built-in slopes and PowerProfile.power_at take a plain-Python path for a
-float argument, bit-identical to their array path (arctan and exp stay numpy's).
+The course slope and PowerProfile.power_at take one float, once per
+right-hand-side evaluation; arctan and exp stay numpy's.
 """
 
 from __future__ import annotations
@@ -68,59 +68,44 @@ class CourseFileError(ValueError):
 
 @dataclass(frozen=True)
 class CourseProfile:
-    """Elevation h(x) (scaled by the course length) and its derivative."""
+    """A course by its slope h'(x) at one float x; x and h per course length."""
 
-    height: Callable
-    slope: Callable
+    slope: Callable[[float], float]
     label: str = "custom"
 
-    def steepness(self, x):
+    def steepness(self, x: float):
         """Grade angle theta(x) = arctan(h'(x))."""
         return np.arctan(self.slope(x))
 
     @classmethod
     def flat(cls) -> "CourseProfile":
-        def zero(x):
-            return 0.0 if isinstance(x, float) else np.zeros(np.shape(x))
-
-        return cls(height=zero, slope=zero, label="flat")
+        return cls(slope=lambda x: 0.0, label="flat")
 
     @classmethod
     def from_sinusoids(cls, sin_amps=(), cos_amps=(),
                        label: str = "sinusoid") -> "CourseProfile":
-        """Superposition sum_k a_k sin(2 pi k x) + b_k (cos(2 pi k x) - 1).
+        """Height sum_k a_k sin(2 pi k x) + b_k (cos(2 pi k x) - 1).
 
         The cosine terms are shifted so the course starts at height zero.
+        The slope sums its terms in order, as numpy's array sum does under
+        eight harmonics; no command builds a course with more.
         """
         a = np.asarray(sin_amps, dtype=float)
         b = np.asarray(cos_amps, dtype=float)
         ka = 2.0 * np.pi * np.arange(1, a.size + 1)
         kb = 2.0 * np.pi * np.arange(1, b.size + 1)
-        # numpy sums under eight terms in order, as the float loop below does
-        in_order = max(a.size, b.size) < 8
         sin_terms = list(zip((a * ka).tolist(), ka.tolist()))
         cos_terms = list(zip((b * kb).tolist(), kb.tolist()))
 
-        def height(x):
-            x = np.asarray(x, dtype=float)[..., None]
-            out = np.sum(a * np.sin(ka * x), axis=-1)
-            out += np.sum(b * (np.cos(kb * x) - 1.0), axis=-1)
-            return out
-
         def slope(x):
-            if in_order and isinstance(x, float):
-                x, up, down = float(x), 0.0, 0.0
-                for c, k in sin_terms:
-                    up += c * math.cos(k * x)
-                for c, k in cos_terms:
-                    down += c * math.sin(k * x)
-                return up - down
-            x = np.asarray(x, dtype=float)[..., None]
-            out = np.sum(a * ka * np.cos(ka * x), axis=-1)
-            out -= np.sum(b * kb * np.sin(kb * x), axis=-1)
-            return out
+            x, up, down = float(x), 0.0, 0.0
+            for c, k in sin_terms:
+                up += c * math.cos(k * x)
+            for c, k in cos_terms:
+                down += c * math.sin(k * x)
+            return up - down
 
-        return cls(height=height, slope=slope, label=label)
+        return cls(slope=slope, label=label)
 
     @classmethod
     def from_table(cls, xs, hs, label: str = "table") -> "CourseProfile":
@@ -128,8 +113,8 @@ class CourseProfile:
 
         SciPy's PchipInterpolator float for float: knot slopes by Fritsch &
         Carlson's weighted harmonic mean with SciPy's three-point edge rule,
-        cubic Hermite pieces, each piece evaluated as PPoly does (interval
-        closed on the left, the end pieces extended).
+        cubic Hermite pieces, the slope of each piece evaluated as PPoly
+        does (interval closed on the left, the end pieces extended).
         """
         xs = np.asarray(xs, dtype=float)
         hs = np.asarray(hs, dtype=float)
@@ -141,31 +126,19 @@ class CourseProfile:
             raise CourseFileError("course x samples must increase strictly")
         if abs(xs[0]) > 1e-12 or abs(xs[-1] - 1.0) > 1e-12:
             raise CourseFileError("course table must span x = 0 to x = 1")
-        cubic, quadratic = _pchip_coefficients(xs, hs)
-        if not all(np.all(np.isfinite(c)) for c in cubic + quadratic):
+        _, quadratic = _pchip_coefficients(xs, hs)
+        if not all(np.all(np.isfinite(c)) for c in quadratic):
             raise CourseFileError("course slopes overflow")
         knots, last = xs.tolist(), xs.size - 2
+        pieces = list(zip(*(c.tolist() for c in quadratic)))
 
-        def piecewise(coefficients):
-            """PPoly's sum c0 + c1 s + c2 s^2 + ..., one piece per interval."""
-            pieces = list(zip(*(c.tolist() for c in coefficients)))
+        def slope(x):
+            """PPoly's sum c0 + c1 s + c2 s^2 on the piece holding x."""
+            i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
+            (c0, c1, c2), s = pieces[i], x - knots[i]
+            return 0.0 + c0 + c1 * s + c2 * (s * s)
 
-            def evaluate(x):
-                if isinstance(x, float):
-                    i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
-                    c, s = pieces[i], x - knots[i]
-                else:
-                    x = np.asarray(x, dtype=float)
-                    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, last)
-                    c, s = [a[i] for a in coefficients], x - xs[i]
-                value, power = 0.0 + c[0], s
-                for k in range(1, len(c)):
-                    value = value + c[k] * power
-                    power = power * s
-                return value
-            return evaluate
-
-        return cls(height=piecewise(cubic), slope=piecewise(quadratic), label=label)
+        return cls(slope=slope, label=label)
 
 
 def _pchip_coefficients(xs, hs):
@@ -374,8 +347,8 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
                        mass_ratio, eps, settings, method, "rider")
     post_times = np.linspace(t_attack, t_f, n_half)
     post_x, post_v, post_e = state(post_times)
-    post_p = np.asarray(power_profile.power_at(post_times - t_attack),
-                        dtype=float)
+    post_p = np.array([power_profile.power_at(t)
+                       for t in (post_times - t_attack).tolist()], dtype=float)
 
     # keep the attack instant twice (lurk-side and attack-side samples) so a
     # trapezoid over the power series sees the jump as a vertical step

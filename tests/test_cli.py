@@ -140,6 +140,32 @@ class TestDeterminismAndEcho:
         row = dict(zip(doc["columns"], doc["rows"][0]))
         assert row["beta_crit"] == pytest.approx(0.0949, abs=5e-4)
 
+    def test_no_win_cells(self, capsys):
+        # a budget too small to win leaves these cells without a value:
+        # nan in CSV and null in JSON, single point and swept alike
+        empty = {"flat": {"x_a_star", "p_a_star", "beta_min_win"},
+                 "fatigue": {"x_a_star", "p_max_star", "t_f_star",
+                             "budget_residual", "arrival_residual"}}
+        sweep = ["--set", "sweep.parameter=strategy.risk_index",
+                 "--set", "sweep.lo=0.1", "--set", "sweep.hi=0.2",
+                 "--set", "sweep.points=2"]
+        for command, cells in empty.items():
+            for extra in ([], sweep):
+                args = [command, "--set", "strategy.energy_budget=0.3", *extra]
+                code, out = run_cli(args, capsys)
+                assert code == 0
+                _, header, rows = parse_table(out)
+                assert len(rows) == (2 if extra else 1)
+                for row in rows:
+                    assert {k for k in header if row[k] == "nan"} == cells
+                    assert row.get("branch", row.get("status")) == "no_win"
+                code, out = run_cli(args + ["--format", "json"], capsys)
+                assert code == 0
+                doc = json.loads(out)
+                for values in doc["rows"]:
+                    assert {k for k, v in zip(doc["columns"], values)
+                            if v is None} == cells
+
 
 class TestFatigueCommand:
     def test_small_mu_matches_flat(self, capsys):

@@ -288,8 +288,8 @@ class TestOptimizeFatigue:
         result = optimize_fatigue(problem_with(), mu=3.0)
         schedule = PowerProfile(0.46, result.attack_position,
                                 result.peak_power, 0.46, 3.0)
-        ts = np.linspace(result.attack_position, result.finish_time, 64)
-        speeds = (schedule.power_at(ts) / 1.43) ** (1.0 / 3.0)
+        ts = np.linspace(result.attack_position, result.finish_time, 64).tolist()
+        speeds = (np.array([schedule.power_at(t) for t in ts]) / 1.43) ** (1.0 / 3.0)
         assert np.all(np.diff(speeds) <= 1e-15)
         floor = (0.46 / 1.43) ** (1.0 / 3.0)
         assert speeds[-1] >= floor - 1e-12

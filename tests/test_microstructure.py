@@ -38,8 +38,8 @@ class TestDragOrientation:
         assert relative_drag_behind_front(2.0, DRAG, CD_AVG) == pytest.approx(1.43)
 
     def test_monotone_toward_front(self):
-        zetas = np.linspace(-12.0, 0.0, 200)
-        values = relative_drag_behind_front(zetas, DRAG, CD_AVG)
+        zetas = np.linspace(-12.0, 0.0, 200).tolist()
+        values = [relative_drag_behind_front(z, DRAG, CD_AVG) for z in zetas]
         assert np.all(np.diff(values) >= 0.0)
 
 

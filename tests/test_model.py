@@ -22,8 +22,7 @@ CD_AVG = DRAG.cd_max / CD_FRONT_CALIBRATED  # the default model.cd_avg
 
 def drafting_drag(position, cd_avg=CD_AVG):
     """Normalized drag at drafting position i (1 is the front, depth i - 1)."""
-    return relative_drag_behind_front(1.0 - np.asarray(position, dtype=float),
-                                      DRAG, cd_avg)
+    return relative_drag_behind_front(1.0 - position, DRAG, cd_avg)
 
 
 def quasi_steady_speed(power, drag):
@@ -46,8 +45,8 @@ class TestDragLaw:
         assert drag_at_depth(-3.0, DRAG) == pytest.approx(0.9)
 
     def test_monotone_non_increasing(self):
-        depths = np.linspace(0.0, 40.0, 500)
-        values = drag_at_depth(depths, DRAG)
+        depths = np.linspace(0.0, 40.0, 500).tolist()
+        values = [drag_at_depth(d, DRAG) for d in depths]
         assert np.all(np.diff(values) <= 1e-15)
 
     def test_validation(self):
@@ -74,9 +73,9 @@ class TestDraftingDrag:
         assert drafting_drag(1, cd_avg=0.9) == pytest.approx(1.0)
 
     def test_front_dominates_all_positions(self):
-        positions = np.linspace(1.0, 40.0, 100)
-        values = drafting_drag(positions)
-        assert np.all(values <= drafting_drag(1) + 1e-15)
+        positions = np.linspace(1.0, 40.0, 100).tolist()
+        values = [drafting_drag(p) for p in positions]
+        assert np.all(np.array(values) <= drafting_drag(1) + 1e-15)
 
 
 class TestQuasiSteadySpeed:
@@ -113,8 +112,9 @@ class TestPowerProfile:
         profile = PowerProfile(0.46, 0.5, 1.43)
         assert profile.power_at(0.2) == pytest.approx(0.46)
         assert profile.power_at(0.9) == pytest.approx(1.43)
-        ts = np.array([0.0, 0.499, 0.5, 0.75])
-        assert profile.power_at(ts) == pytest.approx([0.46, 0.46, 1.43, 1.43])
+        ts = [0.0, 0.499, 0.5, 0.75]
+        assert [profile.power_at(t) for t in ts] == pytest.approx(
+            [0.46, 0.46, 1.43, 1.43])
 
     def test_fatigue_profile_matches_quadrature(self):
         profile = PowerProfile(0.46, 0.4, 4.0, 0.46, 2.5)
@@ -162,23 +162,59 @@ class TestPowerProfile:
         profile = PowerProfile(0.46, 0.9, 5.0, 0.46, 1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            powers = profile.power_at(np.linspace(0.0, 1.0, 5))
+            powers = [profile.power_at(t) for t in np.linspace(0.0, 1.0, 5).tolist()]
             energy = profile.energy(1.0)
         burst = 0.46 + 4.54 * math.exp(-1000.0 * (1.0 - 0.9))
-        assert powers.tolist() == [0.46] * 4 + [burst]
+        assert powers == [0.46] * 4 + [burst]
         assert energy == 0.46454
 
     def test_scalar_path_bit_identical(self):
-        # a float t takes a plain-Python path; its bits equal the array path's
+        # the float kernels of the ODE right-hand sides: their bits equal
+        # numpy's array expressions of the same laws
+        def power_reference(profile, ts):
+            t = np.asarray(ts, dtype=float)
+            if profile.mu == 0.0:
+                burst = profile.p_max
+            else:
+                burst = profile.p_sustain + (profile.p_max - profile.p_sustain) * np.exp(
+                    -profile.mu * np.maximum(t - profile.attack_time, 0.0))
+            return np.maximum(np.where(t < profile.attack_time, profile.p_lurk, burst), 0.0)
+
+        def drag_reference(depths, drag):
+            depth = np.asarray(depths, dtype=float)
+            with np.errstate(over="ignore"):
+                sheltered = drag.cd_min + (drag.cd_max - drag.cd_min) * np.exp(
+                    -drag.decay * depth)
+            return np.where(depth < 0.0, drag.cd_max, sheltered)
+
+        def pack(values):
+            return struct.pack(f"<{len(values)}d", *values)
+
         rng = np.random.default_rng(11)
         levels = (0.0, -0.0, 0.46, -0.5, 4.0)
         for p_lurk, attack_time, p_max, p_sustain, mu in itertools.product(
                 levels, (0.0, -0.0, -0.5, 0.4), levels, levels,
                 (0.0, 1e-9, 0.37, 25.0, 1e3, 1e5)):
             profile = PowerProfile(p_lurk, attack_time, p_max, p_sustain, mu)
-            ts = [0.0, -0.0, attack_time, attack_time + 1e-12,
-                  *rng.uniform(0.0, 3.0, 4)]
-            for t in map(float, ts):
-                scalar = struct.pack("<d", profile.power_at(t))
-                assert struct.pack("<d", profile.power_at(np.float64(t))) == scalar
-                assert struct.pack("<d", profile.power_at(np.array(t))) == scalar
+            ts = [0.0, -0.0, math.nan, attack_time, attack_time + 1e-12,
+                  *rng.uniform(0.0, 3.0, 4).tolist()]
+            expected = power_reference(profile, ts).tobytes()
+            assert pack([profile.power_at(t) for t in ts]) == expected
+            assert pack([profile.power_at(np.float64(t)) for t in ts]) == expected
+
+        depths = [0.0, -0.0, math.nan, -1e-300, 1e-300, -1e4, 1e4,
+                  *rng.uniform(-10.0, 60.0, 400).tolist()]
+        for _ in range(20):
+            cd_min, cd_max = sorted(rng.uniform(0.01, 2.0, 2).tolist())
+            drag = DragParams(cd_max, cd_min, float(rng.uniform(0.01, 3.0)))
+            cd_avg = float(rng.uniform(0.2, 1.5))
+            expected = drag_reference(depths, drag)
+            assert pack([drag_at_depth(d, drag) for d in depths]) == expected.tobytes()
+            assert pack([drag_at_depth(np.float64(d), drag) for d in depths]) \
+                == expected.tobytes()
+            zetas = [-d for d in depths]
+            expected = drag_reference(-np.asarray(zetas), drag) / cd_avg
+            assert pack([relative_drag_behind_front(z, drag, cd_avg) for z in zetas]) \
+                == expected.tobytes()
+            assert pack([relative_drag_behind_front(np.float64(z), drag, cd_avg)
+                         for z in zetas]) == expected.tobytes()

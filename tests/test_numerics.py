@@ -191,15 +191,14 @@ class TestOdeEvents:
         assert sol.t_events[0][0] == pytest.approx(1.0, abs=1e-8)
 
     def test_observed_order_at_least_four(self):
-        # force near-fixed steps with loose tolerances and a max_step cap
+        # one step over (0, h): halving h should cut its error by at least 2^4
         def run(h):
-            settings = SolverSettings(abs_tol=1e6, rel_tol=1e6)
-            sol = ode_solve_with_events(lambda t, y: [y[0]], [1.0], (0.0, 1.0),
-                                        settings=settings, max_step=h,
-                                        dense_output=False)
-            return abs(sol.y[0][-1] - math.e)
+            settings = SolverSettings(abs_tol=1e-3, rel_tol=1e-3)
+            sol = ode_solve_with_events(lambda t, y: [y[0]], [1.0], (0.0, h),
+                                        settings=settings)
+            assert len(sol.t) == 2
+            return abs(sol.y[0][-1] - math.exp(h))
 
-    # halving the step should cut the error by at least 2^4
         e1, e2 = run(0.1), run(0.05)
         order = math.log2(e1 / e2)
         assert order >= 4.0
@@ -222,12 +221,12 @@ class TestOdeEvents:
 
 
 def assert_solve_ivp_equal(result, rhs, y0, t_span, events=(),
-                           settings=DEFAULT_SETTINGS, max_step=math.inf):
+                           settings=DEFAULT_SETTINGS):
     """result is solve_ivp's RK45 run of the same problem, bit for bit."""
     ref = integrate.solve_ivp(rhs, t_span, np.atleast_1d(np.asarray(y0, dtype=float)),
                               method="RK45", events=list(events) or None,
                               rtol=settings.rel_tol, atol=settings.abs_tol,
-                              dense_output=True, max_step=max_step)
+                              dense_output=True)
     assert (result.nfev, result.status, result.success) == (ref.nfev, ref.status, True)
     assert (result.njev, result.nlu) == (0, 0)
     assert result.t.tobytes() == ref.t.tobytes()
@@ -242,7 +241,6 @@ def assert_solve_ivp_equal(result, rhs, y0, t_span, events=(),
     assert result.sol(probes).tobytes() == ref.sol(probes).tobytes()
     for x in probes[::max(1, probes.size // 40)].tolist() + [t[0], t[-1], probes[-1]]:
         assert result.sol(x).tobytes() == ref.sol(x).tobytes()
-    return ref
 
 
 class TestRk45MatchesScipy:
@@ -288,18 +286,6 @@ class TestRk45MatchesScipy:
         # the passage layer twice (leading order, finite inertia), the full
         # attack and the relaxation
         assert self.replay(monkeypatch, microstructure, onset) == 4
-
-    def test_max_step(self):
-        def ground(t, y):
-            return y[0]
-        ground.terminal = True
-        ground.direction = -1.0
-        rhs = lambda t, y: [y[1], -y[0] - 0.1 * y[1]]
-        result = ode_solve_with_events(rhs, [1.0, 0.0], (0.0, 20.0), events=(ground,),
-                                       max_step=0.05)
-        ref = assert_solve_ivp_equal(result, rhs, [1.0, 0.0], (0.0, 20.0),
-                                     events=(ground,), max_step=0.05)
-        assert np.max(np.diff(ref.t)) < 0.05 + 1e-15 and ref.status == 1
 
     def test_stiffness_error_text(self):
         exploding = lambda t, y: [y[0] ** 3 * 1e8]
