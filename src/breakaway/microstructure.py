@@ -123,12 +123,10 @@ def peloton_passage(position: float, power: float, drag: DragParams,
 
     def front(tau, y):
         return y[0]
-    front.terminal = True
     front.direction = 1.0
 
     def turned(tau, y):
         return y[1]
-    turned.terminal = True
     turned.direction = -1.0
 
     horizon = 20.0 * math.sqrt(2.0 * abs(zeta0) * scale / power) + 10.0
@@ -176,7 +174,6 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
 
     def turned(zeta, y):
         return y[1] - (1.0 + 1e-12)
-    turned.terminal = True
     turned.direction = -1.0
 
     sol = ode_solve_with_events(rhs, [t1, v1], (zeta0 + dz0, 0.0),
@@ -219,7 +216,6 @@ def attack_onset(eps: float, position: float, power: float,
 
     def stall(t, y):
         return y[1] - 1e-9
-    stall.terminal = True
     stall.direction = -1.0
 
     full = ode_solve_with_events(rhs, [-(position - 1.0), 1.0], (0.0, t_end),

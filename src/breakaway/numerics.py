@@ -6,12 +6,13 @@ brentq (so its roots are SciPy's bit for bit); adaptive Gauss-Kronrod G7-K15
 quadrature; and a grid-seeded scalar minimizer with a documented tie-break,
 refined by golden section or, given the derivative, by Brent on its root.
 
-ODE integration with events is the package's own Dormand-Prince 5(4) loop
-(Dormand & Prince 1980), a port of SciPy 1.17's RK45 that performs the same
-numpy operations on the same shapes in the same order: the same steps,
-evaluations, event roots (by the Brent port) and dense output, bit for bit.
-Only the implicit BDF mode for stiff runs wraps SciPy's solve_ivp, imported
-on its first use, so a process that rides no BDF never loads SciPy.
+ODE integration with events is the package's own: a Dormand-Prince 5(4)
+loop (Dormand & Prince 1980) and, for stiff runs, an implicit variable-order
+BDF loop (the NDF scheme of Shampine & Reichelt 1997) with a finite-difference
+Jacobian.  Both are ports of SciPy 1.17's solve_ivp that perform the same
+numpy and LAPACK operations on the same shapes in the same order, through one
+driver: the same steps, evaluations, event roots (by the Brent port) and
+dense output, bit for bit.  No module of the package imports SciPy.
 
 Everything here is stateless and re-entrant.  What a result certifies is
 its tolerance, not its bits.  Brent roots, and the derivative path of
@@ -19,8 +20,9 @@ minimize_scalar, are accurate to the settings' absolute tolerance; callers
 that print a root pass a rounding-level one (1e-15).  Value-only golden
 section places a smooth minimum only to about sqrt(machine eps).  Quadrature
 and ODE results meet their abs/rel tolerances.  The last bits may differ
-between numpy/SciPy builds, so a table digit is platform-independent only
-where the solver behind it is certified below that digit.
+between numpy builds (their BLAS and LAPACK), so a table digit is
+platform-independent only where the solver behind it is certified below
+that digit.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class ToleranceError(NumericsError):
 
 
 class StiffnessError(NumericsError):
-    """Explicit integrator underflowed its step size; try the implicit mode."""
+    """An integrator's step fell below ten ulps of t; after RK45, try BDF."""
 
 
 class StallError(NumericsError):
@@ -259,18 +261,31 @@ _RK45_P = np.array([
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
 _RK45_STAGES = tuple((s, _RK45_A[s, :s], _RK45_C[s]) for s in range(1, 6))
+# The NDF coefficients of SciPy's BDF (Shampine & Reichelt 1997): kappa, the
+# backward-difference sums gamma, alpha = (1 - kappa) gamma and the error
+# constants, by order
+_BDF_MAX_ORDER = 5
+_BDF_NEWTON_MAXITER = 4
+_BDF_KAPPA = np.array([0, -0.1850, -1/9, -0.0823, -0.0415, 0])
+_BDF_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _BDF_MAX_ORDER + 1))))
+_BDF_ALPHA = (1 - _BDF_KAPPA) * _BDF_GAMMA
+_BDF_ERROR_CONST = _BDF_KAPPA * _BDF_GAMMA + 1 / np.arange(1, _BDF_MAX_ORDER + 2)
+# num_jac's thresholds on a difference relative to the value it perturbs
+_JAC_DIFF_REJECT, _JAC_DIFF_SMALL, _JAC_DIFF_BIG = _EPS ** 0.875, _EPS ** 0.75, _EPS ** 0.25
+_JAC_MIN_FACTOR = 1e3 * _EPS
 # SciPy locates an event with brentq at xtol = rtol = 4 eps, maxiter 100
 _EVENT_SETTINGS = SolverSettings(abs_tol=4.0 * _EPS, max_iterations=100)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 class OdeResult(SimpleNamespace):
-    """An RK45 integration, with the fields of solve_ivp's result callers read.
+    """An integration, with the fields of solve_ivp's result callers read.
 
     t and y: the step times and states; sol: the dense solution; t_events
     and y_events: per event, its crossing times and states; nfev: rhs
-    evaluations; status: 0 at the end of t_span, 1 at a terminal event;
-    njev = nlu = 0; success is True.
+    evaluations; njev and nlu: Jacobians and LU factorizations (BDF; 0 for
+    RK45); status: 0 at the end of t_span, 1 at a terminal event; success
+    is True.
     """
 
 
@@ -294,28 +309,54 @@ class _Rk45Step:
         return y
 
 
+class _BdfStep:
+    """The interpolating polynomial of one accepted step (SciPy's
+    BdfDenseOutput): backward differences D at the step h ending at t."""
+
+    __slots__ = ("t_shift", "denom", "D")
+
+    def __init__(self, t, h, order, D):
+        self.t_shift = t - h * np.arange(order)
+        self.denom = h * (1 + np.arange(order))
+        self.D = D
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim == 0:
+            p = np.cumprod((t - self.t_shift) / self.denom)
+        else:
+            p = np.cumprod((t - self.t_shift[:, None]) / self.denom[:, None], axis=0)
+        y = np.dot(self.D[1:].T, p)
+        if y.ndim == 1:
+            y += self.D[0]
+        else:
+            y += self.D[0, :, None]
+        return y
+
+
 class _DenseSolution:
     """Piecewise interpolant over the steps, as SciPy's OdeSolution.
 
-    A time on a step boundary takes the earlier step; times outside the
-    steps take the first or the last one.
+    A time on a step boundary takes the earlier step for side "left" and the
+    later one for "right"; times outside the steps take the first or the
+    last one.
     """
 
-    def __init__(self, ts, steps):
-        self.ts, self.steps = ts, steps
+    def __init__(self, ts, steps, side):
+        self.ts, self.steps, self.side = ts, steps, side
 
     def __call__(self, t):
         t = np.asarray(t)
         last = len(self.steps) - 1
         if t.ndim == 0:
-            k = np.searchsorted(self.ts, t, side="left")
+            k = np.searchsorted(self.ts, t, side=self.side)
             return self.steps[min(max(k - 1, 0), last)](t)
         # one interpolant call per run of points in one step, in time order
         order = np.argsort(t)
         reverse = np.empty_like(order)
         reverse[order] = np.arange(order.shape[0])
         t_sorted = t[order]
-        segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
+        segments = np.clip(np.searchsorted(self.ts, t_sorted, side=self.side) - 1, 0, last)
         ys, start = [], 0
         for k, group in itertools.groupby(segments.tolist()):
             end = start + len(list(group))
@@ -329,46 +370,29 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _rk45(rhs, y0, t0, t_bound, events, rtol, atol):
-    """SciPy 1.17's solve_ivp(method="RK45", dense_output=True), float for float.
-
-    The same numpy operations on the same shapes in the same order (BLAS dot
-    products included), so the same steps, evaluations, events and dense
-    output.  Needs t_bound > t0.  Every event is terminal.
-    """
-    nfev = 0
-
-    def fun(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(rhs(t, y), dtype=float)
-
-    t, y = t0, y0
-    f = fun(t, y)
-    # select_initial_step (Hairer, Norsett & Wanner, sec. II.4)
+def _initial_step(fun, t0, y0, f0, t_bound, order, rtol, atol):
+    """SciPy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4) for
+    a method whose local error goes as h**(order + 1)."""
     interval = abs(t_bound - t0)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, interval)
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval)
 
+
+def _rk45_steps(fun, rhs, counts, t, y, f, h_abs, t_bound, rtol, atol):
+    """SciPy 1.17's RK45 steps: yields (t, y, interpolant) per accepted step."""
     K = np.empty((7, y.size))
     # views into K on the stages so far: the shapes and strides SciPy's take
     stages = [(s, K[:s].T, a, c) for s, a, c in _RK45_STAGES]
     K_stages, K_all = K[:-1].T, K.T
-    ts, ys, steps = [t], [y], []
-    directions = [getattr(event, "direction", 0) for event in events]
-    g = [event(t, y) for event in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    status = None
-    while status is None:
+    while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -393,10 +417,247 @@ def _rk45(rhs, y0, t0, t_bound, events, rtol, atol):
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
+        yield t, y, _Rk45Step(t_old, t, y_old, K_all.dot(_RK45_P))
+
+
+def _compute_R(order, factor):
+    """BDF's matrix that rescales the backward differences by factor."""
+    I = np.arange(1, order + 1)[:, None]
+    J = np.arange(1, order + 1)
+    M = np.zeros((order + 1, order + 1))
+    M[1:, 1:] = (I - 1 - factor * J) / I
+    M[0] = 1
+    return np.cumprod(M, axis=0)
+
+
+_BDF_U = tuple(_compute_R(order, 1) for order in range(_BDF_MAX_ORDER + 1))
+
+
+def _change_D(D, order, factor):
+    """Rescale the differences D in place for a step changed by factor."""
+    RU = _compute_R(order, factor).dot(_BDF_U[order])
+    D[:order + 1] = np.dot(RU.T, D[:order + 1])
+
+
+def _num_jac(columns, t, y, f, threshold, factor):
+    """SciPy's dense num_jac: the forward-difference Jacobian at (t, y) from
+    columns(t, Y), the rhs at each column of Y, and its adapted step factors.
+    """
+    n = y.shape[0]
+    factor = np.full(n, _EPS ** 0.5) if factor is None else factor.copy()
+    # step in the direction of the flow, hoping to stay in a benign region
+    y_scale = (2 * (f >= 0).astype(float) - 1) * np.maximum(threshold, np.abs(y))
+    h = (y + factor * y_scale) - y
+    for i in np.nonzero(h == 0)[0]:
+        while h[i] == 0:
+            factor[i] *= 10
+            h[i] = (y[i] + factor[i] * y_scale[i]) - y[i]
+    h_vecs = np.diag(h)
+    f_new = columns(t, y[:, None] + h_vecs)
+    diff = f_new - f[:, None]
+    max_ind = np.argmax(np.abs(diff), axis=0)
+    r = np.arange(n)
+    max_diff = np.abs(diff[max_ind, r])
+    scale = np.maximum(np.abs(f[max_ind]), np.abs(f_new[max_ind, r]))
+    diff_too_small = max_diff < _JAC_DIFF_REJECT * scale
+    if np.any(diff_too_small):
+        # retry those columns with a ten times larger step; keep the better
+        ind, = np.nonzero(diff_too_small)
+        new_factor = 10 * factor[ind]
+        h_new = (y[ind] + new_factor * y_scale[ind]) - y[ind]
+        h_vecs[ind, ind] = h_new
+        f_new = columns(t, y[:, None] + h_vecs[:, ind])
+        diff_new = f_new - f[:, None]
+        max_ind = np.argmax(np.abs(diff_new), axis=0)
+        r = np.arange(ind.shape[0])
+        max_diff_new = np.abs(diff_new[max_ind, r])
+        scale_new = np.maximum(np.abs(f[max_ind]), np.abs(f_new[max_ind, r]))
+        update = max_diff[ind] * scale_new < max_diff_new * scale[ind]
+        if np.any(update):
+            update, = np.nonzero(update)
+            update_ind = ind[update]
+            factor[update_ind] = new_factor[update]
+            h[update_ind] = h_new[update]
+            diff[:, update_ind] = diff_new[:, update]
+            scale[update_ind] = scale_new[update]
+            max_diff[update_ind] = max_diff_new[update]
+    diff /= h
+    factor[max_diff < _JAC_DIFF_SMALL * scale] *= 10
+    factor[max_diff > _JAC_DIFF_BIG * scale] *= 0.1
+    return diff, np.maximum(factor, _JAC_MIN_FACTOR)
+
+
+def _lu_solve(A, b):
+    """x with A x = b, bit for bit SciPy's lu_solve(lu_factor(A), b).
+
+    Both run LAPACK's getrf and getrs.  Where A is exactly singular,
+    lu_factor only warns and getrs divides by the zero pivot; this returns
+    NaN there, so Newton fails and the step is retried, as in SciPy.
+    """
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return np.full_like(b, np.nan)
+
+
+def _newton(fun, t_new, y_predict, c, psi, A, scale, tol):
+    """SciPy's solve_bdf_system: (converged, iterations, y, d) for the BDF
+    corrector from y_predict, with the iteration matrix A = I - c J."""
+    d = 0
+    y = y_predict.copy()
+    dy_norm_old = None
+    converged = False
+    for k in range(_BDF_NEWTON_MAXITER):
+        f = fun(t_new, y)
+        if not np.isfinite(f).all():
+            break
+        dy = _lu_solve(A, c * f - psi - d)
+        dy_norm = _rms(dy / scale)
+        rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+        if rate is not None and (rate >= 1 or rate ** (_BDF_NEWTON_MAXITER - k)
+                                 / (1 - rate) * dy_norm > tol):
+            break
+        y += dy
+        d += dy
+        if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
+            converged = True
+            break
+        dy_norm_old = dy_norm
+    return converged, k + 1, y, d
+
+
+def _bdf_steps(fun, rhs, counts, t, y, f, h_abs, t_bound, rtol, atol):
+    """SciPy 1.17's BDF steps (variable-order NDF, quasi-constant step, a
+    finite-difference Jacobian): yields (t, y, interpolant) per accepted
+    step, the interpolant built after the step's order and size update."""
+    def columns(t, Y):
+        # SciPy's fun_vectorized: the rhs at one column of Y at a time
+        F = np.empty_like(Y)
+        for i, yi in enumerate(Y.T):
+            F[:, i] = np.asarray(rhs(t, yi), dtype=float)
+        return F
+
+    jac_factor = None
+
+    def jacobian(t, y):
+        # the evaluations here do not count in nfev
+        nonlocal jac_factor
+        counts.njev += 1
+        J, jac_factor = _num_jac(columns, t, y, np.asarray(rhs(t, y), dtype=float),
+                                 atol, jac_factor)
+        return J
+
+    newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    J = jacobian(t, y)
+    I = np.identity(y.size)
+    D = np.empty((_BDF_MAX_ORDER + 3, y.size))
+    D[0] = y
+    D[1] = f * h_abs
+    order, n_equal_steps, A = 1, 0, None
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            _change_D(D, order, min_step / h_abs)
+            h_abs, n_equal_steps = min_step, 0
+        alpha, current_jac = _BDF_ALPHA[order], False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(_TOO_SMALL_STEP)
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
+                _change_D(D, order, np.abs(t_new - t) / h_abs)
+                n_equal_steps, A = 0, None
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_predict = np.sum(D[:order + 1], axis=0)
+            scale = atol + rtol * np.abs(y_predict)
+            psi = np.dot(D[1: order + 1].T, _BDF_GAMMA[1: order + 1]) / alpha
+            c = h / alpha
+            while True:
+                if A is None:
+                    counts.nlu += 1
+                    A = I - c * J
+                converged, n_iter, y_new, d = _newton(
+                    fun, t_new, y_predict, c, psi, A, scale, newton_tol)
+                if converged or current_jac:
+                    break
+                J, A, current_jac = jacobian(t_new, y_predict), None, True
+            if not converged:
+                h_abs *= 0.5
+                _change_D(D, order, 0.5)
+                n_equal_steps, A = 0, None
+                continue
+            safety = 0.9 * (2 * _BDF_NEWTON_MAXITER + 1) / (2 * _BDF_NEWTON_MAXITER + n_iter)
+            scale = atol + rtol * np.abs(y_new)
+            error_norm = _rms(_BDF_ERROR_CONST[order] * d / scale)
+            if not error_norm > 1:  # a NaN norm accepts the step, as in SciPy
+                break
+            # Newton converged, so the iteration matrix is kept
+            factor = max(0.2, safety * error_norm ** (-1 / (order + 1)))
+            h_abs *= factor
+            _change_D(D, order, factor)
+            n_equal_steps = 0
+        n_equal_steps += 1
+        t, y = t_new, y_new
+        # D held the differences of the last polynomial and d is the
+        # (order + 1)-th difference at the new point
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+        if n_equal_steps >= order + 1:
+            # the order (one down, kept, one up) whose step can grow the most
+            error_m_norm = (_rms(_BDF_ERROR_CONST[order - 1] * D[order] / scale)
+                            if order > 1 else np.inf)
+            error_p_norm = (_rms(_BDF_ERROR_CONST[order + 1] * D[order + 2] / scale)
+                            if order < _BDF_MAX_ORDER else np.inf)
+            error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+            with np.errstate(divide="ignore"):
+                factors = error_norms ** (-1 / np.arange(order, order + 3))
+            order += np.argmax(factors) - 1
+            factor = min(10, safety * np.max(factors))
+            h_abs *= factor
+            _change_D(D, order, factor)
+            n_equal_steps, A = 0, None
+        yield t, y, _BdfStep(t, h_abs, order, D[:order + 1].copy())
+
+
+# per method: its steps, its error order for the initial step, and the side
+# a time on a step boundary takes in the dense solution
+_METHODS = {"rk45": (_rk45_steps, 4, "left"), "bdf": (_bdf_steps, 1, "right")}
+
+
+def _integrate(method, rhs, y0, t0, t_bound, events, rtol, atol):
+    """SciPy 1.17's solve_ivp(method=..., dense_output=True), float for float.
+
+    The same numpy operations on the same shapes in the same order (BLAS dot
+    products and LAPACK solves included), so the same steps, evaluations,
+    events and dense output.  Needs t_bound > t0.  Every event is terminal.
+    """
+    steps_of, order, side = _METHODS[method]
+    counts = SimpleNamespace(nfev=0, njev=0, nlu=0)
+
+    def fun(t, y):
+        counts.nfev += 1
+        return np.asarray(rhs(t, y), dtype=float)
+
+    t, y = t0, y0
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, order, rtol, atol)
+    steps = steps_of(fun, rhs, counts, t, y, f, h_abs, t_bound, rtol, atol)
+    ts, ys, interpolants = [t], [y], []
+    directions = [getattr(event, "direction", 0) for event in events]
+    g = [event(t, y) for event in events]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    status = None
+    while status is None:
+        t_old = t
+        t, y, step = next(steps)
         if t >= t_bound:
             status = 0
-        step = _Rk45Step(t_old, t, y_old, K_all.dot(_RK45_P))
-        steps.append(step)
+        interpolants.append(step)
         g_new = [event(t, y) for event in events]
         active = [k for k, (a, b, d) in enumerate(zip(g, g_new, directions))
                   if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
@@ -412,16 +673,17 @@ def _rk45(rhs, y0, t0, t_bound, events, rtol, atol):
             status = 1
         g = g_new
         if len(ts) > 1 and ts[-1] == t:
-            steps.pop()
+            interpolants.pop()
         else:
             ts.append(t)
             ys.append(y)
     ts = np.array(ts)
     return OdeResult(
-        t=ts, y=np.vstack(ys).T, sol=_DenseSolution(ts, steps),
+        t=ts, y=np.vstack(ys).T, sol=_DenseSolution(ts, interpolants, side),
         t_events=[np.asarray(te) for te in t_events],
         y_events=[np.asarray(ye) for ye in y_events],
-        nfev=nfev, njev=0, nlu=0, status=status, success=True)
+        nfev=counts.nfev, njev=counts.njev, nlu=counts.nlu, status=status,
+        success=True)
 
 
 def ode_solve_with_events(rhs, y0, t_span, events=(),
@@ -430,36 +692,23 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     """Adaptive ODE integration with event localization, forward in time.
 
     method "rk45" is the package's own Dormand-Prince 5(4) loop, SciPy's
-    RK45 float for float; "bdf" is SciPy's implicit multistep BDF for stiff
-    runs, imported on its first use.  An event is a callable of (t, y); its
-    optional .direction attribute (+1 rising, -1 falling, 0 either) selects
-    the crossings it sees.  Events are terminal: the first crossing ends the
-    integration (BDF, being SciPy's, needs each marked .terminal to do so).
-    The step size has no cap, and the result always carries the dense
-    solution .sol.  Raises StiffnessError when the step falls below ten
-    ulps of t.
+    RK45 float for float; "bdf" is its own implicit variable-order BDF for
+    stiff runs, SciPy's BDF float for float.  An event is a callable of
+    (t, y); its optional .direction attribute (+1 rising, -1 falling, 0
+    either) selects the crossings it sees.  Events are terminal: the first
+    crossing ends the integration.  The step size has no cap, and the
+    result always carries the dense solution .sol.  Raises StiffnessError
+    when the step falls below ten ulps of t.
     """
     t0, t_bound = map(float, t_span)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     method = method.lower()
-    if method == "rk45":
-        if not t_bound > t0:
-            raise ValueError("t_span must increase")
-        return _rk45(rhs, y0, t0, t_bound, tuple(events),
-                     max(settings.rel_tol, 100 * _EPS), settings.abs_tol)
-    if method != "bdf":
+    if method not in _METHODS:
         raise ValueError(f"unknown integration method {method!r}")
-    from scipy import integrate
-
-    sol = integrate.solve_ivp(
-        rhs, (t0, t_bound), y0, method="BDF",
-        events=list(events) if events else None,
-        rtol=settings.rel_tol, atol=settings.abs_tol,
-        dense_output=True,
-    )
-    if sol.status == -1:
-        raise StiffnessError(sol.message)
-    return sol
+    if not t_bound > t0:
+        raise ValueError("t_span must increase")
+    return _integrate(method, rhs, y0, t0, t_bound, tuple(events),
+                      max(settings.rel_tol, 100 * _EPS), settings.abs_tol)
 
 
 def minimize_scalar(f, lo: float, hi: float,

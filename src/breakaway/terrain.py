@@ -417,12 +417,10 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
 
     def finish(t, y):
         return y[0] - 1.0
-    finish.terminal = True
     finish.direction = 1.0
 
     def stall(t, y):
         return y[1] - _V_STALL
-    stall.terminal = True
     stall.direction = -1.0
 
     # a quasi-steady stall raises in speed(), where the cubic root is taken

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, linalg, optimize
 
 import breakaway.microstructure as microstructure
+import breakaway.numerics as numerics
 import breakaway.terrain as terrain
 from breakaway.model import DragParams, ScaleSet
 from breakaway.numerics import (
     DEFAULT_SETTINGS,
     BracketError,
+    RiderNeverFinishesError,
     SolverSettings,
+    StallError,
     StiffnessError,
     ToleranceError,
     find_root_bracketed,
@@ -177,7 +180,6 @@ class TestOdeEvents:
     def test_unit_slope_event(self):
         def hit(t, y):
             return y[0] - 1.0
-        hit.terminal = True
         sol = ode_solve_with_events(lambda t, y: [1.0], [0.0], (0.0, 5.0),
                                     events=(hit,))
         assert sol.t_events[0][0] == pytest.approx(1.0, abs=1e-10)
@@ -185,7 +187,6 @@ class TestOdeEvents:
     def test_decay_event(self):
         def hit(t, y):
             return y[0] - math.exp(-1.0)
-        hit.terminal = True
         sol = ode_solve_with_events(lambda t, y: [-y[0]], [1.0], (0.0, 5.0),
                                     events=(hit,))
         assert sol.t_events[0][0] == pytest.approx(1.0, abs=1e-8)
@@ -221,14 +222,22 @@ class TestOdeEvents:
 
 
 def assert_solve_ivp_equal(result, rhs, y0, t_span, events=(),
-                           settings=DEFAULT_SETTINGS):
-    """result is solve_ivp's RK45 run of the same problem, bit for bit."""
+                           settings=DEFAULT_SETTINGS, method="rk45"):
+    """result is solve_ivp's run of the same problem, bit for bit."""
+    terminal = []
+    for event in events:
+        # every event of the package's loops is terminal; solve_ivp's must be told
+        def marked(t, y, event=event):
+            return event(t, y)
+        marked.terminal = True
+        marked.direction = getattr(event, "direction", 0)
+        terminal.append(marked)
     ref = integrate.solve_ivp(rhs, t_span, np.atleast_1d(np.asarray(y0, dtype=float)),
-                              method="RK45", events=list(events) or None,
+                              method=method.upper(), events=terminal or None,
                               rtol=settings.rel_tol, atol=settings.abs_tol,
                               dense_output=True)
-    assert (result.nfev, result.status, result.success) == (ref.nfev, ref.status, True)
-    assert (result.njev, result.nlu) == (0, 0)
+    assert (result.nfev, result.njev, result.nlu, result.status, result.success) \
+        == (ref.nfev, ref.njev, ref.nlu, ref.status, True)
     assert result.t.tobytes() == ref.t.tobytes()
     assert result.y.tobytes() == ref.y.tobytes()
     for mine, theirs in zip(result.t_events, ref.t_events or ()):
@@ -239,34 +248,46 @@ def assert_solve_ivp_equal(result, rhs, y0, t_span, events=(),
     t = ref.t
     probes = np.concatenate(((t[:-1] + t[1:]) / 2, t, [t[-1] + 0.1 * (t[-1] - t[0])]))
     assert result.sol(probes).tobytes() == ref.sol(probes).tobytes()
-    for x in probes[::max(1, probes.size // 40)].tolist() + [t[0], t[-1], probes[-1]]:
+    # one at a time: every step time (a boundary takes RK45's earlier step
+    # and BDF's later one) and a sample of the mid-steps
+    for x in t.tolist() + probes[:t.size - 1:max(1, t.size // 40)].tolist() + [probes[-1]]:
         assert result.sol(x).tobytes() == ref.sol(x).tobytes()
+
+
+def replay(monkeypatch, module, run, expected=()):
+    """Run, then check every solve it made against solve_ivp; returns the count.
+
+    expected: an exception type run is to raise, after its solves are made.
+    """
+    calls = []
+    original = module.ode_solve_with_events
+
+    def record(rhs, y0, t_span, events=(), settings=DEFAULT_SETTINGS, method="rk45"):
+        result = original(rhs, y0, t_span, events, settings, method)
+        calls.append((result, rhs, y0, t_span, events, settings, method))
+        return result
+    monkeypatch.setattr(module, "ode_solve_with_events", record)
+    if expected:
+        with pytest.raises(expected):
+            run()
+    else:
+        run()
+    for result, *problem in calls:
+        assert_solve_ivp_equal(result, *problem)
+    return len(calls)
+
+
+def seeded_course(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 7)), [1.0]))
+    return rng, terrain.CourseProfile.from_table(xs, rng.normal(0.0, 0.004, 9))
 
 
 class TestRk45MatchesScipy:
     """The own Dormand-Prince loop is SciPy's RK45, float for float."""
 
-    @staticmethod
-    def replay(monkeypatch, module, run):
-        """Run, then check every RK45 solve it made against solve_ivp."""
-        calls = []
-        original = module.ode_solve_with_events
-
-        def record(rhs, y0, t_span, events=(), settings=DEFAULT_SETTINGS,
-                   method="rk45"):
-            result = original(rhs, y0, t_span, events, settings, method)
-            calls.append((result, rhs, y0, t_span, events, settings))
-            return result
-        monkeypatch.setattr(module, "ode_solve_with_events", record)
-        run()
-        for result, *problem in calls:
-            assert_solve_ivp_equal(result, *problem)
-        return len(calls)
-
     def test_terrain_rides(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        xs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 7)), [1.0]))
-        course = terrain.CourseProfile.from_table(xs, rng.normal(0.0, 0.004, 9))
+        rng, course = seeded_course(1)
         x_attack, power = rng.uniform(0.3, 0.7), rng.uniform(3.0, 4.0)
         scales = ScaleSet(inertia=0.02, gravity_ratio=40.0)
 
@@ -274,7 +295,7 @@ class TestRk45MatchesScipy:
             for quasi_steady in (False, True):
                 terrain.simulate_breakaway(x_attack, power, course, scales,
                                            quasi_steady=quasi_steady, n_samples=65)
-        assert self.replay(monkeypatch, terrain, run) == 4
+        assert replay(monkeypatch, terrain, run) == 4
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_microstructure_solves(self, monkeypatch, seed):
@@ -285,7 +306,7 @@ class TestRk45MatchesScipy:
             drag, 1.0, gamma_ratio=rng.uniform(1.0, 8.0), n_samples=65)
         # the passage layer twice (leading order, finite inertia), the full
         # attack and the relaxation
-        assert self.replay(monkeypatch, microstructure, onset) == 4
+        assert replay(monkeypatch, microstructure, onset) == 4
 
     def test_stiffness_error_text(self):
         exploding = lambda t, y: [y[0] ** 3 * 1e8]
@@ -294,6 +315,71 @@ class TestRk45MatchesScipy:
         with pytest.raises(StiffnessError) as info:
             ode_solve_with_events(exploding, [1.0], (0.0, 10.0))
         assert str(info.value) == ref.message + " (consider method='bdf')"
+
+
+class TestBdfMatchesScipy:
+    """The own BDF loop is SciPy's BDF, float for float, counts included."""
+
+    @pytest.mark.parametrize("inertia", [4e-4, 5e-4, 6e-4])
+    def test_demo_rides(self, monkeypatch, inertia):
+        # auto picks BDF below inertia 1e-3: the rider, then the peloton
+        scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
+        run = lambda: terrain.simulate_breakaway(0.55, 3.4, terrain.demo_profile(),
+                                                 scales, n_samples=65)
+        assert replay(monkeypatch, terrain, run) == 2
+
+    def test_table_ride(self, monkeypatch):
+        rng, course = seeded_course(3)
+        x_attack, power = rng.uniform(0.3, 0.7), rng.uniform(3.0, 4.0)
+        scales = ScaleSet(inertia=5e-4, gravity_ratio=40.0)
+        run = lambda: terrain.simulate_breakaway(x_attack, power, course, scales,
+                                                 n_samples=65)
+        assert replay(monkeypatch, terrain, run) == 2
+
+    @pytest.mark.parametrize("power, course, failure", [
+        # the crawl runs to the end of t_span; the powerless climb stalls
+        (1e-6, terrain.CourseProfile.flat(), RiderNeverFinishesError),
+        (0.0, terrain.CourseProfile.from_table([0.0, 1.0], [0.0, 0.05]), StallError),
+    ])
+    def test_failed_rides(self, monkeypatch, power, course, failure):
+        scales = ScaleSet(inertia=5e-4, gravity_ratio=40.0)
+        run = lambda: terrain.simulate_breakaway(0.5, power, course, scales, method="bdf")
+        assert replay(monkeypatch, terrain, run, failure) == 2
+
+    def test_stiff_decay(self):
+        rhs = lambda t, y: [-1e6 * (y[0] - 1.0)]
+        sol = ode_solve_with_events(rhs, [0.0], (0.0, 1.0), method="bdf")
+        assert_solve_ivp_equal(sol, rhs, [0.0], (0.0, 1.0), method="bdf")
+
+    def test_stiffness_error_text(self):
+        exploding = lambda t, y: [y[0] ** 3 * 1e8]
+        ref = integrate.solve_ivp(exploding, (0.0, 10.0), [1.0], method="BDF",
+                                  rtol=1e-8, atol=1e-10)
+        assert ref.status == -1
+        with pytest.raises(StiffnessError) as info:
+            ode_solve_with_events(exploding, [1.0], (0.0, 10.0), method="bdf")
+        assert str(info.value) == ref.message
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_linear_solve_is_lapacks_lu(self, n):
+        # the Newton solve is np.linalg.solve where SciPy factors and solves
+        # with scipy.linalg; both must run the same LAPACK arithmetic
+        rng = np.random.default_rng(n)
+        for _ in range(10000):
+            J = rng.normal(0.0, 10.0 ** rng.uniform(-2.0, 6.0), (n, n))
+            A = np.identity(n) - 10.0 ** rng.uniform(-9.0, -1.0) * J
+            b = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-12.0, 0.0)
+            expected = linalg.lu_solve(linalg.lu_factor(A), b)
+            assert numerics._lu_solve(A, b).tobytes() == expected.tobytes()
+
+    def test_singular_newton_matrix_fails_the_iteration(self):
+        # SciPy warns and divides by the zero pivot; either way no finite
+        # Newton update comes out, so the step is retried
+        A, b = np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.5])
+        with pytest.warns(linalg.LinAlgWarning):
+            expected = linalg.lu_solve(linalg.lu_factor(A), b)
+        assert not np.isfinite(expected).all()
+        assert np.isnan(numerics._lu_solve(A, b)).all()
 
 
 class TestMinimizeScalar:
