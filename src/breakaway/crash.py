@@ -35,21 +35,19 @@ __all__ = [
 _MC_CHUNKS = 16  # fixed substream count keeps results seed-deterministic
 
 
-def propagation_probability(position, start, omega: float):
-    """P(rider at `position` crashes | pile-up started at `start`).
+def propagation_probability(position: np.ndarray, start: np.ndarray,
+                            omega: float) -> np.ndarray:
+    """P(rider at `position` crashes | pile-up started at `start`), elementwise.
 
     Zero ahead of the start, exp(-omega*(position-start)) at or behind it.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    position = np.asarray(position, dtype=float)
-    start = np.asarray(start, dtype=float)
     decay = np.exp(-omega * np.maximum(position - start, 0.0))
-    out = np.where(position < start, 0.0, decay)
-    return float(out) if out.ndim == 0 else out
+    return np.where(position < start, 0.0, decay)
 
 
-def involvement_given_crash(position, omega: float, n_riders: int):
+def involvement_given_crash(position: float, omega: float, n_riders: int) -> float:
     """P(rider at `position` is involved | a crash happened somewhere).
 
     Uniform start rank; geometric sum in closed form.  Valid for continuous
@@ -59,11 +57,9 @@ def involvement_given_crash(position, omega: float, n_riders: int):
         raise ValueError("omega must be positive")
     if n_riders < 1:
         raise ValueError("n_riders must be at least 1")
-    position = np.asarray(position, dtype=float)
-    if np.any(position < 1.0):
+    if position < 1.0:
         raise ValueError("position must be >= 1")
-    out = np.expm1(-omega * position) / np.expm1(-omega) / n_riders
-    return float(out) if out.ndim == 0 else out
+    return math.expm1(-omega * position) / math.expm1(-omega) / n_riders
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def exposure_simple_attack(x_attack: float, position: float,
     """Exposure for the lurk-then-attack trace, as an explicit formula."""
     if not 0.0 <= x_attack <= 1.0:
         raise ValueError("attack position must lie in [0, 1]")
-    ratio = np.expm1(-model.omega * position) / np.expm1(-model.omega)
+    ratio = math.expm1(-model.omega * position) / math.expm1(-model.omega)
     return model.intensity / model.n_riders * (x_attack * ratio + 1.0 - x_attack)
 
 

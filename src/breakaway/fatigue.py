@@ -29,8 +29,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .crash import exposure_simple_attack
 from .flat import StrategyProblem
 from .model import PowerProfile
@@ -116,11 +114,11 @@ def _speed_integral(delta: float, p_max: float, p_sustain: float,
     difference of cubes, one log1p and one atan keep every term free of
     catastrophic cancellation at any mu.
     """
-    y0 = float(np.cbrt(p_max))
+    y0 = math.cbrt(p_max)
     if mu * delta < sys.float_info.min:  # as in _burst_integral
         return delta * y0
-    c = float(np.cbrt(p_sustain))
-    y1 = float(np.cbrt(p_sustain + (p_max - p_sustain) * math.exp(-mu * delta)))
+    c = math.cbrt(p_sustain)
+    y1 = math.cbrt(p_sustain + (p_max - p_sustain) * math.exp(-mu * delta))
     d = (p_max - p_sustain) * -math.expm1(-mu * delta) / (y0 * y0 + y0 * y1 + y1 * y1)
     c_root3 = c * math.sqrt(3.0)
     u0, u1 = (2.0 * y0 + c) / c_root3, (2.0 * y1 + c) / c_root3
@@ -135,8 +133,8 @@ def _speed_integral_slope(delta: float, p_max: float, p_sustain: float,
 
     In y it is (y0 - y1) / (A mu), the burst integral over y0^2 + y0 y1 + y1^2.
     """
-    y0 = float(np.cbrt(p_max))
-    y1 = float(np.cbrt(p_sustain + (p_max - p_sustain) * math.exp(-mu * delta)))
+    y0 = math.cbrt(p_max)
+    y1 = math.cbrt(p_sustain + (p_max - p_sustain) * math.exp(-mu * delta))
     return _burst_integral(delta, mu) / (y0 * y0 + y0 * y1 + y1 * y1)
 
 
@@ -323,7 +321,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     x_best, t_finish, p_max = best
     schedule = PowerProfile(p_lurk, x_best, p_max, p_s, mu)
     budget_res = abs(schedule.energy(t_finish) - budget)
-    integrand = lambda s: np.cbrt(p_s + (p_max - p_s) * np.exp(-mu * s))
+    integrand = lambda s: math.cbrt(p_s + (p_max - p_s) * math.exp(-mu * s))
     arrival, _ = integrate_adaptive(integrand, 0.0, t_finish - x_best, settings)
     arrival_res = abs(x_best + arrival / cd_front ** (1.0 / 3.0) - 1.0)
     converged = bool(budget_res < 1e-8 and arrival_res < 1e-8)

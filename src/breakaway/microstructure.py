@@ -79,7 +79,7 @@ class PassageLayer:
     """Leading-order passage through the pack, in inner time units."""
 
     duration: float      # front-crossing inner time
-    exit_slope: float    # d zeta / d tau at the crossing; speed 1 + exit_slope
+    exit_slope: float    # d zeta / d tau at the crossing; speed 1 + gamma*sqrt(eps)*exit_slope
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ law, the dimensionless ratios of the terrain dynamics, and the one power
 schedule of the package: PowerProfile, a lurk phase followed by a burst that
 decays exponentially toward a sustainable floor (a constant-power attack is
 its zero-rate case), with exact, closed-form energy accounting.  The drag
-law and the schedule take one float, as the ODE right-hand sides call them.
+law and the schedule take one float, as the ODE right-hand sides call them,
+and take their exponentials from `math`, so their bits do not depend on the
+SIMD kernel numpy would pick for the CPU.
 
 The standard calibration keeps the front-rider drag ratio (1.43) and the
 position-5 lurking power (0.46) as independent inputs rather than deriving
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "DragParams",
@@ -60,7 +60,7 @@ def drag_at_depth(depth: float, drag: DragParams) -> float:
     """
     if depth < 0.0:
         return drag.cd_max
-    return drag.cd_min + (drag.cd_max - drag.cd_min) * float(np.exp(-drag.decay * depth))
+    return drag.cd_min + (drag.cd_max - drag.cd_min) * math.exp(-drag.decay * depth)
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ class PowerProfile:
         elif self.mu == 0.0:
             p = self.p_max
         else:
-            p = self.p_sustain + (self.p_max - self.p_sustain) * float(np.exp(
-                -self.mu * max(t - self.attack_time, 0.0)))
+            p = self.p_sustain + (self.p_max - self.p_sustain) * math.exp(
+                -self.mu * max(t - self.attack_time, 0.0))
         return 0.0 if p <= 0.0 else p  # -0.0 gives 0.0, NaN passes
 
     def energy(self, t: float) -> float:

@@ -19,8 +19,11 @@ its tolerance, not its bits.  Brent roots, and the derivative path of
 minimize_scalar, are accurate to the settings' absolute tolerance; callers
 that print a root pass a rounding-level one (1e-15).  Value-only golden
 section places a smooth minimum only to about sqrt(machine eps).  Quadrature
-and ODE results meet their abs/rel tolerances.  The last bits may differ
-between numpy builds (their BLAS and LAPACK), so a table digit is
+and ODE results meet their abs/rel tolerances.  Scalars take their
+transcendentals from `math`, whose bits do not depend on the SIMD kernel
+numpy picks for the CPU at run time.  The last bits may still differ between
+numpy builds (their BLAS and LAPACK), and BDF's order choice raises an array
+to a power with numpy's CPU-dispatched kernel, so a table digit is
 platform-independent only where the solver behind it is certified below
 that digit.
 """
@@ -81,10 +84,6 @@ DEFAULT_SETTINGS = SolverSettings()
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def solve_cubic_real(a3: float, a1: float, a0: float) -> list[float]:
     """Real roots of the depressed cubic a3*y**3 + a1*y + a0 = 0, ascending.
 
@@ -103,7 +102,7 @@ def solve_cubic_real(a3: float, a1: float, a0: float) -> list[float]:
 
     if disc > 0.0:
         s = math.sqrt(disc)
-        roots = [_cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s)]
+        roots = [math.cbrt(-q / 2.0 + s) + math.cbrt(-q / 2.0 - s)]
     elif disc == 0.0:
         if p == 0.0:
             roots = [0.0]

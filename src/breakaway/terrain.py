@@ -21,7 +21,9 @@ equations of motion: P_lurk = m + (C_d - m) v^3, clamped at zero on descents
 where no pedaling is needed.
 
 The course slope and PowerProfile.power_at take one float, once per
-right-hand-side evaluation; arctan and exp stay numpy's.
+right-hand-side evaluation, and their arctan and exp are `math`'s, so a ride's
+bits do not follow the SIMD kernel numpy picks for the CPU.  The quasi-steady
+speed is the largest root from numerics.solve_cubic_real.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .numerics import (
     StallError,
     find_root_bracketed,
     ode_solve_with_events,
+    solve_cubic_real,
 )
 
 __all__ = [
@@ -75,7 +78,7 @@ class CourseProfile:
 
     def steepness(self, x: float):
         """Grade angle theta(x) = arctan(h'(x))."""
-        return np.arctan(self.slope(x))
+        return math.atan(self.slope(x))
 
     @classmethod
     def flat(cls) -> "CourseProfile":
@@ -247,23 +250,6 @@ class BreakawayRun:
     peloton_energy: float
 
 
-def _quasi_steady_root(drag: float, slope_term: float, power: float) -> float:
-    """Largest real root of drag*v^3 + slope_term*v - power = 0.
-
-    This is the physical speed branch: unique for uphill, and the stable
-    fast branch on descents where gravity dominates.
-    """
-    p = slope_term / drag
-    q = -power / drag
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        return float(np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s))
-    amp = 2.0 * math.sqrt(-p / 3.0)
-    ang = np.arccos(min(max(3.0 * q / (p * amp), -1.0), 1.0)) / 3.0
-    return float(amp * np.cos(ang))
-
-
 def _ride_peloton(profile: CourseProfile, gamma: float, eps: float,
                   settings: SolverSettings, method: str, n_samples: int):
     """The peloton, a rider at unit power, drag and mass: (state(t), samples)."""
@@ -390,8 +376,10 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
     held at its finish value beyond the finish.
     """
     def speed(x, p):
-        slope_term = mass_ratio * gamma * math.sin(float(profile.steepness(x)))
-        v = _quasi_steady_root(cd_front, slope_term, p)
+        # the largest root of the speed cubic: the only one uphill, and the
+        # stable fast branch on descents where gravity dominates
+        slope_term = mass_ratio * gamma * math.sin(profile.steepness(x))
+        v = solve_cubic_real(cd_front, slope_term, -p)[-1]
         if v < _V_STALL:
             raise StallError(f"{who} stalled before the finish line")
         return v
@@ -400,7 +388,7 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
         y0, settings, method = [x0, e0], _QUASI_STEADY_SETTINGS, "rk45"
 
         def rhs(t, y):
-            p = float(power(t - t0))
+            p = power(t - t0)
             return [speed(y[0], p), p]
     else:
         y0 = [x0, v0, e0]
@@ -409,8 +397,8 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
 
         def rhs(t, y):
             x, v, _ = y
-            p = float(power(t - t0))
-            theta = float(profile.steepness(x))
+            p = power(t - t0)
+            theta = profile.steepness(x)
             dv = (p / v - cd_front * v * v
                   - mass_ratio * gamma * math.sin(theta)) / (eps * mass_ratio)
             return [v, dv, p]
@@ -438,7 +426,7 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
     def state(t):
         t = np.minimum(t, t_f)
         x, e = sol.sol(t)
-        v = [speed(xk, float(power(tk - t0)))
+        v = [speed(xk, power(tk - t0))
              for xk, tk in zip(np.ravel(x).tolist(), np.ravel(t).tolist())]
         return np.array([x, np.reshape(v, np.shape(x)), e])
     return t_f, state

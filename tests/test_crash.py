@@ -23,24 +23,28 @@ def involvement_brute(position, omega, n_riders):
 def exposure_brute(x_attack, position, model, n_grid=200_001):
     """Independent oracle: midpoint rule over the course."""
     xs = (np.arange(n_grid) + 0.5) / n_grid
-    h = involvement_given_crash(np.where(xs < x_attack, position, 1.0),
-                                model.omega, model.n_riders)
+    # the trace takes two values, so H is evaluated at each as a float
+    in_pack = involvement_given_crash(position, model.omega, model.n_riders)
+    front = involvement_given_crash(1.0, model.omega, model.n_riders)
+    h = np.where(xs < x_attack, in_pack, front)
     return model.intensity * float(np.mean(h))
 
 
 class TestPropagation:
     def test_start_rider_always_involved(self):
-        assert propagation_probability(5, 5, 0.5) == pytest.approx(1.0)
+        out = propagation_probability(np.array([5.0]), np.array([5.0]), 0.5)
+        assert out == pytest.approx([1.0])
 
     def test_riders_ahead_spared(self):
-        assert propagation_probability(3, 5, 0.5) == 0.0
+        out = propagation_probability(np.array([3.0]), np.array([5.0]), 0.5)
+        assert out.tolist() == [0.0]
 
     def test_two_back(self):
-        assert propagation_probability(7, 5, 0.5) == pytest.approx(
-            math.exp(-1.0), rel=1e-14)
+        out = propagation_probability(np.array([7.0]), np.array([5.0]), 0.5)
+        assert out == pytest.approx([math.exp(-1.0)], rel=1e-14)
 
     def test_vectorized(self):
-        out = propagation_probability(np.array([4.0, 5.0, 6.0]), 5.0, 1.0)
+        out = propagation_probability(np.array([4.0, 5.0, 6.0]), np.array(5.0), 1.0)
         assert out == pytest.approx([0.0, 1.0, math.exp(-1.0)])
 
 

@@ -8,8 +8,11 @@ numerics and the rendering.  Regenerate deliberately with:
     BREAKAWAY_REGEN=1 python -m pytest tests/test_golden.py
 """
 
+import json
 import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +66,53 @@ def test_golden(name, tmp_path):
         golden.write_bytes(produced.read_bytes())
     assert golden.exists(), f"golden file missing; regenerate with BREAKAWAY_REGEN=1"
     assert produced.read_bytes() == golden.read_bytes()
+
+
+# numpy's SIMD kernels from AVX512-SKX on switched off, as on an AVX2-only CPU
+SECOND_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+
+# full-dynamics and quasi-steady rides on a graded course; BDF is left out:
+# its order choice raises an array to a power, which numpy's SIMD power does
+DEMO_RUNS = {
+    "demo_rk45.csv": ["terrain", "--course", "demo"],
+    "demo_quasi_steady.csv": ["terrain", "--course", "demo",
+                              "--set", "terrain.quasi_steady=true"],
+}
+
+_DISPATCH_PROBE = r"""
+import json, sys, warnings
+with warnings.catch_warnings():
+    warnings.simplefilter("error", ImportWarning)
+    try:
+        import numpy
+    except (ImportWarning, RuntimeError) as exc:
+        print(json.dumps({"rejected": str(exc).strip()}))
+        sys.exit(0)
+from breakaway.cli import main
+codes = {name: main(argv + ["--out", name]) for name, argv in json.loads(sys.argv[1]).items()}
+print(json.dumps({"codes": codes}))
+"""
+
+
+def test_same_bytes_under_a_second_numpy_dispatch(tmp_path):
+    # printed digits must not follow the SIMD kernel numpy picks for the CPU
+    runs = {**RUNS, **DEMO_RUNS}
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": SECOND_DISPATCH}
+    out = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE, json.dumps(runs)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True,
+                         check=True).stdout
+    result = json.loads(out)
+    if "rejected" in result:
+        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={SECOND_DISPATCH!r}: "
+                    f"{result['rejected']}")
+    assert result["codes"] == {name: 0 for name in runs}
+    for name in RUNS:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+    for name, argv in DEMO_RUNS.items():
+        normal = tmp_path / f"normal_{name}"
+        assert main(argv + ["--out", str(normal)]) == 0
+        assert (tmp_path / name).read_bytes() == normal.read_bytes(), name
 
 
 def test_runs_match_benchmark():

@@ -14,7 +14,7 @@ from breakaway.model import (
     PowerProfile,
     drag_at_depth,
 )
-from breakaway.terrain import _quasi_steady_root
+from breakaway.numerics import solve_cubic_real
 
 DRAG = DragParams()
 CD_AVG = DRAG.cd_max / CD_FRONT_CALIBRATED  # the default model.cd_avg
@@ -27,7 +27,7 @@ def drafting_drag(position, cd_avg=CD_AVG):
 
 def quasi_steady_speed(power, drag):
     """Flat-course quasi-steady speed: the root of drag v^3 = power."""
-    return _quasi_steady_root(drag, 0.0, power)
+    return solve_cubic_real(drag, 0.0, -power)[-1]
 
 
 class TestDragLaw:
@@ -169,26 +169,44 @@ class TestPowerProfile:
         assert energy == 0.46454
 
     def test_scalar_path_bit_identical(self):
-        # the float kernels of the ODE right-hand sides: their bits equal
-        # numpy's array expressions of the same laws
-        def power_reference(profile, ts):
-            t = np.asarray(ts, dtype=float)
-            if profile.mu == 0.0:
-                burst = profile.p_max
+        # the float kernels of the ODE right-hand sides are their laws' float
+        # expressions bit for bit, with each exp within one ulp of mpmath's;
+        # a NaN passes, and a clamp gives +0.0
+        mpmath = pytest.importorskip("mpmath")
+
+        exps = {}
+
+        def exp_within_ulp(k):
+            """exp(x) from mpmath, moved k ulps (k in -1, 0, 1), never below 0."""
+            def exp(x):
+                if x not in exps:
+                    with mpmath.workdps(40):
+                        e = float(mpmath.exp(x))
+                    exps[x] = (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))
+                return exps[x][k + 1]
+            return exp
+
+        def power_reference(profile, t, exp):
+            if t < profile.attack_time:
+                p = profile.p_lurk
+            elif profile.mu == 0.0:
+                p = profile.p_max
             else:
-                burst = profile.p_sustain + (profile.p_max - profile.p_sustain) * np.exp(
-                    -profile.mu * np.maximum(t - profile.attack_time, 0.0))
-            return np.maximum(np.where(t < profile.attack_time, profile.p_lurk, burst), 0.0)
+                p = profile.p_sustain + (profile.p_max - profile.p_sustain) * exp(
+                    -profile.mu * max(t - profile.attack_time, 0.0))
+            return 0.0 if p <= 0.0 else p
 
-        def drag_reference(depths, drag):
-            depth = np.asarray(depths, dtype=float)
-            with np.errstate(over="ignore"):
-                sheltered = drag.cd_min + (drag.cd_max - drag.cd_min) * np.exp(
-                    -drag.decay * depth)
-            return np.where(depth < 0.0, drag.cd_max, sheltered)
+        def drag_reference(depth, drag, exp):
+            if depth < 0.0:
+                return drag.cd_max
+            return drag.cd_min + (drag.cd_max - drag.cd_min) * exp(-drag.decay * depth)
 
-        def pack(values):
-            return struct.pack(f"<{len(values)}d", *values)
+        def assert_law(got, law):
+            wants = [law(exp_within_ulp(k)) for k in (-1, 0, 1)]
+            if math.isnan(wants[1]):
+                assert math.isnan(got)
+            else:
+                assert struct.pack("<d", got) in {struct.pack("<d", w) for w in wants}
 
         rng = np.random.default_rng(11)
         levels = (0.0, -0.0, 0.46, -0.5, 4.0)
@@ -198,9 +216,10 @@ class TestPowerProfile:
             profile = PowerProfile(p_lurk, attack_time, p_max, p_sustain, mu)
             ts = [0.0, -0.0, math.nan, attack_time, attack_time + 1e-12,
                   *rng.uniform(0.0, 3.0, 4).tolist()]
-            expected = power_reference(profile, ts).tobytes()
-            assert pack([profile.power_at(t) for t in ts]) == expected
-            assert pack([profile.power_at(np.float64(t)) for t in ts]) == expected
+            for t in ts:
+                law = lambda exp: power_reference(profile, t, exp)
+                assert_law(profile.power_at(t), law)
+                assert_law(profile.power_at(np.float64(t)), law)
 
         depths = [0.0, -0.0, math.nan, -1e-300, 1e-300, -1e4, 1e4,
                   *rng.uniform(-10.0, 60.0, 400).tolist()]
@@ -208,13 +227,11 @@ class TestPowerProfile:
             cd_min, cd_max = sorted(rng.uniform(0.01, 2.0, 2).tolist())
             drag = DragParams(cd_max, cd_min, float(rng.uniform(0.01, 3.0)))
             cd_avg = float(rng.uniform(0.2, 1.5))
-            expected = drag_reference(depths, drag)
-            assert pack([drag_at_depth(d, drag) for d in depths]) == expected.tobytes()
-            assert pack([drag_at_depth(np.float64(d), drag) for d in depths]) \
-                == expected.tobytes()
-            zetas = [-d for d in depths]
-            expected = drag_reference(-np.asarray(zetas), drag) / cd_avg
-            assert pack([relative_drag_behind_front(z, drag, cd_avg) for z in zetas]) \
-                == expected.tobytes()
-            assert pack([relative_drag_behind_front(np.float64(z), drag, cd_avg)
-                         for z in zetas]) == expected.tobytes()
+            for d in depths:
+                law = lambda exp: drag_reference(d, drag, exp)
+                assert_law(drag_at_depth(d, drag), law)
+                assert_law(drag_at_depth(np.float64(d), drag), law)
+                z = -d
+                law = lambda exp: drag_reference(-z, drag, exp) / cd_avg
+                assert_law(relative_drag_behind_front(z, drag, cd_avg), law)
+                assert_law(relative_drag_behind_front(np.float64(z), drag, cd_avg), law)
