@@ -46,7 +46,6 @@ from .terrain import (
     demo_profile,
     load_course_table,
     simulate_breakaway,
-    simulate_peloton,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, fatigue, flat, microstructure, terrain
-from .config import ConfigError, RunConfig, _resolve_key
+from .config import SCHEMA, ConfigError, RunConfig, _resolve_key
 from .crash import exposure_simple_attack, monte_carlo_exposure
 from .model import PowerProfile
 from .numerics import NumericsError
@@ -57,7 +57,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, help="Monte Carlo trial count")
     sub.add_argument("--course", metavar="PATH",
                      help="course table file, or 'flat' / 'demo'")
-    sub.add_argument("--jobs", type=int, help="parallel workers for sweeps")
 
 
 def build_parser() -> _Parser:
@@ -86,8 +85,6 @@ def _config_from_args(args) -> RunConfig:
         cfg = cfg.with_value("mc.trials", args.trials)
     if args.course is not None:
         cfg = cfg.with_value("terrain.course", args.course)
-    if args.jobs is not None:
-        cfg = cfg.with_value("output.jobs", args.jobs)
     return cfg
 
 
@@ -114,18 +111,13 @@ def _sweep(command: str, cfg: RunConfig, columns: list[str], row_fn):
     configs = [cfg]
     if swept:
         section, key = _resolve_key(parameter)
+        if SCHEMA[section][key][0] not in (int, float):
+            raise ConfigError(f"bad value for sweep.parameter: {parameter!r} (not a number)")
         values = np.linspace(cfg.get("sweep", "lo"), cfg.get("sweep", "hi"), points)
         configs = [cfg.with_value(parameter, float(v)) for v in values]
         columns = [parameter] + columns
     table = _new_table(command, cfg, columns)
-    jobs = cfg.get("output", "jobs")
-    if jobs > 1 and len(configs) > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=jobs) as pool:
-            rows = pool.map(row_fn, configs)  # input order preserved
-    else:
-        rows = [row_fn(point_cfg) for point_cfg in configs]
+    rows = [row_fn(point_cfg) for point_cfg in configs]
     for point_cfg, row in zip(configs, rows):
         if swept:
             row = [point_cfg.get(section, key)] + row
@@ -217,7 +209,6 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
         cd_lurk=cfg.get("model", "cd_lurk"),
         mass_ratio=cfg.get("model", "mass_ratio"),
         quasi_steady=cfg.get("terrain", "quasi_steady"),
-        method=cfg.get("terrain", "method"),
         n_samples=2 * cfg.get("terrain", "samples") + 1,
     )
     table = _new_table("terrain", cfg,
@@ -249,8 +240,11 @@ def cmd_crash_mc(cfg: RunConfig) -> tuple[ResultTable, int]:
     trials = cfg.get("mc", "trials")
     seed = cfg.get("mc", "seed")
     analytic = exposure_simple_attack(x_attack, position, model)
-    estimate, stderr = monte_carlo_exposure(x_attack, position, trials, seed,
-                                            model)
+    try:  # numpy's Poisson sampler caps the mean near 9.2e18
+        estimate, stderr = monte_carlo_exposure(x_attack, position, trials, seed, model)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for crash.intensity: "
+                          f"{model.intensity!r} ({exc})") from exc
     z = 0.0 if stderr == 0.0 else (estimate - analytic) / stderr
     table = _new_table("crash-mc", cfg,
                        ["analytic", "estimate", "std_error", "z_score",
@@ -304,13 +298,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        table, code = _COMMANDS[args.command](cfg)
+        with np.errstate(all="ignore"):  # a failure is one line, not warnings
+            table, code = _COMMANDS[args.command](cfg)
         table.write(cfg.get("output", "format"), args.out)
         return code
     except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericsError as exc:
+    except (NumericsError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except terrain.CourseFileError as exc:

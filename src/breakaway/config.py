@@ -67,7 +67,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "attack_position": (float, 0.5, "[0, 1)"),
         "attack_power": (float, 3.6),
         "quasi_steady": (bool, False),
-        "method": (str, "auto", ("auto", "rk45", "bdf")),
         "course": (str, "demo"),
         "samples": (int, 257, "[0, inf)"),
     },
@@ -90,7 +89,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "output": {
         "format": (str, "csv", ("csv", "json")),
-        "jobs": (int, 1, "[1, inf)"),
     },
 }
 

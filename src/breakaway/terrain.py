@@ -5,8 +5,8 @@ on a graded course, where theta = arctan(h'(x)) and gamma is the
 gravity-to-drag force ratio.  Two integration modes are provided:
 
 * full second-order dynamics (inertia epsilon > 0), integrated in time with
-  an event handler that stops exactly at the finish line, explicit adaptive
-  or implicit multistep per the stiffness of the run;
+  an event handler that stops exactly at the finish line, by implicit BDF
+  when the ride is stiff (see STIFFNESS_LIMIT) and by explicit RK45 otherwise;
 * the quasi-steady limit (epsilon = 0), where the speed is the positive root
   of C_d v^3 + m*gamma*sin(theta) v = P at every point; the race is still
   marched in time, with position and energy as the state, always by RK45
@@ -37,6 +37,7 @@ import numpy as np
 
 from .model import PowerProfile, ScaleSet
 from .numerics import (
+    NumericsError,
     RiderNeverFinishesError,
     SolverSettings,
     StallError,
@@ -50,7 +51,6 @@ __all__ = [
     "CourseFileError",
     "Trajectory",
     "BreakawayRun",
-    "simulate_peloton",
     "simulate_breakaway",
     "load_course_table",
     "demo_profile",
@@ -63,6 +63,12 @@ _QUASI_STEADY_SETTINGS = SolverSettings(abs_tol=1e-14, rel_tol=1e-12)
 
 _V_STALL = 1e-9
 _HORIZON = 50.0   # generous multiple of any sane dimensionless race time
+
+# A ride whose |dv'/dv| bound (see _stiffness) exceeds this is stiff: RK45's
+# stability limit would cap its step near 3/bound, so it rides BDF.  On the
+# perfbench terrain rides of seeds 101-120 the RK45 rides bound at most 2,204
+# and the BDF rides at least 12,345 (Hairer & Wanner, Solving ODEs II, IV.2).
+STIFFNESS_LIMIT = 5000.0
 
 
 class CourseFileError(ValueError):
@@ -250,18 +256,6 @@ class BreakawayRun:
     peloton_energy: float
 
 
-def _ride_peloton(profile: CourseProfile, gamma: float, eps: float,
-                  settings: SolverSettings, method: str, n_samples: int):
-    """The peloton, a rider at unit power, drag and mass: (state(t), samples)."""
-    t_p, state = _ride(0.0, 0.0, 1.0, 0.0, lambda s: 1.0, profile, gamma,
-                       1.0, 1.0, eps, settings, method, "peloton")
-    times = np.linspace(0.0, t_p, n_samples)
-    positions, velocities, _ = state(times)
-    return state, Trajectory(times, positions, velocities,
-                             powers=np.ones_like(times),
-                             cumulative_energy=times.copy(), finish_time=t_p)
-
-
 def _lurk_power(velocities, cd_position: float, mass_ratio: float):
     """Power holding a rider at drag ratio cd_position in the pack.
 
@@ -271,22 +265,11 @@ def _lurk_power(velocities, cd_position: float, mass_ratio: float):
     return np.maximum(raw, 0.0)
 
 
-def simulate_peloton(profile: CourseProfile, scales: ScaleSet,
-                     quasi_steady: bool = False, method: str = "auto",
-                     n_samples: int = 1025,
-                     settings: SolverSettings = SIM_SETTINGS) -> Trajectory:
-    """Ride the peloton (unit power) over the course until x = 1."""
-    eps = 0.0 if quasi_steady else scales.inertia
-    return _ride_peloton(profile, scales.gravity_ratio, eps, settings, method,
-                         n_samples)[1]
-
-
 def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
                        scales: ScaleSet,
                        cd_front: float = 1.43, cd_lurk: float = 0.46,
                        mass_ratio: float = 1.0,
-                       quasi_steady: bool = False, method: str = "auto",
-                       n_samples: int = 2049,
+                       quasi_steady: bool = False, n_samples: int = 2049,
                        settings: SolverSettings = SIM_SETTINGS) -> BreakawayRun:
     """Simulate a breakaway at course position x_attack.
 
@@ -298,9 +281,14 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
     if not 0.0 <= x_attack < 1.0:
         raise ValueError("attack position must lie in [0, 1)")
     gamma, eps = scales.gravity_ratio, 0.0 if quasi_steady else scales.inertia
-    peloton_state, peloton = _ride_peloton(profile, gamma, eps, settings,
-                                           method, n_samples)
-    t_p = peloton.finish_time
+    # the peloton is the unit rider: power, drag and mass all 1
+    t_p, peloton_state = _ride(0.0, 0.0, 1.0, 0.0, lambda s: 1.0, profile,
+                               gamma, 1.0, 1.0, eps, settings, "peloton")
+    times = np.linspace(0.0, t_p, n_samples)
+    positions, velocities, _ = peloton_state(times)
+    peloton = Trajectory(times, positions, velocities,
+                         powers=np.ones_like(times),
+                         cumulative_energy=times.copy(), finish_time=t_p)
     n_half = max(n_samples // 2, 33)
 
     if attack is None:
@@ -330,7 +318,7 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
     v_attack = float(peloton_state(t_attack)[1])
     t_f, state = _ride(x_attack, t_attack, v_attack, e_attack,
                        power_profile.power_at, profile, gamma, cd_front,
-                       mass_ratio, eps, settings, method, "rider")
+                       mass_ratio, eps, settings, "rider")
     post_times = np.linspace(t_attack, t_f, n_half)
     post_x, post_v, post_e = state(post_times)
     post_p = np.array([power_profile.power_at(t)
@@ -364,22 +352,37 @@ def _cumtrapz(values, times):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
+def _stiffness(x0, p, cruise, cd_front, eps_mass):
+    """Bound on |dv'/dv| = (p/v^2 + 2 cd_front v) / (eps m) over a ride from x0.
+
+    v = cruise(x, p) is the quasi-steady speed at power p, taken at 65 evenly
+    spaced points of [x0, 1]; a stalled speed is infinitely stiff.
+    """
+    rates = [p / (v * v) + 2.0 * cd_front * v if v >= _V_STALL else math.inf
+             for v in (cruise(x, p) for x in np.linspace(x0, 1.0, 65).tolist())]
+    return max(rates) / eps_mass
+
+
 def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
-          settings, method, who):
+          settings, who):
     """Ride from state (x0, v0, e0) at time t0 at power(t - t0) until x = 1.
 
-    Method "auto" picks BDF below inertia 1e-3, RK45 above.  eps = 0 is the
-    quasi-steady limit: the state is (x, energy), the speed is the cubic root
-    at (x, t), v0 is not used, and the march is RK45 at
-    _QUASI_STEADY_SETTINGS whatever settings and method say.  Returns the
-    finish time and the dense state (x, v, energy) as a function of time,
-    held at its finish value beyond the finish.
+    The ride is BDF when its _stiffness at the smaller of power(0) and
+    power(_HORIZON) exceeds STIFFNESS_LIMIT, RK45 otherwise.  eps = 0 is the
+    quasi-steady limit: the state is (x, energy), the speed is the cubic
+    root at (x, t), v0 is not used, and the march is RK45 at
+    _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time
+    and the dense state (x, v, energy) as a function of time, held at its
+    finish value beyond the finish.
     """
-    def speed(x, p):
+    def cruise(x, p):
         # the largest root of the speed cubic: the only one uphill, and the
         # stable fast branch on descents where gravity dominates
         slope_term = mass_ratio * gamma * math.sin(profile.steepness(x))
-        v = solve_cubic_real(cd_front, slope_term, -p)[-1]
+        return solve_cubic_real(cd_front, slope_term, -p)[-1]
+
+    def speed(x, p):
+        v = cruise(x, p)
         if v < _V_STALL:
             raise StallError(f"{who} stalled before the finish line")
         return v
@@ -392,11 +395,14 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
             return [speed(y[0], p), p]
     else:
         y0 = [x0, v0, e0]
-        if method == "auto":
-            method = "bdf" if eps < 1e-3 else "rk45"
+        p_low = min(power(0.0), power(_HORIZON))
+        bound = _stiffness(x0, p_low, cruise, cd_front, eps * mass_ratio)
+        method = "bdf" if bound > STIFFNESS_LIMIT else "rk45"
 
         def rhs(t, y):
             x, v, _ = y
+            if not math.isfinite(x):  # the slope has no value there
+                raise NumericsError(f"{who} position overflowed to {float(x)!r}")
             p = power(t - t0)
             theta = profile.steepness(x)
             dv = (p / v - cd_front * v * v

@@ -30,7 +30,7 @@ from breakaway.flat import (
 )
 from breakaway.microstructure import attack_onset
 from breakaway.model import DragParams, PowerProfile, ScaleSet
-from breakaway.terrain import CourseProfile, simulate_breakaway, simulate_peloton
+from breakaway.terrain import CourseProfile, simulate_breakaway
 
 
 def problem_with(**kw) -> StrategyProblem:
@@ -148,7 +148,7 @@ def test_criterion_08_terrain_reduction():
     """Flat-course simulation at eps = 1e-4 reproduces the closed-form gap."""
     flat_course = CourseProfile.flat()
     scales = ScaleSet(inertia=1e-4)
-    peloton = simulate_peloton(flat_course, scales)
+    peloton = simulate_breakaway(0.0, None, flat_course, scales).peloton
     assert abs(peloton.finish_time - 1.0) <= 1e-3
 
     worst = 0.0

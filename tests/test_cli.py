@@ -244,18 +244,6 @@ class TestFatigueCommand:
         assert rows[0]["converged"] == "true"
         assert float(rows[0]["delta_t"]) > 0.0
 
-    def test_parallel_jobs_identical(self, tmp_path):
-        args = ["fatigue", "--set", "sweep.parameter=strategy.risk_index",
-                "--set", "sweep.lo=0.2", "--set", "sweep.hi=0.8",
-                "--set", "sweep.points=4"]
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert main(args + ["--out", str(serial)]) == 0
-        assert main(args + ["--jobs", "3", "--out", str(parallel)]) == 0
-        # identical apart from the echoed worker count itself
-        strip = lambda p: [l for l in p.read_text().splitlines()
-                           if not l.startswith("# config.output.jobs")]
-        assert strip(serial) == strip(parallel)
-
 
 class TestFileErrors:
     @pytest.mark.parametrize("args", [
@@ -341,7 +329,6 @@ class TestTerrainCommand:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [
-        "terrain.method=foo",
         "terrain.attack_position=1",
         "terrain.attack_position=-0.1",
         "terrain.epsilon=0",
@@ -379,23 +366,19 @@ class TestTerrainCommand:
         for key, ref in self.DEMO_BDF.items():
             assert float(meta[f"summary.{key}"]) == pytest.approx(ref, rel=2e-9)
 
-    def test_quasi_steady_ignores_method(self, capsys):
-        # the quasi-steady ride is always RK45, whatever terrain.method says
-        outputs = []
-        for method in ("bdf", "rk45", "auto"):
-            code, out = run_cli(["terrain", "--course", "demo",
-                                 "--set", "terrain.quasi_steady=true",
-                                 "--set", f"terrain.method={method}"], capsys)
-            assert code == 0
-            outputs.append([line for line in out.splitlines()
-                            if not line.startswith("# config.terrain.method ")])
-        assert outputs[0] == outputs[1] == outputs[2]
-
     def test_never_finishing_attack_exits_two(self, capsys):
         code = main(["terrain", "--course", "flat",
-                     "--set", "terrain.attack_power=1e-6",
-                     "--set", "terrain.method=bdf"])
+                     "--set", "terrain.attack_power=1e-6"])
         assert code == 2
+
+    def test_steep_gravity_rides_bdf(self, capsys):
+        # at gamma = 1000 the peloton crawls up the demo climbs, where
+        # |dv'/dv| reaches 1e6: RK45 would take millions of steps
+        code, out = run_cli(["terrain", "--course", "demo",
+                             "--set", "terrain.gravity_ratio=1000"], capsys)
+        assert code == 0
+        meta, _, _ = parse_table(out)
+        assert float(meta["summary.t_peloton"]) == pytest.approx(18.3358297, rel=1e-8)
 
 
 class TestQuasiSteadyReference:
@@ -471,8 +454,14 @@ RANGE_PROBES = [
     (["crash-mc", "--set", "mc.attack_position=1.5"], "mc.attack_position"),
     (["crash-mc", "--set", "model.position=0.5"], "model.position"),
     (["crash-mc", "--seed", "-1"], "mc.seed"),
-    (["flat", "--jobs", "0"], "output.jobs"),
-    (["flat", "--jobs", "-1"], "output.jobs"),
+    # above the largest mean numpy's Poisson sampler takes
+    (["crash-mc", "--trials", "10", "--set", "crash.intensity=1e308"],
+     "crash.intensity"),
+    # a sweep steps a number; a string or a flag has no values between
+    (["flat", "--set", "sweep.points=3",
+      "--set", "sweep.parameter=terrain.course"], "sweep.parameter"),
+    (["flat", "--set", "sweep.points=3",
+      "--set", "sweep.parameter=terrain.quasi_steady"], "sweep.parameter"),
     # cd_lurk=2 and cd_min=1 break only the order of a key pair
     (["flat", "--set", "model.cd_lurk=2"], "model.cd_lurk"),
     (["fatigue", "--set", "model.cd_front=-1"], "model.cd_front"),
@@ -511,6 +500,56 @@ def test_out_of_range_probe_exits_one(argv, key, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad value for {key}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["flat", "--jobs", "2"],
+    ["flat", "--set", "output.jobs=2"],
+    ["terrain", "--set", "terrain.method=bdf"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_removed_knob_exits_one(argv, capsys):
+    # sweeps run serially and each ride picks its own integrator
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["terrain", "--set", "terrain.gravity_ratio=1e308"],
+    ["terrain", "--set", "terrain.attack_power=1e308"],
+    ["terrain", "--set", "model.mass_ratio=1e-300"],
+    ["flat", "--set", "strategy.energy_budget=1e308"],
+    ["microstructure", "--set", "micro.epsilon=1e300"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_overflow_exits_two(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert err.count("\n") == 1
+
+
+def test_every_schema_key_is_read(monkeypatch, capsys):
+    # a key no run reads is a knob that changes nothing but the echo
+    from breakaway.config import SCHEMA, RunConfig
+
+    read = set()
+    get = RunConfig.get
+
+    def record(self, section, key):
+        read.add(f"{section}.{key}")
+        return get(self, section, key)
+    monkeypatch.setattr(RunConfig, "get", record)
+    for argv in (["flat", "--set", "sweep.parameter=strategy.risk_index",
+                  "--set", "sweep.points=2"],
+                 ["fatigue"],
+                 ["terrain", "--set", "terrain.quasi_steady=true",
+                  "--set", "terrain.samples=9"],
+                 ["crash-mc", "--trials", "100"],
+                 ["microstructure", "--set", "micro.samples=9"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert read == {f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys}
 
 
 class TestCrashMcCommand:

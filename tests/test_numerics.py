@@ -255,7 +255,7 @@ def assert_solve_ivp_equal(result, rhs, y0, t_span, events=(),
 
 
 def replay(monkeypatch, module, run, expected=()):
-    """Run, then check every solve it made against solve_ivp; returns the count.
+    """Run, then check every solve it made against solve_ivp; returns their methods.
 
     expected: an exception type run is to raise, after its solves are made.
     """
@@ -274,7 +274,7 @@ def replay(monkeypatch, module, run, expected=()):
         run()
     for result, *problem in calls:
         assert_solve_ivp_equal(result, *problem)
-    return len(calls)
+    return [problem[-1] for problem in calls]
 
 
 def seeded_course(seed):
@@ -295,7 +295,8 @@ class TestRk45MatchesScipy:
             for quasi_steady in (False, True):
                 terrain.simulate_breakaway(x_attack, power, course, scales,
                                            quasi_steady=quasi_steady, n_samples=65)
-        assert replay(monkeypatch, terrain, run) == 4
+        # the full-dynamics peloton bounds |dv'/dv| at 5,153 on this course
+        assert replay(monkeypatch, terrain, run) == ["bdf"] + ["rk45"] * 3
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_microstructure_solves(self, monkeypatch, seed):
@@ -306,7 +307,7 @@ class TestRk45MatchesScipy:
             drag, 1.0, gamma_ratio=rng.uniform(1.0, 8.0), n_samples=65)
         # the passage layer twice (leading order, finite inertia), the full
         # attack and the relaxation
-        assert replay(monkeypatch, microstructure, onset) == 4
+        assert replay(monkeypatch, microstructure, onset) == ["rk45"] * 4
 
     def test_stiffness_error_text(self):
         exploding = lambda t, y: [y[0] ** 3 * 1e8]
@@ -322,11 +323,11 @@ class TestBdfMatchesScipy:
 
     @pytest.mark.parametrize("inertia", [4e-4, 5e-4, 6e-4])
     def test_demo_rides(self, monkeypatch, inertia):
-        # auto picks BDF below inertia 1e-3: the rider, then the peloton
+        # both rides are stiff enough for BDF: the peloton, then the rider
         scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
         run = lambda: terrain.simulate_breakaway(0.55, 3.4, terrain.demo_profile(),
                                                  scales, n_samples=65)
-        assert replay(monkeypatch, terrain, run) == 2
+        assert replay(monkeypatch, terrain, run) == ["bdf"] * 2
 
     def test_table_ride(self, monkeypatch):
         rng, course = seeded_course(3)
@@ -334,7 +335,7 @@ class TestBdfMatchesScipy:
         scales = ScaleSet(inertia=5e-4, gravity_ratio=40.0)
         run = lambda: terrain.simulate_breakaway(x_attack, power, course, scales,
                                                  n_samples=65)
-        assert replay(monkeypatch, terrain, run) == 2
+        assert replay(monkeypatch, terrain, run) == ["bdf"] * 2
 
     @pytest.mark.parametrize("power, course, failure", [
         # the crawl runs to the end of t_span; the powerless climb stalls
@@ -342,9 +343,11 @@ class TestBdfMatchesScipy:
         (0.0, terrain.CourseProfile.from_table([0.0, 1.0], [0.0, 0.05]), StallError),
     ])
     def test_failed_rides(self, monkeypatch, power, course, failure):
-        scales = ScaleSet(inertia=5e-4, gravity_ratio=40.0)
-        run = lambda: terrain.simulate_breakaway(0.5, power, course, scales, method="bdf")
-        assert replay(monkeypatch, terrain, run, failure) == 2
+        # the crawl, at speed 0.009 on the flat, is stiff only at tiny inertia
+        inertia = 1e-6 if failure is RiderNeverFinishesError else 5e-4
+        scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
+        run = lambda: terrain.simulate_breakaway(0.5, power, course, scales)
+        assert replay(monkeypatch, terrain, run, failure) == ["bdf"] * 2
 
     def test_stiff_decay(self):
         rhs = lambda t, y: [-1e6 * (y[0] - 1.0)]

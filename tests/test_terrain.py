@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from breakaway import terrain
 from breakaway.flat import StrategyProblem, attack_power, time_gap_from_position
 from breakaway.model import PowerProfile, ScaleSet
 from breakaway.numerics import (
@@ -19,11 +20,16 @@ from breakaway.terrain import (
     demo_profile,
     load_course_table,
     simulate_breakaway,
-    simulate_peloton,
 )
 
 FLAT = CourseProfile.flat()
 SCALES = ScaleSet(inertia=0.005, gravity_ratio=40.0)
+
+
+def _peloton(profile, scales, quasi_steady=False):
+    """The peloton's trajectory, from a rider who never attacks."""
+    return simulate_breakaway(0.0, None, profile, scales,
+                              quasi_steady=quasi_steady).peloton
 
 
 def _quasi_steady_root(drag, slope_term, power):
@@ -242,12 +248,12 @@ class TestQuasiSteadyRoot:
 
 class TestPeloton:
     def test_flat_quasi_steady_unit_time(self):
-        traj = simulate_peloton(FLAT, SCALES, quasi_steady=True)
+        traj = _peloton(FLAT, SCALES, quasi_steady=True)
         assert traj.finish_time == pytest.approx(1.0, abs=1e-12)
         assert traj.cumulative_energy[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_full_dynamics_near_unit_time(self):
-        traj = simulate_peloton(FLAT, SCALES)
+        traj = _peloton(FLAT, SCALES)
         assert traj.finish_time == pytest.approx(1.0, abs=1e-2)
         assert abs(traj.positions[-1] - 1.0) < 1e-9
 
@@ -256,17 +262,17 @@ class TestPeloton:
         profile = CourseProfile.from_table([0.0, 1.0], [0.0, grade])
         slope_term = 40.0 * math.sin(math.atan(grade))
         v = float(_quasi_steady_root(1.0, slope_term, 1.0))
-        traj = simulate_peloton(profile, SCALES, quasi_steady=True)
+        traj = _peloton(profile, SCALES, quasi_steady=True)
         assert traj.finish_time == pytest.approx(1.0 / v, rel=1e-8)
 
     def test_full_vs_quasi_steady_on_hills(self):
         demo = demo_profile()
-        qs = simulate_peloton(demo, SCALES, quasi_steady=True)
-        full = simulate_peloton(demo, SCALES)
+        qs = _peloton(demo, SCALES, quasi_steady=True)
+        full = _peloton(demo, SCALES)
         assert full.finish_time == pytest.approx(qs.finish_time, abs=5e-2)
 
     def test_positions_non_decreasing(self):
-        traj = simulate_peloton(demo_profile(), SCALES)
+        traj = _peloton(demo_profile(), SCALES)
         assert np.all(np.diff(traj.positions) >= -1e-12)
 
 
@@ -383,17 +389,25 @@ class TestBreakaway:
 
     def test_crawl_never_finishes(self):
         with pytest.raises(RiderNeverFinishesError):
-            simulate_breakaway(0.5, 1e-6, FLAT, SCALES, method="bdf")
+            simulate_breakaway(0.5, 1e-6, FLAT, SCALES)
 
     @pytest.mark.parametrize("inertia, method", [
-        (5e-4, "auto"),   # auto picks BDF below inertia 1e-3
+        (5e-4, "bdf"),
         (0.005, "rk45"),
     ])
-    def test_unit_rider_ties_peloton(self, inertia, method):
+    def test_unit_rider_ties_peloton(self, inertia, method, monkeypatch):
         # the peloton is the rider at unit power, drag and mass: exact tie
+        methods = []
+        solve = terrain.ode_solve_with_events
+
+        def record(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(terrain, "ode_solve_with_events", record)
         scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
         run = simulate_breakaway(0.0, 1.0, demo_profile(), scales,
-                                 cd_front=1.0, mass_ratio=1.0, method=method)
+                                 cd_front=1.0, mass_ratio=1.0)
+        assert methods == [method, method]
         assert run.time_gap == 0.0
         assert run.rider.finish_time == run.peloton.finish_time
 
