@@ -298,8 +298,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        with np.errstate(all="ignore"):  # a failure is one line, not warnings
-            table, code = _COMMANDS[args.command](cfg)
+        table, code = _COMMANDS[args.command](cfg)
         table.write(cfg.get("output", "format"), args.out)
         return code
     except (UsageError, ConfigError, OSError) as exc:

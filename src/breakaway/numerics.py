@@ -374,7 +374,10 @@ def _initial_step(fun, t0, y0, f0, t_bound, order, rtol, atol):
     a method whose local error goes as h**(order + 1)."""
     interval = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(over="ignore"):  # an overflowing norm raises below
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    if not math.isfinite(d1):
+        raise NumericsError("the derivative overflows the error scale at the start")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0

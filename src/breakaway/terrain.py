@@ -41,6 +41,7 @@ from .numerics import (
     RiderNeverFinishesError,
     SolverSettings,
     StallError,
+    StiffnessError,
     find_root_bracketed,
     ode_solve_with_events,
     solve_cubic_real,
@@ -395,18 +396,22 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
             return [speed(y[0], p), p]
     else:
         y0 = [x0, v0, e0]
+        if eps * mass_ratio == 0.0:
+            raise NumericsError(f"{who} inertia times mass ratio underflows to 0")
         p_low = min(power(0.0), power(_HORIZON))
         bound = _stiffness(x0, p_low, cruise, cd_front, eps * mass_ratio)
         method = "bdf" if bound > STIFFNESS_LIMIT else "rk45"
 
         def rhs(t, y):
-            x, v, _ = y
+            x, v = float(y[0]), float(y[1])  # floats overflow to inf silently
             if not math.isfinite(x):  # the slope has no value there
-                raise NumericsError(f"{who} position overflowed to {float(x)!r}")
+                raise NumericsError(f"{who} position overflowed to {x!r}")
             p = power(t - t0)
             theta = profile.steepness(x)
             dv = (p / v - cd_front * v * v
                   - mass_ratio * gamma * math.sin(theta)) / (eps * mass_ratio)
+            if not math.isfinite(dv):
+                raise NumericsError(f"{who} acceleration overflowed at x = {x!r}")
             return [v, dv, p]
 
     def finish(t, y):
@@ -419,8 +424,11 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
 
     # a quasi-steady stall raises in speed(), where the cubic root is taken
     events = (finish,) if eps == 0.0 else (finish, stall)
-    sol = ode_solve_with_events(rhs, y0, (t0, t0 + _HORIZON), events=events,
-                                settings=settings, method=method)
+    try:
+        sol = ode_solve_with_events(rhs, y0, (t0, t0 + _HORIZON), events=events,
+                                    settings=settings, method=method)
+    except StiffnessError as exc:  # its hint names a method no run can set
+        raise StiffnessError(f"{who} {method.upper()} step fell below ten ulps of t") from exc
     if eps != 0.0 and sol.t_events[1].size:
         raise StallError(f"{who} stalled before the finish line")
     if not sol.t_events[0].size:

@@ -519,6 +519,9 @@ def test_removed_knob_exits_one(argv, capsys):
     ["terrain", "--set", "terrain.gravity_ratio=1e308"],
     ["terrain", "--set", "terrain.attack_power=1e308"],
     ["terrain", "--set", "model.mass_ratio=1e-300"],
+    ["terrain", "--set", "model.mass_ratio=1e-310"],
+    ["terrain", "--set", "terrain.epsilon=1e-200", "--set", "model.mass_ratio=1e-200"],
+    ["terrain", "--set", "terrain.epsilon=1e-10", "--set", "model.mass_ratio=1e-320"],
     ["flat", "--set", "strategy.energy_budget=1e308"],
     ["microstructure", "--set", "micro.epsilon=1e300"],
 ], ids=lambda argv: " ".join(argv[2:]))

@@ -11,6 +11,7 @@ from breakaway.numerics import (
     RiderNeverFinishesError,
     SolverSettings,
     StallError,
+    StiffnessError,
     solve_cubic_real,
 )
 from breakaway.terrain import (
@@ -390,6 +391,15 @@ class TestBreakaway:
     def test_crawl_never_finishes(self):
         with pytest.raises(RiderNeverFinishesError):
             simulate_breakaway(0.5, 1e-6, FLAT, SCALES)
+
+    def test_stiffness_error_names_no_method_knob(self, monkeypatch):
+        # the kernel's hint suggests method='bdf', which no run can set
+        def fail(*args, **kwargs):
+            raise StiffnessError("step too small (consider method='bdf')")
+        monkeypatch.setattr(terrain, "ode_solve_with_events", fail)
+        with pytest.raises(StiffnessError, match="^peloton RK45 step") as info:
+            simulate_breakaway(0.5, 3.6, FLAT, SCALES)
+        assert "method" not in str(info.value)
 
     @pytest.mark.parametrize("inertia, method", [
         (5e-4, "bdf"),
