@@ -8,11 +8,12 @@ refined by golden section or, given the derivative, by Brent on its root.
 
 ODE integration with events is the package's own: a Dormand-Prince 5(4)
 loop (Dormand & Prince 1980) and, for stiff runs, an implicit variable-order
-BDF loop (the NDF scheme of Shampine & Reichelt 1997) with a finite-difference
-Jacobian.  Both are ports of SciPy 1.17's solve_ivp that perform the same
-numpy and LAPACK operations on the same shapes in the same order, through one
-driver: the same steps, evaluations, event roots (by the Brent port) and
-dense output, bit for bit.  No module of the package imports SciPy.
+BDF loop (the NDF scheme of Shampine & Reichelt 1997) on the caller's
+analytic Jacobian; nothing here differentiates a function.  Both are ports
+of SciPy 1.17's solve_ivp (BDF given the same jac) with the same numpy and
+LAPACK operations on the same shapes in the same order, under one event
+loop: the same steps, evaluations, event roots (by the Brent port) and dense
+output, bit for bit.  No module of the package imports SciPy.
 
 Everything here is stateless and re-entrant.  What a result certifies is
 its tolerance, not its bits.  Brent roots, and the derivative path of
@@ -53,7 +54,7 @@ class ToleranceError(NumericsError):
 
 
 class StiffnessError(NumericsError):
-    """An integrator's step fell below ten ulps of t; after RK45, try BDF."""
+    """An integrator's step fell below ten ulps of t."""
 
 
 class StallError(NumericsError):
@@ -269,9 +270,6 @@ _BDF_KAPPA = np.array([0, -0.1850, -1/9, -0.0823, -0.0415, 0])
 _BDF_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _BDF_MAX_ORDER + 1))))
 _BDF_ALPHA = (1 - _BDF_KAPPA) * _BDF_GAMMA
 _BDF_ERROR_CONST = _BDF_KAPPA * _BDF_GAMMA + 1 / np.arange(1, _BDF_MAX_ORDER + 2)
-# num_jac's thresholds on a difference relative to the value it perturbs
-_JAC_DIFF_REJECT, _JAC_DIFF_SMALL, _JAC_DIFF_BIG = _EPS ** 0.875, _EPS ** 0.75, _EPS ** 0.25
-_JAC_MIN_FACTOR = 1e3 * _EPS
 # SciPy locates an event with brentq at xtol = rtol = 4 eps, maxiter 100
 _EVENT_SETTINGS = SolverSettings(abs_tol=4.0 * _EPS, max_iterations=100)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -388,7 +386,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, order, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def _rk45_steps(fun, rhs, counts, t, y, f, h_abs, t_bound, rtol, atol):
+def _rk45_steps(fun, t, y, f, h_abs, t_bound, rtol, atol):
     """SciPy 1.17's RK45 steps: yields (t, y, interpolant) per accepted step."""
     K = np.empty((7, y.size))
     # views into K on the stages so far: the shapes and strides SciPy's take
@@ -400,7 +398,7 @@ def _rk45_steps(fun, rhs, counts, t, y, f, h_abs, t_bound, rtol, atol):
         rejected = False
         while True:
             if h_abs < min_step:
-                raise StiffnessError(_TOO_SMALL_STEP + " (consider method='bdf')")
+                raise StiffnessError(_TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h_abs = h = t_new - t
             K[0] = f
@@ -439,54 +437,6 @@ def _change_D(D, order, factor):
     """Rescale the differences D in place for a step changed by factor."""
     RU = _compute_R(order, factor).dot(_BDF_U[order])
     D[:order + 1] = np.dot(RU.T, D[:order + 1])
-
-
-def _num_jac(columns, t, y, f, threshold, factor):
-    """SciPy's dense num_jac: the forward-difference Jacobian at (t, y) from
-    columns(t, Y), the rhs at each column of Y, and its adapted step factors.
-    """
-    n = y.shape[0]
-    factor = np.full(n, _EPS ** 0.5) if factor is None else factor.copy()
-    # step in the direction of the flow, hoping to stay in a benign region
-    y_scale = (2 * (f >= 0).astype(float) - 1) * np.maximum(threshold, np.abs(y))
-    h = (y + factor * y_scale) - y
-    for i in np.nonzero(h == 0)[0]:
-        while h[i] == 0:
-            factor[i] *= 10
-            h[i] = (y[i] + factor[i] * y_scale[i]) - y[i]
-    h_vecs = np.diag(h)
-    f_new = columns(t, y[:, None] + h_vecs)
-    diff = f_new - f[:, None]
-    max_ind = np.argmax(np.abs(diff), axis=0)
-    r = np.arange(n)
-    max_diff = np.abs(diff[max_ind, r])
-    scale = np.maximum(np.abs(f[max_ind]), np.abs(f_new[max_ind, r]))
-    diff_too_small = max_diff < _JAC_DIFF_REJECT * scale
-    if np.any(diff_too_small):
-        # retry those columns with a ten times larger step; keep the better
-        ind, = np.nonzero(diff_too_small)
-        new_factor = 10 * factor[ind]
-        h_new = (y[ind] + new_factor * y_scale[ind]) - y[ind]
-        h_vecs[ind, ind] = h_new
-        f_new = columns(t, y[:, None] + h_vecs[:, ind])
-        diff_new = f_new - f[:, None]
-        max_ind = np.argmax(np.abs(diff_new), axis=0)
-        r = np.arange(ind.shape[0])
-        max_diff_new = np.abs(diff_new[max_ind, r])
-        scale_new = np.maximum(np.abs(f[max_ind]), np.abs(f_new[max_ind, r]))
-        update = max_diff[ind] * scale_new < max_diff_new * scale[ind]
-        if np.any(update):
-            update, = np.nonzero(update)
-            update_ind = ind[update]
-            factor[update_ind] = new_factor[update]
-            h[update_ind] = h_new[update]
-            diff[:, update_ind] = diff_new[:, update]
-            scale[update_ind] = scale_new[update]
-            max_diff[update_ind] = max_diff_new[update]
-    diff /= h
-    factor[max_diff < _JAC_DIFF_SMALL * scale] *= 10
-    factor[max_diff > _JAC_DIFF_BIG * scale] *= 0.1
-    return diff, np.maximum(factor, _JAC_MIN_FACTOR)
 
 
 def _lu_solve(A, b):
@@ -528,26 +478,13 @@ def _newton(fun, t_new, y_predict, c, psi, A, scale, tol):
     return converged, k + 1, y, d
 
 
-def _bdf_steps(fun, rhs, counts, t, y, f, h_abs, t_bound, rtol, atol):
-    """SciPy 1.17's BDF steps (variable-order NDF, quasi-constant step, a
-    finite-difference Jacobian): yields (t, y, interpolant) per accepted
-    step, the interpolant built after the step's order and size update."""
-    def columns(t, Y):
-        # SciPy's fun_vectorized: the rhs at one column of Y at a time
-        F = np.empty_like(Y)
-        for i, yi in enumerate(Y.T):
-            F[:, i] = np.asarray(rhs(t, yi), dtype=float)
-        return F
-
-    jac_factor = None
-
+def _bdf_steps(fun, jac, counts, t, y, f, h_abs, t_bound, rtol, atol):
+    """SciPy 1.17's BDF steps (variable-order NDF, quasi-constant step) on
+    the Jacobian jac(t, y): yields (t, y, interpolant) per accepted step,
+    the interpolant built after the step's order and size update."""
     def jacobian(t, y):
-        # the evaluations here do not count in nfev
-        nonlocal jac_factor
         counts.njev += 1
-        J, jac_factor = _num_jac(columns, t, y, np.asarray(rhs(t, y), dtype=float),
-                                 atol, jac_factor)
-        return J
+        return np.asarray(jac(t, y), dtype=float)
 
     newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
     J = jacobian(t, y)
@@ -625,19 +562,25 @@ def _bdf_steps(fun, rhs, counts, t, y, f, h_abs, t_bound, rtol, atol):
         yield t, y, _BdfStep(t, h_abs, order, D[:order + 1].copy())
 
 
-# per method: its steps, its error order for the initial step, and the side
-# a time on a step boundary takes in the dense solution
-_METHODS = {"rk45": (_rk45_steps, 4, "left"), "bdf": (_bdf_steps, 1, "right")}
+def ode_solve_with_events(rhs, y0, t_span, events=(),
+                          settings: SolverSettings = DEFAULT_SETTINGS, jac=None):
+    """Adaptive ODE integration with event localization, forward in time.
 
-
-def _integrate(method, rhs, y0, t0, t_bound, events, rtol, atol):
-    """SciPy 1.17's solve_ivp(method=..., dense_output=True), float for float.
-
-    The same numpy operations on the same shapes in the same order (BLAS dot
-    products and LAPACK solves included), so the same steps, evaluations,
-    events and dense output.  Needs t_bound > t0.  Every event is terminal.
+    Without jac, the package's own Dormand-Prince 5(4) loop, SciPy's RK45
+    float for float.  Given the Jacobian jac(t, y) of rhs, its own implicit
+    variable-order BDF for stiff runs, SciPy's BDF with that jac float for
+    float.  An event is a callable of (t, y); its optional .direction
+    attribute (+1 rising, -1 falling, 0 either) selects the crossings it
+    sees.  Events are terminal: the first crossing ends the integration.
+    The step size has no cap, and the result always carries the dense
+    solution .sol.  Raises StiffnessError when the step falls below ten ulps
+    of t.
     """
-    steps_of, order, side = _METHODS[method]
+    t0, t_bound = map(float, t_span)
+    if not t_bound > t0:
+        raise ValueError("t_span must increase")
+    y0, events = np.atleast_1d(np.asarray(y0, dtype=float)), tuple(events)
+    rtol, atol = max(settings.rel_tol, 100 * _EPS), settings.abs_tol
     counts = SimpleNamespace(nfev=0, njev=0, nlu=0)
 
     def fun(t, y):
@@ -646,8 +589,12 @@ def _integrate(method, rhs, y0, t0, t_bound, events, rtol, atol):
 
     t, y = t0, y0
     f = fun(t, y)
+    # the error order of the initial step, and the side a time on a step
+    # boundary takes in the dense solution: RK45's earlier step, BDF's later
+    order, side = (4, "left") if jac is None else (1, "right")
     h_abs = _initial_step(fun, t, y, f, t_bound, order, rtol, atol)
-    steps = steps_of(fun, rhs, counts, t, y, f, h_abs, t_bound, rtol, atol)
+    steps = (_rk45_steps(fun, t, y, f, h_abs, t_bound, rtol, atol) if jac is None
+             else _bdf_steps(fun, jac, counts, t, y, f, h_abs, t_bound, rtol, atol))
     ts, ys, interpolants = [t], [y], []
     directions = [getattr(event, "direction", 0) for event in events]
     g = [event(t, y) for event in events]
@@ -686,31 +633,6 @@ def _integrate(method, rhs, y0, t0, t_bound, events, rtol, atol):
         y_events=[np.asarray(ye) for ye in y_events],
         nfev=counts.nfev, njev=counts.njev, nlu=counts.nlu, status=status,
         success=True)
-
-
-def ode_solve_with_events(rhs, y0, t_span, events=(),
-                          settings: SolverSettings = DEFAULT_SETTINGS,
-                          method: str = "rk45"):
-    """Adaptive ODE integration with event localization, forward in time.
-
-    method "rk45" is the package's own Dormand-Prince 5(4) loop, SciPy's
-    RK45 float for float; "bdf" is its own implicit variable-order BDF for
-    stiff runs, SciPy's BDF float for float.  An event is a callable of
-    (t, y); its optional .direction attribute (+1 rising, -1 falling, 0
-    either) selects the crossings it sees.  Events are terminal: the first
-    crossing ends the integration.  The step size has no cap, and the
-    result always carries the dense solution .sol.  Raises StiffnessError
-    when the step falls below ten ulps of t.
-    """
-    t0, t_bound = map(float, t_span)
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    method = method.lower()
-    if method not in _METHODS:
-        raise ValueError(f"unknown integration method {method!r}")
-    if not t_bound > t0:
-        raise ValueError("t_span must increase")
-    return _integrate(method, rhs, y0, t0, t_bound, tuple(events),
-                      max(settings.rel_tol, 100 * _EPS), settings.abs_tol)
 
 
 def minimize_scalar(f, lo: float, hi: float,

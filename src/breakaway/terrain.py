@@ -6,7 +6,8 @@ gravity-to-drag force ratio.  Two integration modes are provided:
 
 * full second-order dynamics (inertia epsilon > 0), integrated in time with
   an event handler that stops exactly at the finish line, by implicit BDF
-  when the ride is stiff (see STIFFNESS_LIMIT) and by explicit RK45 otherwise;
+  on the ride's analytic Jacobian when the ride is stiff (see
+  STIFFNESS_LIMIT) and by explicit RK45 otherwise;
 * the quasi-steady limit (epsilon = 0), where the speed is the positive root
   of C_d v^3 + m*gamma*sin(theta) v = P at every point; the race is still
   marched in time, with position and energy as the state, always by RK45
@@ -22,8 +23,9 @@ where no pedaling is needed.
 
 The course slope and PowerProfile.power_at take one float, once per
 right-hand-side evaluation, and their arctan and exp are `math`'s, so a ride's
-bits do not follow the SIMD kernel numpy picks for the CPU.  The quasi-steady
-speed is the largest root from numerics.solve_cubic_real.
+bits do not follow the SIMD kernel numpy picks for the CPU.  The course
+curvature h''(x) enters only BDF's Jacobian, through d(sin theta)/dx.  The
+quasi-steady speed is the largest root from numerics.solve_cubic_real.
 """
 
 from __future__ import annotations
@@ -78,9 +80,11 @@ class CourseFileError(ValueError):
 
 @dataclass(frozen=True)
 class CourseProfile:
-    """A course by its slope h'(x) at one float x; x and h per course length."""
+    """A course by its slope h'(x) and curvature h''(x) at one float x; x and
+    h per course length."""
 
     slope: Callable[[float], float]
+    curvature: Callable[[float], float]
     label: str = "custom"
 
     def steepness(self, x: float):
@@ -89,7 +93,7 @@ class CourseProfile:
 
     @classmethod
     def flat(cls) -> "CourseProfile":
-        return cls(slope=lambda x: 0.0, label="flat")
+        return cls(slope=lambda x: 0.0, curvature=lambda x: 0.0, label="flat")
 
     @classmethod
     def from_sinusoids(cls, sin_amps=(), cos_amps=(),
@@ -97,8 +101,7 @@ class CourseProfile:
         """Height sum_k a_k sin(2 pi k x) + b_k (cos(2 pi k x) - 1).
 
         The cosine terms are shifted so the course starts at height zero.
-        The slope sums its terms in order, as numpy's array sum does under
-        eight harmonics; no command builds a course with more.
+        The slope and the curvature sum their terms in order, from 0.0.
         """
         a = np.asarray(sin_amps, dtype=float)
         b = np.asarray(cos_amps, dtype=float)
@@ -115,7 +118,15 @@ class CourseProfile:
                 down += c * math.sin(k * x)
             return up - down
 
-        return cls(slope=slope, label=label)
+        def curvature(x):
+            x, up, down = float(x), 0.0, 0.0
+            for c, k in sin_terms:
+                up += c * k * math.sin(k * x)
+            for c, k in cos_terms:
+                down += c * k * math.cos(k * x)
+            return -up - down
+
+        return cls(slope=slope, curvature=curvature, label=label)
 
     @classmethod
     def from_table(cls, xs, hs, label: str = "table") -> "CourseProfile":
@@ -124,7 +135,8 @@ class CourseProfile:
         SciPy's PchipInterpolator float for float: knot slopes by Fritsch &
         Carlson's weighted harmonic mean with SciPy's three-point edge rule,
         cubic Hermite pieces, the slope of each piece evaluated as PPoly
-        does (interval closed on the left, the end pieces extended).
+        does (interval closed on the left, the end pieces extended).  The
+        curvature is the derivative of the slope on the same piece.
         """
         xs = np.asarray(xs, dtype=float)
         hs = np.asarray(hs, dtype=float)
@@ -142,13 +154,20 @@ class CourseProfile:
         knots, last = xs.tolist(), xs.size - 2
         pieces = list(zip(*(c.tolist() for c in quadratic)))
 
+        def piece(x):
+            i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
+            return pieces[i], x - knots[i]
+
         def slope(x):
             """PPoly's sum c0 + c1 s + c2 s^2 on the piece holding x."""
-            i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
-            (c0, c1, c2), s = pieces[i], x - knots[i]
+            (c0, c1, c2), s = piece(x)
             return 0.0 + c0 + c1 * s + c2 * (s * s)
 
-        return cls(slope=slope, label=label)
+        def curvature(x):
+            (_, c1, c2), s = piece(x)
+            return c1 + 2.0 * c2 * s
+
+        return cls(slope=slope, curvature=curvature, label=label)
 
 
 def _pchip_coefficients(xs, hs):
@@ -353,26 +372,30 @@ def _cumtrapz(values, times):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
+def _dv_dv(p, v, cd_front, eps_mass):
+    """dv'/dv = -(p/v^2 + 2 cd_front v) / (eps m), the ride's stiff entry."""
+    return -(p / (v * v) + 2.0 * cd_front * v) / eps_mass
+
+
 def _stiffness(x0, p, cruise, cd_front, eps_mass):
-    """Bound on |dv'/dv| = (p/v^2 + 2 cd_front v) / (eps m) over a ride from x0.
+    """Bound on |dv'/dv| over a ride from x0 at power p.
 
     v = cruise(x, p) is the quasi-steady speed at power p, taken at 65 evenly
     spaced points of [x0, 1]; a stalled speed is infinitely stiff.
     """
-    rates = [p / (v * v) + 2.0 * cd_front * v if v >= _V_STALL else math.inf
-             for v in (cruise(x, p) for x in np.linspace(x0, 1.0, 65).tolist())]
-    return max(rates) / eps_mass
+    return max(-_dv_dv(p, v, cd_front, eps_mass) if v >= _V_STALL else math.inf
+               for v in (cruise(x, p) for x in np.linspace(x0, 1.0, 65).tolist()))
 
 
 def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
           settings, who):
     """Ride from state (x0, v0, e0) at time t0 at power(t - t0) until x = 1.
 
-    The ride is BDF when its _stiffness at the smaller of power(0) and
-    power(_HORIZON) exceeds STIFFNESS_LIMIT, RK45 otherwise.  eps = 0 is the
-    quasi-steady limit: the state is (x, energy), the speed is the cubic
-    root at (x, t), v0 is not used, and the march is RK45 at
-    _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time
+    The ride is BDF on its analytic Jacobian when its _stiffness at the
+    smaller of power(0) and power(_HORIZON) exceeds STIFFNESS_LIMIT, RK45
+    otherwise.  eps = 0 is the quasi-steady limit: the state is (x, energy),
+    the speed is the cubic root at (x, t), v0 is not used, and the march is
+    RK45 at _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time
     and the dense state (x, v, energy) as a function of time, held at its
     finish value beyond the finish.
     """
@@ -389,7 +412,7 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
         return v
 
     if eps == 0.0:
-        y0, settings, method = [x0, e0], _QUASI_STEADY_SETTINGS, "rk45"
+        y0, settings, jac = [x0, e0], _QUASI_STEADY_SETTINGS, None
 
         def rhs(t, y):
             p = power(t - t0)
@@ -400,7 +423,6 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
             raise NumericsError(f"{who} inertia times mass ratio underflows to 0")
         p_low = min(power(0.0), power(_HORIZON))
         bound = _stiffness(x0, p_low, cruise, cd_front, eps * mass_ratio)
-        method = "bdf" if bound > STIFFNESS_LIMIT else "rk45"
 
         def rhs(t, y):
             x, v = float(y[0]), float(y[1])  # floats overflow to inf silently
@@ -414,6 +436,16 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
                 raise NumericsError(f"{who} acceleration overflowed at x = {x!r}")
             return [v, dv, p]
 
+        def ride_jacobian(t, y):
+            # d(sin theta)/dx = h''/(1 + h'^2)^1.5; power and energy are
+            # functions of t alone
+            x, v = float(y[0]), float(y[1])
+            h1 = profile.slope(x)
+            dv_dx = -gamma * profile.curvature(x) / ((1.0 + h1 * h1) ** 1.5 * eps)
+            dv_dv = _dv_dv(power(t - t0), v, cd_front, eps * mass_ratio)
+            return [[0.0, 1.0, 0.0], [dv_dx, dv_dv, 0.0], [0.0, 0.0, 0.0]]
+        jac = ride_jacobian if bound > STIFFNESS_LIMIT else None
+
     def finish(t, y):
         return y[0] - 1.0
     finish.direction = 1.0
@@ -426,9 +458,10 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
     events = (finish,) if eps == 0.0 else (finish, stall)
     try:
         sol = ode_solve_with_events(rhs, y0, (t0, t0 + _HORIZON), events=events,
-                                    settings=settings, method=method)
-    except StiffnessError as exc:  # its hint names a method no run can set
-        raise StiffnessError(f"{who} {method.upper()} step fell below ten ulps of t") from exc
+                                    settings=settings, jac=jac)
+    except StiffnessError as exc:  # name the rider and the integrator
+        method = "RK45" if jac is None else "BDF"
+        raise StiffnessError(f"{who} {method} step fell below ten ulps of t") from exc
     if eps != 0.0 and sol.t_events[1].size:
         raise StallError(f"{who} stalled before the finish line")
     if not sol.t_events[0].size:

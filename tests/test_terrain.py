@@ -74,6 +74,18 @@ class TestProfiles:
             fd = (height(x + h) - height(x - h)) / (2.0 * h)
             assert profile.slope(x) == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("name", ["flat", "demo", "table"])
+    def test_curvature_matches_slope_difference(self, name):
+        # finite-difference cross-check of the analytic curvature, at the
+        # midpoints between the table's knots so no difference straddles one
+        xs = np.linspace(0.0, 1.0, 21)
+        profile = {"flat": FLAT, "demo": demo_profile(),
+                   "table": CourseProfile.from_table(xs, 0.004 * np.sin(2.0 * np.pi * xs))}[name]
+        h = 1e-7
+        for x in ((xs[:-1] + xs[1:]) / 2).tolist():
+            fd = (profile.slope(x + h) - profile.slope(x - h)) / (2.0 * h)
+            assert profile.curvature(x) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
 
 def _table_course(n):
     rng = np.random.default_rng(n)
@@ -393,9 +405,9 @@ class TestBreakaway:
             simulate_breakaway(0.5, 1e-6, FLAT, SCALES)
 
     def test_stiffness_error_names_no_method_knob(self, monkeypatch):
-        # the kernel's hint suggests method='bdf', which no run can set
+        # the re-raise names the rider and the integrator, not the kernel text
         def fail(*args, **kwargs):
-            raise StiffnessError("step too small (consider method='bdf')")
+            raise StiffnessError("step too small")
         monkeypatch.setattr(terrain, "ode_solve_with_events", fail)
         with pytest.raises(StiffnessError, match="^peloton RK45 step") as info:
             simulate_breakaway(0.5, 3.6, FLAT, SCALES)
@@ -411,7 +423,7 @@ class TestBreakaway:
         solve = terrain.ode_solve_with_events
 
         def record(*args, **kwargs):
-            methods.append(kwargs["method"])
+            methods.append("rk45" if kwargs["jac"] is None else "bdf")
             return solve(*args, **kwargs)
         monkeypatch.setattr(terrain, "ode_solve_with_events", record)
         scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
