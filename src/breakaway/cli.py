@@ -12,7 +12,8 @@ Every run prints (or writes with --out) a single table whose metadata block
 echoes the complete effective configuration; re-running with the same
 configuration and seed reproduces the output byte for byte.  Exit codes:
 0 success, 1 usage, configuration or file error, 2 numerical failure, 3 the
-Monte Carlo statistical gate tripped.
+Monte Carlo statistical gate tripped.  Only the commands that use numpy load
+it, and the modules that need it, so flat and fatigue start without them.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import __version__, fatigue, flat, microstructure, terrain
-from .config import SCHEMA, ConfigError, RunConfig, _resolve_key
+from . import __version__, fatigue, flat
+from .config import SCHEMA, ConfigError, CourseFileError, RunConfig, _resolve_key
 from .crash import exposure_simple_attack, monte_carlo_exposure
 from .model import PowerProfile
-from .numerics import NumericsError
+from .numerics import NumericsError, linspace
 from .tables import ResultTable
 
 EXIT_OK = 0
@@ -113,8 +112,8 @@ def _sweep(command: str, cfg: RunConfig, columns: list[str], row_fn):
         section, key = _resolve_key(parameter)
         if SCHEMA[section][key][0] not in (int, float):
             raise ConfigError(f"bad value for sweep.parameter: {parameter!r} (not a number)")
-        values = np.linspace(cfg.get("sweep", "lo"), cfg.get("sweep", "hi"), points)
-        configs = [cfg.with_value(parameter, float(v)) for v in values]
+        values = linspace(cfg.get("sweep", "lo"), cfg.get("sweep", "hi"), points)
+        configs = [cfg.with_value(parameter, v) for v in values]
         columns = [parameter] + columns
     table = _new_table(command, cfg, columns)
     rows = [row_fn(point_cfg) for point_cfg in configs]
@@ -189,17 +188,16 @@ def cmd_fatigue(cfg: RunConfig) -> tuple[ResultTable, int]:
 # -- terrain ------------------------------------------------------------------
 
 
-def _course_profile(cfg: RunConfig) -> terrain.CourseProfile:
+def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
+    from . import terrain
+
     name = cfg.get("terrain", "course")
     if name == "flat":
-        return terrain.CourseProfile.flat()
-    if name == "demo":
-        return terrain.demo_profile()
-    return terrain.load_course_table(name)
-
-
-def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
-    profile = _course_profile(cfg)
+        profile = terrain.CourseProfile.flat()
+    elif name == "demo":
+        profile = terrain.demo_profile()
+    else:
+        profile = terrain.load_course_table(name)
     scales = cfg.terrain_scales()
     power = cfg.get("terrain", "attack_power")
     attack = None if power <= 0.0 else PowerProfile.constant(power)
@@ -222,8 +220,7 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
     table.add_metadata("summary.peloton_energy", run.peloton_energy)
     n_out = cfg.get("terrain", "samples")
     for label, traj in (("rider", run.rider), ("peloton", run.peloton)):
-        picks = np.linspace(0, traj.times.size - 1, n_out).round().astype(int)
-        for k in picks:
+        for k in map(round, linspace(0, traj.times.size - 1, n_out)):
             table.add_row(label, float(traj.times[k]), float(traj.positions[k]),
                           float(traj.velocities[k]), float(traj.powers[k]),
                           float(traj.cumulative_energy[k]))
@@ -258,6 +255,8 @@ def cmd_crash_mc(cfg: RunConfig) -> tuple[ResultTable, int]:
 
 
 def cmd_microstructure(cfg: RunConfig) -> tuple[ResultTable, int]:
+    from . import microstructure
+
     drag = cfg.drag_params()
     power = cfg.get("micro", "attack_power")
     try:
@@ -273,7 +272,7 @@ def cmd_microstructure(cfg: RunConfig) -> tuple[ResultTable, int]:
     table = _new_table("microstructure", cfg,
                        ["t", "v_composite", "v_full", "rel_deviation"])
     table.add_metadata("summary.max_rel_deviation",
-                       float(np.max(onset.rel_deviation)))
+                       float(onset.rel_deviation.max()))
     table.add_metadata("summary.front_speed", onset.front_speed)
     table.add_metadata("summary.terminal_speed", onset.terminal_speed)
     table.add_metadata("summary.passage_duration_inner", onset.passage_duration)
@@ -304,10 +303,14 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, OverflowError) as exc:
+    except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except terrain.CourseFileError as exc:
+    except OverflowError:  # Python's own text names neither input nor place
+        print(f"numerical failure: {args.command}: an input overflowed a float",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
+    except CourseFileError as exc:
         print(f"course file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

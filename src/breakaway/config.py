@@ -19,11 +19,15 @@ from .crash import CrashModel
 from .flat import StrategyProblem
 from .model import DragParams, ScaleSet
 
-__all__ = ["ConfigError", "RunConfig", "SCHEMA"]
+__all__ = ["ConfigError", "CourseFileError", "RunConfig", "SCHEMA"]
 
 
 class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
+
+
+class CourseFileError(ValueError):
+    """A course table file (terrain.course) could not be parsed."""
 
 
 def _parse_bool(text: str) -> bool:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "CrashModel",
     "propagation_probability",
@@ -41,6 +39,8 @@ def propagation_probability(position: np.ndarray, start: np.ndarray,
 
     Zero ahead of the start, exp(-omega*(position-start)) at or behind it.
     """
+    import numpy as np  # only the Monte Carlo needs numpy
+
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     decay = np.exp(-omega * np.maximum(position - start, 0.0))
@@ -111,6 +111,7 @@ def monte_carlo_exposure(x_attack: float, position: float, trials: int,
         raise ValueError("position must be >= 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    import numpy as np  # only the Monte Carlo needs numpy
     children = np.random.SeedSequence(seed).spawn(_MC_CHUNKS)
     base, extra = divmod(trials, _MC_CHUNKS)
     sum_x = 0.0

@@ -28,11 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DragParams, drag_at_depth
-from .numerics import (
-    NumericsError,
-    SolverSettings,
-    ode_solve_with_events,
-)
+from .numerics import NumericsError, SolverSettings
+from .ode import ode_solve_with_events
 
 __all__ = [
     "PassageLayer",

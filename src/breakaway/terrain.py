@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import CourseFileError
 from .model import PowerProfile, ScaleSet
 from .numerics import (
     NumericsError,
@@ -45,9 +46,9 @@ from .numerics import (
     StallError,
     StiffnessError,
     find_root_bracketed,
-    ode_solve_with_events,
     solve_cubic_real,
 )
+from .ode import ode_solve_with_events
 
 __all__ = [
     "CourseProfile",
@@ -72,10 +73,6 @@ _HORIZON = 50.0   # generous multiple of any sane dimensionless race time
 # perfbench terrain rides of seeds 101-120 the RK45 rides bound at most 2,204
 # and the BDF rides at least 12,345 (Hairer & Wanner, Solving ODEs II, IV.2).
 STIFFNESS_LIMIT = 5000.0
-
-
-class CourseFileError(ValueError):
-    """A course table file could not be parsed."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Every public name a breakaway module exports must exist, and importing
-the CLI loads no more than its commands need."""
+"""Every public name a breakaway module exports must exist, the package
+loads its submodules lazily, and importing the CLI loads no more than its
+commands need."""
 
 import importlib
 import json
@@ -19,6 +20,19 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(breakaway.__path__))
 def test_package_imports():
     assert importlib.import_module("breakaway") is breakaway
     assert MODULES
+
+
+def test_lazy_package_api():
+    for name in breakaway.__all__:
+        module = importlib.import_module(f"breakaway.{breakaway._EXPORTS[name]}")
+        assert name in module.__all__
+        assert getattr(breakaway, name) is getattr(module, name)
+    assert set(breakaway.__all__) <= set(dir(breakaway))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        breakaway.no_such_name
+    namespace = {}
+    exec("from breakaway import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(breakaway.__all__)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -76,4 +90,46 @@ def test_scipy_stays_off_the_startup_path(tmp_path):
         "quasi-steady-table": [0, False], "rk45-demo": [0, False],
         "rk45-table": [0, False], "bdf-demo": [0, False],
         "bdf-table": [0, False], "control": True,
+    }
+
+
+_HEAVY = ("numpy", "breakaway.terrain", "breakaway.microstructure", "breakaway.ode")
+
+
+def _heavy_imports(args, cwd):
+    """(exit code, heavy modules imported) of a fresh `python -X importtime`."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return [proc.returncode, sorted(names.intersection(_HEAVY))]
+
+
+def test_numpy_stays_off_the_closed_form_startup(tmp_path):
+    # flat and fatigue are closed forms on Python floats; crash-mc,
+    # microstructure and terrain are the control: they must load numpy
+    cli = ["-m", "breakaway.cli"]
+    sweep = ["--set", "sweep.parameter=strategy.risk_index", "--set", "sweep.points=3"]
+    runs = {
+        "import breakaway": ["-c", "import breakaway"],
+        "import breakaway.cli": ["-c", "import breakaway.cli"],
+        "--version": cli + ["--version"],
+        "flat": cli + ["flat"],
+        "flat-sweep": cli + ["flat"] + sweep,
+        "fatigue": cli + ["fatigue"],
+        "fatigue-sweep": cli + ["fatigue"] + sweep,
+        "crash-mc": cli + ["crash-mc", "--trials", "1000"],
+        "microstructure": cli + ["microstructure", "--set", "micro.samples=65"],
+        "terrain": cli + ["terrain", "--course", "flat",
+                          "--set", "terrain.quasi_steady=true"],
+    }
+    seen = {name: _heavy_imports(args, tmp_path) for name, args in runs.items()}
+    lean = [0, []]
+    assert seen == {
+        "import breakaway": lean, "import breakaway.cli": lean, "--version": lean,
+        "flat": lean, "flat-sweep": lean, "fatigue": lean, "fatigue-sweep": lean,
+        "crash-mc": [0, ["numpy"]],
+        "microstructure": [0, ["breakaway.microstructure", "breakaway.ode", "numpy"]],
+        "terrain": [0, ["breakaway.ode", "breakaway.terrain", "numpy"]],
     }

@@ -532,6 +532,19 @@ def test_overflow_exits_two(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["terrain", "--set", "terrain.gravity_ratio=1e308"],
+    ["flat", "--set", "strategy.energy_budget=1e308"],
+    ["microstructure", "--set", "micro.epsilon=1e300"],
+], ids=lambda argv: argv[0])
+def test_overflow_names_the_command(argv, capsys):
+    # Python's own OverflowError text, "(34, 'Numerical result out of
+    # range')", names neither the command nor what overflowed
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: {argv[0]}: an input overflowed a float\n")
+
+
 def test_every_schema_key_is_read(monkeypatch, capsys):
     # a key no run reads is a knob that changes nothing but the echo
     from breakaway.config import SCHEMA, RunConfig

@@ -6,6 +6,7 @@ from scipy import integrate, linalg, optimize
 
 import breakaway.microstructure as microstructure
 import breakaway.numerics as numerics
+import breakaway.ode as ode
 import breakaway.terrain as terrain
 from breakaway.model import DragParams, ScaleSet
 from breakaway.numerics import (
@@ -19,9 +20,9 @@ from breakaway.numerics import (
     find_root_bracketed,
     integrate_adaptive,
     minimize_scalar,
-    ode_solve_with_events,
     solve_cubic_real,
 )
+from breakaway.ode import ode_solve_with_events
 
 
 def cubic_residual(a3, a1, a0, y):
@@ -393,7 +394,7 @@ class TestBdfMatchesScipy:
             A = np.identity(n) - 10.0 ** rng.uniform(-9.0, -1.0) * J
             b = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-12.0, 0.0)
             expected = linalg.lu_solve(linalg.lu_factor(A), b)
-            assert numerics._lu_solve(A, b).tobytes() == expected.tobytes()
+            assert ode._lu_solve(A, b).tobytes() == expected.tobytes()
 
     def test_singular_newton_matrix_fails_the_iteration(self):
         # SciPy warns and divides by the zero pivot; either way no finite
@@ -402,7 +403,7 @@ class TestBdfMatchesScipy:
         with pytest.warns(linalg.LinAlgWarning):
             expected = linalg.lu_solve(linalg.lu_factor(A), b)
         assert not np.isfinite(expected).all()
-        assert np.isnan(numerics._lu_solve(A, b)).all()
+        assert np.isnan(ode._lu_solve(A, b)).all()
 
 
 class TestMinimizeScalar:
@@ -442,6 +443,42 @@ class TestMinimizeScalar:
             SolverSettings(abs_tol=0.0)
         with pytest.raises(ValueError):
             minimize_scalar(lambda x: x, 1.0, 0.0)
+
+    def test_grid_points_are_floats(self):
+        seen = []
+        minimize_scalar(lambda x: seen.append(x) or (x - 0.3) ** 2, 0.0, 1.0)
+        assert {type(x) for x in seen} == {float}
+
+    def test_first_nan_wins_as_in_argmin(self):
+        # a smaller value comes first, but np.argmin picks the first NaN
+        f = lambda x: math.nan if x >= 0.5 else (x - 0.2) ** 2
+        xs = numerics.linspace(0.0, 1.0, 11)
+        assert int(np.argmin([f(x) for x in xs])) == 5
+        x, fx = minimize_scalar(f, 0.0, 1.0, grid_points=11)
+        assert x == xs[5] == 0.5
+        assert math.isnan(fx)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (0.0, 1.0, 1), (0.0, 1.0, 2), (0.0, 1.0, 3), (0.0, 1.0, 128), (0.0, 1.0, 256),
+    (0.3, 7.1, 1), (0.3, 7.1, 2), (0.3, 7.1, 3), (0.3, 7.1, 128), (0.3, 7.1, 256),
+    (-0.0, 1.0, 1),                      # numpy's 0 * (hi - lo) + lo is +0.0
+    (2.5, 2.5, 5),                       # lo == hi
+    (1.0, -3.0, 7), (0.9, 0.2, 256),     # lo > hi
+    (0.0, 5e-324, 4), (5e-324, 2e-323, 5), (-1e-320, 1e-320, 9),  # subnormal
+    (1e308, 1.7e308, 9), (-1e308, 1e308, 5), (-1e308, 1e308, 1),  # near overflow
+    (0.5, 2.0, 16), (0.0, 1.0, 21), (0.3, 400.0, 24), (50, 51, 4),  # sweeps
+])
+def test_linspace_is_numpys_bit_for_bit(lo, hi, n):
+    with np.errstate(all="ignore"):  # hi - lo overflows to inf near 1e308
+        expected = np.linspace(lo, hi, n).tolist()
+    points = numerics.linspace(lo, hi, n)
+    assert {type(x) for x in points} <= {float}
+    assert _hex(points) == _hex(expected)
 
 
 def test_kernels_are_bit_deterministic():
