@@ -23,7 +23,7 @@ _PUBLIC = {
              "min_attack_position", "min_energy_to_win", "min_risk_to_win",
              "objective", "optimal_attack", "time_gap_from_position",
              "time_gap_from_power"),
-    "model": ("DragParams", "PowerProfile", "ScaleSet", "drag_at_depth"),
+    "model": ("DragParams", "PowerProfile", "drag_at_depth"),
     "terrain": ("BreakawayRun", "CourseProfile", "Trajectory", "demo_profile",
                 "load_course_table", "simulate_breakaway"),
 }

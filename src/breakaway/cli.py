@@ -197,16 +197,21 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
     elif name == "demo":
         profile = terrain.demo_profile()
     else:
-        profile = terrain.load_course_table(name)
-    scales = cfg.terrain_scales()
+        try:
+            profile = terrain.load_course_table(name)
+        except (CourseFileError, OSError) as exc:  # an input, not a solver failure
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"bad value for terrain.course: {name!r} ({reason})") from exc
+    epsilon = cfg.get("terrain", "epsilon")  # read even when quasi-steady ignores it
     power = cfg.get("terrain", "attack_power")
     attack = None if power <= 0.0 else PowerProfile.constant(power)
     run = terrain.simulate_breakaway(
-        cfg.get("terrain", "attack_position"), attack, profile, scales,
+        cfg.get("terrain", "attack_position"), attack, profile,
+        inertia=0.0 if cfg.get("terrain", "quasi_steady") else epsilon,
+        gravity_ratio=cfg.get("terrain", "gravity_ratio"),
         cd_front=cfg.get("model", "cd_front"),
         cd_lurk=cfg.get("model", "cd_lurk"),
         mass_ratio=cfg.get("model", "mass_ratio"),
-        quasi_steady=cfg.get("terrain", "quasi_steady"),
         n_samples=2 * cfg.get("terrain", "samples") + 1,
     )
     table = _new_table("terrain", cfg,
@@ -310,9 +315,6 @@ def main(argv=None) -> int:
         print(f"numerical failure: {args.command}: an input overflowed a float",
               file=sys.stderr)
         return EXIT_NUMERICAL
-    except CourseFileError as exc:
-        print(f"course file error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

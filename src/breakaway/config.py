@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .crash import CrashModel
 from .flat import StrategyProblem
-from .model import DragParams, ScaleSet
+from .model import DragParams
 
 __all__ = ["ConfigError", "CourseFileError", "RunConfig", "SCHEMA"]
 
@@ -231,7 +231,3 @@ class RunConfig:
     def p_sustain(self) -> float | None:
         value = self.get("fatigue", "p_sustain")
         return None if value <= 0.0 else value
-
-    def terrain_scales(self) -> ScaleSet:
-        return ScaleSet(inertia=self.get("terrain", "epsilon"),
-                        gravity_ratio=self.get("terrain", "gravity_ratio"))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DragParams, drag_at_depth
-from .numerics import NumericsError, SolverSettings
+from .numerics import NumericsError, SolverSettings, linspace
 from .ode import ode_solve_with_events
 
 __all__ = [
@@ -177,7 +177,7 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
                                 events=(turned,), settings=settings)
     if sol.t_events[0].size:
         raise NeverReachesFrontError("the rider turned back before the front")
-    zetas = np.linspace(zeta0 + dz0, 0.0, 513)
+    zetas = np.array(linspace(zeta0 + dz0, 0.0, 513))
     states = sol.sol(zetas)
     times = np.concatenate(([0.0], states[0]))
     speeds = np.concatenate(([1.0], states[1]))
@@ -202,7 +202,7 @@ def attack_onset(eps: float, position: float, power: float,
         raise ValueError("eps must be positive")
     t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
                        gamma_ratio)
-    times = np.linspace(0.0, t_end, n_samples)
+    times = np.array(linspace(0.0, t_end, n_samples))
     delta = gamma_ratio * eps**2
 
     def rhs(t, y):

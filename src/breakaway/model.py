@@ -1,15 +1,14 @@
-"""Core race model: drafting drag, terrain scales and the power schedule.
+"""Core race model: drafting drag and the power schedule.
 
 Everything downstream works in dimensionless variables: the course has unit
 length, the peloton rides it in unit time at unit power, and the peloton's
 total energy spend is one.  This module holds the exponential drafting-drag
-law, the dimensionless ratios of the terrain dynamics, and the one power
-schedule of the package: PowerProfile, a lurk phase followed by a burst that
-decays exponentially toward a sustainable floor (a constant-power attack is
-its zero-rate case), with exact, closed-form energy accounting.  The drag
-law and the schedule take one float, as the ODE right-hand sides call them,
-and take their exponentials from `math`, so their bits do not depend on the
-SIMD kernel numpy would pick for the CPU.
+law and the one power schedule of the package: PowerProfile, a lurk phase
+followed by a burst that decays exponentially toward a sustainable floor (a
+constant-power attack is its zero-rate case), with exact, closed-form energy
+accounting.  The drag law and the schedule take one float, as the ODE
+right-hand sides call them, and take their exponentials from `math`, so
+their bits do not depend on the SIMD kernel numpy would pick for the CPU.
 
 The standard calibration keeps the front-rider drag ratio (1.43) and the
 position-5 lurking power (0.46) as independent inputs rather than deriving
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 __all__ = [
     "DragParams",
     "PowerProfile",
-    "ScaleSet",
     "drag_at_depth",
     "CD_FRONT_CALIBRATED",
     "CD_LURK_CALIBRATED",
@@ -61,22 +59,6 @@ def drag_at_depth(depth: float, drag: DragParams) -> float:
     if depth < 0.0:
         return drag.cd_max
     return drag.cd_min + (drag.cd_max - drag.cd_min) * math.exp(-drag.decay * depth)
-
-
-@dataclass(frozen=True)
-class ScaleSet:
-    """Dimensionless ratios of the terrain dynamics.
-
-    inertia is the small velocity-relaxation parameter, gravity_ratio the
-    gravity-to-drag force ratio used on graded courses.
-    """
-
-    inertia: float = 0.005
-    gravity_ratio: float = 40.0
-
-    def __post_init__(self):
-        if self.inertia <= 0.0:
-            raise ValueError("inertia must be positive")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,12 @@ gravity-to-drag force ratio.  Two integration modes are provided:
   STIFFNESS_LIMIT) and by explicit RK45 otherwise;
 * the quasi-steady limit (epsilon = 0), where the speed is the positive root
   of C_d v^3 + m*gamma*sin(theta) v = P at every point; the race is still
-  marched in time, with position and energy as the state, always by RK45
-  and at tolerances 100x tighter than SIM_SETTINGS.
+  marched in time, with position alone as the state, always by RK45 and at
+  tolerances 100x tighter than SIM_SETTINGS.
+
+The ODEs carry only the mechanics.  Energy is the integral of the power
+schedule, so after the attack it comes from PowerProfile.energy in closed
+form; the peloton, at unit power, has spent its elapsed time.
 
 The peloton is the unit rider: power, drag and mass all 1.  In both limits
 it rides the same integrator as the breakaway rider.
@@ -38,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .config import CourseFileError
-from .model import PowerProfile, ScaleSet
+from .model import PowerProfile
 from .numerics import (
     NumericsError,
     RiderNeverFinishesError,
@@ -46,6 +50,7 @@ from .numerics import (
     StallError,
     StiffnessError,
     find_root_bracketed,
+    linspace,
     solve_cubic_real,
 )
 from .ode import ode_solve_with_events
@@ -208,14 +213,18 @@ def _pchip_edge(h0, h1, m0, m1):
 
 
 def load_course_table(path) -> CourseProfile:
-    """Read a two-column (x, h) text file; optional header, '#' comments."""
+    """Read a two-column (x, h) text file; optional header, '#' comments.
+
+    A file that is not such a table raises CourseFileError; the message
+    names the line or the fault, and the caller names the path.
+    """
     xs: list[float] = []
     hs: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
-            raise CourseFileError(f"{path}: not a UTF-8 text file") from exc
+            raise CourseFileError("not a UTF-8 text file") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -233,10 +242,7 @@ def load_course_table(path) -> CourseProfile:
         hs.append(values[1])
     if len(xs) < 2:
         raise CourseFileError("course table needs at least two data rows")
-    try:
-        return CourseProfile.from_table(xs, hs, label=str(path))
-    except CourseFileError as exc:
-        raise CourseFileError(f"{path}: {exc}") from exc
+    return CourseProfile.from_table(xs, hs, label=str(path))
 
 
 def demo_profile() -> CourseProfile:
@@ -283,26 +289,30 @@ def _lurk_power(velocities, cd_position: float, mass_ratio: float):
 
 
 def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
-                       scales: ScaleSet,
+                       inertia: float = 0.005, gravity_ratio: float = 40.0,
                        cd_front: float = 1.43, cd_lurk: float = 0.46,
-                       mass_ratio: float = 1.0,
-                       quasi_steady: bool = False, n_samples: int = 2049,
+                       mass_ratio: float = 1.0, n_samples: int = 2049,
                        settings: SolverSettings = SIM_SETTINGS) -> BreakawayRun:
     """Simulate a breakaway at course position x_attack.
 
     `attack` is the post-attack power: a PowerProfile evaluated in time
     since the attack, a plain number for a constant power, or None to stay
-    with the peloton for the whole race.  Both trajectories stop exactly at
-    the finish line; the time gap is peloton time minus rider time.
+    with the peloton for the whole race.  `inertia` is the velocity
+    relaxation parameter epsilon, 0 for the quasi-steady limit, and
+    `gravity_ratio` the gravity-to-drag force ratio gamma.  Both
+    trajectories stop exactly at the finish line; the time gap is peloton
+    time minus rider time.  The rider's energy is the trapezoid of the lurk
+    power up to the attack plus the schedule's closed-form energy after it.
     """
     if not 0.0 <= x_attack < 1.0:
         raise ValueError("attack position must lie in [0, 1)")
-    gamma, eps = scales.gravity_ratio, 0.0 if quasi_steady else scales.inertia
+    if not inertia >= 0.0:  # NaN fails too
+        raise ValueError("inertia must be non-negative")
     # the peloton is the unit rider: power, drag and mass all 1
-    t_p, peloton_state = _ride(0.0, 0.0, 1.0, 0.0, lambda s: 1.0, profile,
-                               gamma, 1.0, 1.0, eps, settings, "peloton")
-    times = np.linspace(0.0, t_p, n_samples)
-    positions, velocities, _ = peloton_state(times)
+    t_p, peloton_state = _ride(0.0, 0.0, 1.0, lambda s: 1.0, profile,
+                               gravity_ratio, 1.0, 1.0, inertia, settings, "peloton")
+    times = np.array(linspace(0.0, t_p, n_samples))
+    positions, velocities = peloton_state(times)
     peloton = Trajectory(times, positions, velocities,
                          powers=np.ones_like(times),
                          cumulative_energy=times.copy(), finish_time=t_p)
@@ -326,20 +336,21 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         t_attack = find_root_bracketed(
             lambda t: float(peloton_state(t)[0]) - x_attack, 0.0, t_p, settings)
 
-    pre_times = np.linspace(0.0, t_attack, n_half) if t_attack > 0.0 else np.array([0.0])
-    pre_x, pre_vel, _ = peloton_state(pre_times)
+    pre_times = np.array(linspace(0.0, t_attack, n_half) if t_attack > 0.0 else [0.0])
+    pre_x, pre_vel = peloton_state(pre_times)
     pre_pow = _lurk_power(pre_vel, cd_lurk, mass_ratio)
     pre_energy = _cumtrapz(pre_pow, pre_times)
     e_attack = float(pre_energy[-1])
 
     v_attack = float(peloton_state(t_attack)[1])
-    t_f, state = _ride(x_attack, t_attack, v_attack, e_attack,
-                       power_profile.power_at, profile, gamma, cd_front,
-                       mass_ratio, eps, settings, "rider")
-    post_times = np.linspace(t_attack, t_f, n_half)
-    post_x, post_v, post_e = state(post_times)
-    post_p = np.array([power_profile.power_at(t)
-                       for t in (post_times - t_attack).tolist()], dtype=float)
+    t_f, state = _ride(x_attack, t_attack, v_attack, power_profile.power_at,
+                       profile, gravity_ratio, cd_front, mass_ratio, inertia,
+                       settings, "rider")
+    post_times = linspace(t_attack, t_f, n_half)
+    post_x, post_v = state(np.array(post_times))
+    since = [t - t_attack for t in post_times]
+    post_p = [power_profile.power_at(s) for s in since]
+    post_e = [e_attack + power_profile.energy(s) for s in since]
 
     # keep the attack instant twice (lurk-side and attack-side samples) so a
     # trapezoid over the power series sees the jump as a vertical step
@@ -355,7 +366,7 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         rider=rider, peloton=peloton,
         time_gap=t_p - t_f,
         attack_time=t_attack, attack_position=x_attack,
-        rider_energy=float(rider.cumulative_energy[-1]),
+        rider_energy=post_e[-1],
         peloton_energy=t_p,
     )
 
@@ -381,20 +392,20 @@ def _stiffness(x0, p, cruise, cd_front, eps_mass):
     spaced points of [x0, 1]; a stalled speed is infinitely stiff.
     """
     return max(-_dv_dv(p, v, cd_front, eps_mass) if v >= _V_STALL else math.inf
-               for v in (cruise(x, p) for x in np.linspace(x0, 1.0, 65).tolist()))
+               for v in (cruise(x, p) for x in linspace(x0, 1.0, 65)))
 
 
-def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
+def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
           settings, who):
-    """Ride from state (x0, v0, e0) at time t0 at power(t - t0) until x = 1.
+    """Ride from state (x0, v0) at time t0 at power(t - t0) until x = 1.
 
     The ride is BDF on its analytic Jacobian when its _stiffness at the
     smaller of power(0) and power(_HORIZON) exceeds STIFFNESS_LIMIT, RK45
-    otherwise.  eps = 0 is the quasi-steady limit: the state is (x, energy),
-    the speed is the cubic root at (x, t), v0 is not used, and the march is
+    otherwise.  eps = 0 is the quasi-steady limit: the state is x alone, the
+    speed is the cubic root at (x, t), v0 is not used, and the march is
     RK45 at _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time
-    and the dense state (x, v, energy) as a function of time, held at its
-    finish value beyond the finish.
+    and the dense state (x, v) as a function of time, held at its finish
+    value beyond the finish.
     """
     def cruise(x, p):
         # the largest root of the speed cubic: the only one uphill, and the
@@ -409,13 +420,12 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
         return v
 
     if eps == 0.0:
-        y0, settings, jac = [x0, e0], _QUASI_STEADY_SETTINGS, None
+        y0, settings, jac = [x0], _QUASI_STEADY_SETTINGS, None
 
         def rhs(t, y):
-            p = power(t - t0)
-            return [speed(y[0], p), p]
+            return [speed(y[0], power(t - t0))]
     else:
-        y0 = [x0, v0, e0]
+        y0 = [x0, v0]
         if eps * mass_ratio == 0.0:
             raise NumericsError(f"{who} inertia times mass ratio underflows to 0")
         p_low = min(power(0.0), power(_HORIZON))
@@ -431,16 +441,15 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
                   - mass_ratio * gamma * math.sin(theta)) / (eps * mass_ratio)
             if not math.isfinite(dv):
                 raise NumericsError(f"{who} acceleration overflowed at x = {x!r}")
-            return [v, dv, p]
+            return [v, dv]
 
         def ride_jacobian(t, y):
-            # d(sin theta)/dx = h''/(1 + h'^2)^1.5; power and energy are
-            # functions of t alone
+            # d(sin theta)/dx = h''/(1 + h'^2)^1.5; power is a function of t
             x, v = float(y[0]), float(y[1])
             h1 = profile.slope(x)
             dv_dx = -gamma * profile.curvature(x) / ((1.0 + h1 * h1) ** 1.5 * eps)
             dv_dv = _dv_dv(power(t - t0), v, cd_front, eps * mass_ratio)
-            return [[0.0, 1.0, 0.0], [dv_dx, dv_dv, 0.0], [0.0, 0.0, 0.0]]
+            return [[0.0, 1.0], [dv_dx, dv_dv]]
         jac = ride_jacobian if bound > STIFFNESS_LIMIT else None
 
     def finish(t, y):
@@ -469,8 +478,8 @@ def _ride(x0, t0, v0, e0, power, profile, gamma, cd_front, mass_ratio, eps,
 
     def state(t):
         t = np.minimum(t, t_f)
-        x, e = sol.sol(t)
+        x = sol.sol(t)[0]
         v = [speed(xk, power(tk - t0))
              for xk, tk in zip(np.ravel(x).tolist(), np.ravel(t).tolist())]
-        return np.array([x, np.reshape(v, np.shape(x)), e])
+        return np.array([x, np.reshape(v, np.shape(x))])
     return t_f, state

@@ -29,7 +29,7 @@ from breakaway.flat import (
     optimal_attack,
 )
 from breakaway.microstructure import attack_onset
-from breakaway.model import DragParams, PowerProfile, ScaleSet
+from breakaway.model import DragParams, PowerProfile
 from breakaway.terrain import CourseProfile, simulate_breakaway
 
 
@@ -147,8 +147,7 @@ def test_criterion_07_fatigue_scaling():
 def test_criterion_08_terrain_reduction():
     """Flat-course simulation at eps = 1e-4 reproduces the closed-form gap."""
     flat_course = CourseProfile.flat()
-    scales = ScaleSet(inertia=1e-4)
-    peloton = simulate_breakaway(0.0, None, flat_course, scales).peloton
+    peloton = simulate_breakaway(0.0, None, flat_course, inertia=1e-4).peloton
     assert abs(peloton.finish_time - 1.0) <= 1e-3
 
     worst = 0.0
@@ -160,7 +159,7 @@ def test_criterion_08_terrain_reduction():
             problem = problem_with(energy_budget=implied)
             ref = (1.0 - x_a) * (1.0 - 1.0 / speed)
             assert attack_power(x_a, problem) == pytest.approx(power, rel=1e-10)
-            run = simulate_breakaway(x_a, power, flat_course, scales)
+            run = simulate_breakaway(x_a, power, flat_course, inertia=1e-4)
             worst = max(worst, abs(run.time_gap - ref))
     assert worst < 1e-4
 

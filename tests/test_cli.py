@@ -263,10 +263,18 @@ class TestFileErrors:
         path.write_bytes((header * 2)[:200])
         assert main(["terrain", "--course", str(path)]) == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("course file error:")
-        assert str(path) in err
-        assert "Traceback" not in err
+        assert err == f"error: bad value for terrain.course: {str(path)!r} " \
+                      f"(not a UTF-8 text file)\n"
+
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.txt", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unreadable_course_names_the_key(self, name, reason, tmp_path, capsys):
+        path = str(tmp_path / name)
+        assert main(["terrain", "--course", path]) == 1
+        assert capsys.readouterr().err == \
+            f"error: bad value for terrain.course: {path!r} ({reason})\n"
 
     @pytest.mark.parametrize("table", [
         "0 0\nnan 0.1\n1 0\n",      # a nan x
@@ -279,7 +287,7 @@ class TestFileErrors:
         assert main(["terrain", "--course", str(path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("course file error:")
+        assert err.startswith(f"error: bad value for terrain.course: {str(path)!r} (")
         assert "Traceback" not in err
 
 

@@ -8,7 +8,7 @@ import breakaway.microstructure as microstructure
 import breakaway.numerics as numerics
 import breakaway.ode as ode
 import breakaway.terrain as terrain
-from breakaway.model import DragParams, ScaleSet
+from breakaway.model import DragParams
 from breakaway.numerics import (
     DEFAULT_SETTINGS,
     BracketError,
@@ -308,12 +308,10 @@ class TestRk45MatchesScipy:
     def test_terrain_rides(self, monkeypatch):
         rng, course = seeded_course(1)
         x_attack, power = rng.uniform(0.3, 0.7), rng.uniform(3.0, 4.0)
-        scales = ScaleSet(inertia=0.02, gravity_ratio=40.0)
-
         def run():
-            for quasi_steady in (False, True):
-                terrain.simulate_breakaway(x_attack, power, course, scales,
-                                           quasi_steady=quasi_steady, n_samples=65)
+            for inertia in (0.02, 0.0):   # full dynamics, then quasi-steady
+                terrain.simulate_breakaway(x_attack, power, course, inertia=inertia,
+                                           gravity_ratio=40.0, n_samples=65)
         # the full-dynamics peloton bounds |dv'/dv| at 5,153 on this course
         assert replay(monkeypatch, terrain, run) == ["bdf"] + ["rk45"] * 3
 
@@ -343,17 +341,16 @@ class TestBdfMatchesScipy:
     @pytest.mark.parametrize("inertia", [4e-4, 5e-4, 6e-4])
     def test_demo_rides(self, monkeypatch, inertia):
         # both rides are stiff enough for BDF: the peloton, then the rider
-        scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
         run = lambda: terrain.simulate_breakaway(0.55, 3.4, terrain.demo_profile(),
-                                                 scales, n_samples=65)
+                                                 inertia=inertia, gravity_ratio=40.0,
+                                                 n_samples=65)
         assert replay(monkeypatch, terrain, run) == ["bdf"] * 2
 
     def test_table_ride(self, monkeypatch):
         rng, course = seeded_course(3)
         x_attack, power = rng.uniform(0.3, 0.7), rng.uniform(3.0, 4.0)
-        scales = ScaleSet(inertia=5e-4, gravity_ratio=40.0)
-        run = lambda: terrain.simulate_breakaway(x_attack, power, course, scales,
-                                                 n_samples=65)
+        run = lambda: terrain.simulate_breakaway(x_attack, power, course, inertia=5e-4,
+                                                 gravity_ratio=40.0, n_samples=65)
         assert replay(monkeypatch, terrain, run) == ["bdf"] * 2
 
     @pytest.mark.parametrize("power, course, failure", [
@@ -364,8 +361,8 @@ class TestBdfMatchesScipy:
     def test_failed_rides(self, monkeypatch, power, course, failure):
         # the crawl, at speed 0.009 on the flat, is stiff only at tiny inertia
         inertia = 1e-6 if failure is RiderNeverFinishesError else 5e-4
-        scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
-        run = lambda: terrain.simulate_breakaway(0.5, power, course, scales)
+        run = lambda: terrain.simulate_breakaway(0.5, power, course, inertia=inertia,
+                                                 gravity_ratio=40.0)
         assert replay(monkeypatch, terrain, run, failure) == ["bdf"] * 2
 
     def test_stiff_decay(self):

@@ -6,7 +6,7 @@ import pytest
 
 from breakaway import terrain
 from breakaway.flat import StrategyProblem, attack_power, time_gap_from_position
-from breakaway.model import PowerProfile, ScaleSet
+from breakaway.model import PowerProfile
 from breakaway.numerics import (
     RiderNeverFinishesError,
     SolverSettings,
@@ -24,13 +24,12 @@ from breakaway.terrain import (
 )
 
 FLAT = CourseProfile.flat()
-SCALES = ScaleSet(inertia=0.005, gravity_ratio=40.0)
+QUASI_STEADY = 0.0   # the inertia of the quasi-steady limit
 
 
-def _peloton(profile, scales, quasi_steady=False):
+def _peloton(profile, inertia=0.005):
     """The peloton's trajectory, from a rider who never attacks."""
-    return simulate_breakaway(0.0, None, profile, scales,
-                              quasi_steady=quasi_steady).peloton
+    return simulate_breakaway(0.0, None, profile, inertia=inertia).peloton
 
 
 def _quasi_steady_root(drag, slope_term, power):
@@ -261,12 +260,12 @@ class TestQuasiSteadyRoot:
 
 class TestPeloton:
     def test_flat_quasi_steady_unit_time(self):
-        traj = _peloton(FLAT, SCALES, quasi_steady=True)
+        traj = _peloton(FLAT, QUASI_STEADY)
         assert traj.finish_time == pytest.approx(1.0, abs=1e-12)
         assert traj.cumulative_energy[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_full_dynamics_near_unit_time(self):
-        traj = _peloton(FLAT, SCALES)
+        traj = _peloton(FLAT)
         assert traj.finish_time == pytest.approx(1.0, abs=1e-2)
         assert abs(traj.positions[-1] - 1.0) < 1e-9
 
@@ -275,17 +274,17 @@ class TestPeloton:
         profile = CourseProfile.from_table([0.0, 1.0], [0.0, grade])
         slope_term = 40.0 * math.sin(math.atan(grade))
         v = float(_quasi_steady_root(1.0, slope_term, 1.0))
-        traj = _peloton(profile, SCALES, quasi_steady=True)
+        traj = _peloton(profile, QUASI_STEADY)
         assert traj.finish_time == pytest.approx(1.0 / v, rel=1e-8)
 
     def test_full_vs_quasi_steady_on_hills(self):
         demo = demo_profile()
-        qs = _peloton(demo, SCALES, quasi_steady=True)
-        full = _peloton(demo, SCALES)
+        qs = _peloton(demo, QUASI_STEADY)
+        full = _peloton(demo)
         assert full.finish_time == pytest.approx(qs.finish_time, abs=5e-2)
 
     def test_positions_non_decreasing(self):
-        traj = _peloton(demo_profile(), SCALES)
+        traj = _peloton(demo_profile())
         assert np.all(np.diff(traj.positions) >= -1e-12)
 
 
@@ -294,8 +293,8 @@ class TestLurkingPower:
 
     @staticmethod
     def lurking_power(profile, cd_lurk):
-        run = simulate_breakaway(0.5, None, profile, SCALES, cd_lurk=cd_lurk,
-                                 quasi_steady=True)
+        run = simulate_breakaway(0.5, None, profile, inertia=QUASI_STEADY,
+                                 cd_lurk=cd_lurk)
         return run.rider.powers
 
     def test_flat_equals_drag_ratio(self):
@@ -318,7 +317,7 @@ class TestBreakaway:
         problem = StrategyProblem(energy_budget=1.2)
         x_a = 0.5
         power = attack_power(x_a, problem)
-        run = simulate_breakaway(x_a, power, FLAT, SCALES, quasi_steady=True)
+        run = simulate_breakaway(x_a, power, FLAT, inertia=QUASI_STEADY)
         assert run.time_gap == pytest.approx(
             time_gap_from_position(x_a, problem), abs=1e-6)
         assert run.rider_energy == pytest.approx(1.2, abs=1e-6)
@@ -327,29 +326,28 @@ class TestBreakaway:
         problem = StrategyProblem(energy_budget=1.2)
         x_a = 0.4
         power = attack_power(x_a, problem)
-        run = simulate_breakaway(x_a, power, FLAT, ScaleSet(inertia=1e-4))
+        run = simulate_breakaway(x_a, power, FLAT, inertia=1e-4)
         assert run.time_gap == pytest.approx(
             time_gap_from_position(x_a, problem), abs=1e-4)
 
     def test_event_localization(self):
-        run = simulate_breakaway(0.5, 3.6, demo_profile(), SCALES)
+        run = simulate_breakaway(0.5, 3.6, demo_profile())
         assert abs(run.rider.positions[-1] - 1.0) < 1e-9
         assert abs(run.peloton.positions[-1] - 1.0) < 1e-9
 
     def test_no_attack_stays_with_group(self):
-        run = simulate_breakaway(0.5, None, demo_profile(), SCALES,
-                                 quasi_steady=True)
+        run = simulate_breakaway(0.5, None, demo_profile(), inertia=QUASI_STEADY)
         assert run.time_gap == 0.0
         assert run.rider.finish_time == run.peloton.finish_time
 
     def test_demo_breakaway_wins(self):
-        run = simulate_breakaway(0.5, 3.6, demo_profile(), SCALES)
+        run = simulate_breakaway(0.5, 3.6, demo_profile())
         assert run.time_gap > 0.0
         assert run.rider.finish_time < run.peloton.finish_time
 
     def test_rider_faster_on_flat_peloton_faster_downhill(self):
         demo = demo_profile()
-        run = simulate_breakaway(0.5, 3.6, demo, SCALES)
+        run = simulate_breakaway(0.5, 3.6, demo)
         xs = np.linspace(0.0, 1.0, 2001)
         steepest = min(xs.tolist(), key=demo.slope)
         assert steepest > 0.5   # the big descent comes after the attack
@@ -372,7 +370,7 @@ class TestBreakaway:
         assert v_group > v_solo
 
     def test_energy_audit(self):
-        run = simulate_breakaway(0.5, 3.6, demo_profile(), SCALES)
+        run = simulate_breakaway(0.5, 3.6, demo_profile())
         for traj in (run.rider, run.peloton):
             trapz = np.trapezoid(traj.powers, traj.times)
             assert trapz == pytest.approx(traj.cumulative_energy[-1], abs=1e-6)
@@ -380,14 +378,13 @@ class TestBreakaway:
     def test_refinement_convergence(self):
         tight = SolverSettings(abs_tol=1e-12, rel_tol=1e-10)
         tighter = SolverSettings(abs_tol=1e-13, rel_tol=1e-11)
-        a = simulate_breakaway(0.5, 3.6, demo_profile(), SCALES, settings=tight)
-        b = simulate_breakaway(0.5, 3.6, demo_profile(), SCALES,
-                               settings=tighter)
+        a = simulate_breakaway(0.5, 3.6, demo_profile(), settings=tight)
+        b = simulate_breakaway(0.5, 3.6, demo_profile(), settings=tighter)
         assert abs(a.rider.finish_time - b.rider.finish_time) < 1e-7
 
     def test_fatigue_profile_attack(self):
         attack = PowerProfile(0.46, 0.0, 5.0, 0.46, 3.0)
-        run = simulate_breakaway(0.5, attack, FLAT, SCALES, quasi_steady=True)
+        run = simulate_breakaway(0.5, attack, FLAT, inertia=QUASI_STEADY)
         assert run.rider.finish_time < run.peloton.finish_time + 1.0
         # the attack-side sample at the junction carries the full peak power
         k = int(np.searchsorted(run.rider.times, run.attack_time, side="left"))
@@ -398,11 +395,11 @@ class TestBreakaway:
     def test_stall_on_powerless_climb(self):
         climb = CourseProfile.from_table([0.0, 1.0], [0.0, 0.05])
         with pytest.raises(StallError):
-            simulate_breakaway(0.5, 0.0, climb, SCALES, quasi_steady=True)
+            simulate_breakaway(0.5, 0.0, climb, inertia=QUASI_STEADY)
 
     def test_crawl_never_finishes(self):
         with pytest.raises(RiderNeverFinishesError):
-            simulate_breakaway(0.5, 1e-6, FLAT, SCALES)
+            simulate_breakaway(0.5, 1e-6, FLAT)
 
     def test_stiffness_error_names_no_method_knob(self, monkeypatch):
         # the re-raise names the rider and the integrator, not the kernel text
@@ -410,7 +407,7 @@ class TestBreakaway:
             raise StiffnessError("step too small")
         monkeypatch.setattr(terrain, "ode_solve_with_events", fail)
         with pytest.raises(StiffnessError, match="^peloton RK45 step") as info:
-            simulate_breakaway(0.5, 3.6, FLAT, SCALES)
+            simulate_breakaway(0.5, 3.6, FLAT)
         assert "method" not in str(info.value)
 
     @pytest.mark.parametrize("inertia, method", [
@@ -426,13 +423,46 @@ class TestBreakaway:
             methods.append("rk45" if kwargs["jac"] is None else "bdf")
             return solve(*args, **kwargs)
         monkeypatch.setattr(terrain, "ode_solve_with_events", record)
-        scales = ScaleSet(inertia=inertia, gravity_ratio=40.0)
-        run = simulate_breakaway(0.0, 1.0, demo_profile(), scales,
-                                 cd_front=1.0, mass_ratio=1.0)
+        run = simulate_breakaway(0.0, 1.0, demo_profile(), inertia=inertia,
+                                 gravity_ratio=40.0, cd_front=1.0, mass_ratio=1.0)
         assert methods == [method, method]
         assert run.time_gap == 0.0
         assert run.rider.finish_time == run.peloton.finish_time
 
     def test_bad_attack_position(self):
         with pytest.raises(ValueError):
-            simulate_breakaway(1.0, 3.6, FLAT, SCALES)
+            simulate_breakaway(1.0, 3.6, FLAT)
+
+    @pytest.mark.parametrize("inertia", [-1e-3, -math.inf, math.nan])
+    def test_bad_inertia(self, inertia):
+        with pytest.raises(ValueError, match="inertia"):
+            simulate_breakaway(0.5, 3.6, FLAT, inertia=inertia)
+
+    def test_zero_inertia_is_the_quasi_steady_limit(self, monkeypatch):
+        # the quasi-steady state is the position alone, the full state (x, v)
+        calls = []
+        solve = terrain.ode_solve_with_events
+
+        def record(rhs, y0, *args, **kwargs):
+            calls.append((len(y0), kwargs["settings"]))
+            return solve(rhs, y0, *args, **kwargs)
+        monkeypatch.setattr(terrain, "ode_solve_with_events", record)
+        for inertia in (0.0, 0.005):
+            simulate_breakaway(0.5, 3.6, demo_profile(), inertia=inertia, n_samples=65)
+        quasi, full = terrain._QUASI_STEADY_SETTINGS, terrain.SIM_SETTINGS
+        assert calls == [(1, quasi), (1, quasi), (2, full), (2, full)]
+
+    @pytest.mark.parametrize("inertia", [0.0, 0.005])
+    @pytest.mark.parametrize("attack", [
+        PowerProfile.constant(3.6),
+        PowerProfile(0.46, 0.0, 5.0, 0.46, 3.0),   # decays toward 0.46
+    ])
+    def test_post_attack_energy_is_closed_form(self, attack, inertia):
+        run = simulate_breakaway(0.5, attack, demo_profile(), inertia=inertia,
+                                 n_samples=65)
+        rider, t_a = run.rider, run.attack_time
+        k = int(np.flatnonzero(rider.times == t_a)[-1])   # the attack-side sample
+        e_attack = float(rider.cumulative_energy[k - 1])  # the lurk trapezoid's
+        for t, e in zip(rider.times[k:].tolist(), rider.cumulative_energy[k:].tolist()):
+            assert e == e_attack + attack.energy(t - t_a)
+        assert run.rider_energy == e_attack + attack.energy(rider.finish_time - t_a)
