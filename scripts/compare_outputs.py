@@ -12,7 +12,9 @@ runs.  ``--seeds`` applies to the in-process workloads and ``--cli-seeds`` to
 ``cli``.  Each checkout runs all ops in one fresh interpreter that imports its
 own ``src/``, one ``breakaway.cli.main(argv)`` call per op (``cli`` ops too),
 and hashes each op's stdout, stderr and exit code.  Exits 1 and names the ops
-whose hashes differ, 0 when none do.
+whose hashes differ, each with the parts of its output that differ (exit
+code, stderr, metadata keys, table columns) and a tally of those parts over
+all differing ops; exits 0 when no op differs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -49,12 +52,33 @@ def _plan(workloads: list[str], seeds: list[int], cli_seeds: list[int]):
     return ops, files
 
 
+def _parts(code: str, out: str, err: str) -> dict[str, str]:
+    """An op's outcome by part: exit code, stderr, each metadata key's value
+    and a hash of each table column, from CSV or JSON output."""
+    try:
+        doc = json.loads(out)
+        meta, columns, rows = doc["metadata"], doc["columns"], doc["rows"]
+    except (ValueError, KeyError, TypeError):
+        lines = out.splitlines()
+        meta = dict(line[2:].split(" = ", 1) for line in lines
+                    if line.startswith("# ") and " = " in line)
+        table = [line.split(",") for line in lines if not line.startswith("#")]
+        columns, rows = (table[0], table[1:]) if table else ([], [])
+    parts = {"exit": code, "stderr": err}
+    parts.update((f"meta:{key}", json.dumps(value)) for key, value in meta.items())
+    for i, name in enumerate(columns):
+        column = json.dumps([row[i] if i < len(row) else None for row in rows])
+        parts[f"column:{name}"] = hashlib.sha256(column.encode()).hexdigest()
+    return parts
+
+
 def _run_ops(src: str) -> None:
-    """Child mode: run the ops read from stdin against src, print their hashes."""
+    """Child mode: run the ops read from stdin against src, print their hashes
+    and parts."""
     sys.path.insert(0, src)
     from breakaway.cli import main
 
-    hashes = []
+    results = []
     for label, argv in json.load(sys.stdin):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -63,18 +87,19 @@ def _run_ops(src: str) -> None:
             except (Exception, SystemExit) as exc:  # an escaped exception is an outcome too
                 code = f"raised {type(exc).__name__}: {exc}"
         record = json.dumps([code, out.getvalue(), err.getvalue()])
-        hashes.append([label, hashlib.sha256(record.encode()).hexdigest()])
-    json.dump(hashes, sys.stdout)
+        results.append([label, hashlib.sha256(record.encode()).hexdigest(),
+                        _parts(code, out.getvalue(), err.getvalue())])
+    json.dump(results, sys.stdout)
 
 
-def _hashes(checkout: str, ops, workdir: str) -> dict[str, str]:
+def _results(checkout: str, ops, workdir: str) -> dict[str, tuple[str, dict]]:
     src = os.path.join(os.path.abspath(checkout), "src")
     if not os.path.isdir(os.path.join(src, "breakaway")):
         raise SystemExit(f"no src/breakaway in {checkout}")
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--run-ops", src],
                           input=json.dumps(ops), capture_output=True, text=True,
                           cwd=workdir, check=True)
-    return dict(json.loads(proc.stdout))
+    return {label: (digest, parts) for label, digest, parts in json.loads(proc.stdout)}
 
 
 def main(argv: list[str]) -> int:
@@ -93,12 +118,18 @@ def main(argv: list[str]) -> int:
             os.makedirs(os.path.join(workdir, os.path.dirname(path)), exist_ok=True)
             with open(os.path.join(workdir, path), "w", encoding="utf-8") as fh:
                 fh.write(text)
-        mine = _hashes(os.path.join(HERE, ".."), ops, workdir)
-        theirs = _hashes(args.parent, ops, workdir)
-    differ = [label for label, _ in ops if mine[label] != theirs[label]]
+        mine = _results(os.path.join(HERE, ".."), ops, workdir)
+        theirs = _results(args.parent, ops, workdir)
+    differ = [label for label, _ in ops if mine[label][0] != theirs[label][0]]
+    tally = Counter()
     for label in differ:
-        print(f"differs: {label}")
+        (_, a), (_, b) = mine[label], theirs[label]
+        parts = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+        tally.update(parts)
+        print(f"differs: {label}: {', '.join(parts)}")
     print(f"{len(differ)} of {len(ops)} ops differ")
+    for part, count in sorted(tally.items()):
+        print(f"  {part}: {count} ops")
     return 1 if differ else 0
 
 

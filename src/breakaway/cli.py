@@ -24,7 +24,6 @@ import sys
 from . import __version__, fatigue, flat
 from .config import SCHEMA, ConfigError, CourseFileError, RunConfig, _resolve_key
 from .crash import exposure_simple_attack, monte_carlo_exposure
-from .model import PowerProfile
 from .numerics import NumericsError, linspace
 from .tables import ResultTable
 
@@ -204,16 +203,13 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
             raise ConfigError(f"bad value for terrain.course: {name!r} ({reason})") from exc
     epsilon = cfg.get("terrain", "epsilon")  # read even when quasi-steady ignores it
     power = cfg.get("terrain", "attack_power")
-    attack = None if power <= 0.0 else PowerProfile.constant(power)
+    attack = None if power <= 0.0 else power
     run = terrain.simulate_breakaway(
         cfg.get("terrain", "attack_position"), attack, profile,
         inertia=0.0 if cfg.get("terrain", "quasi_steady") else epsilon,
         gravity_ratio=cfg.get("terrain", "gravity_ratio"),
-        cd_front=cfg.get("model", "cd_front"),
-        cd_lurk=cfg.get("model", "cd_lurk"),
-        mass_ratio=cfg.get("model", "mass_ratio"),
-        n_samples=2 * cfg.get("terrain", "samples") + 1,
-    )
+        cd_front=cfg.get("model", "cd_front"), cd_lurk=cfg.get("model", "cd_lurk"),
+        mass_ratio=cfg.get("model", "mass_ratio"))
     table = _new_table("terrain", cfg,
                        ["series", "t", "x", "v", "power", "energy"])
     table.add_metadata("summary.course", profile.label)
@@ -223,12 +219,18 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
     table.add_metadata("summary.attack_time", run.attack_time)
     table.add_metadata("summary.rider_energy", run.rider_energy)
     table.add_metadata("summary.peloton_energy", run.peloton_energy)
-    n_out = cfg.get("terrain", "samples")
-    for label, traj in (("rider", run.rider), ("peloton", run.peloton)):
-        for k in map(round, linspace(0, traj.times.size - 1, n_out)):
-            table.add_row(label, float(traj.times[k]), float(traj.positions[k]),
-                          float(traj.velocities[k]), float(traj.powers[k]),
-                          float(traj.cumulative_energy[k]))
+    # each group's rows are `samples` picks from its grid: the peloton's
+    # 2 samples + 1 points, the rider's two phase grids split at the attack
+    n_out, t_a = cfg.get("terrain", "samples"), run.attack_time
+    pelotons = linspace(0.0, run.peloton.finish_time, 2 * n_out + 1)
+    riders = pelotons if attack is None else (
+        (linspace(0.0, t_a, max(n_out, 33)) if t_a > 0.0 else [0.0])
+        + linspace(t_a, run.rider.finish_time, max(n_out, 33)))
+    for label, traj, grid in (("rider", run.rider, riders),
+                              ("peloton", run.peloton, pelotons)):
+        times = [grid[k] for k in map(round, linspace(0, len(grid) - 1, n_out))]
+        for t, row in zip(times, traj.sample(times)):
+            table.add_row(label, t, *row)
     return table, EXIT_OK
 
 

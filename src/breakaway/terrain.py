@@ -13,17 +13,18 @@ gravity-to-drag force ratio.  Two integration modes are provided:
   marched in time, with position alone as the state, always by RK45 and at
   tolerances 100x tighter than SIM_SETTINGS.
 
-The ODEs carry only the mechanics.  Energy is the integral of the power
-schedule, so after the attack it comes from PowerProfile.energy in closed
-form; the peloton, at unit power, has spent its elapsed time.
-
-The peloton is the unit rider: power, drag and mass all 1.  In both limits
-it rides the same integrator as the breakaway rider.
-
-While the rider hides in the pack they move with the peloton; the power that
-holds them there follows from eliminating the gravity term between the two
-equations of motion: P_lurk = m + (C_d - m) v^3, clamped at zero on descents
-where no pedaling is needed.
+The peloton is the unit rider (power, drag and mass all 1) on the rider's
+integrator.  The ODEs carry only the mechanics: the peloton has spent its
+elapsed time, and after the attack the rider's energy is PowerProfile.energy
+in closed form.  While the rider hides in the pack they move with the
+peloton at the power found by eliminating the gravity term between the two
+equations of motion, P_lurk = m + (C_d - m) v^3, clamped at zero on descents
+where no pedaling is needed.  The peloton's equation of motion
+eps v' = 1/v - v^2 - gamma sin(theta) times v gives
+v^3 = 1 - gamma v sin(theta) - eps v v', also at eps = 0, so over a stretch
+[a, b] where the clamp is off the lurk energy is the work-energy balance
+C_d (b - a) - (C_d - m) [gamma (S(x_b) - S(x_a)) + eps (v_b^2 - v_a^2) / 2],
+S(x) the integral of sin(theta) along the course.
 
 The course slope and PowerProfile.power_at take one float, once per
 right-hand-side evaluation, and their arctan and exp are `math`'s, so a ride's
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,7 @@ from .numerics import (
     StallError,
     StiffnessError,
     find_root_bracketed,
+    integrate_adaptive,
     linspace,
     solve_cubic_real,
 )
@@ -82,12 +84,13 @@ STIFFNESS_LIMIT = 5000.0
 
 @dataclass(frozen=True)
 class CourseProfile:
-    """A course by its slope h'(x) and curvature h''(x) at one float x; x and
-    h per course length."""
+    """A course by its slope h'(x) and curvature h''(x) at one float x, and
+    the sorted knots where h'' may jump; x and h per course length."""
 
     slope: Callable[[float], float]
     curvature: Callable[[float], float]
     label: str = "custom"
+    knots: tuple = ()
 
     def steepness(self, x: float):
         """Grade angle theta(x) = arctan(h'(x))."""
@@ -169,7 +172,7 @@ class CourseProfile:
             (_, c1, c2), s = piece(x)
             return c1 + 2.0 * c2 * s
 
-        return cls(slope=slope, curvature=curvature, label=label)
+        return cls(slope=slope, curvature=curvature, label=label, knots=tuple(knots[1:-1]))
 
 
 def _pchip_coefficients(xs, hs):
@@ -190,16 +193,15 @@ def _pchip_coefficients(xs, hs):
 def _pchip_slopes(widths, chords):
     """PCHIP knot slopes, as SciPy's PchipInterpolator finds them."""
     if chords.size == 1:
-        return np.concatenate((chords, chords))
+        return np.repeat(chords, 2)
     w1 = 2 * widths[1:] + widths[:-1]
     w2 = widths[1:] + 2 * widths[:-1]
     signs = np.sign(chords)
     flat = (signs[1:] != signs[:-1]) | (chords[1:] == 0) | (chords[:-1] == 0)
     # a zero chord divides by zero here; np.where drops those entries
     inner = np.where(flat, 0.0, 1.0 / ((w1 / chords[:-1] + w2 / chords[1:]) / (w1 + w2)))
-    return np.concatenate(([_pchip_edge(widths[0], widths[1], chords[0], chords[1])],
-                           inner,
-                           [_pchip_edge(widths[-1], widths[-2], chords[-1], chords[-2])]))
+    return np.array([_pchip_edge(widths[0], widths[1], chords[0], chords[1]), *inner,
+                     _pchip_edge(widths[-1], widths[-2], chords[-1], chords[-2])])
 
 
 def _pchip_edge(h0, h1, m0, m1):
@@ -258,14 +260,11 @@ def demo_profile() -> CourseProfile:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled time series for one group plus its finish time."""
+    """One group's ride: its finish time, and sample(times), its rows
+    (position, speed, power, cumulative energy) at a sorted list of times."""
 
-    times: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
-    powers: np.ndarray
-    cumulative_energy: np.ndarray
     finish_time: float
+    sample: Callable[[list], list[tuple[float, float, float, float]]]
 
 
 @dataclass(frozen=True)
@@ -274,24 +273,14 @@ class BreakawayRun:
     peloton: Trajectory
     time_gap: float
     attack_time: float
-    attack_position: float
     rider_energy: float
     peloton_energy: float
-
-
-def _lurk_power(velocities, cd_position: float, mass_ratio: float):
-    """Power holding a rider at drag ratio cd_position in the pack.
-
-    Clamped at zero where gravity does the work.
-    """
-    raw = mass_ratio + (cd_position - mass_ratio) * np.asarray(velocities) ** 3
-    return np.maximum(raw, 0.0)
 
 
 def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
                        inertia: float = 0.005, gravity_ratio: float = 40.0,
                        cd_front: float = 1.43, cd_lurk: float = 0.46,
-                       mass_ratio: float = 1.0, n_samples: int = 2049,
+                       mass_ratio: float = 1.0,
                        settings: SolverSettings = SIM_SETTINGS) -> BreakawayRun:
     """Simulate a breakaway at course position x_attack.
 
@@ -301,83 +290,87 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
     relaxation parameter epsilon, 0 for the quasi-steady limit, and
     `gravity_ratio` the gravity-to-drag force ratio gamma.  Both
     trajectories stop exactly at the finish line; the time gap is peloton
-    time minus rider time.  The rider's energy is the trapezoid of the lurk
-    power up to the attack plus the schedule's closed-form energy after it.
+    time minus rider time.  The rider's energy is the work-energy balance of
+    the module docstring, C_d = cd_lurk and m = mass_ratio, up to the attack,
+    plus the schedule's closed-form energy after it.  A rider sample at the
+    attack time is taken on the lurk side, and a second one on the attack side.
     """
     if not 0.0 <= x_attack < 1.0:
         raise ValueError("attack position must lie in [0, 1)")
     if not inertia >= 0.0:  # NaN fails too
         raise ValueError("inertia must be non-negative")
     # the peloton is the unit rider: power, drag and mass all 1
-    t_p, peloton_state = _ride(0.0, 0.0, 1.0, lambda s: 1.0, profile,
-                               gravity_ratio, 1.0, 1.0, inertia, settings, "peloton")
-    times = np.array(linspace(0.0, t_p, n_samples))
-    positions, velocities = peloton_state(times)
-    peloton = Trajectory(times, positions, velocities,
-                         powers=np.ones_like(times),
-                         cumulative_energy=times.copy(), finish_time=t_p)
-    n_half = max(n_samples // 2, 33)
-
+    t_p, peloton_state, steps = _ride(0.0, 0.0, 1.0, lambda s: 1.0, profile, gravity_ratio,
+                                      1.0, 1.0, inertia, settings, "peloton")
+    peloton = Trajectory(t_p, _riding(peloton_state, 0.0, 0.0, PowerProfile.constant(1.0)))
+    lurk = _lurk(peloton_state, steps, profile, gravity_ratio, inertia, cd_lurk,
+                 mass_ratio, settings)
     if attack is None:
         # the rider rides the peloton's trajectory at the lurking power
-        powers = _lurk_power(peloton.velocities, cd_lurk, mass_ratio)
-        energy = _cumtrapz(powers, peloton.times)
-        rider = replace(peloton, powers=powers, cumulative_energy=energy)
-        return BreakawayRun(rider, peloton, 0.0, math.nan, math.nan,
-                            float(energy[-1]), t_p)
+        return BreakawayRun(Trajectory(t_p, lurk), peloton, 0.0, math.nan,
+                            lurk([t_p])[0][3], t_p)
 
     power_profile = (attack if isinstance(attack, PowerProfile)
                      else PowerProfile.constant(float(attack)))
 
     # the rider tracks the peloton, so they reach x_attack when it does
-    if x_attack == 0.0:
-        t_attack = 0.0
-    else:
-        t_attack = find_root_bracketed(
-            lambda t: float(peloton_state(t)[0]) - x_attack, 0.0, t_p, settings)
+    t_attack = 0.0 if x_attack == 0.0 else find_root_bracketed(
+        lambda t: float(peloton_state(t)[0]) - x_attack, 0.0, t_p, settings)
+    (_, v_attack, _, e_attack), = lurk([t_attack])
+    t_f, state, _ = _ride(x_attack, t_attack, v_attack, power_profile.power_at,
+                          profile, gravity_ratio, cd_front, mass_ratio, inertia,
+                          settings, "rider")
+    ride = _riding(state, t_attack, e_attack, power_profile)
 
-    pre_times = np.array(linspace(0.0, t_attack, n_half) if t_attack > 0.0 else [0.0])
-    pre_x, pre_vel = peloton_state(pre_times)
-    pre_pow = _lurk_power(pre_vel, cd_lurk, mass_ratio)
-    pre_energy = _cumtrapz(pre_pow, pre_times)
-    e_attack = float(pre_energy[-1])
-
-    v_attack = float(peloton_state(t_attack)[1])
-    t_f, state = _ride(x_attack, t_attack, v_attack, power_profile.power_at,
-                       profile, gravity_ratio, cd_front, mass_ratio, inertia,
-                       settings, "rider")
-    post_times = linspace(t_attack, t_f, n_half)
-    post_x, post_v = state(np.array(post_times))
-    since = [t - t_attack for t in post_times]
-    post_p = [power_profile.power_at(s) for s in since]
-    post_e = [e_attack + power_profile.energy(s) for s in since]
-
-    # keep the attack instant twice (lurk-side and attack-side samples) so a
-    # trapezoid over the power series sees the jump as a vertical step
-    rider = Trajectory(
-        times=np.concatenate((pre_times, post_times)),
-        positions=np.concatenate((pre_x, post_x)),
-        velocities=np.concatenate((pre_vel, post_v)),
-        powers=np.concatenate((pre_pow, post_p)),
-        cumulative_energy=np.concatenate((pre_energy, post_e)),
-        finish_time=t_f,
-    )
-    return BreakawayRun(
-        rider=rider, peloton=peloton,
-        time_gap=t_p - t_f,
-        attack_time=t_attack, attack_position=x_attack,
-        rider_energy=post_e[-1],
-        peloton_energy=t_p,
-    )
+    def rider_sample(times):
+        k = min(bisect.bisect_left(times, t_attack) + 1, bisect.bisect_right(times, t_attack))
+        return lurk(times[:k]) + ride(times[k:])
+    return BreakawayRun(Trajectory(t_f, rider_sample), peloton, t_p - t_f, t_attack,
+                        e_attack + power_profile.energy(t_f - t_attack), t_p)
 
 
-def _cumtrapz(values, times):
-    values = np.asarray(values, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if times.size == 1:
-        return np.zeros(1)
-    steps = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
-    return np.concatenate(([0.0], np.cumsum(steps)))
+def _riding(state, t0, e0, schedule):
+    """Sampler of a ride from time t0 at a PowerProfile, e0 spent before t0."""
+    def sample(times):
+        xs, vs = state(np.array(times)).tolist() if times else ([], [])
+        return [(x, v, schedule.power_at(t - t0), e0 + schedule.energy(t - t0))
+                for t, x, v in zip(times, xs, vs)]
+    return sample
+
+
+def _lurk(state, steps, profile, gamma, eps, cd_lurk, mass_ratio, settings):
+    """Sampler of the lurking rider on the peloton's dense state: the
+    work-energy balance between cuts at the times and at the clamp's switches,
+    Brent roots on the dense v in each accepted step (steps: end times and
+    speeds) whose ends differ; the clamp state at 0 flips at each switch."""
+    def raw(v):
+        return mass_ratio + (cd_lurk - mass_ratio) * v ** 3
+
+    switches = [find_root_bracketed(lambda t: raw(float(state(t)[1])), a, b, settings)
+                for a, b, v_a, v_b in zip(steps[0], steps[0][1:], steps[1], steps[1][1:])
+                if (raw(v_a) < 0.0) != (raw(v_b) < 0.0)]
+
+    def rise(a, b):
+        """S(b) - S(a), split at the course's knots: no panel holds a kink."""
+        knots = profile.knots[bisect.bisect_right(profile.knots, a):
+                              bisect.bisect_left(profile.knots, b)]
+        return math.fsum(integrate_adaptive(lambda x: math.sin(profile.steepness(x)),
+                                            u, w, settings)[0]
+                         for u, w in zip((a, *knots), (*knots, b)))
+
+    def sample(times):
+        cuts = sorted({0.0, *times, *(s for s in switches if s < max(times, default=0.0))})
+        xs, vs = state(np.array(cuts)).tolist()
+        clamped, energy, energies = raw(vs[0]) < 0.0, 0.0, [0.0]
+        for k in range(1, len(cuts)):
+            clamped ^= cuts[k - 1] in switches
+            if not clamped:
+                energy += cd_lurk * (cuts[k] - cuts[k - 1]) - (cd_lurk - mass_ratio) * (
+                    gamma * rise(xs[k - 1], xs[k]) + 0.5 * eps * (vs[k] ** 2 - vs[k - 1] ** 2))
+            energies.append(energy)
+        at = dict(zip(cuts, zip(xs, vs, energies)))
+        return [(x, v, max(raw(v), 0.0), e) for x, v, e in (at[t] for t in times)]
+    return sample
 
 
 def _dv_dv(p, v, cd_front, eps_mass):
@@ -403,9 +396,9 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
     smaller of power(0) and power(_HORIZON) exceeds STIFFNESS_LIMIT, RK45
     otherwise.  eps = 0 is the quasi-steady limit: the state is x alone, the
     speed is the cubic root at (x, t), v0 is not used, and the march is
-    RK45 at _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time
-    and the dense state (x, v) as a function of time, held at its finish
-    value beyond the finish.
+    RK45 at _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time,
+    the dense state (x, v) as a function of time, held at its finish value
+    beyond the finish, and the accepted steps: their end times and speeds.
     """
     def cruise(x, p):
         # the largest root of the speed cubic: the only one uphill, and the
@@ -472,9 +465,9 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
         raise StallError(f"{who} stalled before the finish line")
     if not sol.t_events[0].size:
         raise RiderNeverFinishesError(f"{who} never reached the finish line")
-    t_f = float(sol.t_events[0][0])
+    t_f, steps = float(sol.t_events[0][0]), sol.t.tolist()
     if eps != 0.0:
-        return t_f, lambda t: sol.sol(np.minimum(t, t_f))
+        return t_f, lambda t: sol.sol(np.minimum(t, t_f)), (steps, sol.y[1].tolist())
 
     def state(t):
         t = np.minimum(t, t_f)
@@ -482,4 +475,5 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
         v = [speed(xk, power(tk - t0))
              for xk, tk in zip(np.ravel(x).tolist(), np.ravel(t).tolist())]
         return np.array([x, np.reshape(v, np.shape(x))])
-    return t_f, state
+    ends = [speed(x, power(t - t0)) for t, x in zip(steps, sol.y[0].tolist())]
+    return t_f, state, (steps, ends)

@@ -352,13 +352,13 @@ class TestTerrainCommand:
     # tightened 100x and 1000x, so they are pinned as printed
     DEMO_RK45 = {"t_peloton": "1.30056616984", "t_rider": "0.932801547202",
                  "delta_t": "0.367764622633", "attack_time": "0.532549111652",
-                 "rider_energy": "1.70838066336",
+                 "rider_energy": "1.70854101203",
                  "peloton_energy": "1.30056616984"}
     # BDF at inertia 5e-4 prints about two digits its tolerances do not
     # certify; pinned against the same ride with SIM_SETTINGS 1000x tighter
     DEMO_BDF = {"t_peloton": 1.30161408292, "t_rider": 0.932698597375,
                 "delta_t": 0.368915485543, "attack_time": 0.532224140808,
-                "rider_energy": 1.70832191308,
+                "rider_energy": 1.70874259299,
                 "peloton_energy": 1.30161408292}
 
     def test_demo_full_dynamics_pinned(self, capsys):
@@ -373,6 +373,16 @@ class TestTerrainCommand:
         meta, _, _ = parse_table(out)
         for key, ref in self.DEMO_BDF.items():
             assert float(meta[f"summary.{key}"]) == pytest.approx(ref, rel=2e-9)
+
+    def test_rider_energy_ignores_samples(self, capsys):
+        # the lurk energy comes from the dense ride, not from the output rows
+        printed = []
+        for samples in (64, 4097):
+            code, out = run_cli(["terrain", "--course", "demo",
+                                 "--set", f"terrain.samples={samples}"], capsys)
+            assert code == 0
+            printed.append(parse_table(out)[0]["summary.rider_energy"])
+        assert printed == [self.DEMO_RK45["rider_energy"]] * 2
 
     def test_never_finishing_attack_exits_two(self, capsys):
         code = main(["terrain", "--course", "flat",

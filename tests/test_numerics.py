@@ -311,7 +311,7 @@ class TestRk45MatchesScipy:
         def run():
             for inertia in (0.02, 0.0):   # full dynamics, then quasi-steady
                 terrain.simulate_breakaway(x_attack, power, course, inertia=inertia,
-                                           gravity_ratio=40.0, n_samples=65)
+                                           gravity_ratio=40.0)
         # the full-dynamics peloton bounds |dv'/dv| at 5,153 on this course
         assert replay(monkeypatch, terrain, run) == ["bdf"] + ["rk45"] * 3
 
@@ -342,15 +342,14 @@ class TestBdfMatchesScipy:
     def test_demo_rides(self, monkeypatch, inertia):
         # both rides are stiff enough for BDF: the peloton, then the rider
         run = lambda: terrain.simulate_breakaway(0.55, 3.4, terrain.demo_profile(),
-                                                 inertia=inertia, gravity_ratio=40.0,
-                                                 n_samples=65)
+                                                 inertia=inertia, gravity_ratio=40.0)
         assert replay(monkeypatch, terrain, run) == ["bdf"] * 2
 
     def test_table_ride(self, monkeypatch):
         rng, course = seeded_course(3)
         x_attack, power = rng.uniform(0.3, 0.7), rng.uniform(3.0, 4.0)
         run = lambda: terrain.simulate_breakaway(x_attack, power, course, inertia=5e-4,
-                                                 gravity_ratio=40.0, n_samples=65)
+                                                 gravity_ratio=40.0)
         assert replay(monkeypatch, terrain, run) == ["bdf"] * 2
 
     @pytest.mark.parametrize("power, course, failure", [

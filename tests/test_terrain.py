@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from breakaway import terrain
 from breakaway.flat import StrategyProblem, attack_power, time_gap_from_position
@@ -25,11 +27,48 @@ from breakaway.terrain import (
 
 FLAT = CourseProfile.flat()
 QUASI_STEADY = 0.0   # the inertia of the quasi-steady limit
+# the course table of the perfbench validate workload at seed 101
+TABLE_COURSE = CourseProfile.from_table(
+    [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+    [0.0, -0.000298546, 0.002329763, 0.005329763, 0.005381263, 0.002672042,
+     0.000539437, 0.001013606, 0.002362193, 0.001895791, 0.0])
 
 
 def _peloton(profile, inertia=0.005):
     """The peloton's trajectory, from a rider who never attacks."""
     return simulate_breakaway(0.0, None, profile, inertia=inertia).peloton
+
+
+def _series(traj, n=2049):
+    """Positions, speeds, powers and energies at n even times to the finish."""
+    return list(zip(*traj.sample(np.linspace(0.0, traj.finish_time, n).tolist())))
+
+
+def _at_finish(traj):
+    """Position, speed, power and energy at the finish line."""
+    return traj.sample([traj.finish_time])[0]
+
+
+def _lurk_energy_oracle(peloton, times, cd_lurk=0.46, mass_ratio=1.0):
+    """Cumulative lurk energy at sorted times from 0: QUADPACK of the clamped
+    lurk power over the peloton's dense speed, cut at the times and at the
+    clamp's roots, each bracketed on a 4,097-point scan and found by brentq."""
+    def raw(t):
+        v = peloton.sample([t])[0][1]
+        return mass_ratio + (cd_lurk - mass_ratio) * v ** 3
+
+    scan = np.linspace(0.0, times[-1], 4097)
+    speeds = np.array([row[1] for row in peloton.sample(scan.tolist())])
+    clamped = mass_ratio + (cd_lurk - mass_ratio) * speeds ** 3 < 0.0
+    roots = [brentq(raw, scan[k], scan[k + 1], xtol=1e-15)
+             for k in np.flatnonzero(clamped[1:] != clamped[:-1])]
+    cuts = sorted({*times, *roots})
+    energy, total = {cuts[0]: 0.0}, 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        total += quad(lambda t: max(raw(t), 0.0), a, b,
+                      epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        energy[b] = total
+    return [energy[t] for t in times]
 
 
 def _quasi_steady_root(drag, slope_term, power):
@@ -262,12 +301,12 @@ class TestPeloton:
     def test_flat_quasi_steady_unit_time(self):
         traj = _peloton(FLAT, QUASI_STEADY)
         assert traj.finish_time == pytest.approx(1.0, abs=1e-12)
-        assert traj.cumulative_energy[-1] == pytest.approx(1.0, abs=1e-12)
+        assert _at_finish(traj)[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_full_dynamics_near_unit_time(self):
         traj = _peloton(FLAT)
         assert traj.finish_time == pytest.approx(1.0, abs=1e-2)
-        assert abs(traj.positions[-1] - 1.0) < 1e-9
+        assert abs(_at_finish(traj)[0] - 1.0) < 1e-9
 
     def test_constant_grade_against_cubic(self):
         grade = 0.05
@@ -284,8 +323,8 @@ class TestPeloton:
         assert full.finish_time == pytest.approx(qs.finish_time, abs=5e-2)
 
     def test_positions_non_decreasing(self):
-        traj = _peloton(demo_profile())
-        assert np.all(np.diff(traj.positions) >= -1e-12)
+        positions, _, _, _ = _series(_peloton(demo_profile()))
+        assert np.all(np.diff(positions) >= -1e-12)
 
 
 class TestLurkingPower:
@@ -295,7 +334,7 @@ class TestLurkingPower:
     def lurking_power(profile, cd_lurk):
         run = simulate_breakaway(0.5, None, profile, inertia=QUASI_STEADY,
                                  cd_lurk=cd_lurk)
-        return run.rider.powers
+        return np.array(_series(run.rider)[2])
 
     def test_flat_equals_drag_ratio(self):
         series = self.lurking_power(FLAT, 0.46)
@@ -332,8 +371,8 @@ class TestBreakaway:
 
     def test_event_localization(self):
         run = simulate_breakaway(0.5, 3.6, demo_profile())
-        assert abs(run.rider.positions[-1] - 1.0) < 1e-9
-        assert abs(run.peloton.positions[-1] - 1.0) < 1e-9
+        assert abs(_at_finish(run.rider)[0] - 1.0) < 1e-9
+        assert abs(_at_finish(run.peloton)[0] - 1.0) < 1e-9
 
     def test_no_attack_stays_with_group(self):
         run = simulate_breakaway(0.5, None, demo_profile(), inertia=QUASI_STEADY)
@@ -351,14 +390,14 @@ class TestBreakaway:
         xs = np.linspace(0.0, 1.0, 2001)
         steepest = min(xs.tolist(), key=demo.slope)
         assert steepest > 0.5   # the big descent comes after the attack
-        v_rider = np.interp(steepest, run.rider.positions, run.rider.velocities)
-        v_pel = np.interp(steepest, run.peloton.positions,
-                          run.peloton.velocities)
+        rider_x, rider_v, _, _ = _series(run.rider)
+        peloton_x, peloton_v, _, _ = _series(run.peloton)
+        v_rider = np.interp(steepest, rider_x, rider_v)
+        v_pel = np.interp(steepest, peloton_x, peloton_v)
         assert v_pel > v_rider
         # near the end of the (flat-ish) final approach the rider is faster
-        v_rider_flat = np.interp(0.99, run.rider.positions, run.rider.velocities)
-        v_pel_flat = np.interp(0.99, run.peloton.positions,
-                               run.peloton.velocities)
+        v_rider_flat = np.interp(0.99, rider_x, rider_v)
+        v_pel_flat = np.interp(0.99, peloton_x, peloton_v)
         assert v_rider_flat > v_pel_flat
 
     def test_descent_group_advantage_algebra(self):
@@ -369,11 +408,29 @@ class TestBreakaway:
         v_solo = _quasi_steady_root(1.43, slope_term, 1.0)
         assert v_group > v_solo
 
-    def test_energy_audit(self):
-        run = simulate_breakaway(0.5, 3.6, demo_profile())
-        for traj in (run.rider, run.peloton):
-            trapz = np.trapezoid(traj.powers, traj.times)
-            assert trapz == pytest.approx(traj.cumulative_energy[-1], abs=1e-6)
+    @pytest.mark.parametrize("course, inertia, attack", [
+        ("demo", 0.005, 3.6),           # RK45
+        ("demo", 5e-4, 3.6),            # BDF
+        ("demo", QUASI_STEADY, 3.6),
+        ("table", 0.005, 3.6),
+        ("table", 5e-4, 3.6),
+        ("table", QUASI_STEADY, 3.6),
+        ("demo", 0.005, None),          # lurks to the finish
+    ])
+    def test_energy_audit(self, course, inertia, attack):
+        # the lurk energy of the work-energy identity against QUADPACK of the
+        # clamped lurk power m + (C - m) v^3 over the peloton's dense speed,
+        # split at the clamp's roots; at x_attack = 0.5 the demo lurk phase
+        # holds three switches and the table's one
+        profile = demo_profile() if course == "demo" else TABLE_COURSE
+        run = simulate_breakaway(0.5, attack, profile, inertia=inertia)
+        t_end = run.peloton.finish_time if attack is None else run.attack_time
+        times = np.linspace(0.0, t_end, 65).tolist()
+        reference = _lurk_energy_oracle(run.peloton, times)
+        energies = [row[3] for row in run.rider.sample(times)]
+        assert energies == pytest.approx(reference, rel=0.0, abs=1e-9)
+        post = 0.0 if attack is None else attack * (run.rider.finish_time - t_end)
+        assert run.rider_energy == pytest.approx(reference[-1] + post, rel=0.0, abs=1e-9)
 
     def test_refinement_convergence(self):
         tight = SolverSettings(abs_tol=1e-12, rel_tol=1e-10)
@@ -386,16 +443,19 @@ class TestBreakaway:
         attack = PowerProfile(0.46, 0.0, 5.0, 0.46, 3.0)
         run = simulate_breakaway(0.5, attack, FLAT, inertia=QUASI_STEADY)
         assert run.rider.finish_time < run.peloton.finish_time + 1.0
-        # the attack-side sample at the junction carries the full peak power
-        k = int(np.searchsorted(run.rider.times, run.attack_time, side="left"))
-        post = run.rider.powers[k + 1:]
+        # the attack time listed twice gives both sides; the attack side
+        # carries the full peak power
+        t_a = run.attack_time
+        ride = np.linspace(t_a, run.rider.finish_time, 1024).tolist()
+        post = np.array([row[2] for row in run.rider.sample([t_a] + ride)][1:])
         assert post[0] == pytest.approx(5.0, rel=1e-12)
         assert np.all(np.diff(post) <= 1e-12)
 
-    def test_stall_on_powerless_climb(self):
+    @pytest.mark.parametrize("inertia", [QUASI_STEADY, 1e-6, 5e-4])
+    def test_stall_on_powerless_climb(self, inertia):
         climb = CourseProfile.from_table([0.0, 1.0], [0.0, 0.05])
         with pytest.raises(StallError):
-            simulate_breakaway(0.5, 0.0, climb, inertia=QUASI_STEADY)
+            simulate_breakaway(0.5, 0.0, climb, inertia=inertia)
 
     def test_crawl_never_finishes(self):
         with pytest.raises(RiderNeverFinishesError):
@@ -448,7 +508,7 @@ class TestBreakaway:
             return solve(rhs, y0, *args, **kwargs)
         monkeypatch.setattr(terrain, "ode_solve_with_events", record)
         for inertia in (0.0, 0.005):
-            simulate_breakaway(0.5, 3.6, demo_profile(), inertia=inertia, n_samples=65)
+            simulate_breakaway(0.5, 3.6, demo_profile(), inertia=inertia)
         quasi, full = terrain._QUASI_STEADY_SETTINGS, terrain.SIM_SETTINGS
         assert calls == [(1, quasi), (1, quasi), (2, full), (2, full)]
 
@@ -458,11 +518,10 @@ class TestBreakaway:
         PowerProfile(0.46, 0.0, 5.0, 0.46, 3.0),   # decays toward 0.46
     ])
     def test_post_attack_energy_is_closed_form(self, attack, inertia):
-        run = simulate_breakaway(0.5, attack, demo_profile(), inertia=inertia,
-                                 n_samples=65)
+        run = simulate_breakaway(0.5, attack, demo_profile(), inertia=inertia)
         rider, t_a = run.rider, run.attack_time
-        k = int(np.flatnonzero(rider.times == t_a)[-1])   # the attack-side sample
-        e_attack = float(rider.cumulative_energy[k - 1])  # the lurk trapezoid's
-        for t, e in zip(rider.times[k:].tolist(), rider.cumulative_energy[k:].tolist()):
+        e_attack = rider.sample([t_a])[0][3]   # the lurk side of the attack
+        ride = np.linspace(t_a, rider.finish_time, 33).tolist()[1:]
+        for t, (_, _, _, e) in zip(ride, rider.sample(ride)):
             assert e == e_attack + attack.energy(t - t_a)
         assert run.rider_energy == e_attack + attack.energy(rider.finish_time - t_a)
