@@ -1,14 +1,14 @@
 """ODE integration with terminal events: the package's own RK45 and BDF.
 
-A Dormand-Prince 5(4) loop (Dormand & Prince 1980) and, for stiff runs, an
-implicit variable-order BDF loop (the NDF scheme of Shampine & Reichelt
-1997) on the caller's analytic Jacobian; nothing here differentiates a
-function.  Both port SciPy 1.17's solve_ivp (BDF given the same jac) with
-the same numpy and LAPACK operations on the same shapes in the same order,
-under one event loop that roots events by numerics' Brent port: the same
-steps, evaluations, events and dense output, bit for bit.  Results meet
-their abs/rel tolerances; their last bits may differ between numpy builds
-(BLAS, LAPACK), and BDF's order choice uses numpy's CPU-dispatched power.
+A Dormand-Prince 5(4) loop (Dormand & Prince 1980) ports SciPy 1.17's RK45
+with the same numpy operations on the same shapes in the same order: the
+same steps, evaluations, events and dense output, bit for bit, whose last
+bits may differ between numpy builds (BLAS).  Stiff runs of one or two
+states take SciPy's variable-order BDF (the NDF scheme of Shampine &
+Reichelt 1997) on the caller's analytic Jacobian, on Python floats with its
+2x2 Newton systems in closed form: no SciPy bit for bit, but bits that
+follow neither numpy's CPU dispatch nor LAPACK.  Nothing here
+differentiates a function; events are rooted by numerics' Brent port.
 Only terrain and microstructure import this module, and with it numpy.
 """
 
@@ -56,10 +56,15 @@ _RK45_STAGES = tuple((s, _RK45_A[s, :s], _RK45_C[s]) for s in range(1, 6))
 # constants, by order
 _BDF_MAX_ORDER = 5
 _BDF_NEWTON_MAXITER = 4
-_BDF_KAPPA = np.array([0, -0.1850, -1/9, -0.0823, -0.0415, 0])
-_BDF_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _BDF_MAX_ORDER + 1))))
-_BDF_ALPHA = (1 - _BDF_KAPPA) * _BDF_GAMMA
-_BDF_ERROR_CONST = _BDF_KAPPA * _BDF_GAMMA + 1 / np.arange(1, _BDF_MAX_ORDER + 2)
+_BDF_KAPPA = (0.0, -0.1850, -1/9, -0.0823, -0.0415, 0.0)
+_BDF_GAMMA = (0.0, *itertools.accumulate(1 / k for k in range(1, _BDF_MAX_ORDER + 1)))
+_BDF_ALPHA = tuple((1 - kappa) * gamma for kappa, gamma in zip(_BDF_KAPPA, _BDF_GAMMA))
+_BDF_ERROR_CONST = tuple(kappa * gamma + 1 / k for k, (kappa, gamma)
+                         in enumerate(zip(_BDF_KAPPA, _BDF_GAMMA), 1))
+# U[i][j]: Shampine & Reichelt's matrix R that rescales the differences, at
+# factor 1; its leading (order + 1) square serves each order
+_BDF_U = tuple(tuple(math.prod((k - 1 - j) / k for k in range(1, i + 1))
+                     for j in range(_BDF_MAX_ORDER + 1)) for i in range(_BDF_MAX_ORDER + 1))
 # SciPy locates an event with brentq at xtol = rtol = 4 eps, maxiter 100
 _EVENT_SETTINGS = SolverSettings(abs_tol=4.0 * _EPS, max_iterations=100)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -70,9 +75,9 @@ class OdeResult(SimpleNamespace):
 
     t and y: the step times and states; sol: the dense solution; t_events
     and y_events: per event, its crossing times and states; nfev: rhs
-    evaluations; njev and nlu: Jacobians and LU factorizations (BDF; 0 for
-    RK45); status: 0 at the end of t_span, 1 at a terminal event; success
-    is True.
+    evaluations; njev and nlu: Jacobians and Newton-matrix factorizations
+    (BDF; 0 for RK45); status: 0 at the end of t_span, 1 at a terminal
+    event; success is True.
     """
 
 
@@ -93,31 +98,6 @@ class _Rk45Step:
         else:
             y = self.h * np.dot(self.Q, np.cumprod(np.tile(x, (4, 1)), axis=0))
             y += self.y_old[:, None]
-        return y
-
-
-class _BdfStep:
-    """The interpolating polynomial of one accepted step (SciPy's
-    BdfDenseOutput): backward differences D at the step h ending at t."""
-
-    __slots__ = ("t_shift", "denom", "D")
-
-    def __init__(self, t, h, order, D):
-        self.t_shift = t - h * np.arange(order)
-        self.denom = h * (1 + np.arange(order))
-        self.D = D
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            p = np.cumprod((t - self.t_shift) / self.denom)
-        else:
-            p = np.cumprod((t - self.t_shift[:, None]) / self.denom[:, None], axis=0)
-        y = np.dot(self.D[1:].T, p)
-        if y.ndim == 1:
-            y += self.D[0]
-        else:
-            y += self.D[0, :, None]
         return y
 
 
@@ -210,83 +190,83 @@ def _rk45_steps(fun, t, y, f, h_abs, t_bound, rtol, atol):
         yield t, y, _Rk45Step(t_old, t, y_old, K_all.dot(_RK45_P))
 
 
-def _compute_R(order, factor):
-    """BDF's matrix that rescales the backward differences by factor."""
-    I = np.arange(1, order + 1)[:, None]
-    J = np.arange(1, order + 1)
-    M = np.zeros((order + 1, order + 1))
-    M[1:, 1:] = (I - 1 - factor * J) / I
-    M[0] = 1
-    return np.cumprod(M, axis=0)
+def _bdf_interpolant(t, h, n, D0, D1):
+    """SciPy's BdfDenseOutput on floats: the polynomial of the differences
+    D0, D1 at the step h ending at t; its first n states at x or an array."""
+    def at(x):
+        p, y0, y1 = 1.0, D0[0], D1[0]
+        for j in range(1, len(D0)):
+            p *= (x - (t - h * (j - 1))) / (h * j)
+            y0, y1 = y0 + D0[j] * p, y1 + D1[j] * p
+        return y0, y1
+
+    def interpolant(x):
+        y = np.array([at(s) for s in np.atleast_1d(x).astype(float).tolist()]).T[:n]
+        return y[:, 0] if np.ndim(x) == 0 else y
+    return interpolant
 
 
-_BDF_U = tuple(_compute_R(order, 1) for order in range(_BDF_MAX_ORDER + 1))
+def _rescale_differences(D0, D1, order, factor):
+    """Rescale the differences in place for the step times factor: D becomes
+    U^T (R^T D), R Shampine & Reichelt's matrix at factor and U at 1."""
+    m = order + 1
+    R = [[1.0] * m]
+    for i in range(1, m):
+        R.append([r * ((i - 1 - factor * j) / i) for j, r in enumerate(R[-1])])
+    for D in (D0, D1):
+        E = [D[0]] * m
+        for i in range(1, m):
+            E = [e + r * D[i] for e, r in zip(E, R[i])]
+        D[:m] = [E[0]] * m
+        for j in range(1, m):
+            D[:m] = [d + u * E[j] for d, u in zip(D[:m], _BDF_U[j])]
 
 
-def _change_D(D, order, factor):
-    """Rescale the differences D in place for a step changed by factor."""
-    RU = _compute_R(order, factor).dot(_BDF_U[order])
-    D[:order + 1] = np.dot(RU.T, D[:order + 1])
+def _newton_solver(c, J):
+    """b -> x with A x = b, A = I - c J for J = (j00, j01, j10, j11), by
+    elimination with the partial pivoting of LAPACK's getrf.  A zero pivot
+    gives NaN, so Newton fails and the step is retried, as in SciPy."""
+    a00, a01, a10, a11 = 1.0 - c * J[0], -c * J[1], -c * J[2], 1.0 - c * J[3]
+    swap = abs(a10) > abs(a00)
+    if swap:
+        a00, a01, a10, a11 = a10, a11, a00, a01
+    l = a10 / a00 if a00 != 0.0 else math.nan
+    u11 = a11 - l * a01
+    if a00 == 0.0 or u11 == 0.0:
+        a00 = u11 = math.nan
+
+    def solve(b0, b1):
+        b0, b1 = (b1, b0) if swap else (b0, b1)
+        x1 = (b1 - l * b0) / u11
+        return (b0 - a01 * x1) / a00, x1
+    return solve
 
 
-def _lu_solve(A, b):
-    """x with A x = b, bit for bit SciPy's lu_solve(lu_factor(A), b).
+def _bdf_steps(rhs, jac, counts, t, y, f, h_abs, t_bound, rtol, atol):
+    """SciPy 1.17's BDF algorithm (variable-order NDF, quasi-constant step)
+    on Python floats, on the Jacobian jac(t, y): yields (t, y, interpolant)
+    per accepted step, the interpolant built after the step's order and size
+    update.  One state rides as the first of two, the second held at 0."""
+    n = len(y)
 
-    Both run LAPACK's getrf and getrs.  Where A is exactly singular,
-    lu_factor only warns and getrs divides by the zero pivot; this returns
-    NaN there, so Newton fails and the step is retried, as in SciPy.
-    """
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return np.full_like(b, np.nan)
-
-
-def _newton(fun, t_new, y_predict, c, psi, A, scale, tol):
-    """SciPy's solve_bdf_system: (converged, iterations, y, d) for the BDF
-    corrector from y_predict, with the iteration matrix A = I - c J."""
-    d = 0
-    y = y_predict.copy()
-    dy_norm_old = None
-    converged = False
-    for k in range(_BDF_NEWTON_MAXITER):
-        f = fun(t_new, y)
-        if not np.isfinite(f).all():
-            break
-        dy = _lu_solve(A, c * f - psi - d)
-        dy_norm = _rms(dy / scale)
-        rate = None if dy_norm_old is None else dy_norm / dy_norm_old
-        if rate is not None and (rate >= 1 or rate ** (_BDF_NEWTON_MAXITER - k)
-                                 / (1 - rate) * dy_norm > tol):
-            break
-        y += dy
-        d += dy
-        if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
-            converged = True
-            break
-        dy_norm_old = dy_norm
-    return converged, k + 1, y, d
-
-
-def _bdf_steps(fun, jac, counts, t, y, f, h_abs, t_bound, rtol, atol):
-    """SciPy 1.17's BDF steps (variable-order NDF, quasi-constant step) on
-    the Jacobian jac(t, y): yields (t, y, interpolant) per accepted step,
-    the interpolant built after the step's order and size update."""
-    def jacobian(t, y):
+    def jacobian(t, y0, y1):
         counts.njev += 1
-        return np.asarray(jac(t, y), dtype=float)
+        return np.pad(np.reshape(jac(t, [y0, y1][:n]), (n, n)), (0, 2 - n)).ravel().tolist()
+
+    def norm(a, b, weight=1.0):  # the RMS norm of (a, b) weight / scale
+        a, b = weight * a / scale0, weight * b / scale1
+        return math.sqrt((a * a + b * b) / n)
 
     newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-    J = jacobian(t, y)
-    I = np.identity(y.size)
-    D = np.empty((_BDF_MAX_ORDER + 3, y.size))
-    D[0] = y
-    D[1] = f * h_abs
-    order, n_equal_steps, A = 1, 0, None
+    (y0, y1), (f0, f1) = ((v.tolist() + [0.0])[:2] for v in (y, f))
+    J = jacobian(t, y0, y1)
+    # the backward differences of each state, by order, two rows to spare
+    D0, D1 = ([v, df * h_abs] + [0.0] * (_BDF_MAX_ORDER + 1) for v, df in ((y0, f0), (y1, f1)))
+    order, n_equal_steps, solve = 1, 0, None
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
-            _change_D(D, order, min_step / h_abs)
+            _rescale_differences(D0, D1, order, min_step / h_abs)
             h_abs, n_equal_steps = min_step, 0
         alpha, current_jac = _BDF_ALPHA[order], False
         while True:
@@ -295,61 +275,82 @@ def _bdf_steps(fun, jac, counts, t, y, f, h_abs, t_bound, rtol, atol):
             t_new = t + h_abs
             if t_new > t_bound:
                 t_new = t_bound
-                _change_D(D, order, np.abs(t_new - t) / h_abs)
-                n_equal_steps, A = 0, None
-            h = t_new - t
-            h_abs = np.abs(h)
-            y_predict = np.sum(D[:order + 1], axis=0)
-            scale = atol + rtol * np.abs(y_predict)
-            psi = np.dot(D[1: order + 1].T, _BDF_GAMMA[1: order + 1]) / alpha
-            c = h / alpha
+                _rescale_differences(D0, D1, order, (t_new - t) / h_abs)
+                n_equal_steps, solve = 0, None
+            h_abs = t_new - t
+            # the prediction and psi, the differences' part of the corrector
+            p0, p1, psi0, psi1 = D0[0], D1[0], 0.0, 0.0
+            for i in range(1, order + 1):
+                p0, p1 = p0 + D0[i], p1 + D1[i]
+                psi0, psi1 = psi0 + D0[i] * _BDF_GAMMA[i], psi1 + D1[i] * _BDF_GAMMA[i]
+            psi0, psi1, c = psi0 / alpha, psi1 / alpha, h_abs / alpha
+            scale0, scale1 = atol + rtol * abs(p0), atol + rtol * abs(p1)
             while True:
-                if A is None:
+                if solve is None:
                     counts.nlu += 1
-                    A = I - c * J
-                converged, n_iter, y_new, d = _newton(
-                    fun, t_new, y_predict, c, psi, A, scale, newton_tol)
+                    solve = _newton_solver(c, J)
+                # SciPy's solve_bdf_system: Newton on the corrector from the
+                # prediction, with the iteration matrix A = I - c J
+                y0, y1, d0, d1, converged = p0, p1, 0.0, 0.0, False
+                for k in range(_BDF_NEWTON_MAXITER):
+                    counts.nfev += 1
+                    f = rhs(t_new, [y0, y1][:n])
+                    f0, f1 = float(f[0]), float(f[1]) if n == 2 else 0.0
+                    if not (math.isfinite(f0) and math.isfinite(f1)):
+                        break
+                    dy0, dy1 = solve(c * f0 - psi0 - d0, c * f1 - psi1 - d1)
+                    dy_norm = norm(dy0, dy1)
+                    rate = dy_norm / dy_norm_old if k else None
+                    if k and (rate >= 1 or rate ** (_BDF_NEWTON_MAXITER - k)
+                              / (1 - rate) * dy_norm > newton_tol):
+                        break
+                    y0, y1, d0, d1 = y0 + dy0, y1 + dy1, d0 + dy0, d1 + dy1
+                    if dy_norm == 0 or k and rate / (1 - rate) * dy_norm < newton_tol:
+                        converged = True
+                        break
+                    dy_norm_old = dy_norm
                 if converged or current_jac:
                     break
-                J, A, current_jac = jacobian(t_new, y_predict), None, True
+                J, solve, current_jac = jacobian(t_new, p0, p1), None, True
             if not converged:
                 h_abs *= 0.5
-                _change_D(D, order, 0.5)
-                n_equal_steps, A = 0, None
+                _rescale_differences(D0, D1, order, 0.5)
+                n_equal_steps, solve = 0, None
                 continue
-            safety = 0.9 * (2 * _BDF_NEWTON_MAXITER + 1) / (2 * _BDF_NEWTON_MAXITER + n_iter)
-            scale = atol + rtol * np.abs(y_new)
-            error_norm = _rms(_BDF_ERROR_CONST[order] * d / scale)
+            safety = 0.9 * (2 * _BDF_NEWTON_MAXITER + 1) / (2 * _BDF_NEWTON_MAXITER + k + 1)
+            scale0, scale1 = atol + rtol * abs(y0), atol + rtol * abs(y1)
+            error_norm = norm(d0, d1, _BDF_ERROR_CONST[order])
             if not error_norm > 1:  # a NaN norm accepts the step, as in SciPy
                 break
             # Newton converged, so the iteration matrix is kept
             factor = max(0.2, safety * error_norm ** (-1 / (order + 1)))
             h_abs *= factor
-            _change_D(D, order, factor)
+            _rescale_differences(D0, D1, order, factor)
             n_equal_steps = 0
         n_equal_steps += 1
-        t, y = t_new, y_new
+        t = t_new
         # D held the differences of the last polynomial and d is the
         # (order + 1)-th difference at the new point
-        D[order + 2] = d - D[order + 1]
-        D[order + 1] = d
-        for i in reversed(range(order + 1)):
-            D[i] += D[i + 1]
+        for D, d in ((D0, d0), (D1, d1)):
+            D[order + 1], D[order + 2] = d, d - D[order + 1]
+            for i in reversed(range(order + 1)):
+                D[i] += D[i + 1]
         if n_equal_steps >= order + 1:
-            # the order (one down, kept, one up) whose step can grow the most
-            error_m_norm = (_rms(_BDF_ERROR_CONST[order - 1] * D[order] / scale)
-                            if order > 1 else np.inf)
-            error_p_norm = (_rms(_BDF_ERROR_CONST[order + 1] * D[order + 2] / scale)
-                            if order < _BDF_MAX_ORDER else np.inf)
-            error_norms = np.array([error_m_norm, error_norm, error_p_norm])
-            with np.errstate(divide="ignore"):
-                factors = error_norms ** (-1 / np.arange(order, order + 3))
-            order += np.argmax(factors) - 1
-            factor = min(10, safety * np.max(factors))
+            # the order (one down, kept, one up) whose step, norm ** (-1 / k) at order
+            # k - 1 >= 1, grows the most: the first on a tie or a NaN, as np.argmax
+            norms = [norm(D0[order], D1[order], _BDF_ERROR_CONST[order - 1])
+                     if order > 1 else math.inf, error_norm,
+                     norm(D0[order + 2], D1[order + 2], _BDF_ERROR_CONST[order + 1])
+                     if order < _BDF_MAX_ORDER else math.inf]
+            factors = [e ** (-1 / k) if e else math.inf for k, e in enumerate(norms, order)]
+            best = next((i for i, g in enumerate(factors) if g != g),
+                        factors.index(max(factors)))
+            order += best - 1
+            factor = min(10, safety * factors[best])
             h_abs *= factor
-            _change_D(D, order, factor)
-            n_equal_steps, A = 0, None
-        yield t, y, _BdfStep(t, h_abs, order, D[:order + 1].copy())
+            _rescale_differences(D0, D1, order, factor)
+            n_equal_steps, solve = 0, None
+        yield t, [y0, y1][:n], _bdf_interpolant(t, h_abs, n, D0[:order + 1], D1[:order + 1])
 
 
 def ode_solve_with_events(rhs, y0, t_span, events=(),
@@ -358,18 +359,20 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
 
     Without jac, the package's own Dormand-Prince 5(4) loop, SciPy's RK45
     float for float.  Given the Jacobian jac(t, y) of rhs, its own implicit
-    variable-order BDF for stiff runs, SciPy's BDF with that jac float for
-    float.  An event is a callable of (t, y); its optional .direction
-    attribute (+1 rising, -1 falling, 0 either) selects the crossings it
-    sees.  Events are terminal: the first crossing ends the integration.
-    The step size has no cap, and the result always carries the dense
-    solution .sol.  Raises StiffnessError when the step falls below ten ulps
-    of t.
+    variable-order BDF for stiff runs of one or two states (ValueError for
+    more): SciPy's algorithm but not its floats, on bits that follow neither
+    numpy's dispatch nor LAPACK.  An event is a callable of (t, y); its
+    optional .direction attribute (+1 rising, -1 falling, 0 either) selects
+    the crossings it sees.  Events are terminal: the first crossing ends the
+    integration.  The step has no cap; the result carries the dense solution
+    .sol.  Raises StiffnessError when the step falls below ten ulps of t.
     """
     t0, t_bound = map(float, t_span)
     if not t_bound > t0:
         raise ValueError("t_span must increase")
     y0, events = np.atleast_1d(np.asarray(y0, dtype=float)), tuple(events)
+    if jac is not None and y0.size > 2:
+        raise ValueError("BDF takes one or two states")
     rtol, atol = max(settings.rel_tol, 100 * _EPS), settings.abs_tol
     counts = SimpleNamespace(nfev=0, njev=0, nlu=0)
 
@@ -384,7 +387,7 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     order, side = (4, "left") if jac is None else (1, "right")
     h_abs = _initial_step(fun, t, y, f, t_bound, order, rtol, atol)
     steps = (_rk45_steps(fun, t, y, f, h_abs, t_bound, rtol, atol) if jac is None
-             else _bdf_steps(fun, jac, counts, t, y, f, h_abs, t_bound, rtol, atol))
+             else _bdf_steps(rhs, jac, counts, t, y, f, h_abs, t_bound, rtol, atol))
     ts, ys, interpolants = [t], [y], []
     directions = [getattr(event, "direction", 0) for event in events]
     g = [event(t, y) for event in events]

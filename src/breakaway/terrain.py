@@ -399,6 +399,8 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
     RK45 at _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time,
     the dense state (x, v) as a function of time, held at its finish value
     beyond the finish, and the accepted steps: their end times and speeds.
+    Steps that collapse where the quasi-steady speed stalls are a stall: on
+    the way to a speed the rider cannot hold, they raise StallError.
     """
     def cruise(x, p):
         # the largest root of the speed cubic: the only one uphill, and the
@@ -449,7 +451,10 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
         return y[0] - 1.0
     finish.direction = 1.0
 
+    reached = [t0, x0]  # the last accepted time and position, seen by stall
+
     def stall(t, y):
+        reached[:] = t, y[0]
         return y[1] - _V_STALL
     stall.direction = -1.0
 
@@ -459,6 +464,8 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
         sol = ode_solve_with_events(rhs, y0, (t0, t0 + _HORIZON), events=events,
                                     settings=settings, jac=jac)
     except StiffnessError as exc:  # name the rider and the integrator
+        if eps != 0.0 and cruise(reached[1], power(reached[0] - t0)) < _V_STALL:
+            raise StallError(f"{who} stalled before the finish line") from exc
         method = "RK45" if jac is None else "BDF"
         raise StiffnessError(f"{who} {method} step fell below ten ulps of t") from exc
     if eps != 0.0 and sol.t_events[1].size:

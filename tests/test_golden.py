@@ -71,10 +71,13 @@ def test_golden(name, tmp_path):
 # numpy's SIMD kernels from AVX512-SKX on switched off, as on an AVX2-only CPU
 SECOND_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
 
-# full-dynamics and quasi-steady rides on a graded course; BDF is left out:
-# its order choice raises an array to a power, which numpy's SIMD power does
+# full-dynamics rides on a graded course, RK45 and BDF (at small inertia and
+# at steep gravity), and the quasi-steady ride
 DEMO_RUNS = {
     "demo_rk45.csv": ["terrain", "--course", "demo"],
+    "demo_bdf.csv": ["terrain", "--course", "demo", "--set", "terrain.epsilon=5e-4"],
+    "demo_steep_bdf.csv": ["terrain", "--course", "demo",
+                           "--set", "terrain.gravity_ratio=1000"],
     "demo_quasi_steady.csv": ["terrain", "--course", "demo",
                               "--set", "terrain.quasi_steady=true"],
 }
