@@ -129,11 +129,9 @@ def peloton_passage(position: float, power: float, drag: DragParams,
     horizon = 20.0 * math.sqrt(2.0 * abs(zeta0) * scale / power) + 10.0
     sol = ode_solve_with_events(rhs, [zeta0, 0.0], (0.0, horizon),
                                 events=(front, turned), settings=settings)
-    if sol.t_events[1].size or not sol.t_events[0].size:
+    if sol.t_events[1] or not sol.t_events[0]:
         raise NeverReachesFrontError("the rider turned back before the front")
-    tau_d = float(sol.t_events[0][0])
-    exit_slope = float(sol.y_events[0][0][1])
-    return PassageLayer(duration=tau_d, exit_slope=exit_slope)
+    return PassageLayer(duration=sol.t_events[0][0], exit_slope=sol.y_events[0][0][1])
 
 
 def _time_grid(eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio):
@@ -175,13 +173,10 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
 
     sol = ode_solve_with_events(rhs, [t1, v1], (zeta0 + dz0, 0.0),
                                 events=(turned,), settings=settings)
-    if sol.t_events[0].size:
+    if sol.t_events[0]:
         raise NeverReachesFrontError("the rider turned back before the front")
-    zetas = np.array(linspace(zeta0 + dz0, 0.0, 513))
-    states = sol.sol(zetas)
-    times = np.concatenate(([0.0], states[0]))
-    speeds = np.concatenate(([1.0], states[1]))
-    return float(states[0][-1]), float(states[1][-1]), times, speeds
+    times, speeds = sol.sol(linspace(zeta0 + dz0, 0.0, 513))
+    return times[-1], speeds[-1], np.array([0.0, *times]), np.array([1.0, *speeds])
 
 
 def attack_onset(eps: float, position: float, power: float,
@@ -202,7 +197,8 @@ def attack_onset(eps: float, position: float, power: float,
         raise ValueError("eps must be positive")
     t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
                        gamma_ratio)
-    times = np.array(linspace(0.0, t_end, n_samples))
+    grid = linspace(0.0, t_end, n_samples)
+    times = np.array(grid)
     delta = gamma_ratio * eps**2
 
     def rhs(t, y):
@@ -217,9 +213,9 @@ def attack_onset(eps: float, position: float, power: float,
 
     full = ode_solve_with_events(rhs, [-(position - 1.0), 1.0], (0.0, t_end),
                                  events=(stall,), settings=settings)
-    if full.t_events[0].size:
+    if full.t_events[0]:
         raise NumericsError("rider stalled during the attack onset")
-    v_full = full.sol(times)[1]
+    v_full = np.array(full.sol(grid)[1])
 
     t_front, v_front, pass_t, pass_v = _passage_finite(
         eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio, settings)
@@ -235,7 +231,7 @@ def attack_onset(eps: float, position: float, power: float,
     v_composite = np.where(
         times <= t_front,
         np.interp(times, pass_t, pass_v),
-        relax.sol(np.maximum(times - t_front, 0.0) / eps)[0],
+        relax.sol((np.maximum(times - t_front, 0.0) / eps).tolist())[0],
     )
     return AttackOnset(
         times=times, v_full=v_full, v_composite=v_composite,

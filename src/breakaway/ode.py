@@ -1,25 +1,25 @@
 """ODE integration with terminal events: the package's own RK45 and BDF.
 
-A Dormand-Prince 5(4) loop (Dormand & Prince 1980) ports SciPy 1.17's RK45
-with the same numpy operations on the same shapes in the same order: the
-same steps, evaluations, events and dense output, bit for bit, whose last
-bits may differ between numpy builds (BLAS).  Stiff runs of one or two
-states take SciPy's variable-order BDF (the NDF scheme of Shampine &
-Reichelt 1997) on the caller's analytic Jacobian, on Python floats with its
-2x2 Newton systems in closed form: no SciPy bit for bit, but bits that
-follow neither numpy's CPU dispatch nor LAPACK.  Nothing here
+Both run SciPy 1.17's algorithms on Python floats, for one or two states; a
+single state rides as the first of two, the second held at 0.  Without a
+Jacobian, Dormand-Prince 5(4) (Dormand & Prince 1980) with SciPy's step
+control (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-II.6) and
+Shampine's (1986) quartic dense output.  Stiff runs take SciPy's
+variable-order BDF (the NDF scheme of Shampine & Reichelt 1997) on the
+caller's analytic Jacobian, its 2x2 Newton systems in closed form.  Neither
+is SciPy float for float, and this module imports no numpy, so no bit
+follows numpy's CPU dispatch, a BLAS kernel or LAPACK.  Nothing here
 differentiates a function; events are rooted by numerics' Brent port.
-Only terrain and microstructure import this module, and with it numpy.
 """
 
 from __future__ import annotations
 
+import array
+import bisect
 import itertools
 import math
 import sys
 from types import SimpleNamespace
-
-import numpy as np
 
 from .numerics import (DEFAULT_SETTINGS, NumericsError, SolverSettings, StiffnessError,
                        find_root_bracketed)
@@ -28,29 +28,22 @@ __all__ = ["OdeResult", "ode_solve_with_events"]
 
 _EPS = sys.float_info.epsilon
 
-# Dormand-Prince 5(4) as SciPy's RK45 holds it: nodes, stage matrix, 5th-order
-# weights, error weights and Shampine's (1986) quartic dense-output matrix
-_RK45_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_RK45_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_RK45_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_RK45_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_RK45_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
-_RK45_STAGES = tuple((s, _RK45_A[s, :s], _RK45_C[s]) for s in range(1, 6))
+# Dormand-Prince 5(4) as SciPy's RK45 holds it: the nodes of stages 1-4
+# (stage 5's is 1), the rows of stages 1-5, the 5th-order and the error
+# weights without stage 1's zeros, and columns 2-4 of Shampine's (1986)
+# quartic dense-output matrix without its zero row (column 1 is (1, 0, ...))
+_DP_C = (1/5, 3/10, 4/5, 8/9)
+_DP_A = ((1/5,), (3/40, 9/40), (44/45, -56/15, 32/9),
+         (19372/6561, -25360/2187, 64448/6561, -212/729),
+         (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+_DP_B = (35/384, 500/1113, 125/192, -2187/6784, 11/84)
+_DP_E = (-71/57600, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_DP_P = ((-8048581381/2820520608, 131558114200/32700410799, -1754552775/470086768,
+          127303824393/49829197408, -282668133/205662961, 40617522/29380423),
+         (8663915743/2820520608, -68118460800/10900136933, 14199869525/1410260304,
+          -318862633887/49829197408, 2019193451/616988883, -110615467/29380423),
+         (-12715105075/11282082432, 87487479700/32700410799, -10690763975/1880347072,
+          701980252875/199316789632, -1453857185/822651844, 69997945/29380423))
 # The NDF coefficients of SciPy's BDF (Shampine & Reichelt 1997): kappa, the
 # backward-difference sums gamma, alpha = (1 - kappa) gamma and the error
 # constants, by order
@@ -71,84 +64,61 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 class OdeResult(SimpleNamespace):
-    """An integration, with the fields of solve_ivp's result callers read.
+    """An integration, with the fields of solve_ivp's result callers read,
+    in lists of floats.
 
-    t and y: the step times and states; sol: the dense solution; t_events
-    and y_events: per event, its crossing times and states; nfev: rhs
-    evaluations; njev and nlu: Jacobians and Newton-matrix factorizations
-    (BDF; 0 for RK45); status: 0 at the end of t_span, 1 at a terminal
-    event; success is True.
+    t and y: the step times and, per state, its values; sol: the dense
+    solution; t_events and y_events: per event, its crossing times and
+    states; nfev: rhs evaluations; njev and nlu: Jacobians and Newton-matrix
+    factorizations (BDF; 0 for RK45); status: 0 at the end of t_span, 1 at
+    a terminal event; success is True.
     """
-
-
-class _Rk45Step:
-    """The quartic interpolant of one accepted step (SciPy's RkDenseOutput)."""
-
-    __slots__ = ("t_old", "h", "Q", "y_old")
-
-    def __init__(self, t_old, t, y_old, Q):
-        self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = self.h * np.dot(self.Q, np.cumprod(np.tile(x, 4)))
-            y += self.y_old
-        else:
-            y = self.h * np.dot(self.Q, np.cumprod(np.tile(x, (4, 1)), axis=0))
-            y += self.y_old[:, None]
-        return y
 
 
 class _DenseSolution:
-    """Piecewise interpolant over the steps, as SciPy's OdeSolution.
-
-    A time on a step boundary takes the earlier step for side "left" and the
-    later one for "right"; times outside the steps take the first or the
-    last one.
+    """The steps' piecewise polynomial.  Step k spans ts[k] to ts[k + 1], its
+    row is the width doubles of data from k * width, and at(row, t) evaluates
+    it.  Times are held in [ts[0], ts[-1]]; one on a step boundary takes the
+    step find picks: the earlier for bisect_left, the later for bisect_right.
+    A float t gives a tuple of the n states, a sequence of times one list per
+    state.
     """
 
-    def __init__(self, ts, steps, side):
-        self.ts, self.steps, self.side = ts, steps, side
+    __slots__ = ("ts", "data", "width", "at", "find", "n")
+
+    def __init__(self, ts, data, width, at, find, n):
+        self.ts, self.data, self.width, self.at, self.find, self.n = ts, data, width, at, find, n
 
     def __call__(self, t):
-        t = np.asarray(t)
-        last = len(self.steps) - 1
-        if t.ndim == 0:
-            k = np.searchsorted(self.ts, t, side=self.side)
-            return self.steps[min(max(k - 1, 0), last)](t)
-        # one interpolant call per run of points in one step, in time order
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segments = np.clip(np.searchsorted(self.ts, t_sorted, side=self.side) - 1, 0, last)
-        ys, start = [], 0
-        for k, group in itertools.groupby(segments.tolist()):
-            end = start + len(list(group))
-            ys.append(self.steps[k](t_sorted[start:end]))
-            start = end
-        return np.hstack(ys)[:, reverse]
+        if isinstance(t, (int, float)):
+            return self._state(t)[:self.n]
+        states = [self._state(s) for s in t]
+        return [[y[i] for y in states] for i in range(self.n)]
+
+    def _state(self, t):
+        ts, width = self.ts, self.width
+        t = min(max(t, ts[0]), ts[-1])
+        k = min(max(self.find(ts, t) - 1, 0), len(ts) - 2) * width
+        return self.at(self.data[k:k + width], t)
 
 
-def _rms(x):
-    """SciPy's RMS norm of an error or scale vector."""
-    return np.linalg.norm(x) / x.size ** 0.5
+def _norm(a, b, n):
+    """SciPy's RMS norm of the n-vector (a, b)[:n], b 0 when n is 1."""
+    return math.sqrt((a * a + b * b) / n)
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, order, rtol, atol):
+def _initial_step(fun, t0, y0, y1, f0, f1, t_bound, order, rtol, atol, n):
     """SciPy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4) for
     a method whose local error goes as h**(order + 1)."""
-    interval = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    with np.errstate(over="ignore"):  # an overflowing norm raises below
-        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    interval = t_bound - t0
+    scale0, scale1 = atol + abs(y0) * rtol, atol + abs(y1) * rtol
+    d0, d1 = _norm(y0 / scale0, y1 / scale1, n), _norm(f0 / scale0, f1 / scale1, n)
     if not math.isfinite(d1):
         raise NumericsError("the derivative overflows the error scale at the start")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    g0, g1 = fun(t0 + h0, y0 + h0 * f0, y1 + h0 * f1)
+    d2 = _norm((g0 - f0) / scale0, (g1 - f1) / scale1, n) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -156,12 +126,15 @@ def _initial_step(fun, t0, y0, f0, t_bound, order, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def _rk45_steps(fun, t, y, f, h_abs, t_bound, rtol, atol):
-    """SciPy 1.17's RK45 steps: yields (t, y, interpolant) per accepted step."""
-    K = np.empty((7, y.size))
-    # views into K on the stages so far: the shapes and strides SciPy's take
-    stages = [(s, K[:s].T, a, c) for s, a, c in _RK45_STAGES]
-    K_stages, K_all = K[:-1].T, K.T
+def _rk45_steps(fun, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n):
+    """SciPy 1.17's RK45 algorithm on the floats of states a and b: yields
+    (t, ya, yb, row) per accepted step, row the step's start time and size,
+    then per state its start value and its row Q of the dense quartic."""
+    c1, c2, c3, c4 = _DP_C
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54) = _DP_A
+    b0, b2, b3, b4, b5 = _DP_B
+    e0, e2, e3, e4, e5, e6 = _DP_E
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -171,39 +144,60 @@ def _rk45_steps(fun, t, y, f, h_abs, t_bound, rtol, atol):
                 raise StiffnessError(_TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h_abs = h = t_new - t
-            K[0] = f
-            for s, K_s, a, c in stages:
-                dy = np.dot(K_s, a) * h
-                K[s] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(K_stages, _RK45_B)
-            f_new = K[-1] = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K_all, _RK45_E) * h / scale)
+            # kNa and kNb: stage N of states a and b, each at its state plus
+            # h times the weighted sum of its earlier stages
+            k1a, k1b = fun(t + c1 * h, ya + fa * a10 * h, yb + fb * a10 * h)
+            k2a, k2b = fun(t + c2 * h, ya + (fa * a20 + k1a * a21) * h,
+                           yb + (fb * a20 + k1b * a21) * h)
+            k3a, k3b = fun(t + c3 * h, ya + (fa * a30 + k1a * a31 + k2a * a32) * h,
+                           yb + (fb * a30 + k1b * a31 + k2b * a32) * h)
+            k4a, k4b = fun(t + c4 * h,
+                           ya + (fa * a40 + k1a * a41 + k2a * a42 + k3a * a43) * h,
+                           yb + (fb * a40 + k1b * a41 + k2b * a42 + k3b * a43) * h)
+            k5a, k5b = fun(t + h,
+                           ya + (fa * a50 + k1a * a51 + k2a * a52 + k3a * a53 + k4a * a54) * h,
+                           yb + (fb * a50 + k1b * a51 + k2b * a52 + k3b * a53 + k4b * a54) * h)
+            za = ya + h * (fa * b0 + k2a * b2 + k3a * b3 + k4a * b4 + k5a * b5)
+            zb = yb + h * (fb * b0 + k2b * b2 + k3b * b3 + k4b * b4 + k5b * b5)
+            ga, gb = fun(t + h, za, zb)
+            error_norm = _norm(
+                (fa * e0 + k2a * e2 + k3a * e3 + k4a * e4 + k5a * e5 + ga * e6) * h
+                / (atol + max(abs(ya), abs(za)) * rtol),
+                (fb * e0 + k2b * e2 + k3b * e3 + k4b * e4 + k5b * e5 + gb * e6) * h
+                / (atol + max(abs(yb), abs(zb)) * rtol), n)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
             rejected = True
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        yield t, y, _Rk45Step(t_old, t, y_old, K_all.dot(_RK45_P))
+        row = (t, h, ya, fa, *[fa * p0 + k2a * p2 + k3a * p3 + k4a * p4 + k5a * p5 + ga * p6
+                               for p0, p2, p3, p4, p5, p6 in _DP_P],
+               yb, fb, *[fb * p0 + k2b * p2 + k3b * p3 + k4b * p4 + k5b * p5 + gb * p6
+                         for p0, p2, p3, p4, p5, p6 in _DP_P])
+        t, ya, yb, fa, fb = t_new, za, zb, ga, gb
+        yield t, ya, yb, row
 
 
-def _bdf_interpolant(t, h, n, D0, D1):
-    """SciPy's BdfDenseOutput on floats: the polynomial of the differences
-    D0, D1 at the step h ending at t; its first n states at x or an array."""
-    def at(x):
-        p, y0, y1 = 1.0, D0[0], D1[0]
-        for j in range(1, len(D0)):
-            p *= (x - (t - h * (j - 1))) / (h * j)
-            y0, y1 = y0 + D0[j] * p, y1 + D1[j] * p
-        return y0, y1
+def _rk45_at(row, s):
+    """A step's quartic at s, by Horner: its start value plus h (Q0 x + Q1
+    x^2 + Q2 x^3 + Q3 x^4) at x = (s - t) / h, per state."""
+    t, h, ya, a0, a1, a2, a3, yb, b0, b1, b2, b3 = row
+    x = (s - t) / h
+    return (ya + h * (x * (a0 + x * (a1 + x * (a2 + x * a3)))),
+            yb + h * (x * (b0 + x * (b1 + x * (b2 + x * b3)))))
 
-    def interpolant(x):
-        y = np.array([at(s) for s in np.atleast_1d(x).astype(float).tolist()]).T[:n]
-        return y[:, 0] if np.ndim(x) == 0 else y
-    return interpolant
+
+def _bdf_at(row, s):
+    """SciPy's BdfDenseOutput on floats at s: row is (t, h, D0, D1), the
+    six differences of each state, zero past the order, of the polynomial of
+    the step h ending at t."""
+    t, h = row[0], row[1]
+    p, y0, y1 = 1.0, row[2], row[8]
+    for j in range(1, _BDF_MAX_ORDER + 1):
+        p *= (s - (t - h * (j - 1))) / (h * j)
+        y0, y1 = y0 + row[2 + j] * p, y1 + row[8 + j] * p
+    return y0, y1
 
 
 def _rescale_differences(D0, D1, order, factor):
@@ -242,23 +236,20 @@ def _newton_solver(c, J):
     return solve
 
 
-def _bdf_steps(rhs, jac, counts, t, y, f, h_abs, t_bound, rtol, atol):
+def _bdf_steps(fun, jac, counts, t, y0, y1, f0, f1, h_abs, t_bound, rtol, atol, n):
     """SciPy 1.17's BDF algorithm (variable-order NDF, quasi-constant step)
-    on Python floats, on the Jacobian jac(t, y): yields (t, y, interpolant)
-    per accepted step, the interpolant built after the step's order and size
-    update.  One state rides as the first of two, the second held at 0."""
-    n = len(y)
-
+    on Python floats, on the Jacobian jac(t, y): yields (t, y0, y1, row) per
+    accepted step, row the _bdf_at polynomial after the step's order and
+    size update."""
     def jacobian(t, y0, y1):
         counts.njev += 1
-        return np.pad(np.reshape(jac(t, [y0, y1][:n]), (n, n)), (0, 2 - n)).ravel().tolist()
+        J = jac(t, [y0, y1][:n])
+        return [float(J[i][j]) if i < n and j < n else 0.0 for i in (0, 1) for j in (0, 1)]
 
     def norm(a, b, weight=1.0):  # the RMS norm of (a, b) weight / scale
-        a, b = weight * a / scale0, weight * b / scale1
-        return math.sqrt((a * a + b * b) / n)
+        return _norm(weight * a / scale0, weight * b / scale1, n)
 
     newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-    (y0, y1), (f0, f1) = ((v.tolist() + [0.0])[:2] for v in (y, f))
     J = jacobian(t, y0, y1)
     # the backward differences of each state, by order, two rows to spare
     D0, D1 = ([v, df * h_abs] + [0.0] * (_BDF_MAX_ORDER + 1) for v, df in ((y0, f0), (y1, f1)))
@@ -293,9 +284,7 @@ def _bdf_steps(rhs, jac, counts, t, y, f, h_abs, t_bound, rtol, atol):
                 # prediction, with the iteration matrix A = I - c J
                 y0, y1, d0, d1, converged = p0, p1, 0.0, 0.0, False
                 for k in range(_BDF_NEWTON_MAXITER):
-                    counts.nfev += 1
-                    f = rhs(t_new, [y0, y1][:n])
-                    f0, f1 = float(f[0]), float(f[1]) if n == 2 else 0.0
+                    f0, f1 = fun(t_new, y0, y1)
                     if not (math.isfinite(f0) and math.isfinite(f1)):
                         break
                     dy0, dy1 = solve(c * f0 - psi0 - d0, c * f1 - psi1 - d1)
@@ -337,7 +326,7 @@ def _bdf_steps(rhs, jac, counts, t, y, f, h_abs, t_bound, rtol, atol):
                 D[i] += D[i + 1]
         if n_equal_steps >= order + 1:
             # the order (one down, kept, one up) whose step, norm ** (-1 / k) at order
-            # k - 1 >= 1, grows the most: the first on a tie or a NaN, as np.argmax
+            # k - 1 >= 1, grows the most: the first on a tie or a NaN, as numpy's argmax
             norms = [norm(D0[order], D1[order], _BDF_ERROR_CONST[order - 1])
                      if order > 1 else math.inf, error_norm,
                      norm(D0[order + 2], D1[order + 2], _BDF_ERROR_CONST[order + 1])
@@ -350,79 +339,83 @@ def _bdf_steps(rhs, jac, counts, t, y, f, h_abs, t_bound, rtol, atol):
             h_abs *= factor
             _rescale_differences(D0, D1, order, factor)
             n_equal_steps, solve = 0, None
-        yield t, [y0, y1][:n], _bdf_interpolant(t, h_abs, n, D0[:order + 1], D1[:order + 1])
+        pad = [0.0] * (_BDF_MAX_ORDER - order)
+        yield t, y0, y1, (t, h_abs, *D0[:order + 1], *pad, *D1[:order + 1], *pad)
 
 
 def ode_solve_with_events(rhs, y0, t_span, events=(),
                           settings: SolverSettings = DEFAULT_SETTINGS, jac=None):
-    """Adaptive ODE integration with event localization, forward in time.
+    """Adaptive ODE integration of one or two states (ValueError for more)
+    with event localization, forward in time.
 
-    Without jac, the package's own Dormand-Prince 5(4) loop, SciPy's RK45
-    float for float.  Given the Jacobian jac(t, y) of rhs, its own implicit
-    variable-order BDF for stiff runs of one or two states (ValueError for
-    more): SciPy's algorithm but not its floats, on bits that follow neither
-    numpy's dispatch nor LAPACK.  An event is a callable of (t, y); its
-    optional .direction attribute (+1 rising, -1 falling, 0 either) selects
-    the crossings it sees.  Events are terminal: the first crossing ends the
-    integration.  The step has no cap; the result carries the dense solution
-    .sol.  Raises StiffnessError when the step falls below ten ulps of t.
+    Without jac, the package's own Dormand-Prince 5(4) loop: SciPy's RK45
+    algorithm, not its floats.  Given the Jacobian jac(t, y) of rhs, its own
+    implicit variable-order BDF for stiff runs, likewise SciPy's algorithm.
+    An event is a callable of (t, y); its optional .direction attribute (+1
+    rising, -1 falling, 0 either) selects the crossings it sees.  Events are
+    terminal: the first crossing ends the integration.  The step has no cap;
+    the result carries the dense solution .sol.  Raises StiffnessError when
+    the step falls below ten ulps of t.
     """
     t0, t_bound = map(float, t_span)
     if not t_bound > t0:
         raise ValueError("t_span must increase")
-    y0, events = np.atleast_1d(np.asarray(y0, dtype=float)), tuple(events)
-    if jac is not None and y0.size > 2:
-        raise ValueError("BDF takes one or two states")
+    n, events = len(y0), tuple(events)
+    if not 1 <= n <= 2:
+        raise ValueError("the ODE loops take one or two states")
     rtol, atol = max(settings.rel_tol, 100 * _EPS), settings.abs_tol
     counts = SimpleNamespace(nfev=0, njev=0, nlu=0)
 
-    def fun(t, y):
+    def fun(t, a, b):
         counts.nfev += 1
-        return np.asarray(rhs(t, y), dtype=float)
+        f = rhs(t, [a, b][:n])
+        return float(f[0]), float(f[1]) if n == 2 else 0.0
 
-    t, y = t0, y0
-    f = fun(t, y)
-    # the error order of the initial step, and the side a time on a step
-    # boundary takes in the dense solution: RK45's earlier step, BDF's later
-    order, side = (4, "left") if jac is None else (1, "right")
-    h_abs = _initial_step(fun, t, y, f, t_bound, order, rtol, atol)
-    steps = (_rk45_steps(fun, t, y, f, h_abs, t_bound, rtol, atol) if jac is None
-             else _bdf_steps(rhs, jac, counts, t, y, f, h_abs, t_bound, rtol, atol))
-    ts, ys, interpolants = [t], [y], []
+    t, (ya, yb) = t0, [float(v) for v in y0] + [0.0] * (2 - n)
+    fa, fb = fun(t, ya, yb)
+    # the initial step for RK45's error order 4 or BDF's 1; the width of the
+    # dense rows, and the step a time on a step boundary takes: RK45's
+    # earlier, BDF's later
+    h_abs = _initial_step(fun, t, ya, yb, fa, fb, t_bound, 4 if jac is None else 1, rtol, atol, n)
+    if jac is None:
+        width, at, find = 12, _rk45_at, bisect.bisect_left
+        steps = _rk45_steps(fun, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n)
+    else:
+        width, at, find = 2 * _BDF_MAX_ORDER + 4, _bdf_at, bisect.bisect_right
+        steps = _bdf_steps(fun, jac, counts, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n)
+    ts, ys, data = [t], ([ya], [yb]), array.array("d")
     directions = [getattr(event, "direction", 0) for event in events]
-    g = [event(t, y) for event in events]
+    g = [event(t, [ya, yb][:n]) for event in events]
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
     status = None
     while status is None:
         t_old = t
-        t, y, step = next(steps)
+        t, ya, yb, row = next(steps)
         if t >= t_bound:
             status = 0
-        interpolants.append(step)
-        g_new = [event(t, y) for event in events]
+        data.extend(row)
+        g_new = [event(t, [ya, yb][:n]) for event in events]
         active = [k for k, (a, b, d) in enumerate(zip(g, g_new, directions))
                   if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
         if active:
             # every event is terminal: keep the earliest root (a tie, the first)
-            roots = [find_root_bracketed(lambda s: events[k](s, step(s)), t_old, t,
+            roots = [find_root_bracketed(lambda s: events[k](s, at(row, s)[:n]), t_old, t,
                                          _EVENT_SETTINGS) for k in active]
             first = min(range(len(roots)), key=roots.__getitem__)
             t = roots[first]
-            y = step(t)
+            ya, yb = at(row, t)
             t_events[active[first]].append(t)
-            y_events[active[first]].append(y)
+            y_events[active[first]].append([ya, yb][:n])
             status = 1
         g = g_new
         if len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
+            del data[-width:]
         else:
             ts.append(t)
-            ys.append(y)
-    ts = np.array(ts)
+            ys[0].append(ya)
+            ys[1].append(yb)
     return OdeResult(
-        t=ts, y=np.vstack(ys).T, sol=_DenseSolution(ts, interpolants, side),
-        t_events=[np.asarray(te) for te in t_events],
-        y_events=[np.asarray(ye) for ye in y_events],
-        nfev=counts.nfev, njev=counts.njev, nlu=counts.nlu, status=status,
-        success=True)
+        t=ts, y=list(ys[:n]), sol=_DenseSolution(ts, data, width, at, find, n),
+        t_events=t_events, y_events=y_events, nfev=counts.nfev, njev=counts.njev,
+        nlu=counts.nlu, status=status, success=True)

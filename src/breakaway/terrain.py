@@ -26,11 +26,13 @@ v^3 = 1 - gamma v sin(theta) - eps v v', also at eps = 0, so over a stretch
 C_d (b - a) - (C_d - m) [gamma (S(x_b) - S(x_a)) + eps (v_b^2 - v_a^2) / 2],
 S(x) the integral of sin(theta) along the course.
 
-The course slope and PowerProfile.power_at take one float, once per
-right-hand-side evaluation, and their arctan and exp are `math`'s, so a ride's
-bits do not follow the SIMD kernel numpy picks for the CPU.  The course
-curvature h''(x) enters only BDF's Jacobian, through d(sin theta)/dx.  The
-quasi-steady speed is the largest root from numerics.solve_cubic_real.
+The module imports no numpy: the course tables, the slope and
+PowerProfile.power_at, once per right-hand-side evaluation, the rides of
+ode.py and the dense states all run on Python floats and `math`, so a ride's
+bits follow neither the SIMD kernel numpy picks for the CPU nor a BLAS
+kernel.  The course curvature h''(x) enters only BDF's Jacobian, through
+d(sin theta)/dx.  The quasi-steady speed is the largest root from
+numerics.solve_cubic_real.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .config import CourseFileError
 from .model import PowerProfile
@@ -108,12 +108,10 @@ class CourseProfile:
         The cosine terms are shifted so the course starts at height zero.
         The slope and the curvature sum their terms in order, from 0.0.
         """
-        a = np.asarray(sin_amps, dtype=float)
-        b = np.asarray(cos_amps, dtype=float)
-        ka = 2.0 * np.pi * np.arange(1, a.size + 1)
-        kb = 2.0 * np.pi * np.arange(1, b.size + 1)
-        sin_terms = list(zip((a * ka).tolist(), ka.tolist()))
-        cos_terms = list(zip((b * kb).tolist(), kb.tolist()))
+        def terms(amps):  # (2 pi k a_k, 2 pi k) for k = 1, 2, ...
+            ks = [2.0 * math.pi * k for k in range(1, len(amps) + 1)]
+            return [(float(a) * k, k) for a, k in zip(amps, ks)]
+        sin_terms, cos_terms = terms(sin_amps), terms(cos_amps)
 
         def slope(x):
             x, up, down = float(x), 0.0, 0.0
@@ -143,21 +141,19 @@ class CourseProfile:
         does (interval closed on the left, the end pieces extended).  The
         curvature is the derivative of the slope on the same piece.
         """
-        xs = np.asarray(xs, dtype=float)
-        hs = np.asarray(hs, dtype=float)
-        if xs.size < 2:
+        knots, hs = [float(x) for x in xs], [float(h) for h in hs]
+        if len(knots) < 2:
             raise CourseFileError("course table needs at least two samples")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(hs))):
+        if not all(map(math.isfinite, knots + hs)):
             raise CourseFileError("course samples must be finite numbers")
-        if np.any(np.diff(xs) <= 0.0):
+        if any(b <= a for a, b in zip(knots, knots[1:])):
             raise CourseFileError("course x samples must increase strictly")
-        if abs(xs[0]) > 1e-12 or abs(xs[-1] - 1.0) > 1e-12:
+        if abs(knots[0]) > 1e-12 or abs(knots[-1] - 1.0) > 1e-12:
             raise CourseFileError("course table must span x = 0 to x = 1")
-        _, quadratic = _pchip_coefficients(xs, hs)
-        if not all(np.all(np.isfinite(c)) for c in quadratic):
+        _, quadratic = _pchip_coefficients(knots, hs)
+        pieces, last = list(zip(*quadratic)), len(knots) - 2
+        if not all(math.isfinite(c) for piece in pieces for c in piece):
             raise CourseFileError("course slopes overflow")
-        knots, last = xs.tolist(), xs.size - 2
-        pieces = list(zip(*(c.tolist() for c in quadratic)))
 
         def piece(x):
             i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
@@ -179,37 +175,45 @@ def _pchip_coefficients(xs, hs):
     """PCHIP pieces of h and h' in ascending powers of s = x - knot.
 
     SciPy's CubicHermiteSpline coefficients and PPoly's derivative factors
-    1, 2, 3.  An overflow shows as an inf or a nan, not as a warning.
+    1, 2, 3, element by element.  An overflow shows as an inf or a nan.
     """
-    with np.errstate(all="ignore"):
-        widths = xs[1:] - xs[:-1]
-        chords = (hs[1:] - hs[:-1]) / widths
-        d = _pchip_slopes(widths, chords)
-        t = (d[:-1] + d[1:] - 2 * chords) / widths
-        cubic = (hs[:-1], d[:-1], (chords - d[:-1]) / widths - t, t / widths)
-        return cubic, (cubic[1], cubic[2] * 2.0, cubic[3] * 3.0)
+    widths = [b - a for a, b in zip(xs, xs[1:])]
+    chords = [(b - a) / w for a, b, w in zip(hs, hs[1:], widths)]
+    d = _pchip_slopes(widths, chords)
+    t = [(d0 + d1 - 2 * m) / w for d0, d1, m, w in zip(d, d[1:], chords, widths)]
+    c2 = [(m - d0) / w - tk for m, d0, w, tk in zip(chords, d, widths, t)]
+    c3 = [tk / w for tk, w in zip(t, widths)]
+    cubic = (list(hs[:-1]), d[:-1], c2, c3)
+    return cubic, (d[:-1], [c * 2.0 for c in c2], [c * 3.0 for c in c3])
+
+
+def _sign(x):
+    """The sign of a float or a numpy scalar: -1, 0 or 1."""
+    return 1 if x > 0 else -1 if x < 0 else 0
 
 
 def _pchip_slopes(widths, chords):
     """PCHIP knot slopes, as SciPy's PchipInterpolator finds them."""
-    if chords.size == 1:
-        return np.repeat(chords, 2)
-    w1 = 2 * widths[1:] + widths[:-1]
-    w2 = widths[1:] + 2 * widths[:-1]
-    signs = np.sign(chords)
-    flat = (signs[1:] != signs[:-1]) | (chords[1:] == 0) | (chords[:-1] == 0)
-    # a zero chord divides by zero here; np.where drops those entries
-    inner = np.where(flat, 0.0, 1.0 / ((w1 / chords[:-1] + w2 / chords[1:]) / (w1 + w2)))
-    return np.array([_pchip_edge(widths[0], widths[1], chords[0], chords[1]), *inner,
-                     _pchip_edge(widths[-1], widths[-2], chords[-1], chords[-2])])
+    if len(chords) == 1:
+        return chords * 2
+    inner = []
+    for h0, h1, m0, m1 in zip(widths, widths[1:], chords, chords[1:]):
+        w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+        if _sign(m0) != _sign(m1) or m0 == 0 or m1 == 0:
+            inner.append(0.0)
+        else:  # the mean is 0 only where a chord overflows: then so does the slope
+            mean = (w1 / m0 + w2 / m1) / (w1 + w2)
+            inner.append(1.0 / mean if mean else math.inf)
+    return [_pchip_edge(widths[0], widths[1], chords[0], chords[1]), *inner,
+            _pchip_edge(widths[-1], widths[-2], chords[-1], chords[-2])]
 
 
 def _pchip_edge(h0, h1, m0, m1):
     """SciPy's one-sided three-point end slope, kept shape-preserving."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
+    if _sign(d) != _sign(m0):
         return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
         return 3.0 * m0
     return d
 
@@ -315,7 +319,7 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
 
     # the rider tracks the peloton, so they reach x_attack when it does
     t_attack = 0.0 if x_attack == 0.0 else find_root_bracketed(
-        lambda t: float(peloton_state(t)[0]) - x_attack, 0.0, t_p, settings)
+        lambda t: peloton_state(t)[0] - x_attack, 0.0, t_p, settings)
     (_, v_attack, _, e_attack), = lurk([t_attack])
     t_f, state, _ = _ride(x_attack, t_attack, v_attack, power_profile.power_at,
                           profile, gravity_ratio, cd_front, mass_ratio, inertia,
@@ -332,7 +336,7 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
 def _riding(state, t0, e0, schedule):
     """Sampler of a ride from time t0 at a PowerProfile, e0 spent before t0."""
     def sample(times):
-        xs, vs = state(np.array(times)).tolist() if times else ([], [])
+        xs, vs = state(times)
         return [(x, v, schedule.power_at(t - t0), e0 + schedule.energy(t - t0))
                 for t, x, v in zip(times, xs, vs)]
     return sample
@@ -346,7 +350,7 @@ def _lurk(state, steps, profile, gamma, eps, cd_lurk, mass_ratio, settings):
     def raw(v):
         return mass_ratio + (cd_lurk - mass_ratio) * v ** 3
 
-    switches = [find_root_bracketed(lambda t: raw(float(state(t)[1])), a, b, settings)
+    switches = [find_root_bracketed(lambda t: raw(state(t)[1]), a, b, settings)
                 for a, b, v_a, v_b in zip(steps[0], steps[0][1:], steps[1], steps[1][1:])
                 if (raw(v_a) < 0.0) != (raw(v_b) < 0.0)]
 
@@ -360,7 +364,7 @@ def _lurk(state, steps, profile, gamma, eps, cd_lurk, mass_ratio, settings):
 
     def sample(times):
         cuts = sorted({0.0, *times, *(s for s in switches if s < max(times, default=0.0))})
-        xs, vs = state(np.array(cuts)).tolist()
+        xs, vs = state(cuts)
         clamped, energy, energies = raw(vs[0]) < 0.0, 0.0, [0.0]
         for k in range(1, len(cuts)):
             clamped ^= cuts[k - 1] in switches
@@ -397,8 +401,9 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
     otherwise.  eps = 0 is the quasi-steady limit: the state is x alone, the
     speed is the cubic root at (x, t), v0 is not used, and the march is
     RK45 at _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time,
-    the dense state (x, v) as a function of time, held at its finish value
-    beyond the finish, and the accepted steps: their end times and speeds.
+    the dense state: (x, v) at a time, [xs, vs] at a list of times, held at
+    its finish value beyond the finish, and the accepted steps: their end
+    times and speeds.
     Steps that collapse where the quasi-steady speed stalls are a stall: on
     the way to a speed the rider cannot hold, they raise StallError.
     """
@@ -468,19 +473,17 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
             raise StallError(f"{who} stalled before the finish line") from exc
         method = "RK45" if jac is None else "BDF"
         raise StiffnessError(f"{who} {method} step fell below ten ulps of t") from exc
-    if eps != 0.0 and sol.t_events[1].size:
+    if eps != 0.0 and sol.t_events[1]:
         raise StallError(f"{who} stalled before the finish line")
-    if not sol.t_events[0].size:
+    if not sol.t_events[0]:
         raise RiderNeverFinishesError(f"{who} never reached the finish line")
-    t_f, steps = float(sol.t_events[0][0]), sol.t.tolist()
+    t_f, steps = sol.t_events[0][0], sol.t
     if eps != 0.0:
-        return t_f, lambda t: sol.sol(np.minimum(t, t_f)), (steps, sol.y[1].tolist())
+        return t_f, sol.sol, (steps, sol.y[1])
 
     def state(t):
-        t = np.minimum(t, t_f)
-        x = sol.sol(t)[0]
-        v = [speed(xk, power(tk - t0))
-             for xk, tk in zip(np.ravel(x).tolist(), np.ravel(t).tolist())]
-        return np.array([x, np.reshape(v, np.shape(x))])
-    ends = [speed(x, power(t - t0)) for t, x in zip(steps, sol.y[0].tolist())]
-    return t_f, state, (steps, ends)
+        xs = sol.sol(t)[0]
+        if isinstance(t, (int, float)):
+            return xs, speed(xs, power(t - t0))
+        return [xs, [speed(x, power(s - t0)) for x, s in zip(xs, t)]]
+    return t_f, state, (steps, [speed(x, power(t - t0)) for t, x in zip(steps, sol.y[0])])

@@ -280,6 +280,7 @@ class TestFileErrors:
         "0 0\nnan 0.1\n1 0\n",      # a nan x
         "0 0\n0.5 inf\n1 0\n",      # an infinite height
         "0 1e308\n1 -1e308\n",      # finite heights, overflowing slope
+        "0 -1.7e308\n0.5 0\n1 1.7e308\n",  # two overflowing chords: a zero mean
     ])
     def test_non_finite_course_exits_one(self, table, tmp_path, capsys):
         path = tmp_path / "course.txt"

@@ -68,8 +68,10 @@ def test_golden(name, tmp_path):
     assert produced.read_bytes() == golden.read_bytes()
 
 
-# numpy's SIMD kernels from AVX512-SKX on switched off, as on an AVX2-only CPU
+# numpy's SIMD kernels from AVX512-SKX on switched off, and OpenBLAS's
+# kernel for AVX2 (Haswell), as on an AVX2-only CPU
 SECOND_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+SECOND_BLAS = "Haswell"
 
 # full-dynamics rides on a graded course, RK45 and BDF (at small inertia and
 # at steep gravity), and the quasi-steady ride
@@ -98,10 +100,12 @@ print(json.dumps({"codes": codes}))
 
 
 def test_same_bytes_under_a_second_numpy_dispatch(tmp_path):
-    # printed digits must not follow the SIMD kernel numpy picks for the CPU
+    # printed digits must follow neither the SIMD kernel numpy picks for the
+    # CPU nor the BLAS kernel
     runs = {**RUNS, **DEMO_RUNS}
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": SECOND_DISPATCH}
+    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": SECOND_DISPATCH,
+           "OPENBLAS_CORETYPE": SECOND_BLAS}
     out = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE, json.dumps(runs)],
                          cwd=tmp_path, env=env, capture_output=True, text=True,
                          check=True).stdout
