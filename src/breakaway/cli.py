@@ -12,8 +12,8 @@ Every run prints (or writes with --out) a single table whose metadata block
 echoes the complete effective configuration; re-running with the same
 configuration and seed reproduces the output byte for byte.  Exit codes:
 0 success, 1 usage, configuration or file error, 2 numerical failure, 3 the
-Monte Carlo statistical gate tripped.  Only the commands that use numpy load
-it, and the modules that need it, so flat and fatigue start without them.
+Monte Carlo statistical gate tripped.  Only crash-mc loads numpy, and each
+command only the modules it needs, so flat and fatigue start without them.
 """
 
 from __future__ import annotations
@@ -278,15 +278,14 @@ def cmd_microstructure(cfg: RunConfig) -> tuple[ResultTable, int]:
                           f"{power!r} ({exc})") from exc
     table = _new_table("microstructure", cfg,
                        ["t", "v_composite", "v_full", "rel_deviation"])
-    table.add_metadata("summary.max_rel_deviation",
-                       float(onset.rel_deviation.max()))
+    table.add_metadata("summary.max_rel_deviation", max(onset.rel_deviation))
     table.add_metadata("summary.front_speed", onset.front_speed)
     table.add_metadata("summary.terminal_speed", onset.terminal_speed)
     table.add_metadata("summary.passage_duration_inner", onset.passage_duration)
     table.add_metadata("summary.front_crossing_time", onset.front_crossing_time)
     for row in zip(onset.times, onset.v_composite, onset.v_full,
                    onset.rel_deviation):
-        table.add_row(*map(float, row))
+        table.add_row(*row)
     return table, EXIT_OK
 
 

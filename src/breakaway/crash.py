@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 __all__ = [
     "CrashModel",
@@ -33,11 +34,11 @@ __all__ = [
 _MC_CHUNKS = 16  # fixed substream count keeps results seed-deterministic
 
 
-def propagation_probability(position: np.ndarray, start: np.ndarray,
-                            omega: float) -> np.ndarray:
+def propagation_probability(position: Any, start: Any, omega: float) -> Any:
     """P(rider at `position` crashes | pile-up started at `start`), elementwise.
 
     Zero ahead of the start, exp(-omega*(position-start)) at or behind it.
+    Takes and returns numpy arrays, typed Any as numpy loads only in the call.
     """
     import numpy as np  # only the Monte Carlo needs numpy
 

@@ -23,9 +23,8 @@ to quantify how quickly that limit is reached.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import DragParams, drag_at_depth
 from .numerics import NumericsError, SolverSettings, linspace
@@ -81,16 +80,16 @@ class PassageLayer:
 
 @dataclass(frozen=True)
 class AttackOnset:
-    """Full and composite speeds of one attack on one time grid."""
+    """Full and composite speeds of one attack on one time grid, as float tuples."""
 
-    times: np.ndarray
-    v_full: np.ndarray               # monolithic integration
-    v_composite: np.ndarray          # passage layer, then frozen-drag relaxation
-    rel_deviation: np.ndarray        # |v_composite - v_full| / |v_full|
-    front_crossing_time: float       # the composite's t_front
-    passage_duration: float          # t_front / eps**1.5
-    front_speed: float               # speed at the front crossing
-    terminal_speed: float            # (P / C_front)**(1/3)
+    times: tuple[float, ...]
+    v_full: tuple[float, ...]            # monolithic integration
+    v_composite: tuple[float, ...]       # passage layer, then frozen-drag relaxation
+    rel_deviation: tuple[float, ...]     # |v_composite - v_full| / |v_full|
+    front_crossing_time: float           # the composite's t_front
+    passage_duration: float              # t_front / eps**1.5
+    front_speed: float                   # speed at the front crossing
+    terminal_speed: float                # (P / C_front)**(1/3)
 
 
 def peloton_passage(position: float, power: float, drag: DragParams,
@@ -148,14 +147,14 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
                     gamma_ratio, settings):
     """Finite-inertia passage layer solved in the relative coordinate.
 
-    Returns (t_front, v_front, times, speeds).  The start is regularized
-    with the local square-root solution of the layer balance, which removes
-    the v = 1 singularity of d/d zeta derivatives.
+    Returns (t_front, v_front, times, speeds), the last two lists.  The
+    start is regularized with the local square-root solution of the layer
+    balance, which removes the v = 1 singularity of d/d zeta derivatives.
     """
     zeta0 = -(position - 1.0)
     delta = gamma_ratio * eps**2
     if zeta0 == 0.0:
-        return 0.0, 1.0, np.array([0.0]), np.array([1.0])
+        return 0.0, 1.0, [0.0], [1.0]
     g0 = _start_surplus(zeta0, power, drag, cd_avg)
     dz0 = 1e-8 * abs(zeta0)
     v1 = 1.0 + math.sqrt(2.0 * gamma_ratio * eps * g0 * dz0 / mass_ratio)
@@ -176,7 +175,15 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
     if sol.t_events[0]:
         raise NeverReachesFrontError("the rider turned back before the front")
     times, speeds = sol.sol(linspace(zeta0 + dz0, 0.0, 513))
-    return times[-1], speeds[-1], np.array([0.0, *times]), np.array([1.0, *speeds])
+    return times[-1], speeds[-1], [0.0, *times], [1.0, *speeds]
+
+
+def _interp(x, xs, ys):
+    """np.interp(x, xs, ys) bit for bit for x >= xs[0], xs non-decreasing."""
+    j = bisect_right(xs, x) - 1
+    if j == len(xs) - 1 or x == xs[j]:
+        return ys[j]
+    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
 
 
 def attack_onset(eps: float, position: float, power: float,
@@ -198,7 +205,6 @@ def attack_onset(eps: float, position: float, power: float,
     t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
                        gamma_ratio)
     grid = linspace(0.0, t_end, n_samples)
-    times = np.array(grid)
     delta = gamma_ratio * eps**2
 
     def rhs(t, y):
@@ -215,7 +221,7 @@ def attack_onset(eps: float, position: float, power: float,
                                  events=(stall,), settings=settings)
     if full.t_events[0]:
         raise NumericsError("rider stalled during the attack onset")
-    v_full = np.array(full.sol(grid)[1])
+    v_full = full.sol(grid)[1]
 
     t_front, v_front, pass_t, pass_v = _passage_finite(
         eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio, settings)
@@ -228,14 +234,12 @@ def attack_onset(eps: float, position: float, power: float,
 
     relax = ode_solve_with_events(relax_rhs, [v_front], (0.0, tau_end),
                                   settings=settings)
-    v_composite = np.where(
-        times <= t_front,
-        np.interp(times, pass_t, pass_v),
-        relax.sol((np.maximum(times - t_front, 0.0) / eps).tolist())[0],
-    )
+    split = bisect_right(grid, t_front)  # t_front itself is on the passage side
+    v_composite = ([_interp(t, pass_t, pass_v) for t in grid[:split]]
+                   + relax.sol([(t - t_front) / eps for t in grid[split:]])[0])
     return AttackOnset(
-        times=times, v_full=v_full, v_composite=v_composite,
-        rel_deviation=np.abs(v_composite - v_full) / np.abs(v_full),
+        times=tuple(grid), v_full=tuple(v_full), v_composite=tuple(v_composite),
+        rel_deviation=tuple(abs(c - f) / abs(f) for c, f in zip(v_composite, v_full)),
         front_crossing_time=t_front,
         passage_duration=t_front / eps**1.5,
         front_speed=v_front,

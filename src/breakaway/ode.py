@@ -22,7 +22,7 @@ import sys
 from types import SimpleNamespace
 
 from .numerics import (DEFAULT_SETTINGS, NumericsError, SolverSettings, StiffnessError,
-                       find_root_bracketed)
+                       ToleranceError, find_root_bracketed)
 
 __all__ = ["OdeResult", "ode_solve_with_events"]
 
@@ -61,6 +61,7 @@ _BDF_U = tuple(tuple(math.prod((k - 1 - j) / k for k in range(1, i + 1))
 # SciPy locates an event with brentq at xtol = rtol = 4 eps, maxiter 100
 _EVENT_SETTINGS = SolverSettings(abs_tol=4.0 * _EPS, max_iterations=100)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_MAX_RHS_EVALS = 1_000_000  # rhs evaluations per solve, so no stiff run goes unbounded
 
 
 class OdeResult(SimpleNamespace):
@@ -355,7 +356,7 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     rising, -1 falling, 0 either) selects the crossings it sees.  Events are
     terminal: the first crossing ends the integration.  The step has no cap;
     the result carries the dense solution .sol.  Raises StiffnessError when
-    the step falls below ten ulps of t.
+    the step falls below ten ulps of t, ToleranceError past _MAX_RHS_EVALS.
     """
     t0, t_bound = map(float, t_span)
     if not t_bound > t0:
@@ -368,6 +369,8 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
 
     def fun(t, a, b):
         counts.nfev += 1
+        if counts.nfev > _MAX_RHS_EVALS:
+            raise ToleranceError(f"ODE solve over its budget of {_MAX_RHS_EVALS} rhs evaluations")
         f = rhs(t, [a, b][:n])
         return float(f[0]), float(f[1]) if n == 2 else 0.0
 

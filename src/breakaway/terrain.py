@@ -188,7 +188,7 @@ def _pchip_coefficients(xs, hs):
 
 
 def _sign(x):
-    """The sign of a float or a numpy scalar: -1, 0 or 1."""
+    """The sign of a float: -1, 0 or 1."""
     return 1 if x > 0 else -1 if x < 0 else 0
 
 

@@ -179,7 +179,7 @@ def test_criterion_09_microstructure_agreement():
     assert abs(onset.terminal_speed - v_eq) < 1e-12
     assert abs(onset.v_full[-1] - v_eq) < 1e-6
     assert abs(onset.v_composite[-1] - v_eq) < 1e-6
-    v = onset.v_full
+    v = np.asarray(onset.v_full)
     k = int(np.argmax(v))
     assert 0 < k < v.size - 1
     moves = np.diff(v)

@@ -665,6 +665,14 @@ class TestMicrostructureCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
 
+    def test_stiff_passage_exits_two_at_the_work_budget(self, capsys, monkeypatch):
+        # the passage's stiffness grows like gamma * eps; past the budget of
+        # rhs evaluations a solve stops with one line instead of running on
+        monkeypatch.setattr("breakaway.ode._MAX_RHS_EVALS", 50_000)
+        assert main(["microstructure", "--set", "micro.gamma_ratio=1e5"]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: ODE solve over its budget of 50000 rhs evaluations\n")
+
     def test_front_start_has_empty_passage(self, capsys):
         # any power above the front drag 1.43 runs from the front
         for power in ("4.0", "1.44"):

@@ -118,6 +118,13 @@ class TestCompositeVsFull:
         onset = self.run_onset()
         assert np.max(onset.rel_deviation) < 5.0 * self.EPS
 
+    def test_series_are_float_tuples(self):
+        onset = self.run_onset(n_samples=33)
+        for series in (onset.times, onset.v_full, onset.v_composite,
+                       onset.rel_deviation):
+            assert type(series) is tuple and len(series) == 33
+            assert all(type(v) is float for v in series)
+
     def test_terminal_speed(self):
         onset = self.run_onset()
         v_eq = (4.0 / CD_FRONT) ** (1.0 / 3.0)
@@ -126,7 +133,7 @@ class TestCompositeVsFull:
         assert abs(onset.v_composite[-1] - v_eq) < 1e-6
 
     def test_single_interior_maximum(self):
-        v = self.run_onset().v_full
+        v = np.asarray(self.run_onset().v_full)
         k = int(np.argmax(v))
         assert 0 < k < v.size - 1
         moves = np.diff(v)
@@ -139,7 +146,7 @@ class TestCompositeVsFull:
         # sample-to-sample step (the larger of the steps just outside them)
         # of it, so a relaxation started from any other speed shows
         onset = self.run_onset()
-        v = onset.v_composite
+        v = np.asarray(onset.v_composite)
         k = int(np.searchsorted(onset.times, onset.front_crossing_time))
         assert 1 < k < v.size - 1
         step = max(abs(v[k - 1] - v[k - 2]), abs(v[k + 1] - v[k]))
@@ -161,5 +168,6 @@ class TestCompositeVsFull:
             onset = attack_onset(eps, 5.0, 4.0, DRAG, CD_AVG,
                                  gamma_ratio=self.GAMMA)
             v_eq = (4.0 / CD_FRONT) ** (1.0 / 3.0)
-            settled = onset.times > 0.75 * onset.times[-1]
-            assert np.max(np.abs(onset.v_full[settled] - v_eq)) < 0.05
+            times, v_full = np.asarray(onset.times), np.asarray(onset.v_full)
+            settled = times > 0.75 * times[-1]
+            assert np.max(np.abs(v_full[settled] - v_eq)) < 0.05
