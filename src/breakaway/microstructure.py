@@ -117,20 +117,13 @@ def peloton_passage(position: float, power: float, drag: DragParams,
         zeta, u = y
         return [u, (power - relative_drag_behind_front(zeta, drag, cd_avg)) / scale]
 
-    def front(tau, y):
-        return y[0]
-    front.direction = 1.0
-
-    def turned(tau, y):
-        return y[1]
-    turned.direction = -1.0
-
     horizon = 20.0 * math.sqrt(2.0 * abs(zeta0) * scale / power) + 10.0
+    # the front (zeta rises through 0), or a turn (zeta' falls through 0)
     sol = ode_solve_with_events(rhs, [zeta0, 0.0], (0.0, horizon),
-                                events=(front, turned), settings=settings)
-    if sol.t_events[1] or not sol.t_events[0]:
+                                events=((0, 0.0, 1), (1, 0.0, -1)), settings=settings)
+    if sol.event != 0:
         raise NeverReachesFrontError("the rider turned back before the front")
-    return PassageLayer(duration=sol.t_events[0][0], exit_slope=sol.y_events[0][0][1])
+    return PassageLayer(duration=sol.t[-1], exit_slope=sol.y[1][-1])
 
 
 def _time_grid(eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio):
@@ -166,13 +159,10 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
         dt = delta / (v - 1.0)
         return [dt, dt * (power / v - c * v * v) / (eps * mass_ratio)]
 
-    def turned(zeta, y):
-        return y[1] - (1.0 + 1e-12)
-    turned.direction = -1.0
-
+    # a turn: the speed falls to the pack's
     sol = ode_solve_with_events(rhs, [t1, v1], (zeta0 + dz0, 0.0),
-                                events=(turned,), settings=settings)
-    if sol.t_events[0]:
+                                events=((1, 1.0 + 1e-12, -1),), settings=settings)
+    if sol.event is not None:
         raise NeverReachesFrontError("the rider turned back before the front")
     times, speeds = sol.sol(linspace(zeta0 + dz0, 0.0, 513))
     return times[-1], speeds[-1], [0.0, *times], [1.0, *speeds]
@@ -213,13 +203,9 @@ def attack_onset(eps: float, position: float, power: float,
         return [(v - 1.0) / delta,
                 (power / v - c * v * v) / (eps * mass_ratio)]
 
-    def stall(t, y):
-        return y[1] - 1e-9
-    stall.direction = -1.0
-
     full = ode_solve_with_events(rhs, [-(position - 1.0), 1.0], (0.0, t_end),
-                                 events=(stall,), settings=settings)
-    if full.t_events[0]:
+                                 events=((1, 1e-9, -1),), settings=settings)
+    if full.event is not None:  # a stall
         raise NumericsError("rider stalled during the attack onset")
     v_full = full.sol(grid)[1]
 

@@ -65,14 +65,13 @@ _MAX_RHS_EVALS = 1_000_000  # rhs evaluations per solve, so no stiff run goes un
 
 
 class OdeResult(SimpleNamespace):
-    """An integration, with the fields of solve_ivp's result callers read,
-    in lists of floats.
+    """An integration, in lists of floats.
 
     t and y: the step times and, per state, its values; sol: the dense
-    solution; t_events and y_events: per event, its crossing times and
-    states; nfev: rhs evaluations; njev and nlu: Jacobians and Newton-matrix
-    factorizations (BDF; 0 for RK45); status: 0 at the end of t_span, 1 at
-    a terminal event; success is True.
+    solution; event: the index of the event that ended the solve, at time
+    t[-1] and state y[i][-1], or None at the end of t_span; nfev: rhs
+    evaluations; njev and nlu: Jacobians and Newton-matrix factorizations
+    (BDF; 0 for RK45).
     """
 
 
@@ -80,15 +79,14 @@ class _DenseSolution:
     """The steps' piecewise polynomial.  Step k spans ts[k] to ts[k + 1], its
     row is the width doubles of data from k * width, and at(row, t) evaluates
     it.  Times are held in [ts[0], ts[-1]]; one on a step boundary takes the
-    step find picks: the earlier for bisect_left, the later for bisect_right.
-    A float t gives a tuple of the n states, a sequence of times one list per
-    state.
+    earlier step (bisect_left).  A float t gives a tuple of the n states, a
+    sequence of times one list per state.
     """
 
-    __slots__ = ("ts", "data", "width", "at", "find", "n")
+    __slots__ = ("ts", "data", "width", "at", "n")
 
-    def __init__(self, ts, data, width, at, find, n):
-        self.ts, self.data, self.width, self.at, self.find, self.n = ts, data, width, at, find, n
+    def __init__(self, ts, data, width, at, n):
+        self.ts, self.data, self.width, self.at, self.n = ts, data, width, at, n
 
     def __call__(self, t):
         if isinstance(t, (int, float)):
@@ -99,7 +97,7 @@ class _DenseSolution:
     def _state(self, t):
         ts, width = self.ts, self.width
         t = min(max(t, ts[0]), ts[-1])
-        k = min(max(self.find(ts, t) - 1, 0), len(ts) - 2) * width
+        k = min(max(bisect.bisect_left(ts, t) - 1, 0), len(ts) - 2) * width
         return self.at(self.data[k:k + width], t)
 
 
@@ -352,8 +350,8 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     Without jac, the package's own Dormand-Prince 5(4) loop: SciPy's RK45
     algorithm, not its floats.  Given the Jacobian jac(t, y) of rhs, its own
     implicit variable-order BDF for stiff runs, likewise SciPy's algorithm.
-    An event is a callable of (t, y); its optional .direction attribute (+1
-    rising, -1 falling, 0 either) selects the crossings it sees.  Events are
+    An event is a tuple (i, level, direction): state i crosses level, rising
+    for direction +1, falling for -1, either way for 0.  Events are
     terminal: the first crossing ends the integration.  The step has no cap;
     the result carries the dense solution .sol.  Raises StiffnessError when
     the step falls below ten ulps of t, ToleranceError past _MAX_RHS_EVALS.
@@ -376,41 +374,31 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
 
     t, (ya, yb) = t0, [float(v) for v in y0] + [0.0] * (2 - n)
     fa, fb = fun(t, ya, yb)
-    # the initial step for RK45's error order 4 or BDF's 1; the width of the
-    # dense rows, and the step a time on a step boundary takes: RK45's
-    # earlier, BDF's later
+    # the initial step for RK45's error order 4 or BDF's 1, and the width
+    # of the dense rows
     h_abs = _initial_step(fun, t, ya, yb, fa, fb, t_bound, 4 if jac is None else 1, rtol, atol, n)
     if jac is None:
-        width, at, find = 12, _rk45_at, bisect.bisect_left
+        width, at = 12, _rk45_at
         steps = _rk45_steps(fun, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n)
     else:
-        width, at, find = 2 * _BDF_MAX_ORDER + 4, _bdf_at, bisect.bisect_right
+        width, at = 2 * _BDF_MAX_ORDER + 4, _bdf_at
         steps = _bdf_steps(fun, jac, counts, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n)
     ts, ys, data = [t], ([ya], [yb]), array.array("d")
-    directions = [getattr(event, "direction", 0) for event in events]
-    g = [event(t, [ya, yb][:n]) for event in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    status = None
-    while status is None:
+    g, event = [(ya, yb)[i] - level for i, level, _ in events], None
+    while event is None and t < t_bound:
         t_old = t
         t, ya, yb, row = next(steps)
-        if t >= t_bound:
-            status = 0
         data.extend(row)
-        g_new = [event(t, [ya, yb][:n]) for event in events]
-        active = [k for k, (a, b, d) in enumerate(zip(g, g_new, directions))
+        g_new = [(ya, yb)[i] - level for i, level, _ in events]
+        active = [k for k, (a, b, (_, _, d)) in enumerate(zip(g, g_new, events))
                   if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
         if active:
             # every event is terminal: keep the earliest root (a tie, the first)
-            roots = [find_root_bracketed(lambda s: events[k](s, at(row, s)[:n]), t_old, t,
-                                         _EVENT_SETTINGS) for k in active]
+            roots = [find_root_bracketed(lambda s: at(row, s)[events[k][0]] - events[k][1],
+                                         t_old, t, _EVENT_SETTINGS) for k in active]
             first = min(range(len(roots)), key=roots.__getitem__)
-            t = roots[first]
+            event, t = active[first], roots[first]
             ya, yb = at(row, t)
-            t_events[active[first]].append(t)
-            y_events[active[first]].append([ya, yb][:n])
-            status = 1
         g = g_new
         if len(ts) > 1 and ts[-1] == t:
             del data[-width:]
@@ -418,7 +406,5 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
             ts.append(t)
             ys[0].append(ya)
             ys[1].append(yb)
-    return OdeResult(
-        t=ts, y=list(ys[:n]), sol=_DenseSolution(ts, data, width, at, find, n),
-        t_events=t_events, y_events=y_events, nfev=counts.nfev, njev=counts.njev,
-        nlu=counts.nlu, status=status, success=True)
+    return OdeResult(t=ts, y=list(ys[:n]), sol=_DenseSolution(ts, data, width, at, n),
+                     event=event, nfev=counts.nfev, njev=counts.njev, nlu=counts.nlu)

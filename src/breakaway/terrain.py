@@ -50,6 +50,7 @@ from .numerics import (
     SolverSettings,
     StallError,
     StiffnessError,
+    ToleranceError,
     find_root_bracketed,
     integrate_adaptive,
     linspace,
@@ -404,8 +405,11 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
     the dense state: (x, v) at a time, [xs, vs] at a list of times, held at
     its finish value beyond the finish, and the accepted steps: their end
     times and speeds.
-    Steps that collapse where the quasi-steady speed stalls are a stall: on
-    the way to a speed the rider cannot hold, they raise StallError.
+    On a full-dynamics ride, steps that collapse are a stall when its
+    _stiffness bound is infinite, the quasi-steady speed at the smaller power
+    stalling at a sample point: on the way to a speed the rider cannot hold,
+    they raise StallError.  Any other collapse raises StiffnessError, and an
+    overrun of the ODE work budget ToleranceError, naming who and the method.
     """
     def cruise(x, p):
         # the largest root of the speed cubic: the only one uphill, and the
@@ -452,32 +456,24 @@ def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
             return [[0.0, 1.0], [dv_dx, dv_dv]]
         jac = ride_jacobian if bound > STIFFNESS_LIMIT else None
 
-    def finish(t, y):
-        return y[0] - 1.0
-    finish.direction = 1.0
-
-    reached = [t0, x0]  # the last accepted time and position, seen by stall
-
-    def stall(t, y):
-        reached[:] = t, y[0]
-        return y[1] - _V_STALL
-    stall.direction = -1.0
-
-    # a quasi-steady stall raises in speed(), where the cubic root is taken
-    events = (finish,) if eps == 0.0 else (finish, stall)
+    # the finish, and a stall; a quasi-steady stall raises in speed(), where
+    # the cubic root is taken
+    events = ((0, 1.0, 1),) if eps == 0.0 else ((0, 1.0, 1), (1, _V_STALL, -1))
+    method = "RK45" if jac is None else "BDF"  # name the rider and the integrator
     try:
         sol = ode_solve_with_events(rhs, y0, (t0, t0 + _HORIZON), events=events,
                                     settings=settings, jac=jac)
-    except StiffnessError as exc:  # name the rider and the integrator
-        if eps != 0.0 and cruise(reached[1], power(reached[0] - t0)) < _V_STALL:
+    except StiffnessError as exc:
+        if eps != 0.0 and bound == math.inf:
             raise StallError(f"{who} stalled before the finish line") from exc
-        method = "RK45" if jac is None else "BDF"
         raise StiffnessError(f"{who} {method} step fell below ten ulps of t") from exc
-    if eps != 0.0 and sol.t_events[1]:
+    except ToleranceError as exc:
+        raise ToleranceError(f"{who} {method} {exc}") from exc
+    if sol.event == 1:
         raise StallError(f"{who} stalled before the finish line")
-    if not sol.t_events[0]:
+    if sol.event is None:
         raise RiderNeverFinishesError(f"{who} never reached the finish line")
-    t_f, steps = sol.t_events[0][0], sol.t
+    t_f, steps = sol.t[-1], sol.t
     if eps != 0.0:
         return t_f, sol.sol, (steps, sol.y[1])
 

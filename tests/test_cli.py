@@ -399,6 +399,14 @@ class TestTerrainCommand:
         meta, _, _ = parse_table(out)
         assert float(meta["summary.t_peloton"]) == pytest.approx(18.3358297, rel=1e-8)
 
+    def test_budget_overrun_names_the_ride(self, monkeypatch, capsys):
+        # the demo peloton's RK45 ride takes about 25,900 rhs evaluations
+        monkeypatch.setattr("breakaway.ode._MAX_RHS_EVALS", 5_000)
+        assert main(["terrain", "--course", "demo"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "peloton RK45" in err[0] and "budget" in err[0]
+
 
 class TestQuasiSteadyReference:
     """Quasi-steady summaries against an independent quadrature.
