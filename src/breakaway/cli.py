@@ -219,18 +219,12 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
     table.add_metadata("summary.attack_time", run.attack_time)
     table.add_metadata("summary.rider_energy", run.rider_energy)
     table.add_metadata("summary.peloton_energy", run.peloton_energy)
-    # each group's rows are `samples` picks from its grid: the peloton's
-    # 2 samples + 1 points, the rider's two phase grids split at the attack
-    n_out, t_a = cfg.get("terrain", "samples"), run.attack_time
-    pelotons = linspace(0.0, run.peloton.finish_time, 2 * n_out + 1)
-    riders = pelotons if attack is None else (
-        (linspace(0.0, t_a, max(n_out, 33)) if t_a > 0.0 else [0.0])
-        + linspace(t_a, run.rider.finish_time, max(n_out, 33)))
-    for label, traj, grid in (("rider", run.rider, riders),
-                              ("peloton", run.peloton, pelotons)):
-        times = [grid[k] for k in map(round, linspace(0, len(grid) - 1, n_out))]
-        for t, row in zip(times, traj.sample(times)):
-            table.add_row(label, t, *row)
+    # both groups' rows at the same evenly spaced positions; a rider row at
+    # or before the attack is the lurk's
+    positions = linspace(0.0, 1.0, cfg.get("terrain", "samples"))
+    for label, traj in (("rider", run.rider), ("peloton", run.peloton)):
+        for x, (t, v, p, e) in zip(positions, traj.sample(positions)):
+            table.add_row(label, t, x, v, p, e)
     return table, EXIT_OK
 
 

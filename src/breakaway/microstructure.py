@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .model import DragParams, drag_at_depth
-from .numerics import NumericsError, SolverSettings, linspace
+from .numerics import NumericsError, SolverSettings, StiffnessError, ToleranceError, linspace
 from .ode import ode_solve_with_events
 
 __all__ = [
@@ -58,6 +58,17 @@ def relative_drag_behind_front(zeta: float, drag: DragParams, cd_avg: float) -> 
     -zeta; positive zeta means clear of the front, at full drag.
     """
     return drag_at_depth(-zeta, drag) / cd_avg
+
+
+def _solve(name, *args, **kwargs):
+    """ode_solve_with_events, its failures naming the solve: full, passage
+    or relaxation."""
+    try:
+        return ode_solve_with_events(*args, **kwargs)
+    except StiffnessError as exc:
+        raise StiffnessError(f"{name} ODE step fell below ten ulps of its variable") from exc
+    except ToleranceError as exc:
+        raise ToleranceError(f"{name} {exc}") from exc
 
 
 def _start_surplus(zeta0: float, power: float, drag: DragParams,
@@ -119,8 +130,8 @@ def peloton_passage(position: float, power: float, drag: DragParams,
 
     horizon = 20.0 * math.sqrt(2.0 * abs(zeta0) * scale / power) + 10.0
     # the front (zeta rises through 0), or a turn (zeta' falls through 0)
-    sol = ode_solve_with_events(rhs, [zeta0, 0.0], (0.0, horizon),
-                                events=((0, 0.0, 1), (1, 0.0, -1)), settings=settings)
+    sol = _solve("passage", rhs, [zeta0, 0.0], (0.0, horizon),
+                 events=((0, 0.0, 1), (1, 0.0, -1)), settings=settings)
     if sol.event != 0:
         raise NeverReachesFrontError("the rider turned back before the front")
     return PassageLayer(duration=sol.t[-1], exit_slope=sol.y[1][-1])
@@ -160,8 +171,8 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
         return [dt, dt * (power / v - c * v * v) / (eps * mass_ratio)]
 
     # a turn: the speed falls to the pack's
-    sol = ode_solve_with_events(rhs, [t1, v1], (zeta0 + dz0, 0.0),
-                                events=((1, 1.0 + 1e-12, -1),), settings=settings)
+    sol = _solve("passage", rhs, [t1, v1], (zeta0 + dz0, 0.0),
+                 events=((1, 1.0 + 1e-12, -1),), settings=settings)
     if sol.event is not None:
         raise NeverReachesFrontError("the rider turned back before the front")
     times, speeds = sol.sol(linspace(zeta0 + dz0, 0.0, 513))
@@ -203,8 +214,8 @@ def attack_onset(eps: float, position: float, power: float,
         return [(v - 1.0) / delta,
                 (power / v - c * v * v) / (eps * mass_ratio)]
 
-    full = ode_solve_with_events(rhs, [-(position - 1.0), 1.0], (0.0, t_end),
-                                 events=((1, 1e-9, -1),), settings=settings)
+    full = _solve("full", rhs, [-(position - 1.0), 1.0], (0.0, t_end),
+                  events=((1, 1e-9, -1),), settings=settings)
     if full.event is not None:  # a stall
         raise NumericsError("rider stalled during the attack onset")
     v_full = full.sol(grid)[1]
@@ -218,8 +229,7 @@ def attack_onset(eps: float, position: float, power: float,
         v = y[0]
         return [(power / v - cd_front * v * v) / mass_ratio]
 
-    relax = ode_solve_with_events(relax_rhs, [v_front], (0.0, tau_end),
-                                  settings=settings)
+    relax = _solve("relaxation", relax_rhs, [v_front], (0.0, tau_end), settings=settings)
     split = bisect_right(grid, t_front)  # t_front itself is on the passage side
     v_composite = ([_interp(t, pass_t, pass_v) for t in grid[:split]]
                    + relax.sol([(t - t_front) / eps for t in grid[split:]])[0])

@@ -82,10 +82,6 @@ class PowerProfile:
         if self.mu < 0.0:
             raise ValueError("fatigue rate must be non-negative")
 
-    @classmethod
-    def constant(cls, level: float) -> "PowerProfile":
-        return cls(level, 0.0, level)
-
     def power_at(self, t: float) -> float:
         """Power at time t, clamped at zero."""
         if t < self.attack_time:

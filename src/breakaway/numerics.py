@@ -47,10 +47,6 @@ class StallError(NumericsError):
     """A simulated rider's speed collapsed to zero."""
 
 
-class RiderNeverFinishesError(NumericsError):
-    """No finish-line crossing exists within the search horizon."""
-
-
 @dataclass(frozen=True)
 class SolverSettings:
     """Tolerances shared by the root finder, quadrature and ODE solvers."""

@@ -1,38 +1,42 @@
 """Race simulation over arbitrary elevation profiles.
 
 The dimensionless equations of motion gain a gravity term gamma*sin(theta(x))
-on a graded course, where theta = arctan(h'(x)) and gamma is the
-gravity-to-drag force ratio.  Two integration modes are provided:
+on a graded course, where tan(theta) = h'(x) and gamma is the gravity-to-drag
+force ratio.  Every ride is one law in distance: it is marched in
+xi = x - x0 from its own start x0 to the finish, xi = 1 - x0, with tau, the
+time since the start, as a state.  Each interval between the course's knots,
+where h'' may jump, is one solve, so no step straddles a kink (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.6), and the finish is the end of
+the last solve.  Two laws are provided:
 
-* full second-order dynamics (inertia epsilon > 0), integrated in time with
-  an event handler that stops exactly at the finish line, by implicit BDF
-  on the ride's analytic Jacobian when the ride is stiff (see
-  STIFFNESS_LIMIT) and by explicit RK45 otherwise;
-* the quasi-steady limit (epsilon = 0), where the speed is the positive root
-  of C_d v^3 + m*gamma*sin(theta) v = P at every point; the race is still
-  marched in time, with position alone as the state, always by RK45 and at
-  tolerances 100x tighter than SIM_SETTINGS.
+* full second-order dynamics (inertia epsilon > 0): the state is (tau, v),
+  dtau/dxi = 1/v and dv/dxi = v'/v, by implicit BDF on the ride's analytic
+  Jacobian when the ride is stiff (see STIFFNESS_LIMIT) and by explicit RK45
+  otherwise;
+* the quasi-steady limit (epsilon = 0), where the speed V is the positive
+  root of C_d v^3 + m*gamma*sin(theta) v = P at every point: the state is
+  tau alone, dtau/dxi = 1/V(x0 + xi), always by RK45 and at tolerances 100x
+  tighter than SIM_SETTINGS.
 
 The peloton is the unit rider (power, drag and mass all 1) on the rider's
-integrator.  The ODEs carry only the mechanics: the peloton has spent its
-elapsed time, and after the attack the rider's energy is PowerProfile.energy
-in closed form.  While the rider hides in the pack they move with the
-peloton at the power found by eliminating the gravity term between the two
-equations of motion, P_lurk = m + (C_d - m) v^3, clamped at zero on descents
-where no pedaling is needed.  The peloton's equation of motion
-eps v' = 1/v - v^2 - gamma sin(theta) times v gives
+integrator, and each ride holds a constant power, so the ODEs carry only the
+mechanics and a group's energy is its power times its time.  The rider hides
+in the pack up to the attack position x_a: the attack time is the peloton's
+tau(x_a), and the attack starts at the peloton's speed there.  While hiding
+the rider moves with the peloton at the power found by eliminating the
+gravity term between the two equations of motion, P_lurk = m + (C_d - m) v^3,
+clamped at zero on descents where no pedaling is needed.  The peloton's
+equation of motion eps v' = 1/v - v^2 - gamma sin(theta) times v gives
 v^3 = 1 - gamma v sin(theta) - eps v v', also at eps = 0, so over a stretch
 [a, b] where the clamp is off the lurk energy is the work-energy balance
-C_d (b - a) - (C_d - m) [gamma (S(x_b) - S(x_a)) + eps (v_b^2 - v_a^2) / 2],
+C_d (t_b - t_a) - (C_d - m) [gamma (S(b) - S(a)) + eps (v_b^2 - v_a^2) / 2],
 S(x) the integral of sin(theta) along the course.
 
-The module imports no numpy: the course tables, the slope and
-PowerProfile.power_at, once per right-hand-side evaluation, the rides of
+The module imports no numpy: the course tables, the grade term, the rides of
 ode.py and the dense states all run on Python floats and `math`, so a ride's
 bits follow neither the SIMD kernel numpy picks for the CPU nor a BLAS
-kernel.  The course curvature h''(x) enters only BDF's Jacobian, through
-d(sin theta)/dx.  The quasi-steady speed is the largest root from
-numerics.solve_cubic_real.
+kernel.  The grade term is sin(theta) = h'/sqrt(1 + h'^2), with no arctan.
+The quasi-steady speed is the largest root from numerics.solve_cubic_real.
 """
 
 from __future__ import annotations
@@ -42,11 +46,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import ode
 from .config import CourseFileError
-from .model import PowerProfile
 from .numerics import (
     NumericsError,
-    RiderNeverFinishesError,
     SolverSettings,
     StallError,
     StiffnessError,
@@ -69,37 +72,39 @@ __all__ = [
 ]
 
 SIM_SETTINGS = SolverSettings(abs_tol=1e-12, rel_tol=1e-10)
-# at SIM_SETTINGS a quasi-steady ride marched in time is off in the 10th
-# digit (demo peloton 1.30172411722, not 1.30172411696); its steps are cheap
+# at SIM_SETTINGS the quasi-steady demo peloton is 1.6e-11 off an mpmath
+# quadrature, at these 2.3e-14; its steps are cheap
 _QUASI_STEADY_SETTINGS = SolverSettings(abs_tol=1e-14, rel_tol=1e-12)
 
 _V_STALL = 1e-9
-_HORIZON = 50.0   # generous multiple of any sane dimensionless race time
 
-# A ride whose |dv'/dv| bound (see _stiffness) exceeds this is stiff: RK45's
-# stability limit would cap its step near 3/bound, so it rides BDF.  On the
-# perfbench terrain rides of seeds 101-120 the RK45 rides bound at most 2,204
-# and the BDF rides at least 12,345 (Hairer & Wanner, Solving ODEs II, IV.2).
-STIFFNESS_LIMIT = 5000.0
+# A ride whose |dv'/dv| / v bound (see _stiffness) exceeds this is stiff:
+# RK45's stability limit would cap its step in xi near 3/bound, so it rides
+# BDF (Hairer & Wanner, Solving ODEs II, IV.2).  On the perfbench terrain
+# rides of seeds 101-120 the RK45 rides (epsilon 0.005) bound at most 7,104
+# and the BDF rides (epsilon 4e-4 to 6e-4) at least 13,554.  A table ride
+# between them, bound 9,842, took 33,106 rhs evaluations by RK45 and 2,279 by
+# BDF, so the limit sits near the RK45 side.
+STIFFNESS_LIMIT = 8000.0
 
 
 @dataclass(frozen=True)
 class CourseProfile:
-    """A course by its slope h'(x) and curvature h''(x) at one float x, and
-    the sorted knots where h'' may jump; x and h per course length."""
+    """A course by its slope h'(x) at one float x, and the sorted knots
+    where h'' may jump; x and h per course length."""
 
     slope: Callable[[float], float]
-    curvature: Callable[[float], float]
     label: str = "custom"
     knots: tuple = ()
 
     def steepness(self, x: float):
-        """Grade angle theta(x) = arctan(h'(x))."""
-        return math.atan(self.slope(x))
+        """The grade term sin(theta(x)) = h'/sqrt(1 + h'^2), tan(theta) = h'(x)."""
+        s = self.slope(x)
+        return s / math.hypot(1.0, s)
 
     @classmethod
     def flat(cls) -> "CourseProfile":
-        return cls(slope=lambda x: 0.0, curvature=lambda x: 0.0, label="flat")
+        return cls(slope=lambda x: 0.0, label="flat")
 
     @classmethod
     def from_sinusoids(cls, sin_amps=(), cos_amps=(),
@@ -107,7 +112,7 @@ class CourseProfile:
         """Height sum_k a_k sin(2 pi k x) + b_k (cos(2 pi k x) - 1).
 
         The cosine terms are shifted so the course starts at height zero.
-        The slope and the curvature sum their terms in order, from 0.0.
+        The slope sums its terms in order, from 0.0.
         """
         def terms(amps):  # (2 pi k a_k, 2 pi k) for k = 1, 2, ...
             ks = [2.0 * math.pi * k for k in range(1, len(amps) + 1)]
@@ -122,15 +127,7 @@ class CourseProfile:
                 down += c * math.sin(k * x)
             return up - down
 
-        def curvature(x):
-            x, up, down = float(x), 0.0, 0.0
-            for c, k in sin_terms:
-                up += c * k * math.sin(k * x)
-            for c, k in cos_terms:
-                down += c * k * math.cos(k * x)
-            return -up - down
-
-        return cls(slope=slope, curvature=curvature, label=label)
+        return cls(slope=slope, label=label)
 
     @classmethod
     def from_table(cls, xs, hs, label: str = "table") -> "CourseProfile":
@@ -139,8 +136,7 @@ class CourseProfile:
         SciPy's PchipInterpolator float for float: knot slopes by Fritsch &
         Carlson's weighted harmonic mean with SciPy's three-point edge rule,
         cubic Hermite pieces, the slope of each piece evaluated as PPoly
-        does (interval closed on the left, the end pieces extended).  The
-        curvature is the derivative of the slope on the same piece.
+        does (interval closed on the left, the end pieces extended).
         """
         knots, hs = [float(x) for x in xs], [float(h) for h in hs]
         if len(knots) < 2:
@@ -156,20 +152,13 @@ class CourseProfile:
         if not all(math.isfinite(c) for piece in pieces for c in piece):
             raise CourseFileError("course slopes overflow")
 
-        def piece(x):
-            i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
-            return pieces[i], x - knots[i]
-
         def slope(x):
             """PPoly's sum c0 + c1 s + c2 s^2 on the piece holding x."""
-            (c0, c1, c2), s = piece(x)
+            i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
+            (c0, c1, c2), s = pieces[i], x - knots[i]
             return 0.0 + c0 + c1 * s + c2 * (s * s)
 
-        def curvature(x):
-            (_, c1, c2), s = piece(x)
-            return c1 + 2.0 * c2 * s
-
-        return cls(slope=slope, curvature=curvature, label=label, knots=tuple(knots[1:-1]))
+        return cls(slope=slope, label=label, knots=tuple(knots[1:-1]))
 
 
 def _pchip_coefficients(xs, hs):
@@ -265,8 +254,8 @@ def demo_profile() -> CourseProfile:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One group's ride: its finish time, and sample(times), its rows
-    (position, speed, power, cumulative energy) at a sorted list of times."""
+    """One group's ride: its finish time, and sample(positions), its rows
+    (time, speed, power, cumulative energy) at a sorted list of positions."""
 
     finish_time: float
     sample: Callable[[list], list[tuple[float, float, float, float]]]
@@ -289,69 +278,55 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
                        settings: SolverSettings = SIM_SETTINGS) -> BreakawayRun:
     """Simulate a breakaway at course position x_attack.
 
-    `attack` is the post-attack power: a PowerProfile evaluated in time
-    since the attack, a plain number for a constant power, or None to stay
-    with the peloton for the whole race.  `inertia` is the velocity
+    `attack` is the constant post-attack power, clamped at zero, or None to
+    stay with the peloton for the whole race.  `inertia` is the velocity
     relaxation parameter epsilon, 0 for the quasi-steady limit, and
-    `gravity_ratio` the gravity-to-drag force ratio gamma.  Both
-    trajectories stop exactly at the finish line; the time gap is peloton
-    time minus rider time.  The rider's energy is the work-energy balance of
-    the module docstring, C_d = cd_lurk and m = mass_ratio, up to the attack,
-    plus the schedule's closed-form energy after it.  A rider sample at the
-    attack time is taken on the lurk side, and a second one on the attack side.
+    `gravity_ratio` the gravity-to-drag force ratio gamma.  Both rides end at
+    the finish line; the time gap is peloton time minus rider time.  The
+    rider's energy is the work-energy balance of the module docstring,
+    C_d = cd_lurk and m = mass_ratio, up to the attack, plus the attack power
+    times the ride time after it.  A rider row at or before x_attack is the
+    lurk's.
     """
     if not 0.0 <= x_attack < 1.0:
         raise ValueError("attack position must lie in [0, 1)")
     if not inertia >= 0.0:  # NaN fails too
         raise ValueError("inertia must be non-negative")
-    # the peloton is the unit rider: power, drag and mass all 1
-    t_p, peloton_state, steps = _ride(0.0, 0.0, 1.0, lambda s: 1.0, profile, gravity_ratio,
+    # the peloton is the unit rider: power, drag and mass all 1; its xi is x
+    t_p, peloton_state, steps = _ride(0.0, 1.0, 1.0, profile, gravity_ratio,
                                       1.0, 1.0, inertia, settings, "peloton")
-    peloton = Trajectory(t_p, _riding(peloton_state, 0.0, 0.0, PowerProfile.constant(1.0)))
+    peloton = Trajectory(t_p, lambda xs: [(t, v, 1.0, t) for t, v in map(peloton_state, xs)])
     lurk = _lurk(peloton_state, steps, profile, gravity_ratio, inertia, cd_lurk,
                  mass_ratio, settings)
     if attack is None:
         # the rider rides the peloton's trajectory at the lurking power
         return BreakawayRun(Trajectory(t_p, lurk), peloton, 0.0, math.nan,
-                            lurk([t_p])[0][3], t_p)
+                            lurk([1.0])[0][3], t_p)
 
-    power_profile = (attack if isinstance(attack, PowerProfile)
-                     else PowerProfile.constant(float(attack)))
+    power = max(float(attack), 0.0)
+    (t_attack, v_attack, _, e_attack), = lurk([x_attack])
+    t_ride, state, _ = _ride(x_attack, v_attack, power, profile, gravity_ratio,
+                             cd_front, mass_ratio, inertia, settings, "rider")
 
-    # the rider tracks the peloton, so they reach x_attack when it does
-    t_attack = 0.0 if x_attack == 0.0 else find_root_bracketed(
-        lambda t: peloton_state(t)[0] - x_attack, 0.0, t_p, settings)
-    (_, v_attack, _, e_attack), = lurk([t_attack])
-    t_f, state, _ = _ride(x_attack, t_attack, v_attack, power_profile.power_at,
-                          profile, gravity_ratio, cd_front, mass_ratio, inertia,
-                          settings, "rider")
-    ride = _riding(state, t_attack, e_attack, power_profile)
-
-    def rider_sample(times):
-        k = min(bisect.bisect_left(times, t_attack) + 1, bisect.bisect_right(times, t_attack))
-        return lurk(times[:k]) + ride(times[k:])
+    def rider_sample(xs):
+        k = bisect.bisect_right(xs, x_attack)
+        return lurk(xs[:k]) + [(t_attack + tau, v, power, e_attack + power * tau)
+                               for tau, v in (state(x - x_attack) for x in xs[k:])]
+    t_f = t_attack + t_ride
     return BreakawayRun(Trajectory(t_f, rider_sample), peloton, t_p - t_f, t_attack,
-                        e_attack + power_profile.energy(t_f - t_attack), t_p)
-
-
-def _riding(state, t0, e0, schedule):
-    """Sampler of a ride from time t0 at a PowerProfile, e0 spent before t0."""
-    def sample(times):
-        xs, vs = state(times)
-        return [(x, v, schedule.power_at(t - t0), e0 + schedule.energy(t - t0))
-                for t, x, v in zip(times, xs, vs)]
-    return sample
+                        e_attack + power * t_ride, t_p)
 
 
 def _lurk(state, steps, profile, gamma, eps, cd_lurk, mass_ratio, settings):
-    """Sampler of the lurking rider on the peloton's dense state: the
-    work-energy balance between cuts at the times and at the clamp's switches,
-    Brent roots on the dense v in each accepted step (steps: end times and
-    speeds) whose ends differ; the clamp state at 0 flips at each switch."""
+    """Sampler of the lurking rider on the peloton's dense state at x: the
+    work-energy balance between cuts at the positions and at the clamp's
+    switches, Brent roots on the dense v in each accepted step (steps: end
+    positions and speeds) whose ends differ; the clamp state at 0 flips at
+    each switch."""
     def raw(v):
         return mass_ratio + (cd_lurk - mass_ratio) * v ** 3
 
-    switches = [find_root_bracketed(lambda t: raw(state(t)[1]), a, b, settings)
+    switches = [find_root_bracketed(lambda x: raw(state(x)[1]), a, b, settings)
                 for a, b, v_a, v_b in zip(steps[0], steps[0][1:], steps[1], steps[1][1:])
                 if (raw(v_a) < 0.0) != (raw(v_b) < 0.0)]
 
@@ -359,127 +334,133 @@ def _lurk(state, steps, profile, gamma, eps, cd_lurk, mass_ratio, settings):
         """S(b) - S(a), split at the course's knots: no panel holds a kink."""
         knots = profile.knots[bisect.bisect_right(profile.knots, a):
                               bisect.bisect_left(profile.knots, b)]
-        return math.fsum(integrate_adaptive(lambda x: math.sin(profile.steepness(x)),
-                                            u, w, settings)[0]
+        return math.fsum(integrate_adaptive(profile.steepness, u, w, settings)[0]
                          for u, w in zip((a, *knots), (*knots, b)))
 
-    def sample(times):
-        cuts = sorted({0.0, *times, *(s for s in switches if s < max(times, default=0.0))})
-        xs, vs = state(cuts)
+    def sample(xs):
+        cuts = sorted({0.0, *xs, *(s for s in switches if s < max(xs, default=0.0))})
+        ts, vs = zip(*map(state, cuts))
         clamped, energy, energies = raw(vs[0]) < 0.0, 0.0, [0.0]
         for k in range(1, len(cuts)):
             clamped ^= cuts[k - 1] in switches
             if not clamped:
-                energy += cd_lurk * (cuts[k] - cuts[k - 1]) - (cd_lurk - mass_ratio) * (
-                    gamma * rise(xs[k - 1], xs[k]) + 0.5 * eps * (vs[k] ** 2 - vs[k - 1] ** 2))
+                energy += cd_lurk * (ts[k] - ts[k - 1]) - (cd_lurk - mass_ratio) * (
+                    gamma * rise(cuts[k - 1], cuts[k]) + 0.5 * eps * (vs[k] ** 2 - vs[k - 1] ** 2))
             energies.append(energy)
-        at = dict(zip(cuts, zip(xs, vs, energies)))
-        return [(x, v, max(raw(v), 0.0), e) for x, v, e in (at[t] for t in times)]
+        at = dict(zip(cuts, zip(ts, vs, energies)))
+        return [(t, v, max(raw(v), 0.0), e) for t, v, e in (at[x] for x in xs)]
     return sample
 
 
 def _dv_dv(p, v, cd_front, eps_mass):
-    """dv'/dv = -(p/v^2 + 2 cd_front v) / (eps m), the ride's stiff entry."""
+    """dv'/dv = -(p/v^2 + 2 cd_front v) / (eps m), the ride's stiff term."""
     return -(p / (v * v) + 2.0 * cd_front * v) / eps_mass
 
 
 def _stiffness(x0, p, cruise, cd_front, eps_mass):
-    """Bound on |dv'/dv| over a ride from x0 at power p.
+    """Bound on |dv'/dv| / v, the speed's rate in xi, over a ride from x0.
 
-    v = cruise(x, p) is the quasi-steady speed at power p, taken at 65 evenly
+    v = cruise(x) is the quasi-steady speed at power p, taken at 65 evenly
     spaced points of [x0, 1]; a stalled speed is infinitely stiff.
     """
-    return max(-_dv_dv(p, v, cd_front, eps_mass) if v >= _V_STALL else math.inf
-               for v in (cruise(x, p) for x in linspace(x0, 1.0, 65)))
+    return max(-_dv_dv(p, v, cd_front, eps_mass) / v if v >= _V_STALL else math.inf
+               for v in map(cruise, linspace(x0, 1.0, 65)))
 
 
-def _ride(x0, t0, v0, power, profile, gamma, cd_front, mass_ratio, eps,
-          settings, who):
-    """Ride from state (x0, v0) at time t0 at power(t - t0) until x = 1.
+def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, who):
+    """Ride from x0 at speed v0 and a constant power to x = 1.
 
-    The ride is BDF on its analytic Jacobian when its _stiffness at the
-    smaller of power(0) and power(_HORIZON) exceeds STIFFNESS_LIMIT, RK45
-    otherwise.  eps = 0 is the quasi-steady limit: the state is x alone, the
-    speed is the cubic root at (x, t), v0 is not used, and the march is
-    RK45 at _QUASI_STEADY_SETTINGS whatever settings say.  Returns the finish time,
-    the dense state: (x, v) at a time, [xs, vs] at a list of times, held at
-    its finish value beyond the finish, and the accepted steps: their end
-    times and speeds.
+    The ride is marched in xi = x - x0 over [0, 1 - x0], one solve per
+    interval between the course's knots, the state carried from each to the
+    next.  The state is (tau, v), tau the time since the start; eps = 0 is
+    the quasi-steady limit, whose state is tau alone, its speed the cubic
+    root at x, v0 not used, and its march RK45 at _QUASI_STEADY_SETTINGS
+    whatever settings say.  A full-dynamics ride is BDF on its analytic
+    Jacobian in (tau, v) when its _stiffness exceeds STIFFNESS_LIMIT, RK45
+    otherwise.  Returns the ride time, the dense tau at 1 - x0; the dense
+    state, (tau, v) at a xi held in [0, 1 - x0]; and the accepted steps,
+    their ends in xi and their speeds.
     On a full-dynamics ride, steps that collapse are a stall when its
-    _stiffness bound is infinite, the quasi-steady speed at the smaller power
-    stalling at a sample point: on the way to a speed the rider cannot hold,
-    they raise StallError.  Any other collapse raises StiffnessError, and an
-    overrun of the ODE work budget ToleranceError, naming who and the method.
+    _stiffness bound is infinite, the quasi-steady speed stalling at a sample
+    point: on the way to a speed the rider cannot hold, they raise
+    StallError.  Any other collapse raises StiffnessError, and an overrun of
+    the ODE work budget, by one solve or by the ride's solves together,
+    ToleranceError, naming who and the method.
     """
-    def cruise(x, p):
+    def cruise(x):
         # the largest root of the speed cubic: the only one uphill, and the
         # stable fast branch on descents where gravity dominates
-        slope_term = mass_ratio * gamma * math.sin(profile.steepness(x))
-        return solve_cubic_real(cd_front, slope_term, -p)[-1]
+        return solve_cubic_real(cd_front, mass_ratio * gamma * profile.steepness(x), -power)[-1]
 
-    def speed(x, p):
-        v = cruise(x, p)
+    def speed(x):
+        v = cruise(x)
         if v < _V_STALL:
             raise StallError(f"{who} stalled before the finish line")
         return v
 
     if eps == 0.0:
-        y0, settings, jac = [x0], _QUASI_STEADY_SETTINGS, None
+        y0, settings, jac, events, bound = [0.0], _QUASI_STEADY_SETTINGS, None, (), 0.0
 
-        def rhs(t, y):
-            return [speed(y[0], power(t - t0))]
+        def rhs(xi, y):
+            return [1.0 / speed(x0 + xi)]
     else:
-        y0 = [x0, v0]
-        if eps * mass_ratio == 0.0:
+        eps_mass = eps * mass_ratio
+        if eps_mass == 0.0:
             raise NumericsError(f"{who} inertia times mass ratio underflows to 0")
-        p_low = min(power(0.0), power(_HORIZON))
-        bound = _stiffness(x0, p_low, cruise, cd_front, eps * mass_ratio)
+        bound = _stiffness(x0, power, cruise, cd_front, eps_mass)
 
-        def rhs(t, y):
-            x, v = float(y[0]), float(y[1])  # floats overflow to inf silently
-            if not math.isfinite(x):  # the slope has no value there
-                raise NumericsError(f"{who} position overflowed to {x!r}")
-            p = power(t - t0)
-            theta = profile.steepness(x)
-            dv = (p / v - cd_front * v * v
-                  - mass_ratio * gamma * math.sin(theta)) / (eps * mass_ratio)
+        def acceleration(xi, v):
+            x = x0 + xi
+            dv = (power / v - cd_front * v * v - mass_ratio * gamma * profile.steepness(x)) / eps_mass
             if not math.isfinite(dv):
                 raise NumericsError(f"{who} acceleration overflowed at x = {x!r}")
-            return [v, dv]
+            return dv
 
-        def ride_jacobian(t, y):
-            # d(sin theta)/dx = h''/(1 + h'^2)^1.5; power is a function of t
-            x, v = float(y[0]), float(y[1])
-            h1 = profile.slope(x)
-            dv_dx = -gamma * profile.curvature(x) / ((1.0 + h1 * h1) ** 1.5 * eps)
-            dv_dv = _dv_dv(power(t - t0), v, cd_front, eps * mass_ratio)
-            return [[0.0, 1.0], [dv_dx, dv_dv]]
+        def rhs(xi, y):
+            v = y[1]
+            return [1.0 / v, acceleration(xi, v) / v]
+
+        def ride_jacobian(xi, y):
+            # x is the variable and the power constant, so the tau column is 0
+            v = y[1]
+            dv_dv = (_dv_dv(power, v, cd_front, eps_mass) - acceleration(xi, v) / v) / v
+            return [[0.0, -1.0 / (v * v)], [0.0, dv_dv]]
         jac = ride_jacobian if bound > STIFFNESS_LIMIT else None
+        # a stall; a quasi-steady stall raises in speed(), where the cubic
+        # root is taken
+        y0, events = [0.0, v0], ((1, _V_STALL, -1),)
 
-    # the finish, and a stall; a quasi-steady stall raises in speed(), where
-    # the cubic root is taken
-    events = ((0, 1.0, 1),) if eps == 0.0 else ((0, 1.0, 1), (1, _V_STALL, -1))
     method = "RK45" if jac is None else "BDF"  # name the rider and the integrator
-    try:
-        sol = ode_solve_with_events(rhs, y0, (t0, t0 + _HORIZON), events=events,
-                                    settings=settings, jac=jac)
-    except StiffnessError as exc:
-        if eps != 0.0 and bound == math.inf:
-            raise StallError(f"{who} stalled before the finish line") from exc
-        raise StiffnessError(f"{who} {method} step fell below ten ulps of t") from exc
-    except ToleranceError as exc:
-        raise ToleranceError(f"{who} {method} {exc}") from exc
-    if sol.event == 1:
-        raise StallError(f"{who} stalled before the finish line")
-    if sol.event is None:
-        raise RiderNeverFinishesError(f"{who} never reached the finish line")
-    t_f, steps = sol.t[-1], sol.t
-    if eps != 0.0:
-        return t_f, sol.sol, (steps, sol.y[1])
+    cuts = sorted({0.0, 1.0 - x0, *(k - x0 for k in profile.knots if k > x0)})
+    segments, spent = [], 0
+    for a, b in zip(cuts, cuts[1:]):
+        try:
+            sol = ode_solve_with_events(rhs, y0, (a, b), events=events,
+                                        settings=settings, jac=jac)
+        except StiffnessError as exc:
+            if bound == math.inf:
+                raise StallError(f"{who} stalled before the finish line") from exc
+            raise StiffnessError(f"{who} {method} step fell below ten ulps of x - x0") from exc
+        except ToleranceError as exc:
+            raise ToleranceError(f"{who} {method} {exc}") from exc
+        if sol.event is not None:
+            raise StallError(f"{who} stalled before the finish line")
+        spent += sol.nfev
+        if spent > ode._MAX_RHS_EVALS:  # the budget is the ride's, whatever its knots
+            raise ToleranceError(f"{who} {method} ride over the ODE budget of "
+                                 f"{ode._MAX_RHS_EVALS} rhs evaluations")
+        segments.append(sol)
+        y0 = [y[-1] for y in sol.y]
+    ends = [sol.t[-1] for sol in segments]
 
-    def state(t):
-        xs = sol.sol(t)[0]
-        if isinstance(t, (int, float)):
-            return xs, speed(xs, power(t - t0))
-        return [xs, [speed(x, power(s - t0)) for x, s in zip(xs, t)]]
-    return t_f, state, (steps, [speed(x, power(t - t0)) for t, x in zip(steps, sol.y[0])])
+    def state(xi):
+        # a xi on a knot takes the earlier segment, as a time on a step end
+        dense = segments[min(bisect.bisect_left(ends, xi), len(ends) - 1)].sol
+        if eps != 0.0:
+            return dense(xi)
+        xi = min(max(xi, 0.0), ends[-1])
+        return dense(xi)[0], speed(x0 + xi)
+    xis = [0.0] + [xi for sol in segments for xi in sol.t[1:]]
+    speeds = ([v0] + [v for sol in segments for v in sol.y[1][1:]] if eps != 0.0
+              else [speed(x0 + xi) for xi in xis])
+    return state(ends[-1])[0], state, (xis, speeds)

@@ -385,10 +385,37 @@ class TestTerrainCommand:
             printed.append(parse_table(out)[0]["summary.rider_energy"])
         assert printed == [self.DEMO_RK45["rider_energy"]] * 2
 
-    def test_never_finishing_attack_exits_two(self, capsys):
-        code = main(["terrain", "--course", "flat",
-                     "--set", "terrain.attack_power=1e-6"])
-        assert code == 2
+    def test_crawling_attack_finishes(self, capsys):
+        # marched in distance a crawl ends: after a start transient of about
+        # 0.02 in x the rider holds the cruise speed (P / C)^(1/3) = 0.0089
+        code, out = run_cli(["terrain", "--course", "flat",
+                             "--set", "terrain.attack_power=1e-6"], capsys)
+        assert code == 0
+        meta, _, _ = parse_table(out)
+        t_attack, t_rider = (float(meta[f"summary.{k}"]) for k in ("attack_time", "t_rider"))
+        assert t_rider - t_attack == pytest.approx(0.5 / (1e-6 / 1.43) ** (1 / 3), rel=0.05)
+
+    # the rider attacks at the peloton's speed 0.062, far below the speed
+    # their power holds: the start transient needs steps of about 1e-14,
+    # below ten ulps of an absolute time near 2.4, so only a march from the
+    # ride's own start resolves it
+    TINY_INERTIA = {"epsilon": 1.1632606033892603e-07, "gravity_ratio": 207.36160825532963,
+                    "attack_position": 0.8784013631472541, "attack_power": 3.877572888343776}
+
+    def test_tiny_inertia_rider_finishes(self, capsys):
+        from breakaway.numerics import SolverSettings
+        from breakaway.terrain import demo_profile, simulate_breakaway
+
+        sets = [a for k, v in self.TINY_INERTIA.items() for a in ("--set", f"terrain.{k}={v!r}")]
+        code, out = run_cli(["terrain", "--course", "demo"] + sets, capsys)
+        assert code == 0
+        meta, _, _ = parse_table(out)
+        ride = float(meta["summary.t_rider"]) - float(meta["summary.attack_time"])
+        args = self.TINY_INERTIA
+        tight = simulate_breakaway(args["attack_position"], args["attack_power"], demo_profile(),
+                                   inertia=args["epsilon"], gravity_ratio=args["gravity_ratio"],
+                                   settings=SolverSettings(abs_tol=1e-15, rel_tol=1e-13))
+        assert ride == pytest.approx(tight.rider.finish_time - tight.attack_time, rel=1e-9)
 
     def test_steep_gravity_rides_bdf(self, capsys):
         # at gamma = 1000 the peloton crawls up the demo climbs, where
@@ -523,6 +550,27 @@ RANGE_PROBES = [
 @pytest.mark.parametrize("argv, key", RANGE_PROBES,
                          ids=[" ".join(argv[-2:]) for argv, _ in RANGE_PROBES])
 def test_out_of_range_probe_exits_one(argv, key, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad value for {key}: ")
+    assert err.count("\n") == 1
+
+
+# one past the upper end of each size key, and a huge one: each allocates in
+# proportion to its size, 1e13 trials some terabytes
+SIZE_PROBES = [
+    (["crash-mc", "--trials", "50000001"], "mc.trials"),
+    (["crash-mc", "--trials", "10000000000000"], "mc.trials"),
+    (["terrain", "--set", "terrain.samples=250001"], "terrain.samples"),
+    (["microstructure", "--set", "micro.samples=500001"], "micro.samples"),
+    (["flat", "--set", "sweep.parameter=strategy.risk_index",
+      "--set", "sweep.points=250001"], "sweep.points"),
+]
+
+
+@pytest.mark.parametrize("argv, key", SIZE_PROBES,
+                         ids=[" ".join(argv[-2:]) for argv, _ in SIZE_PROBES])
+def test_size_past_its_bound_exits_one(argv, key, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad value for {key}: ")
@@ -675,11 +723,12 @@ class TestMicrostructureCommand:
 
     def test_stiff_passage_exits_two_at_the_work_budget(self, capsys, monkeypatch):
         # the passage's stiffness grows like gamma * eps; past the budget of
-        # rhs evaluations a solve stops with one line instead of running on
+        # rhs evaluations a solve stops with one line, naming it, instead of
+        # running on
         monkeypatch.setattr("breakaway.ode._MAX_RHS_EVALS", 50_000)
         assert main(["microstructure", "--set", "micro.gamma_ratio=1e5"]) == 2
         assert capsys.readouterr().err == (
-            "numerical failure: ODE solve over its budget of 50000 rhs evaluations\n")
+            "numerical failure: passage ODE solve over its budget of 50000 rhs evaluations\n")
 
     def test_front_start_has_empty_passage(self, capsys):
         # any power above the front drag 1.43 runs from the front

@@ -101,7 +101,7 @@ class TestQuasiSteadySpeed:
 
 class TestPowerProfile:
     def test_unit_energy(self):
-        profile = PowerProfile.constant(1.0)
+        profile = PowerProfile(1.0, 0.0, 1.0)
         assert profile.energy(1.0) == pytest.approx(1.0)
 
     def test_step_attack_energy(self):

@@ -8,12 +8,11 @@ from scipy.optimize import brentq
 
 from breakaway import terrain
 from breakaway.flat import StrategyProblem, attack_power, time_gap_from_position
-from breakaway.model import PowerProfile
 from breakaway.numerics import (
-    RiderNeverFinishesError,
     SolverSettings,
     StallError,
     StiffnessError,
+    ToleranceError,
     solve_cubic_real,
 )
 from breakaway.terrain import (
@@ -40,35 +39,37 @@ def _peloton(profile, inertia=0.005):
 
 
 def _series(traj, n=2049):
-    """Positions, speeds, powers and energies at n even times to the finish."""
-    return list(zip(*traj.sample(np.linspace(0.0, traj.finish_time, n).tolist())))
+    """Times, speeds, powers and energies at n even positions to the finish."""
+    return list(zip(*traj.sample(np.linspace(0.0, 1.0, n).tolist())))
 
 
 def _at_finish(traj):
-    """Position, speed, power and energy at the finish line."""
-    return traj.sample([traj.finish_time])[0]
+    """Time, speed, power and energy at the finish line."""
+    return traj.sample([1.0])[0]
 
 
-def _lurk_energy_oracle(peloton, times, cd_lurk=0.46, mass_ratio=1.0):
-    """Cumulative lurk energy at sorted times from 0: QUADPACK of the clamped
-    lurk power over the peloton's dense speed, cut at the times and at the
-    clamp's roots, each bracketed on a 4,097-point scan and found by brentq."""
-    def raw(t):
-        v = peloton.sample([t])[0][1]
+def _lurk_energy_oracle(peloton, positions, cd_lurk=0.46, mass_ratio=1.0):
+    """Cumulative lurk energy at sorted positions from 0: QUADPACK over x of
+    the clamped lurk power divided by the peloton's dense speed, cut at the
+    positions and at the clamp's roots, each bracketed on a 4,097-point scan
+    and found by brentq."""
+    def raw(v):
         return mass_ratio + (cd_lurk - mass_ratio) * v ** 3
 
-    scan = np.linspace(0.0, times[-1], 4097)
-    speeds = np.array([row[1] for row in peloton.sample(scan.tolist())])
-    clamped = mass_ratio + (cd_lurk - mass_ratio) * speeds ** 3 < 0.0
-    roots = [brentq(raw, scan[k], scan[k + 1], xtol=1e-15)
+    def speed(x):
+        return peloton.sample([x])[0][1]
+
+    scan = np.linspace(0.0, positions[-1], 4097)
+    clamped = raw(np.array([row[1] for row in peloton.sample(scan.tolist())])) < 0.0
+    roots = [brentq(lambda x: raw(speed(x)), scan[k], scan[k + 1], xtol=1e-15)
              for k in np.flatnonzero(clamped[1:] != clamped[:-1])]
-    cuts = sorted({*times, *roots})
+    cuts = sorted({*positions, *roots})
     energy, total = {cuts[0]: 0.0}, 0.0
     for a, b in zip(cuts, cuts[1:]):
-        total += quad(lambda t: max(raw(t), 0.0), a, b,
+        total += quad(lambda x: max(raw(speed(x)), 0.0) / speed(x), a, b,
                       epsabs=1e-14, epsrel=1e-12, limit=200)[0]
         energy[b] = total
-    return [energy[t] for t in times]
+    return [energy[x] for x in positions]
 
 
 def _quasi_steady_root(drag, slope_term, power):
@@ -85,13 +86,13 @@ class TestProfiles:
         profile = CourseProfile.from_table([0.0, 0.5, 1.0], [0.0, 0.025, 0.05])
         xs = np.linspace(0.05, 0.95, 9).tolist()
         assert [profile.steepness(x) for x in xs] == pytest.approx(
-            [math.atan(0.05)] * 9, rel=1e-9)
+            [math.sin(math.atan(0.05))] * 9, rel=1e-9)
 
     def test_sinusoid_derivative(self):
         amp = 0.003
         profile = CourseProfile.from_sinusoids(sin_amps=(amp,))
         assert profile.steepness(0.0) == pytest.approx(
-            math.atan(2.0 * math.pi * amp), rel=1e-12)
+            math.sin(math.atan(2.0 * math.pi * amp)), rel=1e-12)
         # finite-difference cross-check of the analytic slope
         def height(x):
             return amp * math.sin(2.0 * math.pi * x)
@@ -111,18 +112,6 @@ class TestProfiles:
         for x in np.linspace(0.05, 0.95, 13).tolist():
             fd = (height(x + h) - height(x - h)) / (2.0 * h)
             assert profile.slope(x) == pytest.approx(fd, abs=1e-6)
-
-    @pytest.mark.parametrize("name", ["flat", "demo", "table"])
-    def test_curvature_matches_slope_difference(self, name):
-        # finite-difference cross-check of the analytic curvature, at the
-        # midpoints between the table's knots so no difference straddles one
-        xs = np.linspace(0.0, 1.0, 21)
-        profile = {"flat": FLAT, "demo": demo_profile(),
-                   "table": CourseProfile.from_table(xs, 0.004 * np.sin(2.0 * np.pi * xs))}[name]
-        h = 1e-7
-        for x in ((xs[:-1] + xs[1:]) / 2).tolist():
-            fd = (profile.slope(x + h) - profile.slope(x - h)) / (2.0 * h)
-            assert profile.curvature(x) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def _table_course(n):
@@ -149,7 +138,7 @@ def _sum_in_order(terms, axis):
 
 
 class TestScalarFastPath:
-    """The float steepness is arctan, to one ulp, of the array slope's bits."""
+    """The float steepness is sin(arctan), to one ulp, of the array slope's bits."""
 
     @pytest.mark.parametrize("name", [
         "flat", "demo", "harmonics", "many-harmonics",
@@ -180,8 +169,8 @@ class TestScalarFastPath:
         for x in map(float, xs):
             slope = float(reference(np.array(x)))
             with mpmath.workdps(40):
-                # atan keeps the sign of a zero, which mpmath has not
-                want = slope if slope == 0.0 else float(mpmath.atan(slope))
+                # a zero slope keeps its sign, which mpmath has not
+                want = slope if slope == 0.0 else float(slope / mpmath.sqrt(1 + mpmath.mpf(slope) ** 2))
             wants = {want} if want == 0.0 else {
                 math.nextafter(want, -math.inf), want, math.nextafter(want, math.inf)}
             for got in (profile.steepness(x), profile.steepness(np.float64(x))):
@@ -306,7 +295,7 @@ class TestPeloton:
     def test_flat_full_dynamics_near_unit_time(self):
         traj = _peloton(FLAT)
         assert traj.finish_time == pytest.approx(1.0, abs=1e-2)
-        assert abs(_at_finish(traj)[0] - 1.0) < 1e-9
+        assert _at_finish(traj)[0] == traj.finish_time
 
     def test_constant_grade_against_cubic(self):
         grade = 0.05
@@ -323,8 +312,9 @@ class TestPeloton:
         assert full.finish_time == pytest.approx(qs.finish_time, abs=5e-2)
 
     def test_positions_non_decreasing(self):
-        positions, _, _, _ = _series(_peloton(demo_profile()))
-        assert np.all(np.diff(positions) >= -1e-12)
+        # the times at increasing positions increase: the peloton never turns
+        times, _, _, _ = _series(_peloton(demo_profile()))
+        assert np.all(np.diff(times) > 0.0)
 
 
 class TestLurkingPower:
@@ -370,9 +360,10 @@ class TestBreakaway:
             time_gap_from_position(x_a, problem), abs=1e-4)
 
     def test_event_localization(self):
+        # the finish is the end of the march: the row at x = 1 is the finish
         run = simulate_breakaway(0.5, 3.6, demo_profile())
-        assert abs(_at_finish(run.rider)[0] - 1.0) < 1e-9
-        assert abs(_at_finish(run.peloton)[0] - 1.0) < 1e-9
+        assert _at_finish(run.rider)[0] == run.rider.finish_time
+        assert _at_finish(run.peloton)[0] == run.peloton.finish_time
 
     def test_no_attack_stays_with_group(self):
         run = simulate_breakaway(0.5, None, demo_profile(), inertia=QUASI_STEADY)
@@ -390,14 +381,10 @@ class TestBreakaway:
         xs = np.linspace(0.0, 1.0, 2001)
         steepest = min(xs.tolist(), key=demo.slope)
         assert steepest > 0.5   # the big descent comes after the attack
-        rider_x, rider_v, _, _ = _series(run.rider)
-        peloton_x, peloton_v, _, _ = _series(run.peloton)
-        v_rider = np.interp(steepest, rider_x, rider_v)
-        v_pel = np.interp(steepest, peloton_x, peloton_v)
+        (_, v_rider, _, _), (_, v_rider_flat, _, _) = run.rider.sample([steepest, 0.99])
+        (_, v_pel, _, _), (_, v_pel_flat, _, _) = run.peloton.sample([steepest, 0.99])
         assert v_pel > v_rider
         # near the end of the (flat-ish) final approach the rider is faster
-        v_rider_flat = np.interp(0.99, rider_x, rider_v)
-        v_pel_flat = np.interp(0.99, peloton_x, peloton_v)
         assert v_rider_flat > v_pel_flat
 
     def test_descent_group_advantage_algebra(self):
@@ -424,12 +411,11 @@ class TestBreakaway:
         # holds three switches and the table's one
         profile = demo_profile() if course == "demo" else TABLE_COURSE
         run = simulate_breakaway(0.5, attack, profile, inertia=inertia)
-        t_end = run.peloton.finish_time if attack is None else run.attack_time
-        times = np.linspace(0.0, t_end, 65).tolist()
-        reference = _lurk_energy_oracle(run.peloton, times)
-        energies = [row[3] for row in run.rider.sample(times)]
+        positions = np.linspace(0.0, 1.0 if attack is None else 0.5, 65).tolist()
+        reference = _lurk_energy_oracle(run.peloton, positions)
+        energies = [row[3] for row in run.rider.sample(positions)]
         assert energies == pytest.approx(reference, rel=0.0, abs=1e-9)
-        post = 0.0 if attack is None else attack * (run.rider.finish_time - t_end)
+        post = 0.0 if attack is None else attack * (run.rider.finish_time - run.attack_time)
         assert run.rider_energy == pytest.approx(reference[-1] + post, rel=0.0, abs=1e-9)
 
     def test_refinement_convergence(self):
@@ -439,27 +425,25 @@ class TestBreakaway:
         b = simulate_breakaway(0.5, 3.6, demo_profile(), settings=tighter)
         assert abs(a.rider.finish_time - b.rider.finish_time) < 1e-7
 
-    def test_fatigue_profile_attack(self):
-        attack = PowerProfile(0.46, 0.0, 5.0, 0.46, 3.0)
-        run = simulate_breakaway(0.5, attack, FLAT, inertia=QUASI_STEADY)
-        assert run.rider.finish_time < run.peloton.finish_time + 1.0
-        # the attack time listed twice gives both sides; the attack side
-        # carries the full peak power
-        t_a = run.attack_time
-        ride = np.linspace(t_a, run.rider.finish_time, 1024).tolist()
-        post = np.array([row[2] for row in run.rider.sample([t_a] + ride)][1:])
-        assert post[0] == pytest.approx(5.0, rel=1e-12)
-        assert np.all(np.diff(post) <= 1e-12)
-
     @pytest.mark.parametrize("inertia", [QUASI_STEADY, 1e-6, 5e-4])
     def test_stall_on_powerless_climb(self, inertia):
         climb = CourseProfile.from_table([0.0, 1.0], [0.0, 0.05])
         with pytest.raises(StallError):
             simulate_breakaway(0.5, 0.0, climb, inertia=inertia)
 
-    def test_crawl_never_finishes(self):
-        with pytest.raises(RiderNeverFinishesError):
-            simulate_breakaway(0.5, 1e-6, FLAT)
+    def test_crawl_finishes(self):
+        # marched in distance a crawl ends.  On the flat the speed law has a
+        # closed form in xi: C v^3 = p - (p - C v0^3) exp(-3 C xi / eps), from
+        # the peloton's unit speed, so the ride time is a quadrature
+        p, cd, eps = 1e-6, 1.43, 0.005
+        run = simulate_breakaway(0.5, p, FLAT, inertia=eps)
+
+        def pace(xi):
+            return ((p - (p - cd) * math.exp(-3.0 * cd * xi / eps)) / cd) ** (-1.0 / 3.0)
+        ride = sum(quad(pace, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                   for a, b in [(0.0, 0.01), (0.01, 0.05), (0.05, 0.5)])
+        assert ride > 50.0   # about 0.5 / (p / cd)^(1/3)
+        assert run.rider.finish_time - run.attack_time == pytest.approx(ride, rel=1e-8)
 
     def test_stiffness_error_names_no_method_knob(self, monkeypatch):
         # the re-raise names the rider and the integrator, not the kernel text
@@ -469,6 +453,15 @@ class TestBreakaway:
         with pytest.raises(StiffnessError, match="^peloton RK45 step") as info:
             simulate_breakaway(0.5, 3.6, FLAT)
         assert "method" not in str(info.value)
+
+    def test_budget_is_the_rides(self, monkeypatch):
+        # 39 knots make 40 solves of about 700 rhs evaluations each: the
+        # solves together overrun a budget that none of them reaches
+        monkeypatch.setattr("breakaway.ode._MAX_RHS_EVALS", 2_000)
+        xs = np.linspace(0.0, 1.0, 41)
+        course = CourseProfile.from_table(xs, 0.004 * np.sin(2.0 * np.pi * xs))
+        with pytest.raises(ToleranceError, match="^peloton RK45 ride over the ODE budget of 2000"):
+            simulate_breakaway(0.5, 3.6, course)
 
     @pytest.mark.parametrize("inertia, method", [
         (5e-4, "bdf"),
@@ -513,15 +506,57 @@ class TestBreakaway:
         assert calls == [(1, quasi), (1, quasi), (2, full), (2, full)]
 
     @pytest.mark.parametrize("inertia", [0.0, 0.005])
-    @pytest.mark.parametrize("attack", [
-        PowerProfile.constant(3.6),
-        PowerProfile(0.46, 0.0, 5.0, 0.46, 3.0),   # decays toward 0.46
-    ])
-    def test_post_attack_energy_is_closed_form(self, attack, inertia):
+    def test_post_attack_energy_is_closed_form(self, inertia):
+        attack = 3.6
         run = simulate_breakaway(0.5, attack, demo_profile(), inertia=inertia)
         rider, t_a = run.rider, run.attack_time
-        e_attack = rider.sample([t_a])[0][3]   # the lurk side of the attack
-        ride = np.linspace(t_a, rider.finish_time, 33).tolist()[1:]
-        for t, (_, _, _, e) in zip(ride, rider.sample(ride)):
-            assert e == e_attack + attack.energy(t - t_a)
-        assert run.rider_energy == e_attack + attack.energy(rider.finish_time - t_a)
+        t_lurk, _, _, e_attack = rider.sample([0.5])[0]   # the lurk side of the attack
+        assert t_lurk == t_a
+        ride = np.linspace(0.5, 1.0, 33).tolist()[1:]
+        for t, _, power, e in rider.sample(ride):
+            assert power == attack
+            assert e == pytest.approx(e_attack + attack * (t - t_a), rel=1e-15)
+        assert run.rider_energy == pytest.approx(
+            e_attack + attack * (rider.finish_time - t_a), rel=1e-15)
+
+
+class TestDistanceMarch:
+    """Rides marched in distance, one solve per knot interval, hold their
+    digits against independent references."""
+
+    # the course table of the perfbench terrain workload at seed 102, and the
+    # attack of its table-rk45-1 ride: a march whose steps straddle the
+    # knots, where h'' jumps, misjudges its error there (8.2e-10 here)
+    SEED_102 = ([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+                [0.0, -0.001471201, -0.001782071, -0.001919421, -0.003262112,
+                 -0.005076338, -0.005101252, -0.002579279, 0.000420721, 0.001321525, 0.0])
+
+    def test_table_ride_holds_against_a_tighter_run(self):
+        course = CourseProfile.from_table(*self.SEED_102)
+        times = [simulate_breakaway(0.642225, 3.88445, course, settings=settings).rider.finish_time
+                 for settings in (terrain.SIM_SETTINGS, SolverSettings(abs_tol=1e-15, rel_tol=1e-13))]
+        assert times[0] == pytest.approx(times[1], rel=5e-12, abs=0.0)
+
+    @staticmethod
+    def quasi_steady_time(profile, gamma=40.0):
+        """mpmath.quad of 1/V(x) over [0, 1], split at the knots, at 20
+        digits; V is the largest root of f(V) = V^3 + gamma sin(theta) V - 1,
+        by Newton from above all roots, where f is convex and rising, and the
+        slope is the course's own float."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            def pace(x):
+                s = mpmath.mpf(profile.slope(float(x)))
+                a = gamma * s / mpmath.sqrt(1 + s * s)
+                v, step = 2 + mpmath.sqrt(abs(a)), 1
+                while abs(step) > mpmath.mpf(10) ** -18 * v:
+                    step = (v ** 3 + a * v - 1) / (3 * v ** 2 + a)
+                    v -= step
+                return 1 / v
+            return float(mpmath.quad(pace, [0, *profile.knots, 1]))
+
+    @pytest.mark.parametrize("course", ["demo", "table"])
+    def test_quasi_steady_peloton_matches_mpmath(self, course):
+        profile = demo_profile() if course == "demo" else TABLE_COURSE
+        peloton = _peloton(profile, QUASI_STEADY)
+        assert abs(peloton.finish_time - self.quasi_steady_time(profile)) < 1e-12
