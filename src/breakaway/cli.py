@@ -238,11 +238,11 @@ def cmd_crash_mc(cfg: RunConfig) -> tuple[ResultTable, int]:
     trials = cfg.get("mc", "trials")
     seed = cfg.get("mc", "seed")
     analytic = exposure_simple_attack(x_attack, position, model)
-    try:  # numpy's Poisson sampler caps the mean near 9.2e18
+    try:  # the crash count, intensity times trials, is capped before any allocation
         estimate, stderr = monte_carlo_exposure(x_attack, position, trials, seed, model)
     except ValueError as exc:
-        raise ConfigError(f"bad value for crash.intensity: "
-                          f"{model.intensity!r} ({exc})") from exc
+        raise ConfigError(f"bad value for crash.intensity: {model.intensity!r} "
+                          f"at mc.trials = {trials} ({exc})") from exc
     z = 0.0 if stderr == 0.0 else (estimate - analytic) / stderr
     table = _new_table("crash-mc", cfg,
                        ["analytic", "estimate", "std_error", "z_score",

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _MC_CHUNKS = 16  # fixed substream count keeps results seed-deterministic
+_MAX_EXPECTED_CRASHES = 1e8  # memory grows with it: 2 * 5e7 trials peaked at 502 MiB
 
 
 def propagation_probability(position: Any, start: Any, omega: float) -> Any:
@@ -112,6 +113,9 @@ def monte_carlo_exposure(x_attack: float, position: float, trials: int,
         raise ValueError("position must be >= 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if model.intensity * trials > _MAX_EXPECTED_CRASHES:
+        raise ValueError(f"intensity * trials must be at most "
+                         f"{_MAX_EXPECTED_CRASHES:g} expected crashes")
     import numpy as np  # only the Monte Carlo needs numpy
     children = np.random.SeedSequence(seed).spawn(_MC_CHUNKS)
     base, extra = divmod(trials, _MC_CHUNKS)

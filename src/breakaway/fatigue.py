@@ -1,9 +1,9 @@
 """Breakaways with fatigue: burst power decaying toward a sustainable floor.
 
-After attacking at time t_a the rider's power is
-(p_max - p_sustain) * exp(-mu (t - t_a)) + p_sustain, the schedule that
-a PowerProfile describes, so the finish time has no closed form
-and the strategy optimum is found numerically.  The three-variable
+The rider lurks at p_lurk and, after attacking at time t_a, rides at
+(p_max - p_sustain) * exp(-mu (t - t_a)) + p_sustain; this module's closed
+forms are the one home of that schedule.  The finish time has no closed
+form, so the strategy optimum is found numerically.  The three-variable
 constrained problem (attack position, peak power, finish time) collapses
 to nested scalar solves: given the attack position, the peak power follows
 from the energy budget in closed form, leaving one bracketed root-solve
@@ -15,12 +15,13 @@ from implicit differentiation of the budget and arrival constraints.  The
 zero-gap boundary is the root of the arrival condition at t_f = 1, so its
 row reports t_f = 1 and no time gap exactly.
 
-The speed integral behind the arrival constraint, and its slope in the
-burst amplitude, are elementary, so each costs the same few operations
-at any fatigue rate.  The reported arrival residual checks them against
-an independent adaptive quadrature.  The budget and arrival residuals are
-rounding noise below RESIDUAL_FLOOR; reported_residual maps them to 0 for
-tables, while `converged` tests the raw values.
+The burst integral behind the budget, the speed integral behind the
+arrival and its slope in the burst amplitude are elementary, so each costs
+the same few operations at any fatigue rate.  The reported budget and
+arrival residuals check them against an independent adaptive quadrature
+of the power and of its cube root.  They are rounding noise below
+RESIDUAL_FLOOR; reported_residual maps them to 0 for tables, while
+`converged` tests the raw values.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass, replace
 
 from .crash import exposure_simple_attack
 from .flat import StrategyProblem
-from .model import PowerProfile
 from .numerics import (
     DEFAULT_SETTINGS,
     SolverSettings,
@@ -59,7 +59,7 @@ def reported_residual(value: float) -> float:
     """A constraint residual as tables print it: 0 at or below RESIDUAL_FLOOR.
 
     The floor sits above the ~1e-13 gap between the adaptive reference
-    quadrature and the closed-form speed integral, and far below the 1e-8
+    quadratures and the closed forms, and far below the 1e-8
     gate of FatigueResult.converged, which sees the raw value.
     """
     return 0.0 if value <= RESIDUAL_FLOOR else value
@@ -94,7 +94,8 @@ def p_max_from_budget(energy_budget: float, x_attack: float, t_finish: float,
                       p_sustain: float, mu: float, p_lurk: float) -> float:
     """Peak power that makes the schedule spend exactly energy_budget by t_finish.
 
-    Round-trips with PowerProfile.energy.
+    The inverse of the budget p_lurk x_a + p_sustain delta
+    + (p_max - p_sustain) B(delta) = energy_budget, B the burst integral.
     """
     if t_finish <= x_attack:
         raise ValueError("need t_finish > x_attack")
@@ -319,10 +320,11 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
                 best = interior
 
     x_best, t_finish, p_max = best
-    schedule = PowerProfile(p_lurk, x_best, p_max, p_s, mu)
-    budget_res = abs(schedule.energy(t_finish) - budget)
-    integrand = lambda s: math.cbrt(p_s + (p_max - p_s) * math.exp(-mu * s))
-    arrival, _ = integrate_adaptive(integrand, 0.0, t_finish - x_best, settings)
+    power = lambda s: p_s + (p_max - p_s) * math.exp(-mu * s)
+    spent, _ = integrate_adaptive(power, 0.0, t_finish - x_best, settings)
+    budget_res = abs(p_lurk * x_best + spent - budget)
+    arrival, _ = integrate_adaptive(lambda s: math.cbrt(power(s)), 0.0,
+                                    t_finish - x_best, settings)
     arrival_res = abs(x_best + arrival / cd_front ** (1.0 / 3.0) - 1.0)
     converged = bool(budget_res < 1e-8 and arrival_res < 1e-8)
     return FatigueResult(

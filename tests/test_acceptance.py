@@ -8,6 +8,7 @@ Monte Carlo) or by direct evaluation of the closed forms.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +30,7 @@ from breakaway.flat import (
     optimal_attack,
 )
 from breakaway.microstructure import attack_onset
-from breakaway.model import DragParams, PowerProfile
+from breakaway.model import DragParams
 from breakaway.terrain import CourseProfile, simulate_breakaway
 
 
@@ -234,7 +235,8 @@ def test_criterion_11_round_trip_identities():
             continue
         assert attack_power(x, problem) == pytest.approx(power, rel=1e-10)
 
-    # the fatigue schedule's energy inverts p_max_from_budget
+    # the fatigue schedule's energy, the lurk plus a quadrature of the
+    # post-attack power, inverts p_max_from_budget
     for _ in range(200):
         x_a = float(rng.uniform(0.0, 0.9))
         t_f = x_a + float(rng.uniform(0.05, 0.9))
@@ -243,8 +245,9 @@ def test_criterion_11_round_trip_identities():
         mu = float(rng.uniform(0.0, 12.0))
         budget = p_l * x_a + p_s * (t_f - x_a) + float(rng.uniform(0.0, 1.5))
         p_max = p_max_from_budget(budget, x_a, t_f, p_s, mu, p_lurk=p_l)
-        schedule = PowerProfile(p_l, x_a, p_max, p_s, mu)
-        assert schedule.energy(t_f) == pytest.approx(budget, rel=1e-10)
+        burst = mpmath.quad(lambda s: p_s + (p_max - p_s) * mpmath.exp(-mu * s),
+                            [0, t_f - x_a])
+        assert p_l * x_a + float(burst) == pytest.approx(budget, rel=1e-10)
 
     # energy bookkeeping of the constant-power schedule
     for _ in range(200):

@@ -508,7 +508,7 @@ RANGE_PROBES = [
     (["crash-mc", "--set", "mc.attack_position=1.5"], "mc.attack_position"),
     (["crash-mc", "--set", "model.position=0.5"], "model.position"),
     (["crash-mc", "--seed", "-1"], "mc.seed"),
-    # above the largest mean numpy's Poisson sampler takes
+    # far above the cap on expected crashes, crash.intensity times mc.trials
     (["crash-mc", "--trials", "10", "--set", "crash.intensity=1e308"],
      "crash.intensity"),
     # a sweep steps a number; a string or a flag has no values between
@@ -678,6 +678,24 @@ class TestCrashMcCommand:
         assert main(["crash-mc"] + args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad value for mc.trials: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--trials", "16", "--set", "crash.intensity=1e12"],
+        # one past the cap of 1e8 expected crashes; the cap itself would
+        # allocate about 0.5 GiB
+        ["--trials", "2", "--set", "crash.intensity=5.0000001e7"],
+    ])
+    def test_crash_count_past_its_cap_exits_one(self, args, capsys, monkeypatch):
+        # memory grows with crash.intensity times mc.trials, so the cap is
+        # checked before any random number is drawn
+        def refuse(seed):
+            raise AssertionError("sampled past the crash-count cap")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert main(["crash-mc"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for crash.intensity: ")
+        assert "mc.trials" in err
         assert err.count("\n") == 1
 
     def test_zero_intensity(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from breakaway.fatigue import (
     RESIDUAL_FLOOR,
     InfeasibleBudgetError,
     _attack_solve,
+    _burst_integral,
     _finish_time_slope,
     _speed_integral,
     _speed_integral_slope,
@@ -16,15 +18,22 @@ from breakaway.fatigue import (
     reported_residual,
 )
 from breakaway.flat import StrategyProblem, optimal_attack
-from breakaway.model import PowerProfile
 from breakaway.numerics import SolverSettings, integrate_adaptive
 
 
-def schedule_with(**kw) -> PowerProfile:
-    """The fatigue schedule: lurk, then a burst decaying toward p_sustain."""
-    base = dict(p_lurk=0.46, attack_time=0.5, p_max=4.0, p_sustain=0.46, mu=1.0)
-    base.update(kw)
-    return PowerProfile(**base)
+def energy_spent(t, t_a=0.5, p_max=4.0, mu=1.0, p_lurk=0.46, p_sustain=0.46):
+    """Energy of the fatigue schedule by time t >= t_a, from the budget's closed form."""
+    delta = t - t_a
+    return p_lurk * t_a + p_sustain * delta + (p_max - p_sustain) * _burst_integral(delta, mu)
+
+
+def burst_energy_reference(mpmath, delta, p_max, mu, p_sustain=0.46):
+    """mpmath quadrature of the post-attack power over [0, delta], split at
+    multiples of the decay length 1/mu."""
+    power = lambda s: p_sustain + (mpmath.mpf(p_max) - p_sustain) * mpmath.exp(-mu * s)
+    points = [0] + [mpmath.mpf(j) / mu for j in (1, 4, 16, 64)
+                    if mu > 0.0 and j / mu < delta] + [delta]
+    return mpmath.quad(power, points)
 
 
 def position_after_attack(t, t_a, p_max, mu, p_s=0.46, cd_front=1.43):
@@ -39,39 +48,49 @@ def problem_with(**kw) -> StrategyProblem:
 
 
 class TestPowerSchedule:
+    """The schedule as its closed forms hold it: the energy and the distance
+    over a span are the integrals of the power and of its cube root."""
+
     def test_peak_at_attack(self):
-        assert schedule_with().power_at(0.5) == pytest.approx(4.0)
+        h = 1e-9
+        assert (energy_spent(0.5 + h) - energy_spent(0.5)) / h == pytest.approx(
+            4.0, rel=1e-6)
+        assert _speed_integral(h, 4.0, 0.46, 1.0) / h == pytest.approx(
+            4.0 ** (1.0 / 3.0), rel=1e-8)
 
     def test_decays_to_sustainable(self):
-        assert schedule_with().power_at(40.0) == pytest.approx(0.46, rel=1e-12)
+        assert energy_spent(41.0) - energy_spent(40.0) == pytest.approx(0.46, rel=1e-12)
+        distance = (_speed_integral(41.0, 4.0, 0.46, 1.0)
+                    - _speed_integral(40.0, 4.0, 0.46, 1.0))
+        assert distance == pytest.approx(0.46 ** (1.0 / 3.0), rel=1e-12)
 
     def test_lurk_before_attack(self):
-        assert schedule_with().power_at(0.2) == pytest.approx(0.46)
+        # a later attack with the ride's length and burst unchanged costs
+        # p_lurk per unit of the extra lurk
+        p_max = p_max_from_budget(1.2, 0.5, 0.9, 0.46, 1.0, 0.46)
+        later = p_max_from_budget(1.2 + 0.46 * 0.25, 0.75, 1.15, 0.46, 1.0, 0.46)
+        assert later == pytest.approx(p_max, rel=1e-13)
+        assert energy_spent(0.5, p_max=9.0) == pytest.approx(0.46 * 0.5, rel=1e-15)
 
     def test_no_fatigue_holds_peak(self):
-        schedule = schedule_with(mu=0.0)
-        assert schedule.power_at(0.9) == pytest.approx(4.0)
-        assert schedule.power_at(5.0) == pytest.approx(4.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            schedule_with(mu=-1.0)
+        for delta in (0.4, 4.5):
+            assert energy_spent(0.5 + delta, mu=0.0) == pytest.approx(
+                0.46 * 0.5 + 4.0 * delta, rel=1e-14)
+            assert _speed_integral(delta, 4.0, 0.46, 0.0) == pytest.approx(
+                4.0 ** (1.0 / 3.0) * delta, rel=1e-15)
 
 
 class TestTotalEnergy:
     def test_no_burst(self):
-        schedule = schedule_with(p_max=0.46)
-        assert schedule.energy(1.0) == pytest.approx(0.46, rel=1e-13)
+        assert energy_spent(1.0, p_max=0.46) == pytest.approx(0.46, rel=1e-13)
 
     def test_reference_value(self):
         expected = 0.46 * 0.5 + 0.46 * 0.5 + 3.54 * (1.0 - math.exp(-0.5))
-        assert schedule_with(mu=1.0).energy(1.0) == pytest.approx(expected,
-                                                                  rel=1e-13)
+        assert energy_spent(1.0, mu=1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_vanishing_fatigue_matches_constant_power(self):
         constant = 0.46 * 0.5 + 4.0 * 0.5
-        assert schedule_with(mu=1e-12).energy(1.0) == pytest.approx(constant,
-                                                                    rel=1e-10)
+        assert energy_spent(1.0, mu=1e-12) == pytest.approx(constant, rel=1e-10)
 
     def test_matches_power_profile_closed_form(self):
         # the schedule's energy against the burst formula written out
@@ -79,24 +98,61 @@ class TestTotalEnergy:
         for _ in range(30):
             t_a = rng.uniform(0.05, 0.8)
             p_max, mu = rng.uniform(1.0, 9.0), rng.uniform(0.0, 9.0)
-            schedule = schedule_with(p_max=p_max, mu=mu, attack_time=t_a)
             t_f = t_a + rng.uniform(0.05, 0.9)
             delta = t_f - t_a
-            burst = (p_max - 0.46) * -math.expm1(-mu * delta) / mu
+            burst = (p_max - 0.46) * (1.0 - math.exp(-mu * delta)) / mu
             expected = 0.46 * t_a + 0.46 * delta + burst
-            assert schedule.energy(t_f) == pytest.approx(expected, rel=1e-12)
+            assert energy_spent(t_f, t_a, p_max, mu) == pytest.approx(expected,
+                                                                     rel=1e-12)
 
     def test_matches_quadrature_of_schedule(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(2)
         for _ in range(25):
             t_a = rng.uniform(0.1, 0.8)
-            schedule = schedule_with(p_max=rng.uniform(1.0, 9.0),
-                                     mu=rng.uniform(0.0, 8.0), attack_time=t_a)
+            p_max, mu = rng.uniform(1.0, 9.0), rng.uniform(0.0, 8.0)
             t_f = t_a + rng.uniform(0.05, 0.6)
-            # split the reference at the power jump to keep quad accurate
-            lurk, _ = integrate_adaptive(schedule.power_at, 0.0, t_a)
-            burst, _ = integrate_adaptive(schedule.power_at, t_a, t_f)
-            assert schedule.energy(t_f) == pytest.approx(lurk + burst, rel=1e-10)
+            burst = burst_energy_reference(mpmath, t_f - t_a, p_max, mu)
+            assert energy_spent(t_f, t_a, p_max, mu) == pytest.approx(
+                0.46 * t_a + float(burst), rel=1e-13)
+
+
+class TestBurstIntegral:
+    """_burst_integral(delta, mu), the integral of exp(-mu s) over [0, delta]."""
+
+    def test_small_rates_match_mpmath(self):
+        # (1 - exp(-mu delta)) / mu loses digits to cancellation unless
+        # written with expm1; an underflowing mu * delta is mu = 0
+        mpmath = pytest.importorskip("mpmath")
+        for mu in (1e-9, 1e-5, 1.0):
+            for delta in (0.5, 1.0, 1.7):
+                with mpmath.workdps(30):
+                    exact = float(-mpmath.expm1(-mpmath.mpf(mu) * delta) / mu)
+                assert _burst_integral(delta, mu) == pytest.approx(exact, rel=4.5e-16,
+                                                                   abs=0.0)
+        for mu in (1e-320, 5e-324, 0.0):
+            assert _burst_integral(0.5, mu) == 0.5
+
+    def test_large_rate(self):
+        # exp(-mu s) underflows long before the finish at large mu
+        mpmath = pytest.importorskip("mpmath")
+        for mu in (400.0, 1e3, 1e6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p_max = p_max_from_budget(1.2, 0.9, 1.0, 0.46, mu, 0.46)
+            assert _burst_integral(0.1, mu) == pytest.approx(
+                -math.expm1(-mu * 0.1) / mu, rel=4.5e-16)
+            burst = burst_energy_reference(mpmath, 0.1, p_max, mu)
+            assert 0.46 * 0.9 + float(burst) == pytest.approx(1.2, rel=1e-12)
+
+    def test_non_decreasing_and_additive(self):
+        mu = 4.0
+        values = [_burst_integral(d, mu) for d in np.linspace(0.0, 2.0, 50).tolist()]
+        assert np.all(np.diff(values) >= 0.0)
+        a, b = 0.77, 1.13
+        assert _burst_integral(a + b, mu) == pytest.approx(
+            _burst_integral(a, mu) + math.exp(-mu * a) * _burst_integral(b, mu),
+            rel=1e-14)
 
 
 class TestPeakPowerFromBudget:
@@ -112,6 +168,9 @@ class TestPeakPowerFromBudget:
         assert p_max == pytest.approx(expected, rel=1e-13)
 
     def test_round_trip(self):
+        # the lurk plus an mpmath quadrature of the post-attack power spends
+        # the budget
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(4)
         for _ in range(100):
             x_a = rng.uniform(0.0, 0.9)
@@ -121,8 +180,8 @@ class TestPeakPowerFromBudget:
             mu = rng.uniform(0.0, 10.0)
             budget = p_l * x_a + p_s * (t_f - x_a) + rng.uniform(0.0, 1.5)
             p_max = p_max_from_budget(budget, x_a, t_f, p_s, mu, p_lurk=p_l)
-            schedule = PowerProfile(p_l, x_a, p_max, p_s, mu)
-            assert schedule.energy(t_f) == pytest.approx(budget, rel=1e-10)
+            burst = burst_energy_reference(mpmath, t_f - x_a, p_max, mu, p_s)
+            assert p_l * x_a + float(burst) == pytest.approx(budget, rel=1e-10)
 
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudgetError):
@@ -232,6 +291,25 @@ class TestOptimizeFatigue:
         assert result.budget_residual < 1e-8
         assert result.arrival_residual < 1e-8
 
+    def test_budget_residual_checks_the_burst_integral(self, monkeypatch, capsys):
+        # the residual is a quadrature of the power, so a burst integral 1e-6
+        # too large, which the solver imposes exactly, cannot pass it
+        import breakaway.fatigue as fatigue
+        from breakaway.cli import main
+
+        burst_integral = fatigue._burst_integral
+        monkeypatch.setattr(fatigue, "_burst_integral",
+                            lambda delta, mu: burst_integral(delta, mu) * (1.0 + 1e-6))
+        result = optimize_fatigue(StrategyProblem(), mu=1.0)
+        assert not result.converged
+        assert result.budget_residual > 1e-8
+        assert main(["fatigue"]) == 2
+        header, row = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                       if not line.startswith("#")]
+        printed = dict(zip(header, row))
+        assert printed["converged"] == "false"
+        assert float(printed["budget_residual"]) > 1e-8
+
     def test_matches_brute_force_nested_search(self):
         problem = problem_with(risk_index=0.7, energy_budget=1.3)
         mu = 1.5
@@ -286,10 +364,10 @@ class TestOptimizeFatigue:
 
     def test_post_attack_speed_monotone_decreasing(self):
         result = optimize_fatigue(problem_with(), mu=3.0)
-        schedule = PowerProfile(0.46, result.attack_position,
-                                result.peak_power, 0.46, 3.0)
-        ts = np.linspace(result.attack_position, result.finish_time, 64).tolist()
-        speeds = (np.array([schedule.power_at(t) for t in ts]) / 1.43) ** (1.0 / 3.0)
+        t_a, p_max = result.attack_position, result.peak_power
+        ts = np.linspace(t_a, result.finish_time, 64).tolist()
+        powers = [0.46 + (p_max - 0.46) * math.exp(-3.0 * (t - t_a)) for t in ts]
+        speeds = (np.array(powers) / 1.43) ** (1.0 / 3.0)
         assert np.all(np.diff(speeds) <= 1e-15)
         floor = (0.46 / 1.43) ** (1.0 / 3.0)
         assert speeds[-1] >= floor - 1e-12

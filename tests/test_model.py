@@ -1,17 +1,13 @@
-import itertools
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from breakaway.microstructure import relative_drag_behind_front
 from breakaway.model import (
     CD_FRONT_CALIBRATED,
     DragParams,
-    PowerProfile,
     drag_at_depth,
 )
 from breakaway.numerics import solve_cubic_real
@@ -55,6 +51,52 @@ class TestDragLaw:
         with pytest.raises(ValueError):
             DragParams(decay=0.0)
 
+    def test_scalar_path_bit_identical(self):
+        # the drag kernels of the ODE right-hand sides are their law's float
+        # expression bit for bit, with each exp within one ulp of mpmath's;
+        # a NaN passes
+        mpmath = pytest.importorskip("mpmath")
+
+        exps = {}
+
+        def exp_within_ulp(k):
+            """exp(x) from mpmath, moved k ulps (k in -1, 0, 1), never below 0."""
+            def exp(x):
+                if x not in exps:
+                    with mpmath.workdps(40):
+                        e = float(mpmath.exp(x))
+                    exps[x] = (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))
+                return exps[x][k + 1]
+            return exp
+
+        def drag_reference(depth, drag, exp):
+            if depth < 0.0:
+                return drag.cd_max
+            return drag.cd_min + (drag.cd_max - drag.cd_min) * exp(-drag.decay * depth)
+
+        def assert_law(got, law):
+            wants = [law(exp_within_ulp(k)) for k in (-1, 0, 1)]
+            if math.isnan(wants[1]):
+                assert math.isnan(got)
+            else:
+                assert struct.pack("<d", got) in {struct.pack("<d", w) for w in wants}
+
+        rng = np.random.default_rng(11)
+        depths = [0.0, -0.0, math.nan, -1e-300, 1e-300, -1e4, 1e4,
+                  *rng.uniform(-10.0, 60.0, 400).tolist()]
+        for _ in range(20):
+            cd_min, cd_max = sorted(rng.uniform(0.01, 2.0, 2).tolist())
+            drag = DragParams(cd_max, cd_min, float(rng.uniform(0.01, 3.0)))
+            cd_avg = float(rng.uniform(0.2, 1.5))
+            for d in depths:
+                law = lambda exp: drag_reference(d, drag, exp)
+                assert_law(drag_at_depth(d, drag), law)
+                assert_law(drag_at_depth(np.float64(d), drag), law)
+                z = -d
+                law = lambda exp: drag_reference(-z, drag, exp) / cd_avg
+                assert_law(relative_drag_behind_front(z, drag, cd_avg), law)
+                assert_law(relative_drag_behind_front(np.float64(z), drag, cd_avg), law)
+
 
 class TestDraftingDrag:
     def test_front_rider_calibrated(self):
@@ -97,141 +139,3 @@ class TestQuasiSteadySpeed:
             base = quasi_steady_speed(pk, ck)
             assert quasi_steady_speed(pk * 1.1, ck) > base
             assert quasi_steady_speed(pk, ck * 1.1) < base
-
-
-class TestPowerProfile:
-    def test_unit_energy(self):
-        profile = PowerProfile(1.0, 0.0, 1.0)
-        assert profile.energy(1.0) == pytest.approx(1.0)
-
-    def test_step_attack_energy(self):
-        profile = PowerProfile(0.46, 0.5, 1.43)
-        assert profile.energy(1.0) == pytest.approx(0.23 + 0.715, rel=1e-14)
-
-    def test_power_lookup(self):
-        profile = PowerProfile(0.46, 0.5, 1.43)
-        assert profile.power_at(0.2) == pytest.approx(0.46)
-        assert profile.power_at(0.9) == pytest.approx(1.43)
-        ts = [0.0, 0.499, 0.5, 0.75]
-        assert [profile.power_at(t) for t in ts] == pytest.approx(
-            [0.46, 0.46, 1.43, 1.43])
-
-    def test_fatigue_profile_matches_quadrature(self):
-        profile = PowerProfile(0.46, 0.4, 4.0, 0.46, 2.5)
-        for t in (0.2, 0.4, 0.9, 1.7):
-            ref, _ = quad(profile.power_at, 0.0, t, epsabs=1e-13, epsrel=1e-13)
-            assert profile.energy(t) == pytest.approx(ref, rel=1e-10)
-
-    def test_negative_levels_clamped(self):
-        profile = PowerProfile(-1.0, 0.5, 2.0)
-        assert profile.power_at(0.2) == 0.0
-        assert profile.energy(1.0) == pytest.approx(1.0)
-
-    def test_exponential_clamp_crossing(self):
-        # decays through zero at t = ln(2)/2; energy integrates the clamp
-        profile = PowerProfile(0.0, 0.0, 0.5, -0.5, 2.0)
-        assert profile.power_at(2.0) == 0.0
-        assert profile.power_at(0.0) == pytest.approx(0.5)
-        ref, _ = quad(profile.power_at, 0.0, 3.0, epsabs=1e-13, limit=200)
-        assert profile.energy(3.0) == pytest.approx(ref, rel=1e-9)
-
-    def test_energy_non_decreasing_and_additive(self):
-        profile = PowerProfile(0.3, 0.3, 5.0, 0.5, 4.0)
-        ts = np.linspace(0.0, 2.0, 50)
-        energies = [profile.energy(t) for t in ts]
-        assert np.all(np.diff(energies) >= -1e-15)
-        mid = 0.77
-        rest, _ = quad(profile.power_at, mid, 1.9, epsabs=1e-14, epsrel=1e-14)
-        assert profile.energy(mid) + rest == pytest.approx(profile.energy(1.9),
-                                                           rel=1e-13)
-
-    def test_exponential_energy_at_small_rates(self):
-        # the burst integral (1 - exp(-rate t)) / rate loses digits to
-        # cancellation unless written with expm1
-        mpmath = pytest.importorskip("mpmath")
-        for rate in (1e-9, 1e-5, 1.0):
-            profile = PowerProfile(0.0, 0.0, 1.0, 0.0, rate)
-            for t in (0.5, 1.0, 1.7):
-                with mpmath.workdps(30):
-                    exact = float(-mpmath.expm1(-mpmath.mpf(rate) * t) / rate)
-                assert profile.energy(t) == pytest.approx(exact, rel=4.5e-16,
-                                                          abs=0.0)
-
-    def test_large_rate_lurk_phase_does_not_overflow(self):
-        # exp(-mu * (t - attack_time)) overflows on lurk-phase times at large mu
-        profile = PowerProfile(0.46, 0.9, 5.0, 0.46, 1000.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            powers = [profile.power_at(t) for t in np.linspace(0.0, 1.0, 5).tolist()]
-            energy = profile.energy(1.0)
-        burst = 0.46 + 4.54 * math.exp(-1000.0 * (1.0 - 0.9))
-        assert powers == [0.46] * 4 + [burst]
-        assert energy == 0.46454
-
-    def test_scalar_path_bit_identical(self):
-        # the float kernels of the ODE right-hand sides are their laws' float
-        # expressions bit for bit, with each exp within one ulp of mpmath's;
-        # a NaN passes, and a clamp gives +0.0
-        mpmath = pytest.importorskip("mpmath")
-
-        exps = {}
-
-        def exp_within_ulp(k):
-            """exp(x) from mpmath, moved k ulps (k in -1, 0, 1), never below 0."""
-            def exp(x):
-                if x not in exps:
-                    with mpmath.workdps(40):
-                        e = float(mpmath.exp(x))
-                    exps[x] = (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))
-                return exps[x][k + 1]
-            return exp
-
-        def power_reference(profile, t, exp):
-            if t < profile.attack_time:
-                p = profile.p_lurk
-            elif profile.mu == 0.0:
-                p = profile.p_max
-            else:
-                p = profile.p_sustain + (profile.p_max - profile.p_sustain) * exp(
-                    -profile.mu * max(t - profile.attack_time, 0.0))
-            return 0.0 if p <= 0.0 else p
-
-        def drag_reference(depth, drag, exp):
-            if depth < 0.0:
-                return drag.cd_max
-            return drag.cd_min + (drag.cd_max - drag.cd_min) * exp(-drag.decay * depth)
-
-        def assert_law(got, law):
-            wants = [law(exp_within_ulp(k)) for k in (-1, 0, 1)]
-            if math.isnan(wants[1]):
-                assert math.isnan(got)
-            else:
-                assert struct.pack("<d", got) in {struct.pack("<d", w) for w in wants}
-
-        rng = np.random.default_rng(11)
-        levels = (0.0, -0.0, 0.46, -0.5, 4.0)
-        for p_lurk, attack_time, p_max, p_sustain, mu in itertools.product(
-                levels, (0.0, -0.0, -0.5, 0.4), levels, levels,
-                (0.0, 1e-9, 0.37, 25.0, 1e3, 1e5)):
-            profile = PowerProfile(p_lurk, attack_time, p_max, p_sustain, mu)
-            ts = [0.0, -0.0, math.nan, attack_time, attack_time + 1e-12,
-                  *rng.uniform(0.0, 3.0, 4).tolist()]
-            for t in ts:
-                law = lambda exp: power_reference(profile, t, exp)
-                assert_law(profile.power_at(t), law)
-                assert_law(profile.power_at(np.float64(t)), law)
-
-        depths = [0.0, -0.0, math.nan, -1e-300, 1e-300, -1e4, 1e4,
-                  *rng.uniform(-10.0, 60.0, 400).tolist()]
-        for _ in range(20):
-            cd_min, cd_max = sorted(rng.uniform(0.01, 2.0, 2).tolist())
-            drag = DragParams(cd_max, cd_min, float(rng.uniform(0.01, 3.0)))
-            cd_avg = float(rng.uniform(0.2, 1.5))
-            for d in depths:
-                law = lambda exp: drag_reference(d, drag, exp)
-                assert_law(drag_at_depth(d, drag), law)
-                assert_law(drag_at_depth(np.float64(d), drag), law)
-                z = -d
-                law = lambda exp: drag_reference(-z, drag, exp) / cd_avg
-                assert_law(relative_drag_behind_front(z, drag, cd_avg), law)
-                assert_law(relative_drag_behind_front(np.float64(z), drag, cd_avg), law)
