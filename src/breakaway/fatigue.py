@@ -99,6 +99,8 @@ def p_max_from_budget(energy_budget: float, x_attack: float, t_finish: float,
     """
     if t_finish <= x_attack:
         raise ValueError("need t_finish > x_attack")
+    if mu < 0.0:
+        raise ValueError("mu must be non-negative")
     delta = t_finish - x_attack
     burst_energy = energy_budget - p_lurk * x_attack - p_sustain * delta
     if burst_energy < -1e-14 * max(1.0, energy_budget):

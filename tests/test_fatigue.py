@@ -79,6 +79,12 @@ class TestPowerSchedule:
             assert _speed_integral(delta, 4.0, 0.46, 0.0) == pytest.approx(
                 4.0 ** (1.0 / 3.0) * delta, rel=1e-15)
 
+    def test_validation(self):
+        # a negative rate would grow the burst without bound; the burst
+        # integral alone would read it as mu = 0
+        with pytest.raises(ValueError):
+            p_max_from_budget(1.2, 0.5, 0.9, 0.46, -1.0, 0.46)
+
 
 class TestTotalEnergy:
     def test_no_burst(self):

@@ -3,7 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from breakaway.fatigue import _burst_integral, p_max_from_budget
 from breakaway.microstructure import relative_drag_behind_front
 from breakaway.model import (
     CD_FRONT_CALIBRATED,
@@ -24,6 +26,24 @@ def drafting_drag(position, cd_avg=CD_AVG):
 def quasi_steady_speed(power, drag):
     """Flat-course quasi-steady speed: the root of drag v^3 = power."""
     return solve_cubic_real(drag, 0.0, -power)[-1]
+
+
+def profile_energy(t, p_lurk, attack_time, p_max, p_sustain=0.0, mu=0.0):
+    """Energy of the power profile by time t, from the fatigue budget's closed
+    form: p_lurk until attack_time, then p_sustain + (p_max - p_sustain)
+    exp(-mu s) at s after it; mu = 0 holds p_max."""
+    lurk = p_lurk * min(t, attack_time)
+    if t <= attack_time:
+        return lurk
+    delta = t - attack_time
+    return lurk + p_sustain * delta + (p_max - p_sustain) * _burst_integral(delta, mu)
+
+
+def profile_power(t, p_lurk, attack_time, p_max, p_sustain=0.0, mu=0.0):
+    """The profile's power at time t, written out."""
+    if t < attack_time:
+        return p_lurk
+    return p_sustain + (p_max - p_sustain) * math.exp(-mu * (t - attack_time))
 
 
 class TestDragLaw:
@@ -139,3 +159,42 @@ class TestQuasiSteadySpeed:
             base = quasi_steady_speed(pk, ck)
             assert quasi_steady_speed(pk * 1.1, ck) > base
             assert quasi_steady_speed(pk, ck * 1.1) < base
+
+
+class TestPowerProfile:
+    """The breakaway's power profile, a lurk and then the attack, as
+    fatigue's closed forms hold it; mu = 0 is a constant attack power."""
+
+    def test_unit_energy(self):
+        assert profile_energy(1.0, 1.0, 0.0, 1.0) == pytest.approx(1.0)
+        assert p_max_from_budget(1.0, 0.0, 1.0, 0.46, 0.0, 1.0) == pytest.approx(1.0)
+
+    def test_step_attack_energy(self):
+        assert profile_energy(1.0, 0.46, 0.5, 1.43) == pytest.approx(0.23 + 0.715,
+                                                                     rel=1e-14)
+        assert p_max_from_budget(0.23 + 0.715, 0.5, 1.0, 0.46, 0.0, 0.46) == \
+            pytest.approx(1.43, rel=1e-14)
+
+    def test_power_lookup(self):
+        # the power at t is the rate of spend just after t; the profile is
+        # linear on each side of the attack, so a forward difference is exact
+        # but for rounding
+        h = 1e-6
+
+        def power_at(t):
+            return (profile_energy(t + h, 0.46, 0.5, 1.43)
+                    - profile_energy(t, 0.46, 0.5, 1.43)) / h
+
+        assert power_at(0.2) == pytest.approx(0.46)
+        assert power_at(0.9) == pytest.approx(1.43)
+        ts = [0.0, 0.499, 0.5, 0.75]
+        assert [power_at(t) for t in ts] == pytest.approx([0.46, 0.46, 1.43, 1.43])
+
+    def test_fatigue_profile_matches_quadrature(self):
+        args = (0.46, 0.4, 4.0, 0.46, 2.5)
+        for t in (0.2, 0.4, 0.9, 1.7):
+            # split the reference at the power jump to keep quad accurate
+            ref = sum(quad(profile_power, a, b, args=args, epsabs=1e-13,
+                           epsrel=1e-13)[0]
+                      for a, b in ((0.0, min(t, 0.4)), (min(t, 0.4), t)))
+            assert profile_energy(t, *args) == pytest.approx(ref, rel=1e-10)
