@@ -21,8 +21,7 @@ _PUBLIC = {
     "flat": ("Branch", "StrategyProblem", "StrategyResult", "attack_power",
              "critical_risk", "earliest_attack_position", "interior_optimum",
              "min_attack_position", "min_energy_to_win", "min_risk_to_win",
-             "objective", "optimal_attack", "time_gap_from_position",
-             "time_gap_from_power"),
+             "objective", "optimal_attack", "time_gap_from_position"),
     "model": ("DragParams", "drag_at_depth"),
     "terrain": ("BreakawayRun", "CourseProfile", "Trajectory", "demo_profile",
                 "load_course_table", "simulate_breakaway"),

@@ -34,7 +34,6 @@ __all__ = [
     "earliest_attack_position",
     "min_attack_position",
     "attack_power",
-    "time_gap_from_power",
     "time_gap_from_position",
     "objective",
     "interior_optimum",
@@ -126,18 +125,6 @@ def attack_power(x_attack: float, problem: StrategyProblem) -> float:
     if num <= 0.0:
         raise InfeasibleAttackError("budget exhausted before the attack")
     return (num / (problem.cd_front ** (1.0 / 3.0) * (1.0 - x_attack))) ** 1.5
-
-
-def time_gap_from_power(power: float, problem: StrategyProblem) -> float:
-    """Finish-time gap over the peloton for a given attack power, clamped at 0."""
-    if power <= 0.0:
-        raise ValueError("power must be positive")
-    g = problem.cd_front ** (1.0 / 3.0) * power ** (2.0 / 3.0)
-    if g == problem.cd_lurk:
-        return 0.0
-    gap = ((problem.cd_lurk - problem.energy_budget) / (g - problem.cd_lurk)
-           * ((problem.cd_front / power) ** (1.0 / 3.0) - 1.0))
-    return max(gap, 0.0)
 
 
 def time_gap_from_position(x_attack: float, problem: StrategyProblem) -> float:

@@ -2,21 +2,18 @@
 
 A closed-form real-root solver for depressed cubics; Brent's bracketed
 root, a step-for-step port of SciPy's C brentq (so its roots are SciPy's bit
-for bit); adaptive Gauss-Kronrod G7-K15 quadrature; an evenly spaced float
-grid, np.linspace's bit for bit; and a grid-seeded scalar minimizer with a
-documented tie-break, refined by golden section or, given the derivative, by
-Brent on its root.  The error classes and SolverSettings here are shared
-with the ODE integrators in the ode module.  This module imports no numpy,
-so flat and fatigue, which need only these kernels, start without it.
+for bit); adaptive Gauss-Kronrod G7-K15 quadrature; and an evenly spaced
+float grid, np.linspace's bit for bit.  The error classes and
+SolverSettings here are shared with the ODE integrators in the ode module.
+This module imports no numpy, so flat and fatigue, which need only these
+kernels, start without it.
 
 Everything here is stateless and re-entrant.  What a result certifies is
-its tolerance, not its bits.  Brent roots, and the derivative path of
-minimize_scalar, are accurate to the settings' absolute tolerance; callers
-that print a root pass a rounding-level one (1e-15).  Value-only golden
-section places a smooth minimum only to about sqrt(machine eps).
-Quadrature results meet their abs/rel tolerances.  Transcendentals come
-from `math`, whose bits do not depend on the SIMD kernel numpy picks for
-the CPU at run time.
+its tolerance, not its bits.  Brent roots are accurate to the settings'
+absolute tolerance; callers that print a root pass a rounding-level one
+(1e-15).  Quadrature results meet their abs/rel tolerances.
+Transcendentals come from `math`, whose bits do not depend on the SIMD
+kernel numpy picks for the CPU at run time.
 """
 
 from __future__ import annotations
@@ -63,8 +60,6 @@ class SolverSettings:
 
 
 DEFAULT_SETTINGS = SolverSettings()
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def solve_cubic_real(a3: float, a1: float, a0: float) -> list[float]:
@@ -235,63 +230,3 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
         points = [k * step + lo for k in range(n)]
     points[-1] = hi
     return points
-
-
-def minimize_scalar(f, lo: float, hi: float,
-                    settings: SolverSettings = DEFAULT_SETTINGS,
-                    grid_points: int = 256, df=None):
-    """Minimize a scalar function on [lo, hi]: coarse grid, then refinement.
-
-    The grid picks the cell around its best point.  Without df, golden
-    section refines it, which locates a smooth minimum only to about
-    sqrt(machine eps) relative.  With the derivative df, a sign change
-    from negative to positive across the cell is solved by Brent's method
-    to the settings' absolute tolerance, and a grid end whose slope points
-    out of the interval is returned exactly; any other cell falls back to
-    golden section.  Tolerates a kink in f.  Ties resolve to the smallest
-    argument, so a constant function returns lo.  Returns (argmin, min).
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    xs = linspace(lo, hi, max(3, grid_points))
-    vals = [f(x) for x in xs]
-    # the first minimum, so the smallest argument; as np.argmin, a NaN wins
-    k = next((i for i, v in enumerate(vals) if math.isnan(v)), None)
-    if k is None:
-        k = vals.index(min(vals))
-    a = xs[max(0, k - 1)]
-    b = xs[min(len(xs) - 1, k + 1)]
-
-    if df is not None:
-        d_a, d_b = df(a), df(b)
-        if d_a < 0.0 < d_b:
-            # Brent starts by evaluating both ends: answer those from here
-            ends = {a: d_a, b: d_b}
-            x = find_root_bracketed(lambda u: ends.pop(u) if u in ends else df(u),
-                                    a, b, settings)
-            return x, float(f(x))
-        if (k == 0 and d_a >= 0.0) or (k == len(xs) - 1 and d_b <= 0.0):
-            return xs[k], float(vals[k])
-
-    # golden-section refinement inside the bracketing cell
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(settings.max_iterations):
-        if (b - a) <= max(settings.abs_tol, settings.rel_tol * (abs(a) + abs(b))):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    x_ref = x1 if f1 <= f2 else x2
-    f_ref = min(f1, f2)
-
-    # keep the grid winner on exact ties so flat objectives return lo
-    if f_ref < vals[k]:
-        return x_ref, float(f_ref)
-    return xs[k], float(vals[k])

@@ -18,7 +18,6 @@ from breakaway.flat import (
     objective,
     optimal_attack,
     time_gap_from_position,
-    time_gap_from_power,
 )
 
 PROBLEM = StrategyProblem(energy_budget=1.2, risk_index=0.8)
@@ -148,22 +147,15 @@ class TestTimeGap:
         assert abs(left) < 1e-6            # flat plateau on the left
         assert abs(right - left) > 1e-3    # derivative jump at the boundary
 
-    def test_gap_from_power_consistency(self):
-        for x in (0.3, 0.5, 0.8):
-            power = attack_power(x, PROBLEM)
-            assert time_gap_from_power(power, PROBLEM) == pytest.approx(
-                time_gap_from_position(x, PROBLEM), rel=1e-11)
-
     def test_gap_vanishes_at_minimum_power(self):
-        assert time_gap_from_power(1.43 * (1 + 1e-13), PROBLEM) == pytest.approx(
-            0.0, abs=1e-10)
-
-    def test_gap_clamped_for_weak_powers(self):
-        assert time_gap_from_power(1.0, PROBLEM) == 0.0
+        x = earliest_attack_position(1.43 * (1 + 1e-13), PROBLEM)
+        assert time_gap_from_position(x, PROBLEM) == pytest.approx(0.0, abs=1e-10)
 
     def test_interior_maximum_in_power(self):
+        # each power held from its earliest attack position spends the budget
         powers = np.linspace(1.44, 12.0, 400)
-        gaps = np.array([time_gap_from_power(p, PROBLEM) for p in powers])
+        gaps = np.array([time_gap_from_position(earliest_attack_position(p, PROBLEM),
+                                                PROBLEM) for p in powers])
         k = int(np.argmax(gaps))
         assert 0 < k < len(powers) - 1
         assert gaps[k] > gaps[0] and gaps[k] > gaps[-1]
@@ -243,10 +235,10 @@ class TestInteriorOptimum:
         assert interior_optimum(problem_with(risk_index=beta_star * 0.5)) is None
 
     def test_objective_value_matches_scalar_minimizer(self):
-        from breakaway.numerics import minimize_scalar
+        from scipy.optimize import minimize_scalar
         problem = problem_with(risk_index=1.0)
-        x_ref, _ = minimize_scalar(lambda x: objective(x, problem), 0.0, 1.0,
-                                   grid_points=512)
+        x_ref = minimize_scalar(lambda x: objective(x, problem), bounds=(0, 1),
+                                method="bounded", options={"xatol": 1e-12}).x
         assert interior_optimum(problem).attack_position == pytest.approx(
             x_ref, abs=1e-6)
 

@@ -18,7 +18,6 @@ from breakaway.numerics import (
     ToleranceError,
     find_root_bracketed,
     integrate_adaptive,
-    minimize_scalar,
     solve_cubic_real,
 )
 from breakaway.ode import ode_solve_with_events
@@ -500,57 +499,13 @@ class TestBdfMatchesScipy:
                                   jac=lambda t, y: -np.identity(3))
 
 
-class TestMinimizeScalar:
-    def test_parabola(self):
-        x, fx = minimize_scalar(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
-
-    def test_constant_ties_to_lo(self):
-        x, fx = minimize_scalar(lambda x: 2.5, 0.2, 0.9)
-        assert x == 0.2
-        assert fx == 2.5
-
-    def test_kinked_function(self):
-        x, _ = minimize_scalar(lambda x: abs(x - 0.4), 0.0, 1.0)
-        assert x == pytest.approx(0.4, abs=1e-8)
-
-    def test_derivative_refinement_reaches_rounding_level(self):
-        # value-only golden section stops near sqrt(eps); the root of the
-        # derivative does not
-        f = lambda x: math.cosh(x - 0.3) - 0.2 * x
-        df = lambda x: math.sinh(x - 0.3) - 0.2
-        exact = 0.3 + math.asinh(0.2)
-        settings = SolverSettings(abs_tol=1e-15)
-        x, fx = minimize_scalar(f, 0.0, 1.0, settings, df=df)
-        assert x == pytest.approx(exact, abs=1e-15)
-        assert fx == f(x)
-
-    def test_derivative_keeps_grid_ends_exact(self):
-        x, fx = minimize_scalar(lambda x: x * x, 0.25, 1.0, df=lambda x: 2.0 * x)
-        assert (x, fx) == (0.25, 0.0625)
-        x, _ = minimize_scalar(lambda x: -x, 0.0, 0.7, df=lambda x: -1.0)
-        assert x == 0.7
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            SolverSettings(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            minimize_scalar(lambda x: x, 1.0, 0.0)
-
-    def test_grid_points_are_floats(self):
-        seen = []
-        minimize_scalar(lambda x: seen.append(x) or (x - 0.3) ** 2, 0.0, 1.0)
-        assert {type(x) for x in seen} == {float}
-
-    def test_first_nan_wins_as_in_argmin(self):
-        # a smaller value comes first, but np.argmin picks the first NaN
-        f = lambda x: math.nan if x >= 0.5 else (x - 0.2) ** 2
-        xs = numerics.linspace(0.0, 1.0, 11)
-        assert int(np.argmin([f(x) for x in xs])) == 5
-        x, fx = minimize_scalar(f, 0.0, 1.0, grid_points=11)
-        assert x == xs[5] == 0.5
-        assert math.isnan(fx)
+def test_settings_validation():
+    with pytest.raises(ValueError):
+        SolverSettings(abs_tol=0.0)
+    with pytest.raises(ValueError):
+        SolverSettings(rel_tol=-1e-8)
+    with pytest.raises(ValueError):
+        SolverSettings(max_iterations=0)
 
 
 def _hex(values):
@@ -582,7 +537,6 @@ def test_kernels_are_bit_deterministic():
     second = [solve_cubic_real(*c) for c in coeffs]
     assert first == second
     f = lambda x: math.sin(3.0 * x) + 0.5 * x
-    assert minimize_scalar(f, 0.0, 2.0) == minimize_scalar(f, 0.0, 2.0)
     assert integrate_adaptive(f, 0.0, 2.0) == integrate_adaptive(f, 0.0, 2.0)
 
 
