@@ -20,36 +20,17 @@ all differing ops; exits 0 when no op differs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import os
-import runpy
 import subprocess
 import sys
 import tempfile
 from collections import Counter
 
+from ops import parse_seeds, plan, run_op, write_files
+
 HERE = os.path.dirname(os.path.abspath(__file__))
-
-
-def _seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def _plan(workloads: list[str], seeds: list[int], cli_seeds: list[int]):
-    """(ops as [label, argv], course files as {relative path: text})."""
-    generate = runpy.run_path(os.path.join(HERE, "..", "perfbench", "workloads.py"))["generate"]
-    ops, files = [], {}
-    for workload in workloads:
-        for seed in cli_seeds if workload == "cli" else seeds:
-            plan = generate(workload, seed)
-            files.update(plan["files"])
-            for op in [plan["warmup"]] + plan["ops"]:
-                ops.append([f"{workload}:{seed}:{op['id']}", op["argv"]])
-    return ops, files
 
 
 def _parts(code: str, out: str, err: str) -> dict[str, str]:
@@ -80,15 +61,9 @@ def _run_ops(src: str) -> None:
 
     results = []
     for label, argv in json.load(sys.stdin):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = repr(main(argv))
-            except (Exception, SystemExit) as exc:  # an escaped exception is an outcome too
-                code = f"raised {type(exc).__name__}: {exc}"
-        record = json.dumps([code, out.getvalue(), err.getvalue()])
-        results.append([label, hashlib.sha256(record.encode()).hexdigest(),
-                        _parts(code, out.getvalue(), err.getvalue())])
+        outcome = run_op(main, argv)
+        record = json.dumps(outcome)
+        results.append([label, hashlib.sha256(record.encode()).hexdigest(), _parts(*outcome)])
     json.dump(results, sys.stdout)
 
 
@@ -108,16 +83,13 @@ def main(argv: list[str]) -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", help="root of the checkout to compare against")
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("101-105"))
-    parser.add_argument("--cli-seeds", type=_seeds, default=_seeds("101-120"))
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("101-105"))
+    parser.add_argument("--cli-seeds", type=parse_seeds, default=parse_seeds("101-120"))
     parser.add_argument("--workloads", default="terrain,validate,strategy,cli")
     args = parser.parse_args(argv)
-    ops, files = _plan(args.workloads.split(","), args.seeds, args.cli_seeds)
+    ops, files = plan(args.workloads.split(","), args.seeds, args.cli_seeds)
     with tempfile.TemporaryDirectory() as workdir:
-        for path, text in files.items():
-            os.makedirs(os.path.join(workdir, os.path.dirname(path)), exist_ok=True)
-            with open(os.path.join(workdir, path), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        write_files(files, workdir)
         mine = _results(os.path.join(HERE, ".."), ops, workdir)
         theirs = _results(args.parent, ops, workdir)
     differ = [label for label, _ in ops if mine[label][0] != theirs[label][0]]

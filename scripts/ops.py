@@ -1,0 +1,57 @@
+"""The perfbench ops as the scripts in this directory run them.
+
+``parse_seeds`` reads a seed range, ``plan`` lists the ops of this checkout's
+``perfbench/workloads.py`` with the course files they read, ``write_files``
+writes those files under a working directory, and ``run_op`` runs one op
+through ``breakaway.cli.main`` with its output captured.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import runpy
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def parse_seeds(text: str) -> list[int]:
+    """The seeds of a range "LO-HI", or of one seed "LO"."""
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def plan(workloads: list[str] | None, seeds: list[int], cli_seeds: list[int] | None = None):
+    """(ops as [label, argv], course files as {relative path: text}) of the
+    workloads, all of them for None, each seed's warm-up op first; the
+    ``cli`` workload runs cli_seeds, seeds for None."""
+    module = runpy.run_path(os.path.join(HERE, "..", "perfbench", "workloads.py"))
+    ops, files = [], {}
+    for workload in module["WORKLOADS"] if workloads is None else workloads:
+        for seed in cli_seeds if workload == "cli" and cli_seeds is not None else seeds:
+            generated = module["generate"](workload, seed)
+            files.update(generated["files"])
+            for op in [generated["warmup"]] + generated["ops"]:
+                ops.append([f"{workload}:{seed}:{op['id']}", op["argv"]])
+    return ops, files
+
+
+def write_files(files: dict[str, str], workdir: str) -> None:
+    """Write the course files of a plan under workdir."""
+    for path, text in files.items():
+        os.makedirs(os.path.join(workdir, os.path.dirname(path)), exist_ok=True)
+        with open(os.path.join(workdir, path), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def run_op(main, argv: list[str]) -> tuple[str, str, str]:
+    """(exit code, stdout, stderr) of main(argv).  An escaped exception is an
+    outcome too: its code is "raised <type>: <message>"."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = repr(main(argv))
+        except (Exception, SystemExit) as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()

@@ -17,35 +17,17 @@ the compiler gives a line number) that no op ran, as ranges.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import os
-import runpy
 import sys
 import tempfile
 import trace
 from collections import Counter
 
+from ops import parse_seeds, plan, run_op, write_files
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.normpath(os.path.join(HERE, "..", "src"))
 PACKAGE = os.path.join(SRC, "breakaway")
-
-
-def _seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def _plan(seeds: list[int]):
-    """(ops as argv lists, course files as {relative path: text})."""
-    workloads = runpy.run_path(os.path.join(HERE, "..", "perfbench", "workloads.py"))
-    ops, files = [], {}
-    for workload in workloads["WORKLOADS"]:
-        for seed in seeds:
-            plan = workloads["generate"](workload, seed)
-            files.update(plan["files"])
-            ops += [op["argv"] for op in [plan["warmup"]] + plan["ops"]]
-    return ops, files
 
 
 def _executable_lines(path: str) -> set[int]:
@@ -75,30 +57,23 @@ def _run_ops(ops) -> Counter:
     from breakaway.cli import main
 
     codes = Counter()
-    for argv in ops:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            try:
-                codes[repr(main(argv))] += 1
-            except (Exception, SystemExit) as exc:  # an escaped exception is an outcome too
-                codes[f"raised {type(exc).__name__}"] += 1
+    for _, argv in ops:
+        code, _, _ = run_op(main, argv)
+        codes[code.partition(":")[0]] += 1  # an escaped exception by its type
     return codes
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("101-103"))
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("101-103"))
     args = parser.parse_args(argv)
-    ops, files = _plan(args.seeds)
+    ops, files = plan(None, args.seeds)
     # no ignoredirs: trace caches its ignore verdict by file basename, so
     # ignoring numpy's __init__.py would ignore breakaway's too
     tracer = trace.Trace(count=1, trace=0)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
-        for path, text in files.items():
-            os.makedirs(os.path.join(workdir, os.path.dirname(path)), exist_ok=True)
-            with open(os.path.join(workdir, path), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        write_files(files, workdir)
         os.chdir(workdir)
         try:
             codes = tracer.runfunc(_run_ops, ops)

@@ -149,10 +149,11 @@ def _attack_solve(x: float, energy_budget: float, p_sustain: float,
                   settings: SolverSettings = DEFAULT_SETTINGS):
     """Solve budget + arrival for the post-attack duration and peak power.
 
-    Returns (t_finish, p_max) or None when the budget cannot bring the
-    rider home from x.  Uniqueness: at fixed x, raising the peak power
-    shortens the ride but costs more energy per unit distance, so the spent
-    energy is monotone along the arrival constraint.
+    Returns (delta, p_max), delta the ride time after the attack, or None
+    when the budget cannot bring the rider home from x.  Uniqueness: at
+    fixed x, raising the peak power shortens the ride but costs more energy
+    per unit distance, so the spent energy is monotone along the arrival
+    constraint.
     """
     e_rem = energy_budget - p_lurk * x
     if e_rem <= 0.0 or p_sustain <= 0.0:
@@ -179,7 +180,7 @@ def _attack_solve(x: float, energy_budget: float, p_sustain: float,
         delta = find_root_bracketed(
             lambda d: ends.pop(d) if d in ends else surplus(d), lo, delta_max, settings)
     p_max = p_sustain + (e_rem - p_sustain * delta) / _burst_integral(delta, mu)
-    return x + delta, p_max
+    return delta, p_max
 
 
 def _feasibility_boundary(energy_budget: float, p_sustain: float,
@@ -256,7 +257,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         if solved is None and x == x_feas:
             # the closed-form boundary can land infeasible by rounding; there
             # riding steadily at p_s spends the budget exactly on arrival
-            return x + (budget - p_lurk * x) / p_s, p_s
+            return (budget - p_lurk * x) / p_s, p_s
         return solved
 
     def no_win() -> FatigueResult:
@@ -271,7 +272,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         # a finite sentinel marks an attack from which the budget cannot
         # bring the rider home
         solved = solve(x)
-        return -1.0 if solved is None else 1.0 - solved[0]
+        return -1.0 if solved is None else 1.0 - (x + solved[0])
 
     def lead_at_peloton_finish(x):
         # position at t = 1, less the line, when the budget runs out at t = 1;
@@ -283,8 +284,8 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         return x + distance / cd_front ** (1.0 / 3.0) - 1.0
 
     def exact_point(x):
-        t_finish, p_max = solve(x, exact)
-        return x, t_finish, p_max
+        delta, p_max = solve(x, exact)
+        return x, delta, p_max
 
     # earliest attack that at least matches the peloton (gap crosses zero)
     if time_gap_at(x_feas) >= 0.0:
@@ -293,18 +294,18 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         return no_win()
     else:
         x_zero = find_root_bracketed(lead_at_peloton_finish, x_feas, _X_CAP, exact)
-        boundary = (x_zero, 1.0, p_max_from_budget(budget, x_zero, 1.0, p_s,
-                                                   mu, p_lurk))
+        boundary = (x_zero, 1.0 - x_zero, p_max_from_budget(budget, x_zero, 1.0, p_s,
+                                                            mu, p_lurk))
 
     def value_of(point):
-        x, t_finish, _ = point
-        return -beta * max(1.0 - t_finish, 0.0) + (1.0 - beta) * exposure(x)
+        x, delta, _ = point
+        return -beta * max(1.0 - (x + delta), 0.0) + (1.0 - beta) * exposure(x)
 
     exposure_slope = exposure(1.0) - exposure(0.0)  # the exposure is linear
 
     def slope_at(x):
-        _, t_finish, p_max = exact_point(x)
-        return (beta * _finish_time_slope(x, t_finish, p_max, p_s, p_lurk,
+        _, delta, p_max = exact_point(x)
+        return (beta * _finish_time_slope(x, x + delta, p_max, p_s, p_lurk,
                                           mu, cd_front)
                 + (1.0 - beta) * exposure_slope)
 
@@ -324,12 +325,12 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         if value_of(interior) < value_of(boundary) - 1e-12:
             best = interior
 
-    x_best, t_finish, p_max = best
+    x_best, delta, p_max = best
+    t_finish = x_best + delta
     power = lambda s: p_s + (p_max - p_s) * math.exp(-mu * s)
-    spent, _ = integrate_adaptive(power, 0.0, t_finish - x_best, settings)
+    spent, _ = integrate_adaptive(power, 0.0, delta, settings)
     budget_res = abs(p_lurk * x_best + spent - budget)
-    arrival, _ = integrate_adaptive(lambda s: math.cbrt(power(s)), 0.0,
-                                    t_finish - x_best, settings)
+    arrival, _ = integrate_adaptive(lambda s: math.cbrt(power(s)), 0.0, delta, settings)
     arrival_res = abs(x_best + arrival / cd_front ** (1.0 / 3.0) - 1.0)
     converged = bool(budget_res < 1e-8 and arrival_res < 1e-8)
     return FatigueResult(

@@ -9,7 +9,9 @@ variable-order BDF (the NDF scheme of Shampine & Reichelt 1997) on the
 caller's analytic Jacobian, its 2x2 Newton systems in closed form.  Neither
 is SciPy float for float, and this module imports no numpy, so no bit
 follows numpy's CPU dispatch, a BLAS kernel or LAPACK.  Nothing here
-differentiates a function; events are rooted by numerics' Brent port.
+differentiates a function; events are rooted by numerics' Brent port.  A
+solve restarts at the known kinks of its right-hand side (Hairer, Norsett &
+Wanner, sec. II.6), one work budget and one dense solution across them.
 """
 
 from __future__ import annotations
@@ -108,12 +110,13 @@ def _norm(a, b, n):
 
 def _initial_step(fun, t0, y0, y1, f0, f1, t_bound, order, rtol, atol, n):
     """SciPy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4) for
-    a method whose local error goes as h**(order + 1)."""
+    a method whose local error goes as h**(order + 1); NaN when the
+    derivative overflows the error scale."""
     interval = t_bound - t0
     scale0, scale1 = atol + abs(y0) * rtol, atol + abs(y1) * rtol
     d0, d1 = _norm(y0 / scale0, y1 / scale1, n), _norm(f0 / scale0, f1 / scale1, n)
     if not math.isfinite(d1):
-        raise NumericsError("the derivative overflows the error scale at the start")
+        return math.nan
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     g0, g1 = fun(t0 + h0, y0 + h0 * f0, y1 + h0 * f1)
@@ -128,7 +131,8 @@ def _initial_step(fun, t0, y0, y1, f0, f1, t_bound, order, rtol, atol, n):
 def _rk45_steps(fun, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n):
     """SciPy 1.17's RK45 algorithm on the floats of states a and b: yields
     (t, ya, yb, row) per accepted step, row the step's start time and size,
-    then per state its start value and its row Q of the dense quartic."""
+    then per state its start value and its row Q of the dense quartic.
+    Returns when the step falls below ten ulps of t."""
     c1, c2, c3, c4 = _DP_C
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54) = _DP_A
@@ -140,7 +144,7 @@ def _rk45_steps(fun, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n):
         rejected = False
         while True:
             if h_abs < min_step:
-                raise StiffnessError(_TOO_SMALL_STEP)
+                return
             t_new = min(t + h_abs, t_bound)
             h_abs = h = t_new - t
             # kNa and kNb: stage N of states a and b, each at its state plus
@@ -239,7 +243,7 @@ def _bdf_steps(fun, jac, counts, t, y0, y1, f0, f1, h_abs, t_bound, rtol, atol, 
     """SciPy 1.17's BDF algorithm (variable-order NDF, quasi-constant step)
     on Python floats, on the Jacobian jac(t, y): yields (t, y0, y1, row) per
     accepted step, row the _bdf_at polynomial after the step's order and
-    size update."""
+    size update.  Returns when the step falls below ten ulps of t."""
     def jacobian(t, y0, y1):
         counts.njev += 1
         J = jac(t, [y0, y1][:n])
@@ -261,7 +265,7 @@ def _bdf_steps(fun, jac, counts, t, y0, y1, f0, f1, h_abs, t_bound, rtol, atol, 
         alpha, current_jac = _BDF_ALPHA[order], False
         while True:
             if h_abs < min_step:
-                raise StiffnessError(_TOO_SMALL_STEP)
+                return
             t_new = t + h_abs
             if t_new > t_bound:
                 t_new = t_bound
@@ -343,7 +347,8 @@ def _bdf_steps(fun, jac, counts, t, y0, y1, f0, f1, h_abs, t_bound, rtol, atol, 
 
 
 def ode_solve_with_events(rhs, y0, t_span, events=(),
-                          settings: SolverSettings = DEFAULT_SETTINGS, jac=None):
+                          settings: SolverSettings = DEFAULT_SETTINGS, jac=None,
+                          breaks=(), name="ODE"):
     """Adaptive ODE integration of one or two states (ValueError for more)
     with event localization, forward in time.
 
@@ -352,9 +357,12 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     implicit variable-order BDF for stiff runs, likewise SciPy's algorithm.
     An event is a tuple (i, level, direction): state i crosses level, rising
     for direction +1, falling for -1, either way for 0.  Events are
-    terminal: the first crossing ends the integration.  The step has no cap;
-    the result carries the dense solution .sol.  Raises StiffnessError when
-    the step falls below ten ulps of t, ToleranceError past _MAX_RHS_EVALS.
+    terminal: the first crossing ends the integration.  At each of the
+    breaks, the times where rhs may kink, the solve restarts as a fresh solve
+    from there would (BDF at order 1 on a fresh Jacobian).  The step has no
+    cap; the result carries the dense solution .sol.  Failures name the solve
+    and its method: StiffnessError when the step falls below ten ulps of t,
+    ToleranceError past _MAX_RHS_EVALS in the whole solve.
     """
     t0, t_bound = map(float, t_span)
     if not t_bound > t0:
@@ -363,48 +371,54 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     if not 1 <= n <= 2:
         raise ValueError("the ODE loops take one or two states")
     rtol, atol = max(settings.rel_tol, 100 * _EPS), settings.abs_tol
+    label = f"{name} {'RK45' if jac is None else 'BDF'}"
     counts = SimpleNamespace(nfev=0, njev=0, nlu=0)
 
     def fun(t, a, b):
         counts.nfev += 1
         if counts.nfev > _MAX_RHS_EVALS:
-            raise ToleranceError(f"ODE solve over its budget of {_MAX_RHS_EVALS} rhs evaluations")
+            raise ToleranceError(f"{label}: solve over its budget of {_MAX_RHS_EVALS} "
+                                 "rhs evaluations")
         f = rhs(t, [a, b][:n])
         return float(f[0]), float(f[1]) if n == 2 else 0.0
 
+    # the initial step's error order, RK45's 4 or BDF's 1, and the dense rows' width
+    order, width, at = (4, 12, _rk45_at) if jac is None else (1, 2 * _BDF_MAX_ORDER + 4, _bdf_at)
     t, (ya, yb) = t0, [float(v) for v in y0] + [0.0] * (2 - n)
-    fa, fb = fun(t, ya, yb)
-    # the initial step for RK45's error order 4 or BDF's 1, and the width
-    # of the dense rows
-    h_abs = _initial_step(fun, t, ya, yb, fa, fb, t_bound, 4 if jac is None else 1, rtol, atol, n)
-    if jac is None:
-        width, at = 12, _rk45_at
-        steps = _rk45_steps(fun, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n)
-    else:
-        width, at = 2 * _BDF_MAX_ORDER + 4, _bdf_at
-        steps = _bdf_steps(fun, jac, counts, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n)
     ts, ys, data = [t], ([ya], [yb]), array.array("d")
     g, event = [(ya, yb)[i] - level for i, level, _ in events], None
-    while event is None and t < t_bound:
-        t_old = t
-        t, ya, yb, row = next(steps)
-        data.extend(row)
-        g_new = [(ya, yb)[i] - level for i, level, _ in events]
-        active = [k for k, (a, b, (_, _, d)) in enumerate(zip(g, g_new, events))
-                  if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
-        if active:
-            # every event is terminal: keep the earliest root (a tie, the first)
-            roots = [find_root_bracketed(lambda s: at(row, s)[events[k][0]] - events[k][1],
-                                         t_old, t, _EVENT_SETTINGS) for k in active]
-            first = min(range(len(roots)), key=roots.__getitem__)
-            event, t = active[first], roots[first]
-            ya, yb = at(row, t)
-        g = g_new
-        if len(ts) > 1 and ts[-1] == t:
-            del data[-width:]
-        else:
-            ts.append(t)
-            ys[0].append(ya)
-            ys[1].append(yb)
+    for end in sorted({b for b in map(float, breaks) if t0 < b < t_bound}) + [t_bound]:
+        fa, fb = fun(t, ya, yb)
+        h_abs = _initial_step(fun, t, ya, yb, fa, fb, end, order, rtol, atol, n)
+        if math.isnan(h_abs):
+            raise NumericsError(f"{label}: the derivative overflows the error scale at t = {t!r}")
+        steps = (_rk45_steps(fun, t, ya, yb, fa, fb, h_abs, end, rtol, atol, n) if jac is None
+                 else _bdf_steps(fun, jac, counts, t, ya, yb, fa, fb, h_abs, end, rtol, atol, n))
+        while event is None and t < end:
+            t_old = t
+            step = next(steps, None)
+            if step is None:
+                raise StiffnessError(f"{label}: {_TOO_SMALL_STEP}")
+            t, ya, yb, row = step
+            data.extend(row)
+            g_new = [(ya, yb)[i] - level for i, level, _ in events]
+            active = [k for k, (a, b, (_, _, d)) in enumerate(zip(g, g_new, events))
+                      if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
+            if active:
+                # every event is terminal: keep the earliest root (a tie, the first)
+                roots = [find_root_bracketed(lambda s: at(row, s)[events[k][0]] - events[k][1],
+                                             t_old, t, _EVENT_SETTINGS) for k in active]
+                first = min(range(len(roots)), key=roots.__getitem__)
+                event, t = active[first], roots[first]
+                ya, yb = at(row, t)
+            g = g_new
+            if len(ts) > 1 and ts[-1] == t:
+                del data[-width:]
+            else:
+                ts.append(t)
+                ys[0].append(ya)
+                ys[1].append(yb)
+        if event is not None:
+            break
     return OdeResult(t=ts, y=list(ys[:n]), sol=_DenseSolution(ts, data, width, at, n),
                      event=event, nfev=counts.nfev, njev=counts.njev, nlu=counts.nlu)

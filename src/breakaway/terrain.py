@@ -4,10 +4,10 @@ The dimensionless equations of motion gain a gravity term gamma*sin(theta(x))
 on a graded course, where tan(theta) = h'(x) and gamma is the gravity-to-drag
 force ratio.  Every ride is one law in distance: it is marched in
 xi = x - x0 from its own start x0 to the finish, xi = 1 - x0, with tau, the
-time since the start, as a state.  Each interval between the course's knots,
-where h'' may jump, is one solve, so no step straddles a kink (Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.6), and the finish is the end of
-the last solve.  Two laws are provided:
+time since the start, as a state.  Each ride is one solve, restarted at the
+course's knots, where h'' may jump, so no step straddles a kink (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.6), and the finish is its end.
+Two laws are provided:
 
 * full second-order dynamics (inertia epsilon > 0): the state is (tau, v),
   dtau/dxi = 1/v and dv/dxi = v'/v, by implicit BDF on the ride's analytic
@@ -46,14 +46,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import ode
 from .config import CourseFileError
 from .numerics import (
     NumericsError,
     SolverSettings,
     StallError,
     StiffnessError,
-    ToleranceError,
     find_root_bracketed,
     integrate_adaptive,
     linspace,
@@ -370,22 +368,20 @@ def _stiffness(x0, p, cruise, cd_front, eps_mass):
 def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, who):
     """Ride from x0 at speed v0 and a constant power to x = 1.
 
-    The ride is marched in xi = x - x0 over [0, 1 - x0], one solve per
-    interval between the course's knots, the state carried from each to the
-    next.  The state is (tau, v), tau the time since the start; eps = 0 is
-    the quasi-steady limit, whose state is tau alone, its speed the cubic
-    root at x, v0 not used, and its march RK45 at _QUASI_STEADY_SETTINGS
-    whatever settings say.  A full-dynamics ride is BDF on its analytic
-    Jacobian in (tau, v) when its _stiffness exceeds STIFFNESS_LIMIT, RK45
-    otherwise.  Returns the ride time, the dense tau at 1 - x0; the dense
+    The ride is marched in xi = x - x0 over [0, 1 - x0], one solve restarted
+    at the course's knots.  The state is (tau, v), tau the time since the
+    start; eps = 0 is the quasi-steady limit, whose state is tau alone, its
+    speed the cubic root at x, v0 not used, and its march RK45 at
+    _QUASI_STEADY_SETTINGS whatever settings say.  A full-dynamics ride is
+    BDF on its analytic Jacobian in (tau, v) when its _stiffness exceeds
+    STIFFNESS_LIMIT, RK45 otherwise.  Returns the ride time, the dense tau at 1 - x0; the dense
     state, (tau, v) at a xi held in [0, 1 - x0]; and the accepted steps,
     their ends in xi and their speeds.
     On a full-dynamics ride, steps that collapse are a stall when its
     _stiffness bound is infinite, the quasi-steady speed stalling at a sample
     point: on the way to a speed the rider cannot hold, they raise
-    StallError.  Any other collapse raises StiffnessError, and an overrun of
-    the ODE work budget, by one solve or by the ride's solves together,
-    ToleranceError, naming who and the method.
+    StallError.  The solve's other failures, a collapse or an overrun of the
+    ODE work budget, name who and the method.
     """
     def cruise(x):
         # the largest root of the speed cubic: the only one uphill, and the
@@ -430,37 +426,20 @@ def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, wh
         # root is taken
         y0, events = [0.0, v0], ((1, _V_STALL, -1),)
 
-    method = "RK45" if jac is None else "BDF"  # name the rider and the integrator
-    cuts = sorted({0.0, 1.0 - x0, *(k - x0 for k in profile.knots if k > x0)})
-    segments, spent = [], 0
-    for a, b in zip(cuts, cuts[1:]):
-        try:
-            sol = ode_solve_with_events(rhs, y0, (a, b), events=events,
-                                        settings=settings, jac=jac)
-        except StiffnessError as exc:
-            if bound == math.inf:
-                raise StallError(f"{who} stalled before the finish line") from exc
-            raise StiffnessError(f"{who} {method} step fell below ten ulps of x - x0") from exc
-        except ToleranceError as exc:
-            raise ToleranceError(f"{who} {method} {exc}") from exc
-        if sol.event is not None:
-            raise StallError(f"{who} stalled before the finish line")
-        spent += sol.nfev
-        if spent > ode._MAX_RHS_EVALS:  # the budget is the ride's, whatever its knots
-            raise ToleranceError(f"{who} {method} ride over the ODE budget of "
-                                 f"{ode._MAX_RHS_EVALS} rhs evaluations")
-        segments.append(sol)
-        y0 = [y[-1] for y in sol.y]
-    ends = [sol.t[-1] for sol in segments]
+    try:
+        sol = ode_solve_with_events(rhs, y0, (0.0, 1.0 - x0), events=events, settings=settings,
+                                    jac=jac, breaks=[k - x0 for k in profile.knots], name=who)
+    except StiffnessError as exc:
+        if bound == math.inf:
+            raise StallError(f"{who} stalled before the finish line") from exc
+        raise
+    if sol.event is not None:
+        raise StallError(f"{who} stalled before the finish line")
 
     def state(xi):
-        # a xi on a knot takes the earlier segment, as a time on a step end
-        dense = segments[min(bisect.bisect_left(ends, xi), len(ends) - 1)].sol
         if eps != 0.0:
-            return dense(xi)
-        xi = min(max(xi, 0.0), ends[-1])
-        return dense(xi)[0], speed(x0 + xi)
-    xis = [0.0] + [xi for sol in segments for xi in sol.t[1:]]
-    speeds = ([v0] + [v for sol in segments for v in sol.y[1][1:]] if eps != 0.0
-              else [speed(x0 + xi) for xi in xis])
-    return state(ends[-1])[0], state, (xis, speeds)
+            return sol.sol(xi)
+        xi = min(max(xi, 0.0), sol.t[-1])
+        return sol.sol(xi)[0], speed(x0 + xi)
+    speeds = sol.y[1] if eps != 0.0 else [speed(x0 + xi) for xi in sol.t]
+    return state(sol.t[-1])[0], state, (sol.t, speeds)

@@ -746,7 +746,7 @@ class TestMicrostructureCommand:
         monkeypatch.setattr("breakaway.ode._MAX_RHS_EVALS", 50_000)
         assert main(["microstructure", "--set", "micro.gamma_ratio=1e5"]) == 2
         assert capsys.readouterr().err == (
-            "numerical failure: passage ODE solve over its budget of 50000 rhs evaluations\n")
+            "numerical failure: passage RK45: solve over its budget of 50000 rhs evaluations\n")
 
     def test_front_start_has_empty_passage(self, capsys):
         # any power above the front drag 1.43 runs from the front

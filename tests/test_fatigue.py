@@ -234,35 +234,37 @@ class TestDerivatives:
     def test_finish_time_slope_matches_difference_quotient(self):
         tight = SolverSettings(abs_tol=1e-15)
         for x, budget, mu in ((0.4, 1.25, 1.0), (0.7, 1.2, 6.0), (0.6, 1.5, 0.0)):
-            t_f, p_max = _attack_solve(x, budget, 0.46, 0.46, mu, 1.43, tight)
+            delta, p_max = _attack_solve(x, budget, 0.46, 0.46, mu, 1.43, tight)
             h = 1e-6
-            t_hi, _ = _attack_solve(x + h, budget, 0.46, 0.46, mu, 1.43, tight)
-            t_lo, _ = _attack_solve(x - h, budget, 0.46, 0.46, mu, 1.43, tight)
-            slope = _finish_time_slope(x, t_f, p_max, 0.46, 0.46, mu, 1.43)
+            d_hi, _ = _attack_solve(x + h, budget, 0.46, 0.46, mu, 1.43, tight)
+            d_lo, _ = _attack_solve(x - h, budget, 0.46, 0.46, mu, 1.43, tight)
+            slope = _finish_time_slope(x, x + delta, p_max, 0.46, 0.46, mu, 1.43)
+            t_hi, t_lo = (x + h) + d_hi, (x - h) + d_lo
             assert slope == pytest.approx((t_hi - t_lo) / (2.0 * h), rel=1e-7)
 
 
 class TestFinishTime:
-    """The finish time of the schedule that spends a budget, via _attack_solve."""
+    """The ride time after the attack of the schedule that spends a budget,
+    via _attack_solve."""
 
     def test_marginal_attack_finishes_with_peloton(self):
         # riding the front at 1.43 from the start spends 1.43 in unit time
-        t_f, p_max = _attack_solve(0.0, 1.43, 1.43, 0.46, 0.0, 1.43)
-        assert t_f == pytest.approx(1.0, abs=1e-10)
+        delta, p_max = _attack_solve(0.0, 1.43, 1.43, 0.46, 0.0, 1.43)
+        assert delta == pytest.approx(1.0, abs=1e-10)
         assert p_max == pytest.approx(1.43, abs=1e-9)
 
     def test_constant_power_closed_form(self):
         # a constant 4.0 from x = 0.5 spends 4.0 per unit of the ride time
         ride = 0.5 * (1.43 / 4.0) ** (1.0 / 3.0)
-        t_f, p_max = _attack_solve(0.5, 0.46 * 0.5 + 4.0 * ride, 0.46, 0.46,
-                                   0.0, 1.43)
-        assert t_f == pytest.approx(0.5 + ride, abs=1e-10)
+        delta, p_max = _attack_solve(0.5, 0.46 * 0.5 + 4.0 * ride, 0.46, 0.46,
+                                     0.0, 1.43)
+        assert delta == pytest.approx(ride, abs=1e-10)
         assert p_max == pytest.approx(4.0, rel=1e-9)
 
     def test_monotone_in_peak_power(self):
         solved = [_attack_solve(0.5, budget, 0.46, 0.46, 1.0, 1.43)
                   for budget in (0.8, 1.2, 1.8)]
-        times = [t_f for t_f, _ in solved]
+        times = [delta for delta, _ in solved]
         peaks = [p_max for _, p_max in solved]
         assert peaks[0] < peaks[1] < peaks[2]
         assert times[0] > times[1] > times[2]
@@ -333,9 +335,9 @@ class TestOptimizeFatigue:
             for x in xs:
                 solved = _attack_solve(x, budget, 0.46, 0.46, mu, 1.43)
                 # an attack that loses to the peloton earns no credit
-                if solved is None or solved[0] > 1.0:
+                if solved is None or x + solved[0] > 1.0:
                     continue
-                value = -beta * (1.0 - solved[0]) + (1.0 - beta) * exposure_simple_attack(
+                value = -beta * (1.0 - (x + solved[0])) + (1.0 - beta) * exposure_simple_attack(
                     x, problem.position, problem.crash)
                 if value < best_val:
                     best_x, best_val = x, value
@@ -368,9 +370,9 @@ class TestOptimizeFatigue:
             if x_feas is None or x_feas >= _X_CAP:
                 continue
             at_feas, at_cap = solve(x_feas), solve(_X_CAP)
-            if at_feas is not None and at_feas[0] <= 1.0:
+            if at_feas is not None and x_feas + at_feas[0] <= 1.0:
                 x_zero = x_feas
-            elif at_cap is None or at_cap[0] > 1.0:
+            elif at_cap is None or _X_CAP + at_cap[0] > 1.0:
                 continue  # no attack wins
             else:
                 def lead(x):  # position at t = 1 less the line, budget spent at t = 1
@@ -381,8 +383,8 @@ class TestOptimizeFatigue:
                               - exposure_simple_attack(0.0, problem.position, problem.crash))
             slopes = []
             for x in np.linspace(x_zero, _X_CAP, 64).tolist():
-                t_finish, p_max = solve(x)
-                slopes.append(beta * _finish_time_slope(x, t_finish, p_max, p_s, cd_lurk,
+                delta, p_max = solve(x)
+                slopes.append(beta * _finish_time_slope(x, x + delta, p_max, p_s, cd_lurk,
                                                         mu, cd_front)
                               + (1.0 - beta) * exposure_slope)
             assert np.all(np.diff(slopes) >= 0.0), (problem, mu, p_s)
@@ -399,9 +401,9 @@ class TestOptimizeFatigue:
                                                  problem.crash)
         assert result.objective == pytest.approx(expected, rel=1e-9)
         # attacking even earlier cannot reach the line ahead of the pack
-        earlier = _attack_solve(result.attack_position - 0.05, 1.2, 0.46,
-                                0.46, 2.0, 1.43)
-        assert earlier is None or 1.0 - earlier[0] < 0.0
+        x_early = result.attack_position - 0.05
+        earlier = _attack_solve(x_early, 1.2, 0.46, 0.46, 2.0, 1.43)
+        assert earlier is None or 1.0 - (x_early + earlier[0]) < 0.0
 
     def test_zero_gap_boundary_is_exact(self):
         # the boundary optimum matches the peloton by construction
@@ -420,6 +422,9 @@ class TestOptimizeFatigue:
         result = optimize_fatigue(problem_with(risk_index=1.0), mu=1.0)
         assert result.attack_position == _X_CAP
         assert result.time_gap > 0.0
+        # the residuals integrate over the ride time after the attack itself,
+        # not over t_finish - x, which keeps few digits of a 1.4e-9 ride
+        assert result.converged
 
     def test_iterations_stay_bounded(self):
         result = optimize_fatigue(problem_with(energy_budget=1.25, risk_index=0.5),

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -268,30 +269,43 @@ WORK_BOUNDS = {"RK45": {"nfev": 0.03, "steps": 0.03, "njev": 0.0, "nlu": 0.0},
 
 
 def assert_solve_agrees(result, rhs, y0, t_span, events=(), settings=DEFAULT_SETTINGS,
-                        jac=None):
+                        jac=None, breaks=()):
     """result, the own loop's solve, against solve_ivp's run of the same
-    method (RK45 without jac, BDF with it) and its Radau at rtol 1e-13: the
-    same terminal event, or none, the end or event time t[-1] to rel 1e-9, the
-    work within WORK_BOUNDS, and the dense solution through every step end
-    and held beyond the first and the last."""
+    method (RK45 without jac, BDF with it) and its Radau at rtol 1e-13, one
+    interval between breaks at a time, from result's state at its start:
+    the same terminal event, or none, the end or event time to rel 1e-9,
+    each interval's steps and the summed work within WORK_BOUNDS, and the
+    dense solution through every step end and held beyond the first and the
+    last."""
     method = "RK45" if jac is None else "BDF"
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     given = {} if jac is None else {"jac": jac}
-    same = integrate.solve_ivp(rhs, t_span, y0, method=method, rtol=settings.rel_tol,
-                               atol=settings.abs_tol, events=terminal_events(events), **given)
-    radau = integrate.solve_ivp(rhs, t_span, y0, method="Radau", rtol=1e-13,
-                                atol=settings.abs_tol, events=terminal_events(events), **given)
     t, y = np.asarray(result.t), np.asarray(result.y)
-    for ref in (same, radau):
-        assert ref.status >= 0
-        fired = [k for k, te in enumerate(ref.t_events or ()) if te.size]
-        assert fired == ([] if result.event is None else [result.event])
-        assert t[-1] == pytest.approx(ref.t[-1], rel=1e-9, abs=0.0)
-    counts = {"nfev": (result.nfev, same.nfev), "steps": (t.size, same.t.size),
-              "njev": (result.njev, same.njev), "nlu": (result.nlu, same.nlu)}
-    for name, (mine, theirs) in counts.items():
-        bound = max(WORK_BOUNDS[method][name] * theirs, 2)
-        assert abs(mine - theirs) <= bound, (name, mine, theirs)
+    cuts = sorted({float(b) for b in breaks if t_span[0] < b < t_span[1]})
+    intervals = [(a, b) for a, b in zip([t_span[0], *cuts], [*cuts, t_span[1]])
+                 if a == t_span[0] or a < t[-1]]
+    theirs = dict.fromkeys(("nfev", "njev", "nlu"), 0)
+    for k, (a, b) in enumerate(intervals):
+        last = k == len(intervals) - 1
+        start = np.asarray(y0, dtype=float) if k == 0 else y[:, np.flatnonzero(t == a)[0]]
+        refs = [integrate.solve_ivp(rhs, (a, b), start, method=m, rtol=rtol,
+                                    atol=settings.abs_tol, events=terminal_events(events),
+                                    **given)
+                for m, rtol in ((method, settings.rel_tol), ("Radau", 1e-13))]
+        end = t[-1] if last else b
+        for ref in refs:
+            assert ref.status >= 0
+            fired = [i for i, te in enumerate(ref.t_events or ()) if te.size]
+            assert fired == ([] if result.event is None or not last else [result.event])
+            assert end == pytest.approx(ref.t[-1], rel=1e-9, abs=0.0)
+        same = refs[0]
+        steps = np.count_nonzero((t >= a) & (t <= end))
+        assert abs(steps - same.t.size) <= max(WORK_BOUNDS[method]["steps"] * same.t.size, 2), \
+            ("steps", a, steps, same.t.size)
+        for name in theirs:
+            theirs[name] += getattr(same, name)
+    for name, work in theirs.items():
+        mine = getattr(result, name)
+        assert abs(mine - work) <= max(WORK_BOUNDS[method][name] * work, 2), (name, mine, work)
     # the dense solution passes through every step end, on a list of times
     # and one time at a time.  It meets a step end only to rounding: a step
     # end takes its own step's polynomial, BDF's of rescaled differences, on
@@ -322,7 +336,7 @@ def assert_jacobian_matches_rhs(jac, rhs, t, y):
 
 def replay(monkeypatch, module, run, expected=()):
     """Run, then check every solve it made against solve_ivp by
-    assert_solve_agrees; returns their methods.
+    assert_solve_agrees; returns their methods and names.
 
     Each BDF solve's jac is also checked against its rhs at y0 and at the
     last step's state, which the replay cannot do: SciPy gets the same jac.
@@ -331,9 +345,10 @@ def replay(monkeypatch, module, run, expected=()):
     calls = []
     original = module.ode_solve_with_events
 
-    def record(rhs, y0, t_span, events=(), settings=DEFAULT_SETTINGS, jac=None):
-        result = original(rhs, y0, t_span, events, settings, jac)
-        calls.append((result, rhs, y0, t_span, events, settings, jac))
+    def record(rhs, y0, t_span, events=(), settings=DEFAULT_SETTINGS, jac=None, breaks=(),
+               name="ODE"):
+        result = original(rhs, y0, t_span, events, settings, jac, breaks, name)
+        calls.append((name, result, rhs, y0, t_span, events, settings, jac, breaks))
         return result
     monkeypatch.setattr(module, "ode_solve_with_events", record)
     if expected:
@@ -341,13 +356,14 @@ def replay(monkeypatch, module, run, expected=()):
             run()
     else:
         run()
-    for result, *problem in calls:
-        assert_solve_agrees(result, *problem)
-        rhs, jac = problem[0], problem[-1]
+    methods = []
+    for name, result, rhs, *problem, jac, breaks in calls:
+        assert_solve_agrees(result, rhs, *problem, jac, breaks)
         if jac is not None:
             for k in (0, -1):
                 assert_jacobian_matches_rhs(jac, rhs, result.t[k], np.asarray(result.y)[:, k])
-    return ["rk45" if problem[-1] is None else "bdf" for problem in calls]
+        methods.append(f"{name} {'rk45' if jac is None else 'bdf'}")
+    return methods
 
 
 def seeded_course(seed):
@@ -367,10 +383,11 @@ class TestRk45MatchesScipy:
             for inertia in (0.02, 0.0):   # full dynamics, then quasi-steady
                 terrain.simulate_breakaway(x_attack, power, course, inertia=inertia,
                                            gravity_ratio=40.0)
-        # one solve per knot interval: the course has 7 knots, 5 of them
-        # after the attack.  The full-dynamics peloton bounds |dv'/dv| / v at
-        # 52,268 on this course
-        assert replay(monkeypatch, terrain, run) == ["bdf"] * 8 + ["rk45"] * (6 + 8 + 6)
+        # one solve per ride, each interval between the course's 7 knots (5
+        # of them after the attack) replayed.  The full-dynamics peloton
+        # bounds |dv'/dv| / v at 52,268 on this course
+        assert replay(monkeypatch, terrain, run) == ["peloton bdf", "rider rk45",
+                                                     "peloton rk45", "rider rk45"]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_microstructure_solves(self, monkeypatch, seed):
@@ -379,9 +396,10 @@ class TestRk45MatchesScipy:
         onset = lambda: microstructure.attack_onset(
             rng.uniform(1e-3, 1e-2), rng.uniform(3.0, 12.0), rng.uniform(3.5, 5.0),
             drag, 1.0, gamma_ratio=rng.uniform(1.0, 8.0), n_samples=65)
-        # the passage layer twice (leading order, finite inertia), the full
-        # attack and the relaxation
-        assert replay(monkeypatch, microstructure, onset) == ["rk45"] * 4
+        # the leading-order passage layer, the full attack, the finite-inertia
+        # passage layer and the relaxation
+        assert replay(monkeypatch, microstructure, onset) == [
+            "passage rk45", "full rk45", "passage rk45", "relaxation rk45"]
 
     def test_stiffness_error_text(self):
         exploding = lambda t, y: [y[0] ** 3 * 1e8]
@@ -389,7 +407,7 @@ class TestRk45MatchesScipy:
         assert ref.status == -1
         with pytest.raises(StiffnessError) as info:
             ode_solve_with_events(exploding, [1.0], (0.0, 10.0))
-        assert str(info.value) == ref.message
+        assert str(info.value) == f"ODE RK45: {ref.message}"
 
     def test_rk45_takes_at_most_two_states(self):
         rhs = lambda t, y: [-y[0], -y[1], -y[2]]
@@ -405,15 +423,16 @@ class TestBdfMatchesScipy:
         # both rides are stiff enough for BDF: the peloton, then the rider
         run = lambda: terrain.simulate_breakaway(0.55, 3.4, terrain.demo_profile(),
                                                  inertia=inertia, gravity_ratio=40.0)
-        assert replay(monkeypatch, terrain, run) == ["bdf"] * 2
+        assert replay(monkeypatch, terrain, run) == ["peloton bdf", "rider bdf"]
 
     def test_table_ride(self, monkeypatch):
         rng, course = seeded_course(3)
         x_attack, power = rng.uniform(0.3, 0.7), rng.uniform(3.0, 4.0)
         run = lambda: terrain.simulate_breakaway(x_attack, power, course, inertia=5e-4,
                                                  gravity_ratio=40.0)
-        # one solve per knot interval: 7 knots, 4 of them after the attack
-        assert replay(monkeypatch, terrain, run) == ["bdf"] * (8 + 5)
+        # one solve per ride, each interval between the 7 knots (4 of them
+        # after the attack) replayed
+        assert replay(monkeypatch, terrain, run) == ["peloton bdf", "rider bdf"]
 
     @pytest.mark.parametrize("power, course, failure", [
         (0.0, terrain.CourseProfile.from_table([0.0, 1.0], [0.0, 0.05]), StallError),
@@ -423,7 +442,7 @@ class TestBdfMatchesScipy:
         # bound, so only the peloton's solve returns
         run = lambda: terrain.simulate_breakaway(0.5, power, course, inertia=5e-4,
                                                  gravity_ratio=40.0)
-        assert replay(monkeypatch, terrain, run, failure) == ["bdf"]
+        assert replay(monkeypatch, terrain, run, failure) == ["peloton bdf"]
 
     def test_stiff_decay(self):
         rhs = lambda t, y: [-1e6 * (y[0] - 1.0)]
@@ -442,7 +461,7 @@ class TestBdfMatchesScipy:
         assert ref.status == -1
         with pytest.raises(StiffnessError) as info:
             ode_solve_with_events(exploding, [1.0], (0.0, 10.0), jac=jac)
-        assert str(info.value) == ref.message
+        assert str(info.value) == f"ODE BDF: {ref.message}"
 
     def test_ndf_coefficients_are_scipys(self):
         # a wrong kappa still makes a convergent method, which the ride
@@ -497,6 +516,60 @@ class TestBdfMatchesScipy:
         with pytest.raises(ValueError, match="two states"):
             ode_solve_with_events(rhs, [1.0, 1.0, 1.0], (0.0, 1.0),
                                   jac=lambda t, y: -np.identity(3))
+
+
+class TestBreaks:
+    """A solve restarted at its breaks is the chained solves between them,
+    bit for bit."""
+
+    BREAKS = [1.5, 4.0, 7.25]
+
+    @staticmethod
+    def stiffness(t):
+        # the spring constant jumps at each break, so rhs kinks there
+        return 10.0 ** (1 + bisect.bisect_right(TestBreaks.BREAKS, t))
+
+    def rhs(self, t, y):
+        return [y[1], -self.stiffness(t) * (y[0] - 1.0) - 3.0 * y[1]]
+
+    def jac(self, t, y):
+        return [[0.0, 1.0], [-self.stiffness(t), -3.0]]
+
+    @pytest.mark.parametrize("stiff", [False, True])
+    def test_equals_the_chained_solves(self, stiff):
+        jac = self.jac if stiff else None
+        span = (0.0, 10.0)
+        chained, y0 = [], [0.0, 0.0]
+        for a, b in zip([span[0], *self.BREAKS], [*self.BREAKS, span[1]]):
+            chained.append(ode_solve_with_events(self.rhs, y0, (a, b), jac=jac))
+            y0 = [y[-1] for y in chained[-1].y]
+        sol = ode_solve_with_events(self.rhs, [0.0, 0.0], span, jac=jac, breaks=self.BREAKS)
+        assert sol.t == [chained[0].t[0]] + [t for part in chained for t in part.t[1:]]
+        for i in (0, 1):
+            assert sol.y[i] == [chained[0].y[i][0]] + [v for part in chained for v in part.y[i][1:]]
+        for name in ("nfev", "njev", "nlu"):
+            assert getattr(sol, name) == sum(getattr(part, name) for part in chained)
+        # a time on a break takes the earlier interval's last step
+        for part in chained:
+            a, b = part.t[0], part.t[-1]
+            for s in (a, b, *np.linspace(a, b, 7)[1:-1].tolist(), *part.t[1:-1]):
+                if s > a or a == span[0]:
+                    assert sol.sol(s) == part.sol(s), s
+        # breaks at or outside t_span, and repeats, change nothing
+        again = ode_solve_with_events(self.rhs, [0.0, 0.0], span, jac=jac,
+                                      breaks=[10.0, 7.25, -1.0, 0.0, 4.0, 12.0, 1.5, 4.0])
+        assert (again.t, again.y, again.nfev, again.njev, again.nlu) == (
+            sol.t, sol.y, sol.nfev, sol.njev, sol.nlu)
+
+    def test_one_budget_across_breaks(self, monkeypatch):
+        spent = ode_solve_with_events(self.rhs, [0.0, 0.0], (0.0, 10.0),
+                                      breaks=self.BREAKS).nfev
+        # each interval takes less than the whole solve's budget
+        monkeypatch.setattr(ode, "_MAX_RHS_EVALS", spent - 1)
+        with pytest.raises(ToleranceError,
+                           match=f"^spring RK45: solve over its budget of {spent - 1} rhs"):
+            ode_solve_with_events(self.rhs, [0.0, 0.0], (0.0, 10.0), breaks=self.BREAKS,
+                                  name="spring")
 
 
 def test_settings_validation():

@@ -445,23 +445,39 @@ class TestBreakaway:
         assert ride > 50.0   # about 0.5 / (p / cd)^(1/3)
         assert run.rider.finish_time - run.attack_time == pytest.approx(ride, rel=1e-8)
 
-    def test_stiffness_error_names_no_method_knob(self, monkeypatch):
-        # the re-raise names the rider and the integrator, not the kernel text
-        def fail(*args, **kwargs):
-            raise StiffnessError("step too small")
-        monkeypatch.setattr(terrain, "ode_solve_with_events", fail)
-        with pytest.raises(StiffnessError, match="^peloton RK45 step") as info:
-            simulate_breakaway(0.5, 3.6, FLAT)
+    def test_stiffness_error_names_no_method_knob(self):
+        # a collapsed solve names the ride and the integrator, not a knob
+        exploding = lambda t, y: [y[0] ** 3 * 1e8]
+        with pytest.raises(StiffnessError, match="^peloton RK45: Required step") as info:
+            terrain.ode_solve_with_events(exploding, [1.0], (0.0, 10.0), name="peloton")
         assert "method" not in str(info.value)
 
     def test_budget_is_the_rides(self, monkeypatch):
-        # 39 knots make 40 solves of about 700 rhs evaluations each: the
-        # solves together overrun a budget that none of them reaches
+        # the solve restarts at 39 knots: its 40 intervals of about 700 rhs
+        # evaluations each overrun together a budget that none reaches alone
         monkeypatch.setattr("breakaway.ode._MAX_RHS_EVALS", 2_000)
         xs = np.linspace(0.0, 1.0, 41)
         course = CourseProfile.from_table(xs, 0.004 * np.sin(2.0 * np.pi * xs))
-        with pytest.raises(ToleranceError, match="^peloton RK45 ride over the ODE budget of 2000"):
+        with pytest.raises(ToleranceError, match="^peloton RK45: solve over its budget of 2000 "):
             simulate_breakaway(0.5, 3.6, course)
+
+    @pytest.mark.parametrize("inertia", [5e-4, 0.005, QUASI_STEADY])
+    def test_one_solve_per_ride(self, inertia, monkeypatch):
+        # the peloton's and the rider's, each restarted at the knots ahead
+        calls = []
+        solve = terrain.ode_solve_with_events
+
+        def record(*args, **kwargs):
+            calls.append((kwargs["name"], sorted(k for k in kwargs["breaks"] if k > 0.0)))
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(terrain, "ode_solve_with_events", record)
+        xs = np.linspace(0.0, 1.0, 41)
+        course = CourseProfile.from_table(xs, 0.004 * np.sin(2.0 * np.pi * xs))
+        simulate_breakaway(0.45, 3.6, course, inertia=inertia)
+        knots = course.knots
+        assert len(knots) == 39
+        assert calls == [("peloton", list(knots)),
+                         ("rider", [k - 0.45 for k in knots if k > 0.45])]
 
     @pytest.mark.parametrize("inertia, method", [
         (5e-4, "bdf"),
