@@ -224,7 +224,7 @@ def _finish_time_slope(x: float, t_finish: float, p_max: float,
 
 def optimize_fatigue(problem: StrategyProblem, mu: float,
                      p_sustain: float | None = None,
-                     settings: SolverSettings = DEFAULT_SETTINGS) -> FatigueResult:
+                     settings: SolverSettings | None = None) -> FatigueResult:
     """Minimize the risk-weighted objective over the attack position.
 
     The search domain starts at the zero-gap boundary (the earliest attack
@@ -236,6 +236,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     """
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
+    settings = DEFAULT_SETTINGS if settings is None else settings  # read at the call
     p_lurk = problem.cd_lurk
     p_s = p_lurk if p_sustain is None else p_sustain
     if p_s <= 0.0:

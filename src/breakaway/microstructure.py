@@ -95,7 +95,7 @@ class AttackOnset:
 def peloton_passage(position: float, power: float, drag: DragParams,
                     cd_avg: float, mass_ratio: float = 1.0,
                     gamma_ratio: float = 1.0,
-                    settings: SolverSettings = LAYER_SETTINGS) -> PassageLayer:
+                    settings: SolverSettings | None = None) -> PassageLayer:
     """Integrate the leading-order passage layer until the front is reached.
 
     The rider starts from rest relative to the pack at depth position - 1
@@ -106,6 +106,7 @@ def peloton_passage(position: float, power: float, drag: DragParams,
     """
     if position < 1.0:
         raise ValueError("position must be >= 1")
+    settings = LAYER_SETTINGS if settings is None else settings  # read at the call
     zeta0 = -(position - 1.0)
     _start_surplus(zeta0, power, drag, cd_avg)
     if zeta0 == 0.0:
@@ -182,7 +183,7 @@ def attack_onset(eps: float, position: float, power: float,
                  drag: DragParams, cd_avg: float,
                  mass_ratio: float = 1.0, gamma_ratio: float = 1.0,
                  n_samples: int = 2001,
-                 settings: SolverSettings = LAYER_SETTINGS) -> AttackOnset:
+                 settings: SolverSettings | None = None) -> AttackOnset:
     """Full and composite speeds of one attack on one window and one grid.
 
     The full view integrates the equation of motion in the signed pack
@@ -194,6 +195,7 @@ def attack_onset(eps: float, position: float, power: float,
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    settings = LAYER_SETTINGS if settings is None else settings  # read at the call
     t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
                        gamma_ratio)
     grid = linspace(0.0, t_end, n_samples)

@@ -273,7 +273,7 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
                        inertia: float = 0.005, gravity_ratio: float = 40.0,
                        cd_front: float = 1.43, cd_lurk: float = 0.46,
                        mass_ratio: float = 1.0,
-                       settings: SolverSettings = SIM_SETTINGS) -> BreakawayRun:
+                       settings: SolverSettings | None = None) -> BreakawayRun:
     """Simulate a breakaway at course position x_attack.
 
     `attack` is the constant post-attack power, clamped at zero, or None to
@@ -290,6 +290,7 @@ def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
         raise ValueError("attack position must lie in [0, 1)")
     if not inertia >= 0.0:  # NaN fails too
         raise ValueError("inertia must be non-negative")
+    settings = SIM_SETTINGS if settings is None else settings  # read at the call
     # the peloton is the unit rider: power, drag and mass all 1; its xi is x
     t_p, peloton_state, steps = _ride(0.0, 1.0, 1.0, profile, gravity_ratio,
                                       1.0, 1.0, inertia, settings, "peloton")

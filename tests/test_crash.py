@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from breakaway import crash
 from breakaway.crash import (
     CrashModel,
     exposure_simple_attack,
@@ -201,3 +204,120 @@ class TestMonteCarloPinned:
     def test_exact_floats(self, model, position, x_attack, expected):
         assert monte_carlo_exposure(x_attack, position, 20_003, 2024,
                                     model) == expected
+
+
+def dense_reference(x_attack, position, trials, seed, model):
+    """The estimator with no crash skipped: every draw through the
+    probability and the Bernoulli test, one chunk after another."""
+    children = np.random.SeedSequence(seed).spawn(16)
+    base, extra = divmod(trials, 16)
+    sum_x = 0.0
+    sum_x2 = 0.0
+    for c, child in enumerate(children):
+        n = base + (1 if c < extra else 0)
+        if n == 0:
+            continue
+        rng = np.random.default_rng(child)
+        counts = rng.poisson(model.intensity, size=n)
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        x = rng.uniform(0.0, 1.0, size=total)
+        starts = rng.integers(1, model.n_riders + 1, size=total).astype(float)
+        p_inv = propagation_probability(np.where(x < x_attack, position, 1.0),
+                                       starts, model.omega)
+        hits = rng.uniform(0.0, 1.0, size=total) < p_inv
+        trial_idx = np.repeat(np.arange(n), counts)
+        per_trial = np.bincount(trial_idx[hits], minlength=n).astype(float)
+        sum_x += float(per_trial.sum())
+        sum_x2 += float((per_trial**2).sum())
+    mean = sum_x / trials
+    if trials > 1:
+        var = max(0.0, (sum_x2 - trials * mean**2) / (trials - 1))
+        return mean, math.sqrt(var / trials)
+    return mean, math.inf
+
+
+def _oracle_cases():
+    """Edge cases, then seeded random (model, position, x_attack, trials, seed)."""
+    cases = [
+        (MODEL, 1.0, 0.5, 20_003, 1),            # the front rider
+        (MODEL, 5.5, 0.5, 20_003, 2),            # a non-integer position
+        (MODEL, 75.0, 0.5, 5_000, 3),            # position at n_riders
+        (MODEL, 120.25, 0.3, 5_000, 4),          # behind the whole pack
+        (MODEL, math.inf, 0.3, 5_000, 5),
+        (CrashModel(n_riders=1), 1.0, 0.5, 5_000, 6),
+        (CrashModel(n_riders=1), 3.5, 0.5, 5_000, 7),
+        (MODEL, 5.0, 0.0, 5_000, 8),
+        (MODEL, 5.0, 1.0, 5_000, 9),
+        (CrashModel(intensity=0.0), 5.0, 0.5, 5_000, 10),
+        (CrashModel(intensity=0.01), 5.0, 0.5, 20, 11),  # most chunks draw no crash
+    ]
+    cases += [(MODEL, 5.0, 0.5, trials, 12 + trials) for trials in (1, 2, 7, 15, 16, 17, 33)]
+    rng = np.random.default_rng(30)
+    while len(cases) < 320:
+        n_riders = int(rng.choice([1, 2, 75, int(rng.integers(1, 200))]))
+        model = CrashModel(omega=float(rng.choice([0.5, rng.uniform(0.01, 3.0), 60.0])),
+                           intensity=float(rng.choice([0.0, 2.0, rng.uniform(0.0, 8.0)])),
+                           n_riders=n_riders)
+        position = float(rng.choice([1.0, 5.0, rng.uniform(1.0, 1.5 * n_riders + 1.0),
+                                     n_riders, n_riders + 0.5]))
+        x_attack = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+        trials = int(rng.choice([int(rng.integers(1, 16)), int(rng.integers(16, 4_000))]))
+        cases.append((model, position, x_attack, trials, int(rng.integers(0, 2**32))))
+    return cases
+
+
+class TestMonteCarloOracle:
+    """The estimator against its dense reference, bit for bit."""
+
+    def test_bitwise_equal_to_the_dense_reference(self):
+        cases = _oracle_cases()
+        assert len(cases) >= 300
+        for model, position, x_attack, trials, seed in cases:
+            got = monte_carlo_exposure(x_attack, position, trials, seed, model)
+            assert got == dense_reference(x_attack, position, trials, seed, model), (
+                model, position, x_attack, trials, seed)
+
+    def test_nan_position_rejected(self):
+        with pytest.raises(ValueError, match="position must be >= 1"):
+            monte_carlo_exposure(0.5, math.nan, 100, 0, MODEL)
+
+
+class TestMonteCarloThreads:
+    ARGS = (0.37, 9.5, 20_003, 2024, MODEL)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_same_result_on_any_worker_count(self, workers, monkeypatch):
+        # more threads than cores, switching often: a lost sum would show
+        expected = dense_reference(*self.ARGS)
+        monkeypatch.setattr(crash, "_MC_WORKERS", workers)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert monte_carlo_exposure(*self.ARGS) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        failure = MemoryError("chunk 1")
+        chunk = crash._chunk
+        hooked = []
+        failed_on = []
+
+        def failing(child, n, *args):
+            if child.spawn_key == (1,):  # an odd chunk: the helper thread's
+                failed_on.append(threading.current_thread())
+                raise failure
+            return chunk(child, n, *args)
+        monkeypatch.setattr(crash, "_chunk", failing)
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            monte_carlo_exposure(*self.ARGS)
+        assert info.value is failure
+        assert failed_on and failed_on[0] is not threading.current_thread()
+        assert hooked == []
+        assert threading.active_count() == before

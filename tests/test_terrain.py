@@ -479,6 +479,23 @@ class TestBreakaway:
         assert calls == [("peloton", list(knots)),
                          ("rider", [k - 0.45 for k in knots if k > 0.45])]
 
+    def test_settings_read_at_the_call(self, monkeypatch):
+        # tightening the module's SIM_SETTINGS tightens the next ride
+        evals = []
+        solve = terrain.ode_solve_with_events
+
+        def record(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            evals.append(sol.nfev)
+            return sol
+        monkeypatch.setattr(terrain, "ode_solve_with_events", record)
+        simulate_breakaway(0.45, 3.6, FLAT)
+        default = sum(evals)
+        evals.clear()
+        monkeypatch.setattr(terrain, "SIM_SETTINGS", SolverSettings(abs_tol=1e-14, rel_tol=1e-12))
+        simulate_breakaway(0.45, 3.6, FLAT)
+        assert sum(evals) > default
+
     @pytest.mark.parametrize("inertia, method", [
         (5e-4, "bdf"),
         (0.005, "rk45"),
