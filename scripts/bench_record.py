@@ -16,13 +16,19 @@ directories); its records are pooled.  For each label the file holds:
   per-call times;
 * the non-blank ``src/`` lines and the environment block of the runs.
 
-Records from different sources under one label are an error.
+Records from different sources under one label are an error.  Given the
+labels ``parent`` and ``change``, it also prints a comparison: per workload
+and gated metric both medians, change over parent and the metric's bound
+from BENCHMARK.json, then every traced seed-101 count (a per-layer metric of
+unit ``count``) that differs between the two: a change meant to do the
+parent's work shows it in one command.
 """
 
 from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import statistics
 import sys
@@ -67,12 +73,42 @@ def summarize(records: list[dict], gated: list[str]) -> dict:
             "workloads": workloads, "traced": traced}
 
 
+def compare(out: dict, benchmark: dict) -> list[str]:
+    """The comparison lines of labels "change" against "parent" in out."""
+    parent, change = out["labels"]["parent"], out["labels"]["change"]
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+    lines = [f"{'workload':<10}{'metric':<13}{'parent':>11}{'change':>11}{'ratio':>8}{'bound':>7}"]
+    for workload in sorted(parent["workloads"].keys() & change["workloads"].keys()):
+        before = parent["workloads"][workload]["median"]
+        after = change["workloads"][workload]["median"]
+        for name in out["gated_metrics"]:
+            ratio = after[name] / before[name] if before[name] else math.nan
+            lines.append(f"{workload:<10}{name:<13}{before[name]:>11.4g}{after[name]:>11.4g}"
+                         f"{ratio:>8.3f}{bounds[name]:>7g}")
+    counts = [metric["name"] for metric in benchmark["per_layer"] if metric["unit"] == "count"]
+    compared, differ = [], []
+    for workload in sorted(parent["traced"].keys() & change["traced"].keys()):
+        before = parent["traced"][workload].get("101")
+        after = change["traced"][workload].get("101")
+        if before is None or after is None:
+            continue
+        compared.append(workload)
+        for name in counts:
+            a, b = before["metrics"].get(name), after["metrics"].get(name)
+            if a != b:
+                differ.append(f"{workload} {name}: parent {a}, change {b}")
+    if not compared:
+        return lines + ["no traced seed-101 record under both labels"]
+    return lines + (differ or [f"every traced seed-101 count matches ({', '.join(compared)})"])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2 or not all("=" in arg for arg in argv[1:]):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
     with open("BENCHMARK.json", "r", encoding="utf-8") as fh:
-        gated = [metric["name"] for metric in json.load(fh)["end_to_end"]]
+        benchmark = json.load(fh)
+    gated = [metric["name"] for metric in benchmark["end_to_end"]]
     pooled: dict[str, list[dict]] = {}
     for arg in argv[1:]:
         label, directory = arg.split("=", 1)
@@ -83,6 +119,8 @@ def main(argv: list[str]) -> int:
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    if {"parent", "change"} <= out["labels"].keys():
+        print("\n".join(compare(out, benchmark)))
     return 0
 
 

@@ -114,9 +114,8 @@ def peloton_passage(position: float, power: float, drag: DragParams,
 
     scale = gamma_ratio * mass_ratio
 
-    def rhs(tau, y):
-        zeta, u = y
-        return [u, (power - relative_drag_behind_front(zeta, drag, cd_avg)) / scale]
+    def rhs(tau, zeta, u):
+        return u, (power - relative_drag_behind_front(zeta, drag, cd_avg)) / scale
 
     horizon = 20.0 * math.sqrt(2.0 * abs(zeta0) * scale / power) + 10.0
     # the front (zeta rises through 0), or a turn (zeta' falls through 0)
@@ -128,10 +127,10 @@ def peloton_passage(position: float, power: float, drag: DragParams,
     return PassageLayer(duration=sol.t[-1], exit_slope=sol.y[1][-1])
 
 
-def _time_grid(eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio):
+def _time_grid(eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio, settings):
     """Window covering the passage and the relaxation settle-down."""
     lead = peloton_passage(position, power, drag, cd_avg, mass_ratio,
-                           gamma_ratio)
+                           gamma_ratio, settings)
     passage = 4.0 * eps**1.5 * lead.duration
     v_eq = (power * cd_avg / drag.cd_max) ** (1.0 / 3.0)
     settle = 16.0 * eps * mass_ratio * v_eq**2 / power
@@ -155,11 +154,10 @@ def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
     v1 = 1.0 + math.sqrt(2.0 * gamma_ratio * eps * g0 * dz0 / mass_ratio)
     t1 = delta * math.sqrt(2.0 * mass_ratio * dz0 / (gamma_ratio * eps * g0))
 
-    def rhs(zeta, y):
-        t, v = y
+    def rhs(zeta, t, v):
         c = relative_drag_behind_front(zeta, drag, cd_avg)
         dt = delta / (v - 1.0)
-        return [dt, dt * (power / v - c * v * v) / (eps * mass_ratio)]
+        return dt, dt * (power / v - c * v * v) / (eps * mass_ratio)
 
     # a turn: the speed falls to the pack's
     sol = ode_solve_with_events(rhs, [t1, v1], (zeta0 + dz0, 0.0),
@@ -197,15 +195,13 @@ def attack_onset(eps: float, position: float, power: float,
         raise ValueError("eps must be positive")
     settings = LAYER_SETTINGS if settings is None else settings  # read at the call
     t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
-                       gamma_ratio)
+                       gamma_ratio, settings)
     grid = linspace(0.0, t_end, n_samples)
     delta = gamma_ratio * eps**2
 
-    def rhs(t, y):
-        zeta, v = y
+    def rhs(t, zeta, v):
         c = relative_drag_behind_front(zeta, drag, cd_avg)
-        return [(v - 1.0) / delta,
-                (power / v - c * v * v) / (eps * mass_ratio)]
+        return (v - 1.0) / delta, (power / v - c * v * v) / (eps * mass_ratio)
 
     full = ode_solve_with_events(rhs, [-(position - 1.0), 1.0], (0.0, t_end),
                                  events=((1, 1e-9, -1),), settings=settings, name="full")
@@ -218,9 +214,8 @@ def attack_onset(eps: float, position: float, power: float,
     cd_front = drag.cd_max / cd_avg
     tau_end = max((t_end - t_front) / eps, 1.0)
 
-    def relax_rhs(tau, y):
-        v = y[0]
-        return [(power / v - cd_front * v * v) / mass_ratio]
+    def relax_rhs(tau, v, _):
+        return (power / v - cd_front * v * v) / mass_ratio, 0.0
 
     relax = ode_solve_with_events(relax_rhs, [v_front], (0.0, tau_end), settings=settings,
                                   name="relaxation")

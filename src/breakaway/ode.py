@@ -1,10 +1,12 @@
 """ODE integration with terminal events: the package's own RK45 and BDF.
 
 Both run SciPy 1.17's algorithms on Python floats, for one or two states; a
-single state rides as the first of two, the second held at 0.  Without a
-Jacobian, Dormand-Prince 5(4) (Dormand & Prince 1980) with SciPy's step
-control (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-II.6) and
-Shampine's (1986) quartic dense output.  Stiff runs take SciPy's
+single state rides as the first of two, the second held at 0: the loops
+call rhs(t, a, b) on the states' floats for the pair of their rates, b and
+its rate 0.0 for one state.  Without a Jacobian, Dormand-Prince 5(4)
+(Dormand & Prince 1980) with SciPy's step control (Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.4-II.6) and Shampine's (1986) quartic
+dense output.  Stiff runs take SciPy's
 variable-order BDF (the NDF scheme of Shampine & Reichelt 1997) on the
 caller's analytic Jacobian, its 2x2 Newton systems in closed form.  Neither
 is SciPy float for float, and this module imports no numpy, so no bit
@@ -66,6 +68,17 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _MAX_RHS_EVALS = 1_000_000  # rhs evaluations per solve, so no stiff run goes unbounded
 
 
+class _Work(SimpleNamespace):
+    """A solve's label and its work, counted as OdeResult counts it."""
+
+    def spend(self, k):
+        """Count k rhs evaluations to be made; ToleranceError past _MAX_RHS_EVALS."""
+        if self.nfev + k > _MAX_RHS_EVALS:
+            raise ToleranceError(f"{self.label}: solve over its budget of {_MAX_RHS_EVALS} "
+                                 "rhs evaluations")
+        self.nfev += k
+
+
 class OdeResult(SimpleNamespace):
     """An integration, in lists of floats.
 
@@ -108,7 +121,7 @@ def _norm(a, b, n):
     return math.sqrt((a * a + b * b) / n)
 
 
-def _initial_step(fun, t0, y0, y1, f0, f1, t_bound, order, rtol, atol, n):
+def _initial_step(rhs, t0, y0, y1, f0, f1, t_bound, order, rtol, atol, n):
     """SciPy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4) for
     a method whose local error goes as h**(order + 1); NaN when the
     derivative overflows the error scale."""
@@ -119,7 +132,7 @@ def _initial_step(fun, t0, y0, y1, f0, f1, t_bound, order, rtol, atol, n):
         return math.nan
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    g0, g1 = fun(t0 + h0, y0 + h0 * f0, y1 + h0 * f1)
+    g0, g1 = rhs(t0 + h0, y0 + h0 * f0, y1 + h0 * f1)
     d2 = _norm((g0 - f0) / scale0, (g1 - f1) / scale1, n) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -128,16 +141,18 @@ def _initial_step(fun, t0, y0, y1, f0, f1, t_bound, order, rtol, atol, n):
     return min(100 * h0, h1, interval)
 
 
-def _rk45_steps(fun, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n):
+def _rk45_steps(rhs, work, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n):
     """SciPy 1.17's RK45 algorithm on the floats of states a and b: yields
     (t, ya, yb, row) per accepted step, row the step's start time and size,
-    then per state its start value and its row Q of the dense quartic.
-    Returns when the step falls below ten ulps of t."""
+    then per state its start value and its row Q of the dense quartic; each
+    attempt spends six rhs evaluations.  Returns at a step under ten ulps."""
     c1, c2, c3, c4 = _DP_C
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54) = _DP_A
     b0, b2, b3, b4, b5 = _DP_B
     e0, e2, e3, e4, e5, e6 = _DP_E
+    (p10, p12, p13, p14, p15, p16), (p20, p22, p23, p24, p25, p26), \
+        (p30, p32, p33, p34, p35, p36) = _DP_P
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -147,37 +162,40 @@ def _rk45_steps(fun, t, ya, yb, fa, fb, h_abs, t_bound, rtol, atol, n):
                 return
             t_new = min(t + h_abs, t_bound)
             h_abs = h = t_new - t
+            work.spend(6)
             # kNa and kNb: stage N of states a and b, each at its state plus
             # h times the weighted sum of its earlier stages
-            k1a, k1b = fun(t + c1 * h, ya + fa * a10 * h, yb + fb * a10 * h)
-            k2a, k2b = fun(t + c2 * h, ya + (fa * a20 + k1a * a21) * h,
+            k1a, k1b = rhs(t + c1 * h, ya + fa * a10 * h, yb + fb * a10 * h)
+            k2a, k2b = rhs(t + c2 * h, ya + (fa * a20 + k1a * a21) * h,
                            yb + (fb * a20 + k1b * a21) * h)
-            k3a, k3b = fun(t + c3 * h, ya + (fa * a30 + k1a * a31 + k2a * a32) * h,
+            k3a, k3b = rhs(t + c3 * h, ya + (fa * a30 + k1a * a31 + k2a * a32) * h,
                            yb + (fb * a30 + k1b * a31 + k2b * a32) * h)
-            k4a, k4b = fun(t + c4 * h,
+            k4a, k4b = rhs(t + c4 * h,
                            ya + (fa * a40 + k1a * a41 + k2a * a42 + k3a * a43) * h,
                            yb + (fb * a40 + k1b * a41 + k2b * a42 + k3b * a43) * h)
-            k5a, k5b = fun(t + h,
+            k5a, k5b = rhs(t + h,
                            ya + (fa * a50 + k1a * a51 + k2a * a52 + k3a * a53 + k4a * a54) * h,
                            yb + (fb * a50 + k1b * a51 + k2b * a52 + k3b * a53 + k4b * a54) * h)
             za = ya + h * (fa * b0 + k2a * b2 + k3a * b3 + k4a * b4 + k5a * b5)
             zb = yb + h * (fb * b0 + k2b * b2 + k3b * b3 + k4b * b4 + k5b * b5)
-            ga, gb = fun(t + h, za, zb)
-            error_norm = _norm(
-                (fa * e0 + k2a * e2 + k3a * e3 + k4a * e4 + k5a * e5 + ga * e6) * h
-                / (atol + max(abs(ya), abs(za)) * rtol),
-                (fb * e0 + k2b * e2 + k3b * e3 + k4b * e4 + k5b * e5 + gb * e6) * h
-                / (atol + max(abs(yb), abs(zb)) * rtol), n)
+            ga, gb = rhs(t + h, za, zb)
+            ea = ((fa * e0 + k2a * e2 + k3a * e3 + k4a * e4 + k5a * e5 + ga * e6) * h
+                  / (atol + max(abs(ya), abs(za)) * rtol))
+            eb = ((fb * e0 + k2b * e2 + k3b * e3 + k4b * e4 + k5b * e5 + gb * e6) * h
+                  / (atol + max(abs(yb), abs(zb)) * rtol))
+            error_norm = math.sqrt((ea * ea + eb * eb) / n)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
             rejected = True
-        row = (t, h, ya, fa, *[fa * p0 + k2a * p2 + k3a * p3 + k4a * p4 + k5a * p5 + ga * p6
-                               for p0, p2, p3, p4, p5, p6 in _DP_P],
-               yb, fb, *[fb * p0 + k2b * p2 + k3b * p3 + k4b * p4 + k5b * p5 + gb * p6
-                         for p0, p2, p3, p4, p5, p6 in _DP_P])
+        row = (t, h, ya, fa, fa * p10 + k2a * p12 + k3a * p13 + k4a * p14 + k5a * p15 + ga * p16,
+               fa * p20 + k2a * p22 + k3a * p23 + k4a * p24 + k5a * p25 + ga * p26,
+               fa * p30 + k2a * p32 + k3a * p33 + k4a * p34 + k5a * p35 + ga * p36,
+               yb, fb, fb * p10 + k2b * p12 + k3b * p13 + k4b * p14 + k5b * p15 + gb * p16,
+               fb * p20 + k2b * p22 + k3b * p23 + k4b * p24 + k5b * p25 + gb * p26,
+               fb * p30 + k2b * p32 + k3b * p33 + k4b * p34 + k5b * p35 + gb * p36)
         t, ya, yb, fa, fb = t_new, za, zb, ga, gb
         yield t, ya, yb, row
 
@@ -239,17 +257,17 @@ def _newton_solver(c, J):
     return solve
 
 
-def _bdf_steps(fun, jac, counts, t, y0, y1, f0, f1, h_abs, t_bound, rtol, atol, n):
+def _bdf_steps(rhs, jac, work, t, y0, y1, f0, f1, h_abs, t_bound, rtol, atol, n):
     """SciPy 1.17's BDF algorithm (variable-order NDF, quasi-constant step)
-    on Python floats, on the Jacobian jac(t, y): yields (t, y0, y1, row) per
-    accepted step, row the _bdf_at polynomial after the step's order and
-    size update.  Returns when the step falls below ten ulps of t."""
+    on Python floats and jac: yields (t, y0, y1, row) per accepted step, row
+    the _bdf_at polynomial after the step's order and size update; a Newton
+    iteration spends one rhs evaluation.  Returns at a step under ten ulps."""
     def jacobian(t, y0, y1):
-        counts.njev += 1
-        J = jac(t, [y0, y1][:n])
+        work.njev += 1
+        J = jac(t, y0, y1)
         return [float(J[i][j]) if i < n and j < n else 0.0 for i in (0, 1) for j in (0, 1)]
 
-    def norm(a, b, weight=1.0):  # the RMS norm of (a, b) weight / scale
+    def norm(a, b, weight):  # the RMS norm of (a, b) weight / scale
         return _norm(weight * a / scale0, weight * b / scale1, n)
 
     newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
@@ -281,17 +299,19 @@ def _bdf_steps(fun, jac, counts, t, y0, y1, f0, f1, h_abs, t_bound, rtol, atol, 
             scale0, scale1 = atol + rtol * abs(p0), atol + rtol * abs(p1)
             while True:
                 if solve is None:
-                    counts.nlu += 1
+                    work.nlu += 1
                     solve = _newton_solver(c, J)
                 # SciPy's solve_bdf_system: Newton on the corrector from the
                 # prediction, with the iteration matrix A = I - c J
                 y0, y1, d0, d1, converged = p0, p1, 0.0, 0.0, False
                 for k in range(_BDF_NEWTON_MAXITER):
-                    f0, f1 = fun(t_new, y0, y1)
+                    work.spend(1)
+                    f0, f1 = rhs(t_new, y0, y1)
                     if not (math.isfinite(f0) and math.isfinite(f1)):
                         break
                     dy0, dy1 = solve(c * f0 - psi0 - d0, c * f1 - psi1 - d1)
-                    dy_norm = norm(dy0, dy1)
+                    r0, r1 = dy0 / scale0, dy1 / scale1  # norm(dy0, dy1), inline
+                    dy_norm = math.sqrt((r0 * r0 + r1 * r1) / n)
                     rate = dy_norm / dy_norm_old if k else None
                     if k and (rate >= 1 or rate ** (_BDF_NEWTON_MAXITER - k)
                               / (1 - rate) * dy_norm > newton_tol):
@@ -352,9 +372,11 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     """Adaptive ODE integration of one or two states (ValueError for more)
     with event localization, forward in time.
 
-    Without jac, the package's own Dormand-Prince 5(4) loop: SciPy's RK45
-    algorithm, not its floats.  Given the Jacobian jac(t, y) of rhs, its own
-    implicit variable-order BDF for stiff runs, likewise SciPy's algorithm.
+    rhs(t, a, b) returns the pair of floats (da/dt, db/dt); for one state b
+    and db/dt are 0.0.  Without jac, the package's own Dormand-Prince 5(4)
+    loop: SciPy's RK45 algorithm, not its floats.  Given the Jacobian
+    jac(t, a, b) of rhs as rows, its own implicit variable-order BDF for
+    stiff runs, likewise SciPy's algorithm.
     An event is a tuple (i, level, direction): state i crosses level, rising
     for direction +1, falling for -1, either way for 0.  Events are
     terminal: the first crossing ends the integration.  At each of the
@@ -362,7 +384,8 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     from there would (BDF at order 1 on a fresh Jacobian).  The step has no
     cap; the result carries the dense solution .sol.  Failures name the solve
     and its method: StiffnessError when the step falls below ten ulps of t,
-    ToleranceError past _MAX_RHS_EVALS in the whole solve.
+    ToleranceError before an rhs evaluation would take the whole solve past
+    _MAX_RHS_EVALS.
     """
     t0, t_bound = map(float, t_span)
     if not t_bound > t0:
@@ -371,47 +394,41 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     if not 1 <= n <= 2:
         raise ValueError("the ODE loops take one or two states")
     rtol, atol = max(settings.rel_tol, 100 * _EPS), settings.abs_tol
-    label = f"{name} {'RK45' if jac is None else 'BDF'}"
-    counts = SimpleNamespace(nfev=0, njev=0, nlu=0)
-
-    def fun(t, a, b):
-        counts.nfev += 1
-        if counts.nfev > _MAX_RHS_EVALS:
-            raise ToleranceError(f"{label}: solve over its budget of {_MAX_RHS_EVALS} "
-                                 "rhs evaluations")
-        f = rhs(t, [a, b][:n])
-        return float(f[0]), float(f[1]) if n == 2 else 0.0
-
+    work = _Work(label=f"{name} {'RK45' if jac is None else 'BDF'}", nfev=0, njev=0, nlu=0)
     # the initial step's error order, RK45's 4 or BDF's 1, and the dense rows' width
     order, width, at = (4, 12, _rk45_at) if jac is None else (1, 2 * _BDF_MAX_ORDER + 4, _bdf_at)
     t, (ya, yb) = t0, [float(v) for v in y0] + [0.0] * (2 - n)
     ts, ys, data = [t], ([ya], [yb]), array.array("d")
     g, event = [(ya, yb)[i] - level for i, level, _ in events], None
     for end in sorted({b for b in map(float, breaks) if t0 < b < t_bound}) + [t_bound]:
-        fa, fb = fun(t, ya, yb)
-        h_abs = _initial_step(fun, t, ya, yb, fa, fb, end, order, rtol, atol, n)
+        work.spend(2)  # this evaluation and _initial_step's
+        fa, fb = rhs(t, ya, yb)
+        h_abs = _initial_step(rhs, t, ya, yb, fa, fb, end, order, rtol, atol, n)
         if math.isnan(h_abs):
-            raise NumericsError(f"{label}: the derivative overflows the error scale at t = {t!r}")
-        steps = (_rk45_steps(fun, t, ya, yb, fa, fb, h_abs, end, rtol, atol, n) if jac is None
-                 else _bdf_steps(fun, jac, counts, t, ya, yb, fa, fb, h_abs, end, rtol, atol, n))
+            raise NumericsError(f"{work.label}: the derivative overflows the error scale "
+                                f"at t = {t!r}")
+        args = (t, ya, yb, fa, fb, h_abs, end, rtol, atol, n)
+        steps = _rk45_steps(rhs, work, *args) if jac is None else _bdf_steps(rhs, jac, work, *args)
         while event is None and t < end:
             t_old = t
             step = next(steps, None)
             if step is None:
-                raise StiffnessError(f"{label}: {_TOO_SMALL_STEP}")
+                raise StiffnessError(f"{work.label}: {_TOO_SMALL_STEP}")
             t, ya, yb, row = step
             data.extend(row)
-            g_new = [(ya, yb)[i] - level for i, level, _ in events]
-            active = [k for k, (a, b, (_, _, d)) in enumerate(zip(g, g_new, events))
-                      if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
-            if active:
+            crossed = ()
+            for k, (i, level, d) in enumerate(events):
+                a, b = g[k], (yb if i else ya) - level
+                g[k] = b
+                if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0):
+                    crossed += (k,)
+            if crossed:
                 # every event is terminal: keep the earliest root (a tie, the first)
                 roots = [find_root_bracketed(lambda s: at(row, s)[events[k][0]] - events[k][1],
-                                             t_old, t, _EVENT_SETTINGS) for k in active]
+                                             t_old, t, _EVENT_SETTINGS) for k in crossed]
                 first = min(range(len(roots)), key=roots.__getitem__)
-                event, t = active[first], roots[first]
+                event, t = crossed[first], roots[first]
                 ya, yb = at(row, t)
-            g = g_new
             if len(ts) > 1 and ts[-1] == t:
                 del data[-width:]
             else:
@@ -421,4 +438,4 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
         if event is not None:
             break
     return OdeResult(t=ts, y=list(ys[:n]), sol=_DenseSolution(ts, data, width, at, n),
-                     event=event, nfev=counts.nfev, njev=counts.njev, nlu=counts.nlu)
+                     event=event, nfev=work.nfev, njev=work.njev, nlu=work.nlu)

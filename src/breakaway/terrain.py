@@ -110,11 +110,12 @@ class CourseProfile:
         """Height sum_k a_k sin(2 pi k x) + b_k (cos(2 pi k x) - 1).
 
         The cosine terms are shifted so the course starts at height zero.
-        The slope sums its terms in order, from 0.0.
+        The slope sums its terms in order, from 0.0.  A zero amplitude's term
+        is left out: it adds only +-0.0, to a sum that cannot be -0.0.
         """
-        def terms(amps):  # (2 pi k a_k, 2 pi k) for k = 1, 2, ...
+        def terms(amps):  # (2 pi k a_k, 2 pi k) for k = 1, 2, ..., a_k != 0
             ks = [2.0 * math.pi * k for k in range(1, len(amps) + 1)]
-            return [(float(a) * k, k) for a, k in zip(amps, ks)]
+            return [(float(a) * k, k) for a, k in zip(amps, ks) if float(a) != 0.0]
         sin_terms, cos_terms = terms(sin_amps), terms(cos_amps)
 
         def slope(x):
@@ -384,10 +385,12 @@ def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, wh
     StallError.  The solve's other failures, a collapse or an overrun of the
     ODE work budget, name who and the method.
     """
+    m_gamma, steepness = mass_ratio * gamma, profile.steepness
+
     def cruise(x):
         # the largest root of the speed cubic: the only one uphill, and the
         # stable fast branch on descents where gravity dominates
-        return solve_cubic_real(cd_front, mass_ratio * gamma * profile.steepness(x), -power)[-1]
+        return solve_cubic_real(cd_front, m_gamma * steepness(x), -power)[-1]
 
     def speed(x):
         v = cruise(x)
@@ -398,29 +401,24 @@ def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, wh
     if eps == 0.0:
         y0, settings, jac, events, bound = [0.0], _QUASI_STEADY_SETTINGS, None, (), 0.0
 
-        def rhs(xi, y):
-            return [1.0 / speed(x0 + xi)]
+        def rhs(xi, tau, _):
+            return 1.0 / speed(x0 + xi), 0.0
     else:
         eps_mass = eps * mass_ratio
         if eps_mass == 0.0:
             raise NumericsError(f"{who} inertia times mass ratio underflows to 0")
         bound = _stiffness(x0, power, cruise, cd_front, eps_mass)
 
-        def acceleration(xi, v):
+        def rhs(xi, tau, v):
             x = x0 + xi
-            dv = (power / v - cd_front * v * v - mass_ratio * gamma * profile.steepness(x)) / eps_mass
+            dv = (power / v - cd_front * v * v - m_gamma * steepness(x)) / eps_mass
             if not math.isfinite(dv):
                 raise NumericsError(f"{who} acceleration overflowed at x = {x!r}")
-            return dv
+            return 1.0 / v, dv / v
 
-        def rhs(xi, y):
-            v = y[1]
-            return [1.0 / v, acceleration(xi, v) / v]
-
-        def ride_jacobian(xi, y):
+        def ride_jacobian(xi, tau, v):
             # x is the variable and the power constant, so the tau column is 0
-            v = y[1]
-            dv_dv = (_dv_dv(power, v, cd_front, eps_mass) - acceleration(xi, v) / v) / v
+            dv_dv = (_dv_dv(power, v, cd_front, eps_mass) - rhs(xi, tau, v)[1]) / v
             return [[0.0, -1.0 / (v * v)], [0.0, dv_dv]]
         jac = ride_jacobian if bound > STIFFNESS_LIMIT else None
         # a stall; a quasi-steady stall raises in speed(), where the cubic

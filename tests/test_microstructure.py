@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from breakaway import microstructure
 from breakaway.model import DragParams
 from breakaway.numerics import SolverSettings
 from breakaway.microstructure import (
@@ -102,6 +103,20 @@ class TestPassageLayer:
             ratios.append((v_front - 1.0) / (math.sqrt(eps) * layer.exit_slope))
         assert ratios[0] == pytest.approx(1.0, abs=0.05)
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
+
+
+def test_attack_onset_settings_reach_every_solve(monkeypatch):
+    # the window's passage solve too, not only the three solves it sizes
+    tight, seen = SolverSettings(abs_tol=1e-14, rel_tol=1e-13), []
+    solve = microstructure.ode_solve_with_events
+
+    def record(*args, **kwargs):
+        seen.append((kwargs["name"], kwargs["settings"]))
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(microstructure, "ode_solve_with_events", record)
+    attack_onset(0.005, 5.0, 4.0, DRAG, CD_AVG, n_samples=33, settings=tight)
+    assert seen == [("passage", tight), ("full", tight), ("passage", tight),
+                    ("relaxation", tight)]
 
 
 class TestCompositeVsFull:

@@ -178,13 +178,13 @@ class TestQuadrature:
 
 class TestOdeEvents:
     def test_unit_slope_event(self):
-        sol = ode_solve_with_events(lambda t, y: [1.0], [0.0], (0.0, 5.0),
+        sol = ode_solve_with_events(lambda t, a, b: (1.0, 0.0), [0.0], (0.0, 5.0),
                                     events=((0, 1.0, 0),))
         assert sol.event == 0
         assert sol.t[-1] == pytest.approx(1.0, abs=1e-10)
 
     def test_decay_event(self):
-        sol = ode_solve_with_events(lambda t, y: [-y[0]], [1.0], (0.0, 5.0),
+        sol = ode_solve_with_events(lambda t, a, b: (-a, 0.0), [1.0], (0.0, 5.0),
                                     events=((0, math.exp(-1.0), 0),))
         assert sol.event == 0
         assert sol.t[-1] == pytest.approx(1.0, abs=1e-8)
@@ -199,14 +199,14 @@ class TestOdeEvents:
     ])
     def test_direction_selects_the_crossing(self, direction, end):
         # y = sin t crosses 0.5 rising at pi/6 and falling at 5 pi/6
-        rhs, events = lambda t, y: [math.cos(t)], ((0, 0.5, direction),)
+        rhs, events = lambda t, a, b: (math.cos(t), 0.0), ((0, 0.5, direction),)
         sol = ode_solve_with_events(rhs, [0.0], (0.0, 10.0), events, self.TIGHT)
         assert sol.event == 0
         assert sol.t[-1] == pytest.approx(end, rel=1e-9)
         assert_solve_agrees(sol, rhs, [0.0], (0.0, 10.0), events, self.TIGHT)
 
     def test_earliest_event_ends_the_solve(self):
-        rhs, events = lambda t, y: [math.cos(t)], ((0, 0.9, 0), (0, 0.5, 0))
+        rhs, events = lambda t, a, b: (math.cos(t), 0.0), ((0, 0.9, 0), (0, 0.5, 0))
         sol = ode_solve_with_events(rhs, [0.0], (0.0, 10.0), events, self.TIGHT)
         assert sol.event == 1
         assert sol.t[-1] == pytest.approx(math.pi / 6, rel=1e-9)
@@ -215,13 +215,13 @@ class TestOdeEvents:
     @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
     def test_t_span_must_increase(self, t_span):
         with pytest.raises(ValueError, match="t_span must increase"):
-            ode_solve_with_events(lambda t, y: [1.0], [0.0], t_span)
+            ode_solve_with_events(lambda t, a, b: (1.0, 0.0), [0.0], t_span)
 
     def test_observed_order_at_least_four(self):
         # one step over (0, h): halving h should cut its error by at least 2^4
         def run(h):
             settings = SolverSettings(abs_tol=1e-3, rel_tol=1e-3)
-            sol = ode_solve_with_events(lambda t, y: [y[0]], [1.0], (0.0, h),
+            sol = ode_solve_with_events(lambda t, a, b: (a, 0.0), [1.0], (0.0, h),
                                         settings=settings)
             assert len(sol.t) == 2
             return abs(sol.y[0][-1] - math.exp(h))
@@ -231,15 +231,25 @@ class TestOdeEvents:
         assert order >= 4.0
 
     def test_integrator_failure_raises(self):
-        def exploding(t, y):
-            return [y[0] ** 3 * 1e8]
+        def exploding(t, a, b):
+            return a ** 3 * 1e8, 0.0
         with pytest.raises(StiffnessError):
             ode_solve_with_events(exploding, [1.0], (0.0, 10.0))
 
     def test_bdf_mode_handles_stiff_decay(self):
-        sol = ode_solve_with_events(lambda t, y: [-1e6 * (y[0] - 1.0)], [0.0],
-                                    (0.0, 1.0), jac=lambda t, y: [[-1e6]])
+        sol = ode_solve_with_events(lambda t, a, b: (-1e6 * (a - 1.0), 0.0), [0.0],
+                                    (0.0, 1.0), jac=lambda t, a, b: [[-1e6]])
         assert sol.y[0][-1] == pytest.approx(1.0, abs=1e-6)
+
+
+def as_scipy(f, n):
+    """f in the package's convention, f(t, a, b) with b 0.0 for one state,
+    as solve_ivp's f(t, y) on n states: the n rates, or the Jacobian's n x n
+    block."""
+    def scipy_f(t, y):
+        out = np.asarray(f(t, *y, *[0.0] * (2 - n)), dtype=float)
+        return out[(slice(n),) * out.ndim]
+    return scipy_f
 
 
 def terminal_events(events):
@@ -278,7 +288,7 @@ def assert_solve_agrees(result, rhs, y0, t_span, events=(), settings=DEFAULT_SET
     dense solution through every step end and held beyond the first and the
     last."""
     method = "RK45" if jac is None else "BDF"
-    given = {} if jac is None else {"jac": jac}
+    rhs, given = as_scipy(rhs, len(y0)), {} if jac is None else {"jac": as_scipy(jac, len(y0))}
     t, y = np.asarray(result.t), np.asarray(result.y)
     cuts = sorted({float(b) for b in breaks if t_span[0] < b < t_span[1]})
     intervals = [(a, b) for a, b in zip([t_span[0], *cuts], [*cuts, t_span[1]])
@@ -319,9 +329,10 @@ def assert_solve_agrees(result, rhs, y0, t_span, events=(), settings=DEFAULT_SET
 
 
 def assert_jacobian_matches_rhs(jac, rhs, t, y):
-    """jac(t, y) is a central difference of rhs, entry by entry, to rel 1e-6
-    of the entry or of the Jacobian's largest entry."""
-    J = np.asarray(jac(t, y), dtype=float)
+    """jac is a central difference of rhs at (t, y), entry by entry, to rel
+    1e-6 of the entry or of the Jacobian's largest entry."""
+    jac, rhs = as_scipy(jac, len(y)), as_scipy(rhs, len(y))
+    J = jac(t, y)
     y = np.asarray(y, dtype=float)
     columns = []
     for j in range(y.size):
@@ -402,15 +413,16 @@ class TestRk45MatchesScipy:
             "passage rk45", "full rk45", "passage rk45", "relaxation rk45"]
 
     def test_stiffness_error_text(self):
-        exploding = lambda t, y: [y[0] ** 3 * 1e8]
-        ref = integrate.solve_ivp(exploding, (0.0, 10.0), [1.0], rtol=1e-8, atol=1e-10)
+        exploding = lambda t, a, b: (a ** 3 * 1e8, 0.0)
+        ref = integrate.solve_ivp(as_scipy(exploding, 1), (0.0, 10.0), [1.0], rtol=1e-8,
+                                  atol=1e-10)
         assert ref.status == -1
         with pytest.raises(StiffnessError) as info:
             ode_solve_with_events(exploding, [1.0], (0.0, 10.0))
         assert str(info.value) == f"ODE RK45: {ref.message}"
 
     def test_rk45_takes_at_most_two_states(self):
-        rhs = lambda t, y: [-y[0], -y[1], -y[2]]
+        rhs = lambda t, a, b: (-a, -b)
         with pytest.raises(ValueError, match="two states"):
             ode_solve_with_events(rhs, [1.0, 1.0, 1.0], (0.0, 1.0))
 
@@ -445,8 +457,8 @@ class TestBdfMatchesScipy:
         assert replay(monkeypatch, terrain, run, failure) == ["peloton bdf"]
 
     def test_stiff_decay(self):
-        rhs = lambda t, y: [-1e6 * (y[0] - 1.0)]
-        jac = lambda t, y: [[-1e6]]
+        rhs = lambda t, a, b: (-1e6 * (a - 1.0), 0.0)
+        jac = lambda t, a, b: [[-1e6]]
         sol = ode_solve_with_events(rhs, [0.0], (0.0, 1.0), jac=jac)
         assert_solve_agrees(sol, rhs, [0.0], (0.0, 1.0), jac=jac)
         # y = 1 - exp(-1e6 t)
@@ -454,10 +466,10 @@ class TestBdfMatchesScipy:
         assert (np.abs(sol.y[0] - exact) <= 1e-6).all()
 
     def test_stiffness_error_text(self):
-        exploding = lambda t, y: [y[0] ** 3 * 1e8]
-        jac = lambda t, y: [[3e8 * y[0] ** 2]]
-        ref = integrate.solve_ivp(exploding, (0.0, 10.0), [1.0], method="BDF",
-                                  jac=jac, rtol=1e-8, atol=1e-10)
+        exploding = lambda t, a, b: (a ** 3 * 1e8, 0.0)
+        jac = lambda t, a, b: [[3e8 * a ** 2]]
+        ref = integrate.solve_ivp(as_scipy(exploding, 1), (0.0, 10.0), [1.0], method="BDF",
+                                  jac=as_scipy(jac, 1), rtol=1e-8, atol=1e-10)
         assert ref.status == -1
         with pytest.raises(StiffnessError) as info:
             ode_solve_with_events(exploding, [1.0], (0.0, 10.0), jac=jac)
@@ -496,8 +508,8 @@ class TestBdfMatchesScipy:
         assert all(math.isnan(x) for x in solve(1.0, 0.5))
         # so Newton fails, and the step is retried on a fresh Jacobian: the
         # ride makes one factorization and one Jacobian more, and ends the same
-        rhs = lambda t, y: [y[1], -1e4 * (y[1] + y[0] - 1.0)]
-        jac = lambda t, y: [[0.0, 1.0], [-1e4, -1e4]]
+        rhs = lambda t, a, b: (b, -1e4 * (b + a - 1.0))
+        jac = lambda t, a, b: [[0.0, 1.0], [-1e4, -1e4]]
         clean = ode_solve_with_events(rhs, [0.0, 0.0], (0.0, 1.0), jac=jac)
         factor, calls = ode._newton_solver, []
 
@@ -512,10 +524,10 @@ class TestBdfMatchesScipy:
         assert np.asarray(retried.y).tobytes() == np.asarray(clean.y).tobytes()
 
     def test_bdf_takes_at_most_two_states(self):
-        rhs = lambda t, y: [-y[0], -y[1], -y[2]]
+        rhs = lambda t, a, b: (-a, -b)
         with pytest.raises(ValueError, match="two states"):
             ode_solve_with_events(rhs, [1.0, 1.0, 1.0], (0.0, 1.0),
-                                  jac=lambda t, y: -np.identity(3))
+                                  jac=lambda t, a, b: -np.identity(3))
 
 
 class TestBreaks:
@@ -529,10 +541,10 @@ class TestBreaks:
         # the spring constant jumps at each break, so rhs kinks there
         return 10.0 ** (1 + bisect.bisect_right(TestBreaks.BREAKS, t))
 
-    def rhs(self, t, y):
-        return [y[1], -self.stiffness(t) * (y[0] - 1.0) - 3.0 * y[1]]
+    def rhs(self, t, a, b):
+        return b, -self.stiffness(t) * (a - 1.0) - 3.0 * b
 
-    def jac(self, t, y):
+    def jac(self, t, a, b):
         return [[0.0, 1.0], [-self.stiffness(t), -3.0]]
 
     @pytest.mark.parametrize("stiff", [False, True])
@@ -570,6 +582,56 @@ class TestBreaks:
                            match=f"^spring RK45: solve over its budget of {spent - 1} rhs"):
             ode_solve_with_events(self.rhs, [0.0, 0.0], (0.0, 10.0), breaks=self.BREAKS,
                                   name="spring")
+
+
+class TestWorkCount:
+    """The loops count each rhs evaluation, and stop before one would pass
+    the work budget."""
+
+    BREAKS = TestBreaks.BREAKS
+
+    @staticmethod
+    def problem(n, stiff):
+        """A counting rhs on n states, its calls, and the solve's jac."""
+        calls, spring = [], TestBreaks()
+
+        def rhs(t, a, b):
+            calls.append(t)
+            return spring.rhs(t, a, b) if n == 2 else (-spring.stiffness(t) * (a - 1.0), 0.0)
+
+        def jac(t, a, b):
+            return spring.jac(t, a, b) if n == 2 else [[-spring.stiffness(t)]]
+        return rhs, calls, jac if stiff else None
+
+    # one state rises past 1 - 1e-8 near t = 1.54 and the spring falls
+    # through 0.99 after its overshoot near t = 1.65: both past the first break
+    EVENTS = {1: ((0, 1.0 - 1e-8, 1),), 2: ((0, 0.99, -1),)}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stiff", [False, True])
+    @pytest.mark.parametrize("with_event", [False, True])
+    def test_nfev_counts_every_call(self, n, stiff, with_event):
+        rhs, calls, jac = self.problem(n, stiff)
+        events = self.EVENTS[n] if with_event else ()
+        sol = ode_solve_with_events(rhs, [0.0] * n, (0.0, 10.0), events, jac=jac,
+                                    breaks=self.BREAKS)
+        assert sol.event == (0 if with_event else None)
+        assert sol.t[-1] > self.BREAKS[0]
+        assert len(calls) == sol.nfev
+        assert sol.njev > 0 if stiff else (sol.njev, sol.nlu) == (0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stiff", [False, True])
+    @pytest.mark.parametrize("budget", [1, 2, 7, 333])
+    def test_budget_stops_before_it_is_passed(self, monkeypatch, n, stiff, budget):
+        rhs, calls, jac = self.problem(n, stiff)
+        monkeypatch.setattr(ode, "_MAX_RHS_EVALS", budget)
+        method = "BDF" if stiff else "RK45"
+        with pytest.raises(ToleranceError) as info:
+            ode_solve_with_events(rhs, [0.0] * n, (0.0, 10.0), jac=jac, breaks=self.BREAKS,
+                                  name="spring")
+        assert str(info.value) == f"spring {method}: solve over its budget of {budget} rhs evaluations"
+        assert len(calls) <= budget
 
 
 def test_settings_validation():

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -25,6 +26,9 @@ from breakaway.terrain import (
 )
 
 FLAT = CourseProfile.flat()
+# sinusoid amplitudes, signed zeros among them
+AMPLITUDES = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.01, 0.01)),
+                      max_size=6)
 QUASI_STEADY = 0.0   # the inertia of the quasi-steady limit
 # the course table of the perfbench validate workload at seed 101
 TABLE_COURSE = CourseProfile.from_table(
@@ -100,6 +104,20 @@ class TestProfiles:
         for x in np.linspace(0.1, 0.9, 7).tolist():
             fd = (height(x + h) - height(x - h)) / (2.0 * h)
             assert profile.slope(x) == pytest.approx(fd, abs=1e-6)
+
+    @given(AMPLITUDES, AMPLITUDES, st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8))
+    def test_zero_amplitude_terms_drop_exactly(self, sin_amps, cos_amps, xs):
+        # the full sum in order from 0.0, zero terms included, bit for bit
+        profile = CourseProfile.from_sinusoids(sin_amps, cos_amps)
+        for x in xs:
+            up, down = 0.0, 0.0
+            for j, a in enumerate(sin_amps, 1):
+                k = 2.0 * math.pi * j
+                up += a * k * math.cos(k * x)
+            for j, b in enumerate(cos_amps, 1):
+                k = 2.0 * math.pi * j
+                down += b * k * math.sin(k * x)
+            assert profile.slope(x).hex() == (up - down).hex()
 
     def test_table_derivative_matches_interpolant(self):
         from scipy.interpolate import PchipInterpolator
@@ -447,7 +465,7 @@ class TestBreakaway:
 
     def test_stiffness_error_names_no_method_knob(self):
         # a collapsed solve names the ride and the integrator, not a knob
-        exploding = lambda t, y: [y[0] ** 3 * 1e8]
+        exploding = lambda t, a, b: (a ** 3 * 1e8, 0.0)
         with pytest.raises(StiffnessError, match="^peloton RK45: Required step") as info:
             terrain.ode_solve_with_events(exploding, [1.0], (0.0, 10.0), name="peloton")
         assert "method" not in str(info.value)
