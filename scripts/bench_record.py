@@ -18,8 +18,12 @@ directories); its records are pooled.  For each label the file holds:
 
 Records from different sources under one label are an error.  Given the
 labels ``parent`` and ``change``, it also prints a comparison: per workload
-and gated metric both medians, change over parent and the metric's bound
-from BENCHMARK.json, then every traced seed-101 count (a per-layer metric of
+and gated metric both medians, change over parent, the metric's bound from
+BENCHMARK.json and each side's quartiles; then the pairs the change won
+(runs paired by seed, the k-th run of a seed under one label with the k-th
+under the other; ties count for neither) and whether the medians differ by
+more than the parent's interquartile range, the two tests a claimed gain
+must pass.  Last come every traced seed-101 count (a per-layer metric of
 unit ``count``) that differs between the two: a change meant to do the
 parent's work shows it in one command.
 """
@@ -73,18 +77,49 @@ def summarize(records: list[dict], gated: list[str]) -> dict:
             "workloads": workloads, "traced": traced}
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def _by_seed(runs: list[dict]) -> dict[int, list[dict]]:
+    out: dict[int, list[dict]] = {}
+    for run in runs:
+        out.setdefault(run["seed"], []).append(run)
+    return out
+
+
+def _pairs(before: list[dict], after: list[dict]) -> list[tuple[dict, dict]]:
+    """Runs paired by seed: the k-th run of a seed in before with the k-th in after."""
+    b, a = _by_seed(before), _by_seed(after)
+    return [pair for seed in sorted(b.keys() & a.keys()) for pair in zip(b[seed], a[seed])]
+
+
 def compare(out: dict, benchmark: dict) -> list[str]:
     """The comparison lines of labels "change" against "parent" in out."""
     parent, change = out["labels"]["parent"], out["labels"]["change"]
     bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
-    lines = [f"{'workload':<10}{'metric':<13}{'parent':>11}{'change':>11}{'ratio':>8}{'bound':>7}"]
+    lower = {metric["name"]: metric["better"] == "lower" for metric in benchmark["end_to_end"]}
+    lines = [f"{'workload':<10}{'metric':<13}{'parent':>11}{'change':>11}{'ratio':>8}{'bound':>7}"
+             f"{'parent q1-q3':>24}{'change q1-q3':>24}{'won':>8}  gap>IQR"]
     for workload in sorted(parent["workloads"].keys() & change["workloads"].keys()):
+        before_runs = parent["workloads"][workload]["runs"]
+        after_runs = change["workloads"][workload]["runs"]
         before = parent["workloads"][workload]["median"]
         after = change["workloads"][workload]["median"]
+        pairs = _pairs(before_runs, after_runs)
         for name in out["gated_metrics"]:
             ratio = after[name] / before[name] if before[name] else math.nan
+            p1, p3 = _quartiles([run[name] for run in before_runs])
+            c1, c3 = _quartiles([run[name] for run in after_runs])
+            won = sum((b[name] < a[name]) if lower[name] else (b[name] > a[name])
+                      for a, b in pairs)
+            gap = "yes" if abs(after[name] - before[name]) > p3 - p1 else "no"
             lines.append(f"{workload:<10}{name:<13}{before[name]:>11.4g}{after[name]:>11.4g}"
-                         f"{ratio:>8.3f}{bounds[name]:>7g}")
+                         f"{ratio:>8.3f}{bounds[name]:>7g}{f'{p1:.4g}-{p3:.4g}':>24}"
+                         f"{f'{c1:.4g}-{c3:.4g}':>24}{f'{won}/{len(pairs)}':>8}  {gap}")
     counts = [metric["name"] for metric in benchmark["per_layer"] if metric["unit"] == "count"]
     compared, differ = [], []
     for workload in sorted(parent["traced"].keys() & change["traced"].keys()):

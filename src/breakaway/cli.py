@@ -12,8 +12,9 @@ Every run prints (or writes with --out) a single table whose metadata block
 echoes the complete effective configuration; re-running with the same
 configuration and seed reproduces the output byte for byte.  Exit codes:
 0 success, 1 usage, configuration or file error, 2 numerical failure, 3 the
-Monte Carlo statistical gate tripped.  Only crash-mc loads numpy, and each
-command only the modules it needs, so flat and fatigue start without them.
+Monte Carlo statistical gate tripped.  Each command loads only the modules
+it runs: numpy only for crash-mc, the fatigue module only for fatigue, and
+the ODE integrators only for terrain and microstructure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, fatigue, flat
+from . import __version__, flat
 from .config import SCHEMA, ConfigError, CourseFileError, RunConfig, _resolve_key
 from .crash import exposure_simple_attack, monte_carlo_exposure
 from .numerics import NumericsError, linspace
@@ -157,28 +158,29 @@ def cmd_flat(cfg: RunConfig) -> tuple[ResultTable, int]:
 # -- fatigue ------------------------------------------------------------------
 
 
-def _fatigue_row(cfg: RunConfig) -> list:
-    problem = cfg.strategy_problem()
-    result = fatigue.optimize_fatigue(problem, mu=cfg.get("fatigue", "mu"),
-                                      p_sustain=cfg.p_sustain())
-    return [
-        result.attack_position,
-        result.peak_power,
-        result.finish_time,
-        result.time_gap,
-        result.objective,
-        result.status,
-        bool(result.converged),
-        fatigue.reported_residual(result.budget_residual),
-        fatigue.reported_residual(result.arrival_residual),
-    ]
-
-
 def cmd_fatigue(cfg: RunConfig) -> tuple[ResultTable, int]:
+    from . import fatigue
+
+    def fatigue_row(point_cfg: RunConfig) -> list:
+        result = fatigue.optimize_fatigue(point_cfg.strategy_problem(),
+                                          mu=point_cfg.get("fatigue", "mu"),
+                                          p_sustain=point_cfg.p_sustain())
+        return [
+            result.attack_position,
+            result.peak_power,
+            result.finish_time,
+            result.time_gap,
+            result.objective,
+            result.status,
+            bool(result.converged),
+            fatigue.reported_residual(result.budget_residual),
+            fatigue.reported_residual(result.arrival_residual),
+        ]
+
     table, rows = _sweep("fatigue", cfg,
                          ["x_a_star", "p_max_star", "t_f_star", "delta_t",
                           "objective", "status", "converged", "budget_residual",
-                          "arrival_residual"], _fatigue_row)
+                          "arrival_residual"], fatigue_row)
     # partial failure: the rows that did not converge are still emitted
     converged = all(row[6] for row in rows)
     return table, EXIT_OK if converged else EXIT_NUMERICAL

@@ -11,9 +11,7 @@ omitted when the key is unambiguous).
 
 from __future__ import annotations
 
-import configparser
 import math
-from dataclasses import dataclass
 
 from .crash import CrashModel
 from .flat import StrategyProblem
@@ -142,15 +140,29 @@ def _resolve_key(name: str) -> tuple[str, str]:
     return hits[0]
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """Immutable bag of effective parameter values.
+    """Immutable bag of effective parameter values, equal by value.
 
     _data maps section -> key -> value and is never mutated once the config
     is built; with_value returns a new config over a copy.
     """
 
-    _data: dict
+    __slots__ = ("_data",)
+
+    def __init__(self, _data: dict):
+        object.__setattr__(self, "_data", _data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._data == other._data if type(other) is RunConfig else NotImplemented
+
+    def __repr__(self):
+        return f"RunConfig(_data={self._data!r})"
 
     @classmethod
     def defaults(cls) -> "RunConfig":
@@ -161,6 +173,8 @@ class RunConfig:
         """Defaults, then an optional INI file, then key=value overrides."""
         data = cls.defaults()._data
         if config_path is not None:
+            import configparser  # only a config file needs it
+
             parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
             try:
                 with open(config_path, "r", encoding="utf-8") as fh:
@@ -202,7 +216,7 @@ class RunConfig:
     # -- builders ------------------------------------------------------------
 
     def _order_error(self, key: str, bound: str, exc: ValueError) -> ConfigError:
-        # the per-key ranges leave only the order of a key pair to the dataclass
+        # the per-key ranges leave only the order of a key pair to the records' checks
         return ConfigError(f"bad value for model.{key}: {self.get('model', key)!r} "
                            f"({exc}; model.{bound} = {self.get('model', bound)!r})")
 

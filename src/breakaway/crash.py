@@ -21,7 +21,7 @@ variate but tests only the crashes that can reach the rider, on two threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any
 
 __all__ = [
@@ -57,17 +57,16 @@ def involvement_given_crash(position: float, omega: float, n_riders: int) -> flo
     Uniform start rank; geometric sum in closed form.  Valid for continuous
     positions >= 1.
     """
-    if omega <= 0.0:
+    if not omega > 0.0:  # NaN fails each of these checks too
         raise ValueError("omega must be positive")
-    if n_riders < 1:
+    if not n_riders >= 1:
         raise ValueError("n_riders must be at least 1")
-    if position < 1.0:
+    if not position >= 1.0:
         raise ValueError("position must be >= 1")
     return math.expm1(-omega * position) / math.expm1(-omega) / n_riders
 
 
-@dataclass(frozen=True)
-class CrashModel:
+class CrashModel(namedtuple("CrashModel", "omega intensity n_riders")):
     """Crash propagation parameters.
 
     omega is the backward propagation rate, intensity the expected crash
@@ -75,17 +74,16 @@ class CrashModel:
     a crash's start rank is uniform.
     """
 
-    omega: float = 0.5
-    intensity: float = 2.0
-    n_riders: int = 75
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.omega <= 0.0:
+    def __new__(cls, omega: float = 0.5, intensity: float = 2.0, n_riders: int = 75):
+        if not omega > 0.0:  # NaN fails each of these checks too
             raise ValueError("omega must be positive")
-        if self.intensity < 0.0:
+        if not intensity >= 0.0:
             raise ValueError("intensity must be non-negative")
-        if self.n_riders < 1:
+        if not n_riders >= 1:
             raise ValueError("n_riders must be at least 1")
+        return tuple.__new__(cls, (omega, intensity, n_riders))
 
 
 def exposure_simple_attack(x_attack: float, position: float,
@@ -93,6 +91,8 @@ def exposure_simple_attack(x_attack: float, position: float,
     """Exposure for the lurk-then-attack trace, as an explicit formula."""
     if not 0.0 <= x_attack <= 1.0:
         raise ValueError("attack position must lie in [0, 1]")
+    if not position >= 1.0:  # NaN fails too
+        raise ValueError("position must be >= 1")
     ratio = math.expm1(-model.omega * position) / math.expm1(-model.omega)
     return model.intensity / model.n_riders * (x_attack * ratio + 1.0 - x_attack)
 

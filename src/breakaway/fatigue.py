@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .crash import exposure_simple_attack
 from .flat import StrategyProblem
@@ -69,18 +69,12 @@ class InfeasibleBudgetError(ValueError):
     """The budget cannot cover the requested schedule."""
 
 
-@dataclass(frozen=True)
-class FatigueResult:
-    attack_position: float | None
-    peak_power: float | None
-    finish_time: float | None
-    time_gap: float
-    objective: float
-    converged: bool
-    status: str = "ok"               # "ok" or "no_win"
-    iterations: int = 0              # constrained solves at a fixed attack position
-    budget_residual: float = math.nan
-    arrival_residual: float = math.nan
+# status is "ok" or "no_win", where attack_position, peak_power and
+# finish_time are None; iterations counts the constrained solves at a fixed
+# attack position
+FatigueResult = namedtuple(
+    "FatigueResult", "attack_position peak_power finish_time time_gap objective converged "
+    "status iterations budget_residual arrival_residual", defaults=("ok", 0, math.nan, math.nan))
 
 
 def _burst_integral(delta: float, mu: float) -> float:
@@ -244,7 +238,8 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     beta = problem.risk_index
     cd_front = problem.cd_front
     budget = problem.energy_budget
-    exact = replace(settings, abs_tol=min(settings.abs_tol, _ROUNDING_TOL))
+    exact = SolverSettings(min(settings.abs_tol, _ROUNDING_TOL), settings.rel_tol,
+                           settings.max_iterations)
 
     def exposure(x):
         return exposure_simple_attack(x, problem.position, problem.crash)

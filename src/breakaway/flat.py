@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .crash import CrashModel, exposure_simple_attack, involvement_given_crash
 from .model import CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED
@@ -56,47 +56,35 @@ class Branch(enum.Enum):
     NO_WIN = "no_win"
 
 
-@dataclass(frozen=True)
-class StrategyProblem:
+class StrategyProblem(namedtuple("StrategyProblem", "energy_budget risk_index position "
+                                                   "cd_front cd_lurk crash")):
     """Inputs for one flat-course strategy optimization.
 
     cd_front and cd_lurk are the solo (front) drag ratio and the lurking
     power at the rider's position; they are independent calibration inputs.
     """
 
-    energy_budget: float = 1.2
-    risk_index: float = 0.8
-    position: float = 5.0
-    cd_front: float = CD_FRONT_CALIBRATED
-    cd_lurk: float = CD_LURK_CALIBRATED
-    crash: CrashModel = field(default_factory=CrashModel)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.risk_index <= 1.0:
+    def __new__(cls, energy_budget: float = 1.2, risk_index: float = 0.8,
+                position: float = 5.0, cd_front: float = CD_FRONT_CALIBRATED,
+                cd_lurk: float = CD_LURK_CALIBRATED, crash: CrashModel = CrashModel()):
+        if not 0.0 <= risk_index <= 1.0:
             raise ValueError("risk_index must lie in [0, 1]")
-        if not 0.0 < self.cd_lurk < self.cd_front:
+        if not 0.0 < cd_lurk < cd_front:
             raise ValueError("need 0 < cd_lurk < cd_front")
-        if self.energy_budget < 0.0:
+        if not energy_budget >= 0.0:  # NaN fails this check and the next
             raise ValueError("energy_budget must be non-negative")
-        if self.position < 1.0:
+        if not position >= 1.0:
             raise ValueError("position must be >= 1")
+        return tuple.__new__(cls, (energy_budget, risk_index, position,
+                                   cd_front, cd_lurk, crash))
 
 
-@dataclass(frozen=True)
-class StrategyResult:
-    attack_position: float | None
-    attack_power: float | None
-    time_gap: float
-    exposure: float
-    objective: float
-    branch: Branch
-
-
-@dataclass(frozen=True)
-class InteriorOptimum:
-    eta: float
-    attack_position: float
-    attack_power: float
+# attack_position and attack_power are None on the NO_WIN branch
+StrategyResult = namedtuple("StrategyResult", "attack_position attack_power time_gap "
+                                              "exposure objective branch")
+InteriorOptimum = namedtuple("InteriorOptimum", "eta attack_position attack_power")
 
 
 def earliest_attack_position(power: float, problem: StrategyProblem) -> float:

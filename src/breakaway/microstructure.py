@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import DragParams, drag_at_depth
 from .numerics import NumericsError, SolverSettings, linspace
@@ -70,26 +70,29 @@ def _start_surplus(zeta0: float, power: float, drag: DragParams,
     return power - start_drag
 
 
-@dataclass(frozen=True)
-class PassageLayer:
-    """Leading-order passage through the pack, in inner time units."""
+class PassageLayer(namedtuple("PassageLayer", "duration exit_slope")):
+    """Leading-order passage through the pack, in inner time units.
 
-    duration: float      # front-crossing inner time
-    exit_slope: float    # d zeta / d tau at the crossing; speed 1 + gamma*sqrt(eps)*exit_slope
+    duration is the front-crossing inner time and exit_slope d zeta / d tau
+    at the crossing, where the speed is 1 + gamma*sqrt(eps)*exit_slope.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AttackOnset:
-    """Full and composite speeds of one attack on one time grid, as float tuples."""
+class AttackOnset(namedtuple("AttackOnset", "times v_full v_composite rel_deviation "
+                             "front_crossing_time passage_duration front_speed "
+                             "terminal_speed")):
+    """Full and composite speeds of one attack on one time grid, as float tuples.
 
-    times: tuple[float, ...]
-    v_full: tuple[float, ...]            # monolithic integration
-    v_composite: tuple[float, ...]       # passage layer, then frozen-drag relaxation
-    rel_deviation: tuple[float, ...]     # |v_composite - v_full| / |v_full|
-    front_crossing_time: float           # the composite's t_front
-    passage_duration: float              # t_front / eps**1.5
-    front_speed: float                   # speed at the front crossing
-    terminal_speed: float                # (P / C_front)**(1/3)
+    v_full is the monolithic integration, v_composite the passage layer then
+    the frozen-drag relaxation, and rel_deviation |v_composite - v_full| /
+    |v_full|.  front_crossing_time is the composite's t_front,
+    passage_duration t_front / eps**1.5, front_speed the speed at the front
+    crossing and terminal_speed (P / C_front)**(1/3).
+    """
+
+    __slots__ = ()
 
 
 def peloton_passage(position: float, power: float, drag: DragParams,

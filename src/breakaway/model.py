@@ -17,7 +17,7 @@ both from the drag law, which cannot produce that pair simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "DragParams",
@@ -32,19 +32,17 @@ CD_FRONT_CALIBRATED = 1.43
 CD_LURK_CALIBRATED = 0.46
 
 
-@dataclass(frozen=True)
-class DragParams:
+class DragParams(namedtuple("DragParams", "cd_max cd_min decay")):
     """Exponential drafting-drag law: cd_min + (cd_max - cd_min) * exp(-decay * depth)."""
 
-    cd_max: float = 0.9
-    cd_min: float = 0.05
-    decay: float = 0.25
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.cd_min < self.cd_max:
+    def __new__(cls, cd_max: float = 0.9, cd_min: float = 0.05, decay: float = 0.25):
+        if not 0.0 < cd_min < cd_max:
             raise ValueError("need 0 < cd_min < cd_max")
-        if self.decay <= 0.0:
+        if not decay > 0.0:  # NaN fails too
             raise ValueError("decay must be positive")
+        return tuple.__new__(cls, (cd_max, cd_min, decay))
 
 
 def drag_at_depth(depth: float, drag: DragParams) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class NumericsError(Exception):
@@ -44,19 +44,18 @@ class StallError(NumericsError):
     """A simulated rider's speed collapsed to zero."""
 
 
-@dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(namedtuple("SolverSettings", "abs_tol rel_tol max_iterations")):
     """Tolerances shared by the root finder, quadrature and ODE solvers."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_iterations: int = 200
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+    def __new__(cls, abs_tol: float = 1e-10, rel_tol: float = 1e-8,
+                max_iterations: int = 200):
+        if not (abs_tol > 0.0 and rel_tol > 0.0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
+        if not max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
+        return tuple.__new__(cls, (abs_tol, rel_tol, max_iterations))
 
 
 DEFAULT_SETTINGS = SolverSettings()

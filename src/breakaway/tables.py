@@ -10,10 +10,8 @@ no timestamps or environment state are recorded.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 __all__ = ["ResultTable", "format_value"]
 
@@ -49,11 +47,12 @@ def _json_value(value):
     return str(value)
 
 
-@dataclass
 class ResultTable:
-    columns: list[str]
-    rows: list[list] = field(default_factory=list)
-    metadata: list[tuple[str, object]] = field(default_factory=list)
+    def __init__(self, columns: list[str], rows: list[list] | None = None,
+                 metadata: list[tuple[str, object]] | None = None):
+        self.columns = columns
+        self.rows = [] if rows is None else rows
+        self.metadata = [] if metadata is None else metadata
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
@@ -71,6 +70,8 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
+        import json  # only JSON output needs it
+
         doc = {
             "metadata": {key: _json_value(value) for key, value in self.metadata},
             "columns": list(self.columns),

@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .config import CourseFileError
 from .numerics import (
@@ -86,14 +85,11 @@ _V_STALL = 1e-9
 STIFFNESS_LIMIT = 8000.0
 
 
-@dataclass(frozen=True)
-class CourseProfile:
+class CourseProfile(namedtuple("CourseProfile", "slope label knots", defaults=("custom", ()))):
     """A course by its slope h'(x) at one float x, and the sorted knots
     where h'' may jump; x and h per course length."""
 
-    slope: Callable[[float], float]
-    label: str = "custom"
-    knots: tuple = ()
+    __slots__ = ()
 
     def steepness(self, x: float):
         """The grade term sin(theta(x)) = h'/sqrt(1 + h'^2), tan(theta) = h'(x)."""
@@ -251,23 +247,15 @@ def demo_profile() -> CourseProfile:
                                         label="demo-hilly")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "finish_time sample")):
     """One group's ride: its finish time, and sample(positions), its rows
     (time, speed, power, cumulative energy) at a sorted list of positions."""
 
-    finish_time: float
-    sample: Callable[[list], list[tuple[float, float, float, float]]]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BreakawayRun:
-    rider: Trajectory
-    peloton: Trajectory
-    time_gap: float
-    attack_time: float
-    rider_energy: float
-    peloton_energy: float
+BreakawayRun = namedtuple("BreakawayRun", "rider peloton time_gap attack_time "
+                                          "rider_energy peloton_energy")
 
 
 def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,

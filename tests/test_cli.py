@@ -198,7 +198,7 @@ class TestFatigueCommand:
             return FatigueResult(0.5, 4.0, 0.95, 0.05, -0.03, converged=False,
                                  budget_residual=_math.nan,
                                  arrival_residual=_math.nan)
-        monkeypatch.setattr(cli.fatigue, "optimize_fatigue", stuck)
+        monkeypatch.setattr("breakaway.fatigue.optimize_fatigue", stuck)
         code, out = run_cli(["fatigue"], capsys)
         assert code == 2
         _, _, rows = parse_table(out)   # the row is still emitted, flagged
@@ -214,7 +214,7 @@ class TestFatigueCommand:
                                  converged=np.False_,
                                  budget_residual=math.nan,
                                  arrival_residual=math.nan)
-        monkeypatch.setattr(cli.fatigue, "optimize_fatigue", stuck)
+        monkeypatch.setattr("breakaway.fatigue.optimize_fatigue", stuck)
         code, out = run_cli(["fatigue"], capsys)
         assert code == 2
         _, _, rows = parse_table(out)

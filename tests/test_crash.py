@@ -78,6 +78,16 @@ class TestInvolvement:
                 assert involvement_given_crash(i, omega * 1.2, n) < h
             assert 1.0 / n - 1e-15 <= h <= i / n + 1e-15
 
+    def test_validation(self):
+        for position in (0.5, math.nan):
+            with pytest.raises(ValueError, match="position must be >= 1"):
+                involvement_given_crash(position, 0.5, 75)
+        for omega in (0.0, math.nan):
+            with pytest.raises(ValueError, match="omega must be positive"):
+                involvement_given_crash(5.0, omega, 75)
+        with pytest.raises(ValueError, match="n_riders must be at least 1"):
+            involvement_given_crash(5.0, 0.5, 0)
+
     def test_brute_match_on_integers(self):
         for i in range(1, 30, 3):
             assert involvement_given_crash(i, 0.7, 50) == pytest.approx(
@@ -160,6 +170,20 @@ class TestExposure:
     def test_out_of_range_attack(self):
         with pytest.raises(ValueError):
             exposure_simple_attack(1.2, 5, MODEL)
+
+    def test_position_below_the_front_rejected(self):
+        for position in (0.5, -3.0, math.nan):
+            with pytest.raises(ValueError, match="position must be >= 1"):
+                exposure_simple_attack(0.5, position, MODEL)
+
+    def test_model_validation(self):
+        for bad, message in (({"omega": 0.0}, "omega must be positive"),
+                             ({"omega": math.nan}, "omega must be positive"),
+                             ({"intensity": -1.0}, "intensity must be non-negative"),
+                             ({"intensity": math.nan}, "intensity must be non-negative"),
+                             ({"n_riders": 0}, "n_riders must be at least 1")):
+            with pytest.raises(ValueError, match=message):
+                CrashModel(**bad)
 
 
 class TestMonteCarlo:

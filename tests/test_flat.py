@@ -367,5 +367,10 @@ class TestValidation:
             problem_with(risk_index=1.5)
         with pytest.raises(ValueError):
             problem_with(energy_budget=-0.1)
+        with pytest.raises(ValueError, match="energy_budget must be non-negative"):
+            problem_with(energy_budget=math.nan)
+        for position in (0.5, math.nan):
+            with pytest.raises(ValueError, match="position must be >= 1"):
+                problem_with(position=position)
         with pytest.raises(ValueError):
             StrategyProblem(cd_front=0.4, cd_lurk=0.46)

@@ -70,6 +70,10 @@ class TestDragLaw:
             DragParams(cd_max=0.1, cd_min=0.2)
         with pytest.raises(ValueError):
             DragParams(decay=0.0)
+        with pytest.raises(ValueError, match="decay must be positive"):
+            DragParams(decay=math.nan)
+        with pytest.raises(ValueError, match="need 0 < cd_min < cd_max"):
+            DragParams(cd_min=math.nan)
 
     def test_scalar_path_bit_identical(self):
         # the drag kernels of the ODE right-hand sides are their law's float

@@ -641,6 +641,11 @@ def test_settings_validation():
         SolverSettings(rel_tol=-1e-8)
     with pytest.raises(ValueError):
         SolverSettings(max_iterations=0)
+    for bad in ({"abs_tol": math.nan}, {"rel_tol": math.nan}):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            SolverSettings(**bad)
+    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        SolverSettings(max_iterations=math.nan)
 
 
 def _hex(values):
