@@ -15,11 +15,16 @@ configuration and seed reproduces the output byte for byte.  Exit codes:
 Monte Carlo statistical gate tripped.  Each command loads only the modules
 it runs: numpy only for crash-mc, the fatigue module only for fatigue, and
 the ODE integrators only for terrain and microstructure.
+
+``main(argv)`` may be called repeatedly in one process.  The argument parser
+is built once, at the first call, and reused by every later call: parsing
+leaves no state in it, and building it costs more than a flat solve.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__, flat
@@ -58,6 +63,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="course table file, or 'flat' / 'demo'")
 
 
+@functools.cache  # not at import: `import breakaway.cli` stays cheap
 def build_parser() -> _Parser:
     parser = _Parser(prog="breakaway",
                      description="Breakaway strategy analysis and simulation")

@@ -93,7 +93,7 @@ def p_max_from_budget(energy_budget: float, x_attack: float, t_finish: float,
     """
     if t_finish <= x_attack:
         raise ValueError("need t_finish > x_attack")
-    if mu < 0.0:
+    if not mu >= 0.0:  # NaN fails too
         raise ValueError("mu must be non-negative")
     delta = t_finish - x_attack
     burst_energy = energy_budget - p_lurk * x_attack - p_sustain * delta
@@ -228,12 +228,12 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     wins ties within 1e-12 as in the flat model.  The boundary, the
     stationary point and the reported solve are all found to rounding level.
     """
-    if mu < 0.0:
+    if not mu >= 0.0:  # NaN fails too
         raise ValueError("mu must be non-negative")
     settings = DEFAULT_SETTINGS if settings is None else settings  # read at the call
     p_lurk = problem.cd_lurk
     p_s = p_lurk if p_sustain is None else p_sustain
-    if p_s <= 0.0:
+    if not p_s > 0.0:
         raise ValueError("optimization requires a positive sustainable power")
     beta = problem.risk_index
     cd_front = problem.cd_front

@@ -64,7 +64,7 @@ def _start_surplus(zeta0: float, power: float, drag: DragParams,
                    cd_avg: float) -> float:
     """Power less the drag at the start coordinate zeta0; positive or raises."""
     start_drag = relative_drag_behind_front(zeta0, drag, cd_avg)
-    if power <= start_drag:
+    if not power > start_drag:  # NaN fails too
         raise StartDragError(f"need more than {start_drag!r}, the drag at "
                              f"the start depth {-zeta0!r}")
     return power - start_drag
@@ -107,8 +107,11 @@ def peloton_passage(position: float, power: float, drag: DragParams,
     drag at the start depth raises StartDragError, at position 1 too, where
     that drag is the front drag.
     """
-    if position < 1.0:
+    if not position >= 1.0:  # NaN fails too
         raise ValueError("position must be >= 1")
+    for name, value in (("gamma_ratio", gamma_ratio), ("mass_ratio", mass_ratio)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive")
     settings = LAYER_SETTINGS if settings is None else settings  # read at the call
     zeta0 = -(position - 1.0)
     _start_surplus(zeta0, power, drag, cd_avg)
@@ -194,7 +197,7 @@ def attack_onset(eps: float, position: float, power: float,
     stretched relative coordinate, then relaxes the speed at frozen front
     drag in the inner time (t - t_front) / eps.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
     settings = LAYER_SETTINGS if settings is None else settings  # read at the call
     t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,

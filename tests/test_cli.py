@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -98,6 +99,57 @@ class TestFlatCommand:
         assert code == 0
         _, _, rows = parse_table(out)
         assert [r["crash.n_riders"] for r in rows] == ["50", "51", "52"]
+
+
+class TestReusedParser:
+    """main() builds its parser once per process; parsing leaves nothing in it."""
+
+    @staticmethod
+    def outputs(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def help_text(argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out
+
+    def test_second_call_registers_no_option(self, capsys, monkeypatch):
+        main(["flat"])
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert main(["flat"]) == 0
+        assert added == []
+
+    def test_set_does_not_leak_into_the_next_call(self, capsys):
+        first = self.outputs(["flat"], capsys)
+        other = self.outputs(["flat", "--set", "strategy.risk_index=0.37"], capsys)
+        assert other[0] == 0 and other[1] != first[1]
+        assert self.outputs(["flat"], capsys) == first
+        assert self.outputs(["flat", "--set", "strategy.risk_index=0.37"], capsys) == other
+
+    def test_usage_error_between_calls(self, capsys):
+        first = self.outputs(["flat"], capsys)
+        usage = self.outputs(["describe"], capsys)
+        assert usage[0] == 1 and usage[2].startswith("error: ")
+        assert self.outputs(["flat"], capsys) == first
+        assert self.outputs(["describe"], capsys) == usage
+
+    @pytest.mark.parametrize("command", [[], ["flat"], ["fatigue"], ["terrain"],
+                                         ["crash-mc"], ["microstructure"]])
+    def test_help_is_the_same_on_a_later_call(self, command, capsys):
+        first = self.help_text(command + ["--help"], capsys)
+        assert first.startswith("usage: breakaway")
+        self.outputs(["flat", "--set", "strategy.risk_index=0.37"], capsys)
+        assert self.help_text(command + ["--help"], capsys) == first
 
 
 class TestDeterminismAndEcho:

@@ -85,8 +85,9 @@ class TestPowerSchedule:
     def test_validation(self):
         # a negative rate would grow the burst without bound; the burst
         # integral alone would read it as mu = 0
-        with pytest.raises(ValueError):
-            p_max_from_budget(1.2, 0.5, 0.9, 0.46, -1.0, 0.46)
+        for mu in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="mu must be non-negative"):
+                p_max_from_budget(1.2, 0.5, 0.9, 0.46, mu, 0.46)
 
 
 class TestTotalEnergy:
@@ -461,10 +462,13 @@ class TestOptimizeFatigue:
         assert result.peak_power < default.peak_power
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            optimize_fatigue(problem_with(), mu=-1.0)
-        with pytest.raises(ValueError):
-            optimize_fatigue(problem_with(), mu=1.0, p_sustain=-0.2)
+        # NaN fails each check with its own message, not as a solver failure
+        for mu in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="mu must be non-negative"):
+                optimize_fatigue(problem_with(), mu=mu)
+        for p_sustain in (-0.2, math.nan):
+            with pytest.raises(ValueError, match="positive sustainable power"):
+                optimize_fatigue(problem_with(), mu=1.0, p_sustain=p_sustain)
 
 
 def _mpmath_optimum(mp, beta):

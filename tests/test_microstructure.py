@@ -9,6 +9,7 @@ from breakaway.model import DragParams
 from breakaway.numerics import SolverSettings
 from breakaway.microstructure import (
     NeverReachesFrontError,
+    StartDragError,
     attack_onset,
     peloton_passage,
     relative_drag_behind_front,
@@ -103,6 +104,25 @@ class TestPassageLayer:
             ratios.append((v_front - 1.0) / (math.sqrt(eps) * layer.exit_slope))
         assert ratios[0] == pytest.approx(1.0, abs=0.05)
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
+
+
+@pytest.mark.parametrize("key, error, message", [
+    ("eps", ValueError, "eps must be positive"),
+    ("position", ValueError, "position must be >= 1"),
+    ("power", StartDragError, "need more than"),
+    ("gamma_ratio", ValueError, "gamma_ratio must be positive"),
+    ("mass_ratio", ValueError, "mass_ratio must be positive"),
+])
+def test_nan_input_fails_its_own_check(key, error, message):
+    # not deep in the ODE layer as "t_span must increase"
+    args = dict(eps=0.005, position=5.0, power=4.0, drag=DRAG, cd_avg=CD_AVG,
+                n_samples=33)
+    with pytest.raises(error, match=message):
+        attack_onset(**{**args, key: math.nan})
+    if key != "eps":
+        del args["eps"], args["n_samples"]
+        with pytest.raises(error, match=message):
+            peloton_passage(**{**args, key: math.nan})
 
 
 def test_attack_onset_settings_reach_every_solve(monkeypatch):
