@@ -9,9 +9,11 @@ The op lists come from this checkout's ``perfbench/workloads.py``: every op of
 each workload and seed, the warm-up op first, with the workload's course
 files written to a scratch directory that is the working directory of both
 runs.  ``--seeds`` applies to the in-process workloads and ``--cli-seeds`` to
-``cli``.  Each checkout runs all ops in one fresh interpreter that imports its
-own ``src/``, one ``breakaway.cli.main(argv)`` call per op (``cli`` ops too),
-and hashes each op's stdout, stderr and exit code.  Exits 1 and names the ops
+``cli``.  After them, every time, come the fixed input and output ops of
+``ops.io_plan``: the golden runs in JSON, config files, bad ``--set`` keys,
+help and version.  Each checkout runs all ops in one fresh interpreter that
+imports its own ``src/``, one ``breakaway.cli.main(argv)`` call per op (``cli``
+ops too), and hashes each op's stdout, stderr and exit code.  Exits 1 and names the ops
 whose hashes differ, each with the parts of its output that differ (exit
 code, stderr, metadata keys, table columns) and a tally of those parts over
 all differing ops; exits 0 when no op differs.
@@ -28,7 +30,7 @@ import sys
 import tempfile
 from collections import Counter
 
-from ops import parse_seeds, plan, run_op, write_files
+from ops import io_plan, parse_seeds, plan, run_op, write_files
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -88,6 +90,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workloads", default="terrain,validate,strategy,cli")
     args = parser.parse_args(argv)
     ops, files = plan(args.workloads.split(","), args.seeds, args.cli_seeds)
+    io_ops, io_files = io_plan()
+    ops += io_ops
+    files.update(io_files)
     with tempfile.TemporaryDirectory() as workdir:
         write_files(files, workdir)
         mine = _results(os.path.join(HERE, ".."), ops, workdir)

@@ -1,9 +1,10 @@
 """The perfbench ops as the scripts in this directory run them.
 
 ``parse_seeds`` reads a seed range, ``plan`` lists the ops of this checkout's
-``perfbench/workloads.py`` with the course files they read, ``write_files``
-writes those files under a working directory, and ``run_op`` runs one op
-through ``breakaway.cli.main`` with its output captured.
+``perfbench/workloads.py`` with the course files they read, ``io_plan`` lists
+the fixed ``IO_OPS`` with the config files they read, ``write_files`` writes
+those files under a working directory, and ``run_op`` runs one op through
+``breakaway.cli.main`` with its output captured.
 """
 
 from __future__ import annotations
@@ -35,6 +36,39 @@ def plan(workloads: list[str] | None, seeds: list[int], cli_seeds: list[int] | N
             for op in [generated["warmup"]] + generated["ops"]:
                 ops.append([f"{workload}:{seed}:{op['id']}", op["argv"]])
     return ops, files
+
+
+# The input and output paths no perfbench op takes, beside the golden runs in
+# JSON (see io_plan): a config file with a bare-key sweep, a config file and
+# --set keys the schema does not hold, and help and version text.
+IO_FILES = {
+    "io/sweep.ini": ("[strategy]\nenergy_budget = 1.5  ; inline comment\n\n"
+                     "[sweep]\nparameter = risk_index\nlo = 0.2\nhi = 0.9\npoints = 3\n\n"
+                     "[output]\nformat = json\n"),
+    "io/unknown.ini": "[strategy]\nnonsense = 1\n",
+}
+IO_OPS = [
+    ["io:config", ["flat", "--config", "io/sweep.ini"]],
+    ["io:config-set", ["flat", "--config", "io/sweep.ini", "--set", "omega=0.7",
+                       "--format", "csv"]],
+    ["io:config-unknown-key", ["flat", "--config", "io/unknown.ini"]],
+    ["io:set-bare", ["flat", "--set", "risk_index=0.3"]],
+    ["io:set-ambiguous", ["terrain", "--set", "epsilon=0.01"]],
+    ["io:set-unknown", ["flat", "--set", "nonsense=1"]],
+    ["io:set-unknown-dotted", ["flat", "--set", "strategy.nonsense=1"]],
+    ["io:help", ["--help"]],
+    ["io:flat-help", ["flat", "--help"]],
+    ["io:version", ["--version"]],
+]
+
+
+def io_plan():
+    """(ops as [label, argv], config files as {relative path: text}): each
+    golden run of perfbench/workloads.py in JSON, then IO_OPS."""
+    module = runpy.run_path(os.path.join(HERE, "..", "perfbench", "workloads.py"))
+    ops = [[f"io:json:{name}", argv + ["--format", "json"]]
+           for name, argv in module["GOLDEN"].items()]
+    return ops + IO_OPS, dict(IO_FILES)
 
 
 def write_files(files: dict[str, str], workdir: str) -> None:

@@ -1,12 +1,10 @@
 """Command-line interface: one subcommand per analysis, tables out.
 
-Subcommands
------------
-flat            closed-form flat-course optimum (optionally swept)
-fatigue         numerically optimized fatigue-limited attack (optionally swept)
-terrain         race simulation over a course profile (time series + summary)
-crash-mc        Monte Carlo validation of the analytic crash exposure
-microstructure  composite vs full attack-onset velocity series
+``_COMMANDS`` names each subcommand with its handler and help text: the flat
+and fatigue optima (optionally swept over one numeric key), the terrain race
+simulation, the crash Monte Carlo check and the attack-onset velocity series.
+Every option but ``--config`` and ``--out`` sets a configuration key:
+``--set section.key=value`` any key, and each flag in ``_FLAGS`` its own.
 
 Every run prints (or writes with --out) a single table whose metadata block
 echoes the complete effective configuration; re-running with the same
@@ -50,17 +48,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# flag -> (the key it sets, its argparse options), applied after --config and --set
+_FLAGS = {
+    "format": ("output.format", {"choices": ("csv", "json"),
+                                 "help": "output format (default from config)"}),
+    "seed": ("mc.seed", {"type": int, "help": "Monte Carlo seed"}),
+    "trials": ("mc.trials", {"type": int, "help": "Monte Carlo trial count"}),
+    "course": ("terrain.course", {"metavar": "PATH",
+                                  "help": "course table file, or 'flat' / 'demo'"}),
+}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="INI configuration file")
     sub.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                      dest="overrides", help="override one configuration value")
     sub.add_argument("--out", metavar="PATH", help="write the table here instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"),
-                     help="output format (default from config)")
-    sub.add_argument("--seed", type=int, help="Monte Carlo seed")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    sub.add_argument("--course", metavar="PATH",
-                     help="course table file, or 'flat' / 'demo'")
+    for flag, (_, options) in _FLAGS.items():
+        sub.add_argument(f"--{flag}", **options)
 
 
 @functools.cache  # not at import: `import breakaway.cli` stays cheap
@@ -69,27 +74,16 @@ def build_parser() -> _Parser:
                      description="Breakaway strategy analysis and simulation")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("flat", "closed-form flat-course optimum"),
-        ("fatigue", "fatigue-limited attack optimization"),
-        ("terrain", "race simulation over a course profile"),
-        ("crash-mc", "Monte Carlo check of the crash exposure"),
-        ("microstructure", "attack-onset velocity diagnostics"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         _add_common(subs.add_parser(name, help=help_text))
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig.load(args.config, args.overrides)
-    if args.format is not None:
-        cfg = cfg.with_value("output.format", args.format)
-    if args.seed is not None:
-        cfg = cfg.with_value("mc.seed", args.seed)
-    if args.trials is not None:
-        cfg = cfg.with_value("mc.trials", args.trials)
-    if args.course is not None:
-        cfg = cfg.with_value("terrain.course", args.course)
+    for flag, (name, _) in _FLAGS.items():
+        if (value := getattr(args, flag)) is not None:
+            cfg = cfg.with_value(name, value)
     return cfg
 
 
@@ -107,25 +101,25 @@ def _new_table(command: str, cfg: RunConfig, columns: list[str]) -> ResultTable:
 def _sweep(command: str, cfg: RunConfig, columns: list[str], row_fn):
     """One row per sweep point (or one row without a sweep), in sweep order.
 
-    A sweep prepends the swept parameter's effective value to every row.
-    Returns the table and the raw rows.
+    A sweep prepends the swept key's effective value to every row, headed by
+    sweep.parameter as given.  Returns the table and the raw rows.
     """
-    parameter = cfg.get("sweep", "parameter")
-    points = cfg.get("sweep", "points")
+    parameter = cfg.get("sweep.parameter")
+    points = cfg.get("sweep.points")
     swept = bool(parameter) and points >= 1
     configs = [cfg]
     if swept:
-        section, key = _resolve_key(parameter)
-        if SCHEMA[section][key][0] not in (int, float):
+        name = _resolve_key(parameter)
+        if SCHEMA[name][0] not in (int, float):
             raise ConfigError(f"bad value for sweep.parameter: {parameter!r} (not a number)")
-        values = linspace(cfg.get("sweep", "lo"), cfg.get("sweep", "hi"), points)
-        configs = [cfg.with_value(parameter, v) for v in values]
+        values = linspace(cfg.get("sweep.lo"), cfg.get("sweep.hi"), points)
+        configs = [cfg.with_value(name, v) for v in values]
         columns = [parameter] + columns
     table = _new_table(command, cfg, columns)
     rows = [row_fn(point_cfg) for point_cfg in configs]
     for point_cfg, row in zip(configs, rows):
         if swept:
-            row = [point_cfg.get(section, key)] + row
+            row = [point_cfg.get(name)] + row
         table.add_row(*row)
     return table, rows
 
@@ -169,7 +163,7 @@ def cmd_fatigue(cfg: RunConfig) -> tuple[ResultTable, int]:
 
     def fatigue_row(point_cfg: RunConfig) -> list:
         result = fatigue.optimize_fatigue(point_cfg.strategy_problem(),
-                                          mu=point_cfg.get("fatigue", "mu"),
+                                          mu=point_cfg.get("fatigue.mu"),
                                           p_sustain=point_cfg.p_sustain())
         return [
             result.attack_position,
@@ -198,7 +192,7 @@ def cmd_fatigue(cfg: RunConfig) -> tuple[ResultTable, int]:
 def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
     from . import terrain
 
-    name = cfg.get("terrain", "course")
+    name = cfg.get("terrain.course")
     if name == "flat":
         profile = terrain.CourseProfile.flat()
     elif name == "demo":
@@ -209,15 +203,15 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
         except (CourseFileError, OSError) as exc:  # an input, not a solver failure
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"bad value for terrain.course: {name!r} ({reason})") from exc
-    epsilon = cfg.get("terrain", "epsilon")  # read even when quasi-steady ignores it
-    power = cfg.get("terrain", "attack_power")
+    epsilon = cfg.get("terrain.epsilon")  # read even when quasi-steady ignores it
+    power = cfg.get("terrain.attack_power")
     attack = None if power <= 0.0 else power
     run = terrain.simulate_breakaway(
-        cfg.get("terrain", "attack_position"), attack, profile,
-        inertia=0.0 if cfg.get("terrain", "quasi_steady") else epsilon,
-        gravity_ratio=cfg.get("terrain", "gravity_ratio"),
-        cd_front=cfg.get("model", "cd_front"), cd_lurk=cfg.get("model", "cd_lurk"),
-        mass_ratio=cfg.get("model", "mass_ratio"))
+        cfg.get("terrain.attack_position"), attack, profile,
+        inertia=0.0 if cfg.get("terrain.quasi_steady") else epsilon,
+        gravity_ratio=cfg.get("terrain.gravity_ratio"),
+        cd_front=cfg.get("model.cd_front"), cd_lurk=cfg.get("model.cd_lurk"),
+        mass_ratio=cfg.get("model.mass_ratio"))
     table = _new_table("terrain", cfg,
                        ["series", "t", "x", "v", "power", "energy"])
     table.add_metadata("summary.course", profile.label)
@@ -229,7 +223,7 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
     table.add_metadata("summary.peloton_energy", run.peloton_energy)
     # both groups' rows at the same evenly spaced positions; a rider row at
     # or before the attack is the lurk's
-    positions = linspace(0.0, 1.0, cfg.get("terrain", "samples"))
+    positions = linspace(0.0, 1.0, cfg.get("terrain.samples"))
     for label, traj in (("rider", run.rider), ("peloton", run.peloton)):
         for x, (t, v, p, e) in zip(positions, traj.sample(positions)):
             table.add_row(label, t, x, v, p, e)
@@ -241,10 +235,10 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
 
 def cmd_crash_mc(cfg: RunConfig) -> tuple[ResultTable, int]:
     model = cfg.crash_model()
-    position = cfg.get("model", "position")
-    x_attack = cfg.get("mc", "attack_position")
-    trials = cfg.get("mc", "trials")
-    seed = cfg.get("mc", "seed")
+    position = cfg.get("model.position")
+    x_attack = cfg.get("mc.attack_position")
+    trials = cfg.get("mc.trials")
+    seed = cfg.get("mc.seed")
     analytic = exposure_simple_attack(x_attack, position, model)
     try:  # the crash count, intensity times trials, is capped before any allocation
         estimate, stderr = monte_carlo_exposure(x_attack, position, trials, seed, model)
@@ -267,14 +261,14 @@ def cmd_microstructure(cfg: RunConfig) -> tuple[ResultTable, int]:
     from . import microstructure
 
     drag = cfg.drag_params()
-    power = cfg.get("micro", "attack_power")
+    power = cfg.get("micro.attack_power")
     try:
         onset = microstructure.attack_onset(
-            cfg.get("micro", "epsilon"), cfg.get("model", "position"), power,
-            drag, cfg.get("model", "cd_avg"),
-            mass_ratio=cfg.get("model", "mass_ratio"),
-            gamma_ratio=cfg.get("micro", "gamma_ratio"),
-            n_samples=cfg.get("micro", "samples"))
+            cfg.get("micro.epsilon"), cfg.get("model.position"), power,
+            drag, cfg.get("model.cd_avg"),
+            mass_ratio=cfg.get("model.mass_ratio"),
+            gamma_ratio=cfg.get("micro.gamma_ratio"),
+            n_samples=cfg.get("micro.samples"))
     except microstructure.StartDragError as exc:  # an input, not a solver failure
         raise ConfigError(f"bad value for micro.attack_power: "
                           f"{power!r} ({exc})") from exc
@@ -291,12 +285,13 @@ def cmd_microstructure(cfg: RunConfig) -> tuple[ResultTable, int]:
     return table, EXIT_OK
 
 
+# command -> (handler, help text); build_parser adds one subcommand per entry
 _COMMANDS = {
-    "flat": cmd_flat,
-    "fatigue": cmd_fatigue,
-    "terrain": cmd_terrain,
-    "crash-mc": cmd_crash_mc,
-    "microstructure": cmd_microstructure,
+    "flat": (cmd_flat, "closed-form flat-course optimum"),
+    "fatigue": (cmd_fatigue, "fatigue-limited attack optimization"),
+    "terrain": (cmd_terrain, "race simulation over a course profile"),
+    "crash-mc": (cmd_crash_mc, "Monte Carlo check of the crash exposure"),
+    "microstructure": (cmd_microstructure, "attack-onset velocity diagnostics"),
 }
 
 
@@ -305,8 +300,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        table, code = _COMMANDS[args.command](cfg)
-        table.write(cfg.get("output", "format"), args.out)
+        table, code = _COMMANDS[args.command][0](cfg)
+        table.write(cfg.get("output.format"), args.out)
         return code
     except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

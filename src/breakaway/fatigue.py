@@ -91,6 +91,10 @@ def p_max_from_budget(energy_budget: float, x_attack: float, t_finish: float,
     The inverse of the budget p_lurk x_a + p_sustain delta
     + (p_max - p_sustain) B(delta) = energy_budget, B the burst integral.
     """
+    for name, value in (("energy_budget", energy_budget), ("x_attack", x_attack),
+                        ("t_finish", t_finish), ("p_sustain", p_sustain), ("p_lurk", p_lurk)):
+        if math.isnan(value):  # it would pass every check below and return NaN
+            raise ValueError(f"{name} must not be NaN")
     if t_finish <= x_attack:
         raise ValueError("need t_finish > x_attack")
     if not mu >= 0.0:  # NaN fails too

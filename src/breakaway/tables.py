@@ -31,20 +31,12 @@ def format_value(value) -> str:
 
 
 def _json_value(value):
-    if value is None:
-        return None
-    if isinstance(value, bool):
+    """format_value's text, typed; JSON has no NaN or infinity, so those are null."""
+    if value is None or isinstance(value, (bool, int)):
         return value
-    if isinstance(value, enum.Enum):
-        return str(value.value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return None  # JSON has no NaN or infinity
-        # pin to 12 significant digits so renderings are stable
-        return float(f"{value:.12g}")
-    if isinstance(value, (int, str)):
-        return value
-    return str(value)
+        return float(format_value(value)) if math.isfinite(value) else None
+    return format_value(value)
 
 
 class ResultTable:

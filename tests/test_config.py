@@ -6,14 +6,14 @@ from breakaway.config import ConfigError, RunConfig
 class TestDefaults:
     def test_reference_calibration(self):
         cfg = RunConfig.defaults()
-        assert cfg.get("model", "position") == 5.0
-        assert cfg.get("model", "cd_lurk") == 0.46
-        assert cfg.get("model", "cd_front") == 1.43
-        assert cfg.get("model", "decay") == 0.25
-        assert cfg.get("crash", "omega") == 0.5
-        assert cfg.get("crash", "intensity") == 2.0
-        assert cfg.get("crash", "n_riders") == 75
-        assert cfg.get("terrain", "epsilon") == 0.005
+        assert cfg.get("model.position") == 5.0
+        assert cfg.get("model.cd_lurk") == 0.46
+        assert cfg.get("model.cd_front") == 1.43
+        assert cfg.get("model.decay") == 0.25
+        assert cfg.get("crash.omega") == 0.5
+        assert cfg.get("crash.intensity") == 2.0
+        assert cfg.get("crash.n_riders") == 75
+        assert cfg.get("terrain.epsilon") == 0.005
 
     def test_builders(self):
         cfg = RunConfig.defaults()
@@ -27,9 +27,9 @@ class TestDefaults:
 class TestOverrides:
     def test_dotted_and_bare_keys(self):
         cfg = RunConfig.defaults().with_value("strategy.risk_index", 0.4)
-        assert cfg.get("strategy", "risk_index") == 0.4
+        assert cfg.get("strategy.risk_index") == 0.4
         cfg = cfg.with_value("omega", "0.7")   # bare key, unique
-        assert cfg.get("crash", "omega") == 0.7
+        assert cfg.get("crash.omega") == 0.7
 
     def test_ambiguous_bare_key(self):
         # several sections define attack_power and epsilon
@@ -42,9 +42,9 @@ class TestOverrides:
 
     def test_type_coercion(self):
         cfg = RunConfig.defaults().with_value("sweep.points", "11")
-        assert cfg.get("sweep", "points") == 11
+        assert cfg.get("sweep.points") == 11
         cfg = cfg.with_value("terrain.quasi_steady", "true")
-        assert cfg.get("terrain", "quasi_steady") is True
+        assert cfg.get("terrain.quasi_steady") is True
         with pytest.raises(ConfigError):
             cfg.with_value("sweep.points", "eleven")
 
@@ -52,8 +52,8 @@ class TestOverrides:
         ini = tmp_path / "run.ini"
         ini.write_text("[strategy]\nrisk_index = 0.3\nenergy_budget = 1.5\n")
         cfg = RunConfig.load(ini, overrides=["strategy.risk_index=0.9"])
-        assert cfg.get("strategy", "risk_index") == 0.9   # override wins
-        assert cfg.get("strategy", "energy_budget") == 1.5  # file beats default
+        assert cfg.get("strategy.risk_index") == 0.9   # override wins
+        assert cfg.get("strategy.energy_budget") == 1.5  # file beats default
 
     def test_malformed_sources(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -69,5 +69,33 @@ class TestOverrides:
         cfg = RunConfig.defaults()
         names = {name for name, _ in cfg.echo_items()}
         from breakaway.config import SCHEMA
-        expected = {f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys}
-        assert names == expected
+        assert names == set(SCHEMA)
+
+
+class TestIniValues:
+    """INI values are read verbatim, and [DEFAULT] is no special section."""
+
+    def run(self, tmp_path, capsys, text, command="flat"):
+        from breakaway.cli import main
+
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        code = main([command, "--config", str(ini)])
+        return code, capsys.readouterr()
+
+    def test_percent_is_a_character(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, "[strategy]\nrisk_index = 50%\n")
+        assert code == 1
+        assert out.err == "error: bad value for strategy.risk_index: '50%'\n"
+        code, out = self.run(tmp_path, capsys, "[terrain]\ncourse = a%(x)s\n", "terrain")
+        assert code == 1
+        assert out.err.startswith("error: bad value for terrain.course: 'a%(x)s' (")
+        assert out.err.count("\n") == 1
+
+    def test_default_section_is_unknown(self, tmp_path, capsys):
+        for text in ("[DEFAULT]\nrisk_index = 0.3\n",
+                     "[DEFAULT]\nrisk_index = 0.3\n[crash]\nomega = 0.6\n"):
+            code, out = self.run(tmp_path, capsys, text)
+            assert code == 1
+            assert out.err == "error: unknown config section [DEFAULT]\n"
+            assert out.out == ""

@@ -19,7 +19,7 @@ from breakaway.cli import main  # noqa: E402
 from breakaway.config import SCHEMA  # noqa: E402
 
 COMMANDS = ("flat", "fatigue", "terrain", "crash-mc", "microstructure")
-KEYS = [f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys]
+KEYS = list(SCHEMA)
 # small sizes unless a key is drawn: every run stays well under a second or
 # two, the ODE work budget bounding the stiff ones
 CHEAP = ["terrain.samples=9", "micro.samples=9", "mc.trials=1000"]
@@ -46,8 +46,7 @@ def values(name):
     outside, the default, tiny and huge magnitudes and junk."""
     if name in TEXT:
         return TEXT[name]
-    section, key = name.split(".")
-    kind, default, *allowed = SCHEMA[section][key]
+    kind, default, *allowed = SCHEMA[name]
     pool = {repr(default), "nan", "x"}
     ends = [e for e in (_ends(allowed[0]) if allowed else []) if math.isfinite(e)]
     if kind is int:

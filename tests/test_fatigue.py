@@ -89,6 +89,15 @@ class TestPowerSchedule:
             with pytest.raises(ValueError, match="mu must be non-negative"):
                 p_max_from_budget(1.2, 0.5, 0.9, 0.46, mu, 0.46)
 
+    @pytest.mark.parametrize("name", ["energy_budget", "x_attack", "t_finish",
+                                      "p_sustain", "p_lurk"])
+    def test_nan_names_the_argument(self, name):
+        # NaN fails no comparison, so it would otherwise come back as a NaN power
+        args = {"energy_budget": 1.2, "x_attack": 0.5, "t_finish": 0.9,
+                "p_sustain": 0.46, "mu": 1.0, "p_lurk": 0.46, name: math.nan}
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+            p_max_from_budget(**args)
+
 
 class TestTotalEnergy:
     def test_no_burst(self):

@@ -68,6 +68,43 @@ def test_golden(name, tmp_path):
     assert produced.read_bytes() == golden.read_bytes()
 
 
+def _typed(text):
+    """A CSV cell or metadata value as JSON output carries it: a number as
+    float(text), a non-finite one as null, a boolean as a boolean and any
+    other text as itself."""
+    if text in ("nan", "inf", "-inf"):
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _kinded(values):
+    # True == 1.0 and 2 == 2.0: compare the JSON kind beside the value
+    return [(type(v) if isinstance(v, (bool, str, type(None))) else float, v)
+            for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_json_is_the_csv_typed(name, tmp_path):
+    produced = tmp_path / name
+    assert main(RUNS[name] + ["--format", "json", "--out", str(produced)]) == 0
+    doc = json.loads(produced.read_text())
+    lines = (GOLDEN_DIR / name).read_text().splitlines()
+    meta = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+    meta["config.output.format"] = "json"  # the one setting the two runs differ in
+    header, *rows = [line.split(",") for line in lines if not line.startswith("# ")]
+    assert list(doc["metadata"]) == list(meta)
+    assert _kinded(doc["metadata"].values()) == _kinded(map(_typed, meta.values()))
+    assert doc["columns"] == header
+    assert len(doc["rows"]) == len(rows)
+    for cells, texts in zip(doc["rows"], rows):
+        assert _kinded(cells) == _kinded(map(_typed, texts))
+
+
 # numpy's SIMD kernels from AVX512-SKX on switched off, and OpenBLAS's
 # kernel for AVX2 (Haswell), as on an AVX2-only CPU
 SECOND_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
