@@ -40,18 +40,21 @@ def plan(workloads: list[str] | None, seeds: list[int], cli_seeds: list[int] | N
 
 # The input and output paths no perfbench op takes, beside the golden runs in
 # JSON (see io_plan): a config file with a bare-key sweep, a config file and
-# --set keys the schema does not hold, and help and version text.
+# --set keys the schema does not hold, a config key in the wrong case, and
+# help and version text.
 IO_FILES = {
     "io/sweep.ini": ("[strategy]\nenergy_budget = 1.5  ; inline comment\n\n"
                      "[sweep]\nparameter = risk_index\nlo = 0.2\nhi = 0.9\npoints = 3\n\n"
                      "[output]\nformat = json\n"),
     "io/unknown.ini": "[strategy]\nnonsense = 1\n",
+    "io/mixed-case.ini": "[strategy]\nRisk_Index = 0.3\n",
 }
 IO_OPS = [
     ["io:config", ["flat", "--config", "io/sweep.ini"]],
     ["io:config-set", ["flat", "--config", "io/sweep.ini", "--set", "omega=0.7",
                        "--format", "csv"]],
     ["io:config-unknown-key", ["flat", "--config", "io/unknown.ini"]],
+    ["io:config-mixed-case", ["flat", "--config", "io/mixed-case.ini"]],
     ["io:set-bare", ["flat", "--set", "risk_index=0.3"]],
     ["io:set-ambiguous", ["terrain", "--set", "epsilon=0.01"]],
     ["io:set-unknown", ["flat", "--set", "nonsense=1"]],

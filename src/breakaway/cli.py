@@ -14,7 +14,8 @@ Monte Carlo statistical gate tripped.  Each command loads only the modules
 it runs: numpy only for crash-mc, the fatigue module only for fatigue, and
 the ODE integrators only for terrain and microstructure.
 
-``main(argv)`` may be called repeatedly in one process.  The argument parser
+``main(argv)`` returns the exit code, also after --help and --version, and
+may be called repeatedly in one process.  The argument parser
 is built once, at the first call, and reused by every later call: parsing
 leaves no state in it, and building it costs more than a flat solve.
 """
@@ -303,6 +304,8 @@ def main(argv=None) -> int:
         table, code = _COMMANDS[args.command][0](cfg)
         table.write(cfg.get("output.format"), args.out)
         return code
+    except SystemExit:  # argparse's --help and --version, their text printed
+        return EXIT_OK
     except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

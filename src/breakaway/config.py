@@ -159,6 +159,7 @@ class RunConfig:
             # values verbatim (no % interpolation); [DEFAULT] unknown (no header names "\n")
             parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                                interpolation=None, default_section="\n")
+            parser.optionxform = str  # key names keep their case, as --set keys do
             try:
                 with open(config_path, "r", encoding="utf-8") as fh:
                     parser.read_file(fh)

@@ -15,7 +15,10 @@ two ends decide the optimum, and an interior one is the single root of
 dM/dx_a, found by Brent's method to rounding level; dt_f/dx_a comes from
 implicit differentiation of the budget and arrival constraints.  The
 zero-gap boundary is the root of the arrival condition at t_f = 1, so its
-row reports t_f = 1 and no time gap exactly.
+row reports t_f = 1 and no time gap exactly.  Every constrained solve runs
+at that rounding level, those that pick the boundary branch too, so the
+point that decides a branch is the point reported; only the two residual
+quadratures below run at the caller's settings.
 
 The burst integral behind the budget, the speed integral behind the
 arrival and its slope in the burst amplitude are elementary, so each costs
@@ -33,7 +36,7 @@ import sys
 from collections import namedtuple
 
 from .crash import exposure_simple_attack
-from .flat import StrategyProblem
+from .flat import _TIE_TOL, StrategyProblem
 from .numerics import (
     DEFAULT_SETTINGS,
     SolverSettings,
@@ -173,10 +176,7 @@ def _attack_solve(x: float, energy_budget: float, p_sustain: float,
     elif (s_hi := surplus(delta_max)) <= 0.0:
         delta = delta_max
     else:
-        # Brent starts by evaluating both ends: answer those from here
-        ends = {lo: s_lo, delta_max: s_hi}
-        delta = find_root_bracketed(
-            lambda d: ends.pop(d) if d in ends else surplus(d), lo, delta_max, settings)
+        delta = find_root_bracketed(surplus, lo, delta_max, settings, s_lo, s_hi)
     p_max = p_sustain + (e_rem - p_sustain * delta) / _burst_integral(delta, mu)
     return delta, p_max
 
@@ -242,23 +242,26 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     beta = problem.risk_index
     cd_front = problem.cd_front
     budget = problem.energy_budget
-    exact = SolverSettings(min(settings.abs_tol, _ROUNDING_TOL), settings.rel_tol,
-                           settings.max_iterations)
+    exact = settings._replace(abs_tol=min(settings.abs_tol, _ROUNDING_TOL))
 
     def exposure(x):
         return exposure_simple_attack(x, problem.position, problem.crash)
 
     n_solves = 0
 
-    def solve(x, inner=settings):
+    def point(x):
+        # (x, delta, p_max) at rounding level; None if the budget cannot get home
         nonlocal n_solves
         n_solves += 1
-        solved = _attack_solve(x, budget, p_s, p_lurk, mu, cd_front, inner)
+        solved = _attack_solve(x, budget, p_s, p_lurk, mu, cd_front, exact)
         if solved is None and x == x_feas:
             # the closed-form boundary can land infeasible by rounding; there
             # riding steadily at p_s spends the budget exactly on arrival
-            return (budget - p_lurk * x) / p_s, p_s
-        return solved
+            return x, (budget - p_lurk * x) / p_s, p_s
+        return None if solved is None else (x, *solved)
+
+    def loses(solved):  # finishes after the peloton's t = 1, or never
+        return solved is None or solved[0] + solved[1] > 1.0
 
     def no_win() -> FatigueResult:
         return FatigueResult(None, None, None, 0.0, (1.0 - beta) * exposure(1.0),
@@ -267,12 +270,6 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     x_feas = _feasibility_boundary(budget, p_s, p_lurk, cd_front)
     if x_feas is None or x_feas >= _X_CAP:
         return no_win()
-
-    def time_gap_at(x):
-        # a finite sentinel marks an attack from which the budget cannot
-        # bring the rider home
-        solved = solve(x)
-        return -1.0 if solved is None else 1.0 - (x + solved[0])
 
     def lead_at_peloton_finish(x):
         # position at t = 1, less the line, when the budget runs out at t = 1;
@@ -283,16 +280,10 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         distance = _speed_integral(1.0 - x, p_max, p_s, mu)
         return x + distance / cd_front ** (1.0 / 3.0) - 1.0
 
-    def exact_point(x):
-        delta, p_max = solve(x, exact)
-        return x, delta, p_max
-
     # earliest attack that at least matches the peloton (gap crosses zero)
-    if time_gap_at(x_feas) >= 0.0:
-        boundary = exact_point(x_feas)
-    elif time_gap_at(_X_CAP) < 0.0:
-        return no_win()
-    else:
+    if loses(boundary := point(x_feas)):
+        if loses(point(_X_CAP)):
+            return no_win()
         x_zero = find_root_bracketed(lead_at_peloton_finish, x_feas, _X_CAP, exact)
         boundary = (x_zero, 1.0 - x_zero, p_max_from_budget(budget, x_zero, 1.0, p_s,
                                                             mu, p_lurk))
@@ -304,7 +295,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     exposure_slope = exposure(1.0) - exposure(0.0)  # the exposure is linear
 
     def slope_at(x):
-        _, delta, p_max = exact_point(x)
+        _, delta, p_max = point(x)
         return (beta * _finish_time_slope(x, x + delta, p_max, p_s, p_lurk,
                                           mu, cd_front)
                 + (1.0 - beta) * exposure_slope)
@@ -317,12 +308,9 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         if (d_hi := slope_at(_X_CAP)) <= 0.0:
             x_min = _X_CAP
         else:
-            # Brent starts by evaluating both ends: answer those from here
-            ends = {x_zero: d_lo, _X_CAP: d_hi}
-            x_min = find_root_bracketed(
-                lambda x: ends.pop(x) if x in ends else slope_at(x), x_zero, _X_CAP, exact)
-        interior = exact_point(x_min)
-        if value_of(interior) < value_of(boundary) - 1e-12:
+            x_min = find_root_bracketed(slope_at, x_zero, _X_CAP, exact, d_lo, d_hi)
+        interior = point(x_min)
+        if value_of(interior) < value_of(boundary) - _TIE_TOL:
             best = interior
 
     x_best, delta, p_max = best

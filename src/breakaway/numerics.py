@@ -105,18 +105,21 @@ def solve_cubic_real(a3: float, a1: float, a0: float) -> list[float]:
 
 
 def find_root_bracketed(f, lo: float, hi: float,
-                        settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+                        settings: SolverSettings = DEFAULT_SETTINGS,
+                        f_lo: float | None = None, f_hi: float | None = None) -> float:
     """Brent's root of f on [lo, hi]; f(lo) and f(hi) must differ in sign.
 
     A step-for-step port of SciPy's C brentq (Brent 1973, ch. 4) with
     xtol = settings.abs_tol and rtol = 4 machine eps: the same iterates and
     the same float root, from as many evaluations of f as SciPy counts.
+    f_lo and f_hi, if given, are f(lo) and f(hi): its first two evaluations.
     Raises BracketError for ends of one sign or a NaN at an end, and
     ToleranceError for a NaN at an iterate or after max_iterations steps.
     """
     xtol, rtol = settings.abs_tol, 4.0 * sys.float_info.epsilon
     xpre, xcur = float(lo), float(hi)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre = float(f(xpre) if f_lo is None else f_lo)
+    fcur = float(f(xcur) if f_hi is None else f_hi)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

@@ -16,7 +16,7 @@ Two laws are provided:
 * the quasi-steady limit (epsilon = 0), where the speed V is the positive
   root of C_d v^3 + m*gamma*sin(theta) v = P at every point: the state is
   tau alone, dtau/dxi = 1/V(x0 + xi), always by RK45 and at tolerances 100x
-  tighter than SIM_SETTINGS.
+  tighter than the ride's settings.
 
 The peloton is the unit rider (power, drag and mass all 1) on the rider's
 integrator, and each ride holds a constant power, so the ODEs carry only the
@@ -46,6 +46,7 @@ import math
 from collections import namedtuple
 
 from .config import CourseFileError
+from .model import CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED
 from .numerics import (
     NumericsError,
     SolverSettings,
@@ -69,9 +70,6 @@ __all__ = [
 ]
 
 SIM_SETTINGS = SolverSettings(abs_tol=1e-12, rel_tol=1e-10)
-# at SIM_SETTINGS the quasi-steady demo peloton is 1.6e-11 off an mpmath
-# quadrature, at these 2.3e-14; its steps are cheap
-_QUASI_STEADY_SETTINGS = SolverSettings(abs_tol=1e-14, rel_tol=1e-12)
 
 _V_STALL = 1e-9
 
@@ -260,8 +258,8 @@ BreakawayRun = namedtuple("BreakawayRun", "rider peloton time_gap attack_time "
 
 def simulate_breakaway(x_attack: float, attack, profile: CourseProfile,
                        inertia: float = 0.005, gravity_ratio: float = 40.0,
-                       cd_front: float = 1.43, cd_lurk: float = 0.46,
-                       mass_ratio: float = 1.0,
+                       cd_front: float = CD_FRONT_CALIBRATED,
+                       cd_lurk: float = CD_LURK_CALIBRATED, mass_ratio: float = 1.0,
                        settings: SolverSettings | None = None) -> BreakawayRun:
     """Simulate a breakaway at course position x_attack.
 
@@ -361,8 +359,8 @@ def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, wh
     The ride is marched in xi = x - x0 over [0, 1 - x0], one solve restarted
     at the course's knots.  The state is (tau, v), tau the time since the
     start; eps = 0 is the quasi-steady limit, whose state is tau alone, its
-    speed the cubic root at x, v0 not used, and its march RK45 at
-    _QUASI_STEADY_SETTINGS whatever settings say.  A full-dynamics ride is
+    speed the cubic root at x, v0 not used, and its march RK45 at both of
+    settings' tolerances over 100.  A full-dynamics ride is
     BDF on its analytic Jacobian in (tau, v) when its _stiffness exceeds
     STIFFNESS_LIMIT, RK45 otherwise.  Returns the ride time, the dense tau at 1 - x0; the dense
     state, (tau, v) at a xi held in [0, 1 - x0]; and the accepted steps,
@@ -387,7 +385,11 @@ def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, wh
         return v
 
     if eps == 0.0:
-        y0, settings, jac, events, bound = [0.0], _QUASI_STEADY_SETTINGS, None, (), 0.0
+        # the demo peloton is 1.6e-11 off an mpmath quadrature at
+        # SIM_SETTINGS and 2.3e-14 at a hundredth of them; its steps are cheap
+        settings = settings._replace(abs_tol=settings.abs_tol / 100.0,
+                                     rel_tol=settings.rel_tol / 100.0)
+        y0, jac, events, bound = [0.0], None, (), 0.0
 
         def rhs(xi, tau, _):
             return 1.0 / speed(x0 + xi), 0.0

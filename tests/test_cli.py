@@ -112,9 +112,7 @@ class TestReusedParser:
 
     @staticmethod
     def help_text(argv, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 0
+        assert main(argv) == 0  # returned, not raised as SystemExit
         return capsys.readouterr().out
 
     def test_second_call_registers_no_option(self, capsys, monkeypatch):

@@ -92,6 +92,13 @@ class TestIniValues:
         assert out.err.startswith("error: bad value for terrain.course: 'a%(x)s' (")
         assert out.err.count("\n") == 1
 
+    def test_key_names_keep_their_case(self, tmp_path, capsys):
+        # as --set keys do: Risk_Index is no key of the schema
+        code, out = self.run(tmp_path, capsys, "[strategy]\nRisk_Index = 0.3\n")
+        assert code == 1
+        assert out.err == "error: unknown key strategy.Risk_Index\n"
+        assert out.out == ""
+
     def test_default_section_is_unknown(self, tmp_path, capsys):
         for text in ("[DEFAULT]\nrisk_index = 0.3\n",
                      "[DEFAULT]\nrisk_index = 0.3\n[crash]\nomega = 0.6\n"):

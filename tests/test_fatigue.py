@@ -436,6 +436,23 @@ class TestOptimizeFatigue:
         # not over t_finish - x, which keeps few digits of a 1.4e-9 ride
         assert result.converged
 
+    def test_every_attack_solve_is_rounding_level(self, monkeypatch):
+        # the solves that pick the boundary branch are the ones reported:
+        # from the zero-gap root (p_sustain None) and from x_feas (2.0)
+        import breakaway.fatigue as fatigue
+        tiers = []
+        solve = fatigue._attack_solve
+
+        def record(*args):
+            tiers.append(args[6])
+            return solve(*args)
+        monkeypatch.setattr(fatigue, "_attack_solve", record)
+        for p_sustain in (None, 2.0):
+            optimize_fatigue(problem_with(energy_budget=1.25, risk_index=0.5), mu=1.0,
+                             p_sustain=p_sustain)
+        assert set(tiers) == {SolverSettings(abs_tol=1e-15)}
+        assert len(tiers) == 26
+
     def test_iterations_stay_bounded(self):
         result = optimize_fatigue(problem_with(energy_budget=1.25, risk_index=0.5),
                                   mu=1.0)

@@ -102,13 +102,18 @@ class TestRootFinding:
                 calls.append(x)
                 return f(x)
 
-            root = find_root_bracketed(counted, lo, hi, SolverSettings(abs_tol=abs_tol))
+            settings = SolverSettings(abs_tol=abs_tol)
+            root = find_root_bracketed(counted, lo, hi, settings)
             ref, r = optimize.brentq(f, lo, hi, xtol=abs_tol,
                                      rtol=4.0 * np.finfo(float).eps,
                                      maxiter=200, full_output=True)
             assert type(root) is float
             assert root == ref, (checked, lo, hi, abs_tol)
             assert len(calls) == r.function_calls
+            # known end values stand in for the first two evaluations
+            calls.clear()
+            assert find_root_bracketed(counted, lo, hi, settings, f(lo), f(hi)) == root
+            assert len(calls) == r.function_calls - 2
             checked += 1
 
     def test_tiny_values_of_one_sign_are_no_bracket(self):

@@ -553,8 +553,21 @@ class TestBreakaway:
         monkeypatch.setattr(terrain, "ode_solve_with_events", record)
         for inertia in (0.0, 0.005):
             simulate_breakaway(0.5, 3.6, demo_profile(), inertia=inertia)
-        quasi, full = terrain._QUASI_STEADY_SETTINGS, terrain.SIM_SETTINGS
+        quasi, full = SolverSettings(abs_tol=1e-14, rel_tol=1e-12), terrain.SIM_SETTINGS
         assert calls == [(1, quasi), (1, quasi), (2, full), (2, full)]
+
+    def test_quasi_steady_march_reads_settings(self, monkeypatch):
+        # both marches at the caller's settings, each tolerance over 100
+        calls = []
+        solve = terrain.ode_solve_with_events
+
+        def record(rhs, y0, *args, **kwargs):
+            calls.append(kwargs["settings"])
+            return solve(rhs, y0, *args, **kwargs)
+        monkeypatch.setattr(terrain, "ode_solve_with_events", record)
+        settings = SolverSettings(abs_tol=1e-9, rel_tol=1e-7, max_iterations=150)
+        simulate_breakaway(0.5, 3.6, demo_profile(), inertia=0.0, settings=settings)
+        assert calls == [SolverSettings(1e-9 / 100.0, 1e-7 / 100.0, 150)] * 2
 
     @pytest.mark.parametrize("inertia", [0.0, 0.005])
     def test_post_attack_energy_is_closed_form(self, inertia):
