@@ -40,14 +40,16 @@ def plan(workloads: list[str] | None, seeds: list[int], cli_seeds: list[int] | N
 
 # The input and output paths no perfbench op takes, beside the golden runs in
 # JSON (see io_plan): a config file with a bare-key sweep, a config file and
-# --set keys the schema does not hold, a config key in the wrong case, and
-# help and version text.
+# --set keys the schema does not hold, a config key in the wrong case, a
+# course file whose header follows a comment, a sweep on a command that does
+# not sweep, and help and version text.
 IO_FILES = {
     "io/sweep.ini": ("[strategy]\nenergy_budget = 1.5  ; inline comment\n\n"
                      "[sweep]\nparameter = risk_index\nlo = 0.2\nhi = 0.9\npoints = 3\n\n"
                      "[output]\nformat = json\n"),
     "io/unknown.ini": "[strategy]\nnonsense = 1\n",
     "io/mixed-case.ini": "[strategy]\nRisk_Index = 0.3\n",
+    "io/commented-header.txt": "# my course\nx h\n0 0\n0.5 0.01\n1 0\n",
 }
 IO_OPS = [
     ["io:config", ["flat", "--config", "io/sweep.ini"]],
@@ -59,6 +61,10 @@ IO_OPS = [
     ["io:set-ambiguous", ["terrain", "--set", "epsilon=0.01"]],
     ["io:set-unknown", ["flat", "--set", "nonsense=1"]],
     ["io:set-unknown-dotted", ["flat", "--set", "strategy.nonsense=1"]],
+    ["io:course-commented-header", ["terrain", "--course", "io/commented-header.txt",
+                                    "--set", "terrain.samples=5"]],
+    ["io:crash-mc-sweep", ["crash-mc", "--set", "sweep.parameter=crash.omega",
+                           "--set", "sweep.points=3"]],
     ["io:help", ["--help"]],
     ["io:flat-help", ["flat", "--help"]],
     ["io:version", ["--version"]],

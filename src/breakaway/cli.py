@@ -1,8 +1,9 @@
 """Command-line interface: one subcommand per analysis, tables out.
 
 ``_COMMANDS`` names each subcommand with its handler and help text: the flat
-and fatigue optima (optionally swept over one numeric key), the terrain race
-simulation, the crash Monte Carlo check and the attack-onset velocity series.
+and fatigue optima (each optionally swept over one numeric key, a sweep the
+other commands refuse), the terrain race simulation, the crash Monte Carlo
+check and the attack-onset velocity series.
 Every option but ``--config`` and ``--out`` sets a configuration key:
 ``--set section.key=value`` any key, and each flag in ``_FLAGS`` its own.
 
@@ -85,6 +86,11 @@ def _config_from_args(args) -> RunConfig:
     for flag, (name, _) in _FLAGS.items():
         if (value := getattr(args, flag)) is not None:
             cfg = cfg.with_value(name, value)
+    # peeked, not get(): a command that does not sweep reads no sweep key
+    parameter = cfg._data["sweep.parameter"] if cfg._data["sweep.points"] >= 1 else ""
+    if parameter and args.command not in ("flat", "fatigue"):
+        raise ConfigError(f"bad value for sweep.parameter: {parameter!r} "
+                          f"({args.command} does not sweep)")
     return cfg
 
 

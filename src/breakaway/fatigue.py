@@ -74,7 +74,7 @@ class InfeasibleBudgetError(ValueError):
 
 # status is "ok" or "no_win", where attack_position, peak_power and
 # finish_time are None; iterations counts the constrained solves at a fixed
-# attack position
+# attack position, each position solved once
 FatigueResult = namedtuple(
     "FatigueResult", "attack_position peak_power finish_time time_gap objective converged "
     "status iterations budget_residual arrival_residual", defaults=("ok", 0, math.nan, math.nan))
@@ -165,20 +165,20 @@ def _attack_solve(x: float, energy_budget: float, p_sustain: float,
     if p_sustain ** (1.0 / 3.0) * delta_max < distance:
         return None
 
+    def peak(delta):  # the budget's peak power for a ride of delta
+        return p_sustain + (e_rem - p_sustain * delta) / _burst_integral(delta, mu)
+
     def surplus(delta):
-        burst = (e_rem - p_sustain * delta) / _burst_integral(delta, mu)
-        return _speed_integral(delta, p_sustain + burst, p_sustain, mu) - distance
+        return _speed_integral(delta, peak(delta), p_sustain, mu) - distance
 
     lo = 1e-13 * max(1.0, delta_max)
-    s_lo = surplus(lo)
-    if s_lo >= 0.0:
+    if (s_lo := surplus(lo)) >= 0.0:
         delta = lo
     elif (s_hi := surplus(delta_max)) <= 0.0:
         delta = delta_max
     else:
         delta = find_root_bracketed(surplus, lo, delta_max, settings, s_lo, s_hi)
-    p_max = p_sustain + (e_rem - p_sustain * delta) / _burst_integral(delta, mu)
-    return delta, p_max
+    return delta, peak(delta)
 
 
 def _feasibility_boundary(energy_budget: float, p_sustain: float,
@@ -247,18 +247,18 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     def exposure(x):
         return exposure_simple_attack(x, problem.position, problem.crash)
 
-    n_solves = 0
+    points, n_leads = {}, 0  # each attack position is solved once
 
     def point(x):
         # (x, delta, p_max) at rounding level; None if the budget cannot get home
-        nonlocal n_solves
-        n_solves += 1
-        solved = _attack_solve(x, budget, p_s, p_lurk, mu, cd_front, exact)
-        if solved is None and x == x_feas:
-            # the closed-form boundary can land infeasible by rounding; there
-            # riding steadily at p_s spends the budget exactly on arrival
-            return x, (budget - p_lurk * x) / p_s, p_s
-        return None if solved is None else (x, *solved)
+        if x not in points:
+            solved = _attack_solve(x, budget, p_s, p_lurk, mu, cd_front, exact)
+            if solved is None and x == x_feas:
+                # the closed-form boundary can land infeasible by rounding; there
+                # riding steadily at p_s spends the budget exactly on arrival
+                solved = (budget - p_lurk * x) / p_s, p_s
+            points[x] = None if solved is None else (x, *solved)
+        return points[x]
 
     def loses(solved):  # finishes after the peloton's t = 1, or never
         return solved is None or solved[0] + solved[1] > 1.0
@@ -274,8 +274,8 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     def lead_at_peloton_finish(x):
         # position at t = 1, less the line, when the budget runs out at t = 1;
         # positive exactly where the attack beats the peloton
-        nonlocal n_solves
-        n_solves += 1
+        nonlocal n_leads
+        n_leads += 1
         p_max = p_max_from_budget(budget, x, 1.0, p_s, mu, p_lurk)
         distance = _speed_integral(1.0 - x, p_max, p_s, mu)
         return x + distance / cd_front ** (1.0 / 3.0) - 1.0
@@ -328,7 +328,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
         time_gap=max(1.0 - t_finish, 0.0),
         objective=value_of(best),
         converged=converged,
-        iterations=n_solves,
+        iterations=len(points) + n_leads,
         budget_residual=budget_res,
         arrival_residual=arrival_res,
     )

@@ -40,11 +40,10 @@ def _json_value(value):
 
 
 class ResultTable:
-    def __init__(self, columns: list[str], rows: list[list] | None = None,
-                 metadata: list[tuple[str, object]] | None = None):
+    def __init__(self, columns: list[str]):
         self.columns = columns
-        self.rows = [] if rows is None else rows
-        self.metadata = [] if metadata is None else metadata
+        self.rows: list[list] = []
+        self.metadata: list[tuple[str, object]] = []
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
@@ -54,28 +53,20 @@ class ResultTable:
     def add_metadata(self, key: str, value) -> None:
         self.metadata.append((key, value))
 
-    def render_csv(self) -> str:
-        lines = [f"# {key} = {format_value(value)}" for key, value in self.metadata]
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-    def render_json(self) -> str:
-        import json  # only JSON output needs it
-
-        doc = {
-            "metadata": {key: _json_value(value) for key, value in self.metadata},
-            "columns": list(self.columns),
-            "rows": [[_json_value(v) for v in row] for row in self.rows],
-        }
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
     def render(self, fmt: str) -> str:
         if fmt == "csv":
-            return self.render_csv()
+            lines = [f"# {key} = {format_value(value)}" for key, value in self.metadata]
+            lines.append(",".join(self.columns))
+            for row in self.rows:
+                lines.append(",".join(format_value(v) for v in row))
+            return "\n".join(lines) + "\n"
         if fmt == "json":
-            return self.render_json()
+            import json  # only JSON output needs it
+
+            doc = {"metadata": {key: _json_value(value) for key, value in self.metadata},
+                   "columns": list(self.columns),
+                   "rows": [[_json_value(v) for v in row] for row in self.rows]}
+            return json.dumps(doc, indent=2, allow_nan=False) + "\n"
         raise ValueError(f"unknown output format {fmt!r}")
 
     def write(self, fmt: str, out_path=None) -> None:

@@ -99,30 +99,6 @@ class CourseProfile(namedtuple("CourseProfile", "slope label knots", defaults=("
         return cls(slope=lambda x: 0.0, label="flat")
 
     @classmethod
-    def from_sinusoids(cls, sin_amps=(), cos_amps=(),
-                       label: str = "sinusoid") -> "CourseProfile":
-        """Height sum_k a_k sin(2 pi k x) + b_k (cos(2 pi k x) - 1).
-
-        The cosine terms are shifted so the course starts at height zero.
-        The slope sums its terms in order, from 0.0.  A zero amplitude's term
-        is left out: it adds only +-0.0, to a sum that cannot be -0.0.
-        """
-        def terms(amps):  # (2 pi k a_k, 2 pi k) for k = 1, 2, ..., a_k != 0
-            ks = [2.0 * math.pi * k for k in range(1, len(amps) + 1)]
-            return [(float(a) * k, k) for a, k in zip(amps, ks) if float(a) != 0.0]
-        sin_terms, cos_terms = terms(sin_amps), terms(cos_amps)
-
-        def slope(x):
-            x, up, down = float(x), 0.0, 0.0
-            for c, k in sin_terms:
-                up += c * math.cos(k * x)
-            for c, k in cos_terms:
-                down += c * math.sin(k * x)
-            return up - down
-
-        return cls(slope=slope, label=label)
-
-    @classmethod
     def from_table(cls, xs, hs, label: str = "table") -> "CourseProfile":
         """Monotone cubic (PCHIP) interpolation of a sampled (x, h) course table.
 
@@ -140,8 +116,7 @@ class CourseProfile(namedtuple("CourseProfile", "slope label knots", defaults=("
             raise CourseFileError("course x samples must increase strictly")
         if abs(knots[0]) > 1e-12 or abs(knots[-1] - 1.0) > 1e-12:
             raise CourseFileError("course table must span x = 0 to x = 1")
-        _, quadratic = _pchip_coefficients(knots, hs)
-        pieces, last = list(zip(*quadratic)), len(knots) - 2
+        pieces, last = list(zip(*_pchip_coefficients(knots, hs))), len(knots) - 2
         if not all(math.isfinite(c) for piece in pieces for c in piece):
             raise CourseFileError("course slopes overflow")
 
@@ -155,19 +130,18 @@ class CourseProfile(namedtuple("CourseProfile", "slope label knots", defaults=("
 
 
 def _pchip_coefficients(xs, hs):
-    """PCHIP pieces of h and h' in ascending powers of s = x - knot.
+    """PCHIP slope pieces: h' in ascending powers of s = x - knot.
 
-    SciPy's CubicHermiteSpline coefficients and PPoly's derivative factors
-    1, 2, 3, element by element.  An overflow shows as an inf or a nan.
+    Only the slope is built, not the height: SciPy's CubicHermiteSpline
+    coefficients times PPoly's derivative factors 1, 2, 3, element by
+    element.  An overflow shows as an inf or a nan.
     """
     widths = [b - a for a, b in zip(xs, xs[1:])]
     chords = [(b - a) / w for a, b, w in zip(hs, hs[1:], widths)]
     d = _pchip_slopes(widths, chords)
     t = [(d0 + d1 - 2 * m) / w for d0, d1, m, w in zip(d, d[1:], chords, widths)]
     c2 = [(m - d0) / w - tk for m, d0, w, tk in zip(chords, d, widths, t)]
-    c3 = [tk / w for tk, w in zip(t, widths)]
-    cubic = (list(hs[:-1]), d[:-1], c2, c3)
-    return cubic, (d[:-1], [c * 2.0 for c in c2], [c * 3.0 for c in c3])
+    return d[:-1], [c * 2.0 for c in c2], [tk / w * 3.0 for tk, w in zip(t, widths)]
 
 
 def _sign(x):
@@ -204,8 +178,10 @@ def _pchip_edge(h0, h1, m0, m1):
 def load_course_table(path) -> CourseProfile:
     """Read a two-column (x, h) text file; optional header, '#' comments.
 
-    A file that is not such a table raises CourseFileError; the message
-    names the line or the fault, and the caller names the path.
+    Blank lines and comments may come anywhere; the header, if any, is the
+    first line with text.  A file that is not such a table raises
+    CourseFileError; the message names the line or the fault, and the
+    caller names the path.
     """
     xs: list[float] = []
     hs: list[float] = []
@@ -214,15 +190,14 @@ def load_course_table(path) -> CourseProfile:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise CourseFileError("not a UTF-8 text file") from exc
-    for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    texts = [(lineno, line, text) for lineno, line in enumerate(lines, start=1)
+             if (text := line.split("#", 1)[0].strip())]
+    for k, (lineno, line, text) in enumerate(texts):
         parts = text.replace(",", " ").split()
         try:
             values = [float(p) for p in parts]
         except ValueError:
-            if lineno == 1 and not xs:
+            if k == 0:
                 continue  # header line
             raise CourseFileError(f"line {lineno}: not numeric: {line.strip()!r}")
         if len(values) != 2:
@@ -237,12 +212,17 @@ def load_course_table(path) -> CourseProfile:
 def demo_profile() -> CourseProfile:
     """Built-in hilly course: opening rise, fast mid-race descent, late climb.
 
-    The descent is steep enough that gravity outweighs drag there, so the
-    sheltered peloton out-descends a solo rider of equal power.
+    Its height is 0.006 sin(2 pi x) + 0.004 (cos(4 pi x) - 1), zero at the
+    start.  The descent is steep enough that gravity outweighs drag there, so
+    the sheltered peloton out-descends a solo rider of equal power.
     """
-    return CourseProfile.from_sinusoids(sin_amps=(0.006, 0.0),
-                                        cos_amps=(0.0, 0.004),
-                                        label="demo-hilly")
+    k1, k2 = 2.0 * math.pi, 2.0 * math.pi * 2
+    c1, c2 = 0.006 * k1, 0.004 * k2
+
+    def slope(x):
+        return c1 * math.cos(k1 * x) - c2 * math.sin(k2 * x)
+
+    return CourseProfile(slope=slope, label="demo-hilly")
 
 
 class Trajectory(namedtuple("Trajectory", "finish_time sample")):

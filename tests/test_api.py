@@ -168,7 +168,7 @@ _RECORDS = {
         "status": "ok", "iterations": 0, "budget_residual": math.nan,
         "arrival_residual": math.nan},
     "config.RunConfig": {"_data": _REQ},
-    "tables.ResultTable": {"columns": _REQ, "rows": [], "metadata": []},
+    "tables.ResultTable": {"columns": _REQ},
     "terrain.CourseProfile": {"slope": _REQ, "label": "custom", "knots": ()},
     "terrain.Trajectory": {"finish_time": _REQ, "sample": _REQ},
     "terrain.BreakawayRun": dict.fromkeys(["rider", "peloton", "time_gap", "attack_time",
@@ -207,8 +207,10 @@ def test_record_contract(name):
     for field, default in fields.items():
         if default is not _REQ:
             assert _same(getattr(record, field), default), field
-    if name == "tables.ResultTable":
-        assert record.rows is not build().rows  # mutable, a fresh list each
+    if name == "tables.ResultTable":  # rows and metadata start empty, a fresh list each
+        other = build()
+        assert record.rows == record.metadata == []
+        assert record.rows is not other.rows and record.metadata is not other.metadata
         return
     assert record == build() and not record != build()
     assert record != build(first=1)
@@ -217,6 +219,16 @@ def test_record_contract(name):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.no_such_field = 0
+
+
+def test_table_write_rejects_an_unknown_format(capsys):
+    from breakaway.tables import ResultTable
+
+    table = ResultTable(["a"])
+    table.add_row(1.0)
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        table.write("xml")
+    assert capsys.readouterr().out == ""
 
 
 def test_default_problem_crash_model():

@@ -566,6 +566,13 @@ RANGE_PROBES = [
       "--set", "sweep.parameter=terrain.course"], "sweep.parameter"),
     (["flat", "--set", "sweep.points=3",
       "--set", "sweep.parameter=terrain.quasi_steady"], "sweep.parameter"),
+    # only flat and fatigue sweep; the other commands would print one row
+    (["terrain", "--set", "sweep.parameter=crash.omega",
+      "--set", "sweep.points=1"], "sweep.parameter"),
+    (["crash-mc", "--set", "sweep.parameter=crash.omega",
+      "--set", "sweep.points=3"], "sweep.parameter"),
+    (["microstructure", "--set", "sweep.parameter=omega",
+      "--set", "sweep.points=2"], "sweep.parameter"),
     # cd_lurk=2 and cd_min=1 break only the order of a key pair
     (["flat", "--set", "model.cd_lurk=2"], "model.cd_lurk"),
     (["fatigue", "--set", "model.cd_front=-1"], "model.cd_front"),

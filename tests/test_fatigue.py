@@ -440,18 +440,23 @@ class TestOptimizeFatigue:
         # the solves that pick the boundary branch are the ones reported:
         # from the zero-gap root (p_sustain None) and from x_feas (2.0)
         import breakaway.fatigue as fatigue
-        tiers = []
+        tiers, positions = [], []
         solve = fatigue._attack_solve
 
         def record(*args):
             tiers.append(args[6])
+            positions[-1].append(args[0])
             return solve(*args)
         monkeypatch.setattr(fatigue, "_attack_solve", record)
         for p_sustain in (None, 2.0):
+            positions.append([])
             optimize_fatigue(problem_with(energy_budget=1.25, risk_index=0.5), mu=1.0,
                              p_sustain=p_sustain)
         assert set(tiers) == {SolverSettings(abs_tol=1e-15)}
-        assert len(tiers) == 26
+        # each position once: the branch test's x_feas and _X_CAP points and
+        # Brent's last iterate are not solved again for their slope or value
+        assert all(len(set(xs)) == len(xs) for xs in positions)
+        assert len(tiers) == 22
 
     def test_iterations_stay_bounded(self):
         result = optimize_fatigue(problem_with(energy_budget=1.25, risk_index=0.5),
