@@ -42,7 +42,9 @@ def plan(workloads: list[str] | None, seeds: list[int], cli_seeds: list[int] | N
 # JSON (see io_plan): a config file with a bare-key sweep, a config file and
 # --set keys the schema does not hold, a config key in the wrong case, a
 # course file whose header follows a comment, a sweep on a command that does
-# not sweep, and help and version text.
+# not sweep, a rider position that is fractional or deeper than the pack,
+# config files with no section header or with junk lines, config and course
+# files that start with a byte-order mark, and help and version text.
 IO_FILES = {
     "io/sweep.ini": ("[strategy]\nenergy_budget = 1.5  ; inline comment\n\n"
                      "[sweep]\nparameter = risk_index\nlo = 0.2\nhi = 0.9\npoints = 3\n\n"
@@ -50,6 +52,10 @@ IO_FILES = {
     "io/unknown.ini": "[strategy]\nnonsense = 1\n",
     "io/mixed-case.ini": "[strategy]\nRisk_Index = 0.3\n",
     "io/commented-header.txt": "# my course\nx h\n0 0\n0.5 0.01\n1 0\n",
+    "io/no-header.ini": "risk_index = 0.3\n",
+    "io/junk.ini": "[strategy]\nrisk_index = 0.3\njunk line\n",
+    "io/bom.ini": "\ufeff[strategy]\nrisk_index = 0.3\n",
+    "io/bom-course.txt": "\ufeff0 0\n0.5 0.01\n1 0\n",
 }
 IO_OPS = [
     ["io:config", ["flat", "--config", "io/sweep.ini"]],
@@ -65,6 +71,14 @@ IO_OPS = [
                                     "--set", "terrain.samples=5"]],
     ["io:crash-mc-sweep", ["crash-mc", "--set", "sweep.parameter=crash.omega",
                            "--set", "sweep.points=3"]],
+    ["io:crash-mc-fractional-position", ["crash-mc", "--set", "model.position=5.5"]],
+    ["io:crash-mc-deep-position", ["crash-mc", "--set", "model.position=100"]],
+    ["io:flat-deep-position", ["flat", "--set", "model.position=100"]],
+    ["io:config-no-header", ["flat", "--config", "io/no-header.ini"]],
+    ["io:config-junk", ["flat", "--config", "io/junk.ini"]],
+    ["io:config-bom", ["flat", "--config", "io/bom.ini"]],
+    ["io:course-bom", ["terrain", "--course", "io/bom-course.txt",
+                       "--set", "terrain.samples=5"]],
     ["io:help", ["--help"]],
     ["io:flat-help", ["flat", "--help"]],
     ["io:version", ["--version"]],

@@ -22,7 +22,7 @@ _PUBLIC = {
              "critical_risk", "earliest_attack_position", "interior_optimum",
              "min_attack_position", "min_energy_to_win", "min_risk_to_win",
              "objective", "optimal_attack", "time_gap_from_position"),
-    "model": ("DragParams", "drag_at_depth"),
+    "microstructure": ("DragParams", "drag_at_depth"),
     "terrain": ("BreakawayRun", "CourseProfile", "Trajectory", "demo_profile",
                 "load_course_table", "simulate_breakaway"),
 }

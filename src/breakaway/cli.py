@@ -246,6 +246,9 @@ def cmd_crash_mc(cfg: RunConfig) -> tuple[ResultTable, int]:
     x_attack = cfg.get("mc.attack_position")
     trials = cfg.get("mc.trials")
     seed = cfg.get("mc.seed")
+    if not (position.is_integer() and position <= model.n_riders):  # a rank the MC draws
+        raise ConfigError(f"bad value for model.position: {position!r} (crash-mc needs a "
+                          f"whole start rank, at most crash.n_riders = {model.n_riders})")
     analytic = exposure_simple_attack(x_attack, position, model)
     try:  # the crash count, intensity times trials, is capped before any allocation
         estimate, stderr = monte_carlo_exposure(x_attack, position, trials, seed, model)

@@ -16,7 +16,6 @@ import math
 
 from .crash import CrashModel
 from .flat import StrategyProblem
-from .model import DragParams
 
 __all__ = ["ConfigError", "CourseFileError", "RunConfig", "SCHEMA"]
 
@@ -160,13 +159,17 @@ class RunConfig:
             parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                                interpolation=None, default_section="\n")
             parser.optionxform = str  # key names keep their case, as --set keys do
-            try:
-                with open(config_path, "r", encoding="utf-8") as fh:
+            try:  # utf-8-sig: a byte-order mark is no part of the first line
+                with open(config_path, "r", encoding="utf-8-sig") as fh:
                     parser.read_file(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
-            except configparser.Error as exc:
-                raise ConfigError(f"malformed config file: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"malformed config file: {config_path!r} "
+                                  f"is not UTF-8 text") from exc
+            except configparser.Error as exc:  # its text may run over several lines
+                reason = " ".join(line.strip() for line in str(exc).splitlines())
+                raise ConfigError(f"malformed config file: {reason}") from exc
             for section in parser.sections():
                 if not any(name.startswith(f"{section}.") for name in SCHEMA):
                     raise ConfigError(f"unknown config section [{section}]")
@@ -202,7 +205,9 @@ class RunConfig:
         return ConfigError(f"bad value for {name}: {self.get(name)!r} "
                            f"({exc}; {bound} = {self.get(bound)!r})")
 
-    def drag_params(self) -> DragParams:
+    def drag_params(self):
+        from .microstructure import DragParams  # only a microstructure run needs it
+
         try:
             return DragParams(cd_max=self.get("model.cd_max"),
                               cd_min=self.get("model.cd_min"),
@@ -216,16 +221,19 @@ class RunConfig:
                           n_riders=self.get("crash.n_riders"))
 
     def strategy_problem(self) -> StrategyProblem:
+        position, crash = self.get("model.position"), self.crash_model()
         try:
             return StrategyProblem(
                 energy_budget=self.get("strategy.energy_budget"),
                 risk_index=self.get("strategy.risk_index"),
-                position=self.get("model.position"),
+                position=position,
                 cd_front=self.get("model.cd_front"),
                 cd_lurk=self.get("model.cd_lurk"),
-                crash=self.crash_model(),
+                crash=crash,
             )
-        except ValueError as exc:
+        except ValueError as exc:  # the record checks the rider's depth first
+            if position > crash.n_riders:
+                raise self._order_error("model.position", "crash.n_riders", exc) from exc
             raise self._order_error("model.cd_lurk", "model.cd_front", exc) from exc
 
     def p_sustain(self) -> float | None:

@@ -51,18 +51,22 @@ def propagation_probability(position: Any, start: Any, omega: float) -> Any:
     return np.where(position < start, 0.0, decay)
 
 
+def _check_position(position: float, n_riders: int) -> None:
+    if not 1.0 <= position <= n_riders:  # NaN fails too
+        raise ValueError("position must be >= 1 and at most n_riders")
+
+
 def involvement_given_crash(position: float, omega: float, n_riders: int) -> float:
     """P(rider at `position` is involved | a crash happened somewhere).
 
     Uniform start rank; geometric sum in closed form.  Valid for continuous
-    positions >= 1.
+    positions from 1 to n_riders: no start rank lies deeper.
     """
     if not omega > 0.0:  # NaN fails each of these checks too
         raise ValueError("omega must be positive")
     if not n_riders >= 1:
         raise ValueError("n_riders must be at least 1")
-    if not position >= 1.0:
-        raise ValueError("position must be >= 1")
+    _check_position(position, n_riders)
     return math.expm1(-omega * position) / math.expm1(-omega) / n_riders
 
 
@@ -91,8 +95,7 @@ def exposure_simple_attack(x_attack: float, position: float,
     """Exposure for the lurk-then-attack trace, as an explicit formula."""
     if not 0.0 <= x_attack <= 1.0:
         raise ValueError("attack position must lie in [0, 1]")
-    if not position >= 1.0:  # NaN fails too
-        raise ValueError("position must be >= 1")
+    _check_position(position, model.n_riders)
     ratio = math.expm1(-model.omega * position) / math.expm1(-model.omega)
     return model.intensity / model.n_riders * (x_attack * ratio + 1.0 - x_attack)
 
@@ -134,8 +137,7 @@ def monte_carlo_exposure(x_attack: float, position: float, trials: int,
     """
     if not 0.0 <= x_attack <= 1.0:
         raise ValueError("attack position must lie in [0, 1]")
-    if not position >= 1.0:  # NaN fails too
-        raise ValueError("position must be >= 1")
+    _check_position(position, model.n_riders)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if model.intensity * trials > _MAX_EXPECTED_CRASHES:

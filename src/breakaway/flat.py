@@ -1,8 +1,9 @@
 """Flat-course breakaway analysis in closed form.
 
-A rider lurks at drafting position i spending the lurking power cd_lurk,
-attacks at course position x_a with a constant power that exhausts the
-energy budget exactly at the finish, and rides the rest solo at the front
+In dimensionless variables (the peloton rides the unit course in unit time at
+unit power), a rider lurks at drafting position i spending the lurking power
+cd_lurk, attacks at course position x_a with a constant power that exhausts
+the energy budget exactly at the finish, and rides the rest solo at the front
 drag cd_front.  The time gap over the peloton and the crash exposure then
 have explicit formulas, and the risk-weighted objective
 
@@ -21,11 +22,12 @@ import enum
 import math
 from collections import namedtuple
 
-from .crash import CrashModel, exposure_simple_attack, involvement_given_crash
-from .model import CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED
+from .crash import CrashModel, _check_position, exposure_simple_attack, involvement_given_crash
 from .numerics import solve_cubic_real
 
 __all__ = [
+    "CD_FRONT_CALIBRATED",
+    "CD_LURK_CALIBRATED",
     "Branch",
     "StrategyProblem",
     "StrategyResult",
@@ -44,6 +46,12 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12  # boundary wins objective ties at this resolution
+
+# Standard calibration: the front-rider drag ratio and the position-5 lurking
+# power used throughout the worked results.  They are independent inputs, not
+# both derived from the drafting-drag law, which cannot produce that pair.
+CD_FRONT_CALIBRATED = 1.43
+CD_LURK_CALIBRATED = 0.46
 
 
 class InfeasibleAttackError(ValueError):
@@ -71,12 +79,11 @@ class StrategyProblem(namedtuple("StrategyProblem", "energy_budget risk_index po
                 cd_lurk: float = CD_LURK_CALIBRATED, crash: CrashModel = CrashModel()):
         if not 0.0 <= risk_index <= 1.0:
             raise ValueError("risk_index must lie in [0, 1]")
+        _check_position(position, crash.n_riders)  # first: RunConfig names its key
         if not 0.0 < cd_lurk < cd_front:
             raise ValueError("need 0 < cd_lurk < cd_front")
-        if not energy_budget >= 0.0:  # NaN fails this check and the next
+        if not energy_budget >= 0.0:  # NaN fails too
             raise ValueError("energy_budget must be non-negative")
-        if not position >= 1.0:
-            raise ValueError("position must be >= 1")
         return tuple.__new__(cls, (energy_budget, risk_index, position,
                                    cd_front, cd_lurk, crash))
 

@@ -17,7 +17,10 @@ The module provides two views of this:
   their pointwise relative deviation.
 
 Optimizers elsewhere always use the quasi-steady model; this module exists
-to quantify how quickly that limit is reached.
+to quantify how quickly that limit is reached.  It also holds the
+drafting-drag law, which no other model rides.  The law takes one float, as
+the right-hand sides call it, and its exp from `math`, so its bits follow no
+numpy SIMD kernel.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from .model import DragParams, drag_at_depth
 from .numerics import NumericsError, SolverSettings, linspace
 from .ode import ode_solve_with_events
 
 __all__ = [
+    "DragParams",
+    "drag_at_depth",
     "PassageLayer",
     "AttackOnset",
     "NeverReachesFrontError",
@@ -41,6 +45,30 @@ __all__ = [
 ]
 
 LAYER_SETTINGS = SolverSettings(abs_tol=1e-12, rel_tol=1e-11)
+
+
+class DragParams(namedtuple("DragParams", "cd_max cd_min decay")):
+    """Exponential drafting-drag law: cd_min + (cd_max - cd_min) * exp(-decay * depth)."""
+
+    __slots__ = ()
+
+    def __new__(cls, cd_max: float = 0.9, cd_min: float = 0.05, decay: float = 0.25):
+        if not 0.0 < cd_min < cd_max:
+            raise ValueError("need 0 < cd_min < cd_max")
+        if not decay > 0.0:  # NaN fails too
+            raise ValueError("decay must be positive")
+        return tuple.__new__(cls, (cd_max, cd_min, decay))
+
+
+def drag_at_depth(depth: float, drag: DragParams) -> float:
+    """Raw drag coefficient at a drafting depth measured in axle spacings.
+
+    Depth 0 is the front of the peloton; anything ahead of the front
+    (negative depth) sees the full cd_max.
+    """
+    if depth < 0.0:
+        return drag.cd_max
+    return drag.cd_min + (drag.cd_max - drag.cd_min) * math.exp(-drag.decay * depth)
 
 
 class NeverReachesFrontError(NumericsError):

@@ -46,7 +46,7 @@ import math
 from collections import namedtuple
 
 from .config import CourseFileError
-from .model import CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED
+from .flat import CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED
 from .numerics import (
     NumericsError,
     SolverSettings,
@@ -185,7 +185,7 @@ def load_course_table(path) -> CourseProfile:
     """
     xs: list[float] = []
     hs: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is no text
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

@@ -30,7 +30,7 @@ from breakaway.flat import (
     optimal_attack,
 )
 from breakaway.microstructure import attack_onset
-from breakaway.model import DragParams
+from breakaway.microstructure import DragParams
 from breakaway.terrain import CourseProfile, simulate_breakaway
 
 

@@ -154,7 +154,7 @@ _REQ = inspect.Parameter.empty
 # list per record
 _RECORDS = {
     "numerics.SolverSettings": {"abs_tol": 1e-10, "rel_tol": 1e-8, "max_iterations": 200},
-    "model.DragParams": {"cd_max": 0.9, "cd_min": 0.05, "decay": 0.25},
+    "microstructure.DragParams": {"cd_max": 0.9, "cd_min": 0.05, "decay": 0.25},
     "crash.CrashModel": {"omega": 0.5, "intensity": 2.0, "n_riders": 75},
     "flat.StrategyProblem": {"energy_budget": 1.2, "risk_index": 0.8, "position": 5.0,
                              "cd_front": 1.43, "cd_lurk": 0.46,

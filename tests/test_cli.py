@@ -341,6 +341,36 @@ class TestFileErrors:
         assert err.startswith(f"error: bad value for terrain.course: {str(path)!r} (")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        b"risk_index = 0.3\n",                                     # no section header
+        b"[strategy]\nrisk_index = 0.3\njunk line\nmore junk\n",  # junk lines
+        b"\xef\xbb\xbf\xef\xbb\xbf[strategy]\nrisk_index = 0.3\n",  # two byte-order marks
+        b"[strategy]\nrisk_index = 0.3\xff\n",                   # not UTF-8
+    ], ids=["no-header", "junk-lines", "two-byte-order-marks", "not-utf-8"])
+    def test_malformed_config_is_one_line(self, text, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(text)
+        assert main(["flat", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config file: ")
+        assert err.count("\n") == 1 and repr(str(path)) in err
+
+    @pytest.mark.parametrize("argv, name, text", [
+        (["flat", "--config"], "run.ini", b"[strategy]\nrisk_index = 0.3\n"),
+        (["terrain", "--set", "terrain.samples=5", "--course"], "course.txt",
+         b"0 0\n0.5 0.002\n1 0\n"),
+        (["terrain", "--set", "terrain.samples=5", "--course"], "course.txt",
+         b"x h\n0 0\n0.5 0.002\n1 0\n"),
+    ], ids=["config", "course", "course-with-header"])
+    def test_byte_order_mark_is_not_text(self, argv, name, text, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(text)
+        assert main(argv + [str(path)]) == 0
+        plain = capsys.readouterr().out
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(argv + [str(path)]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestTerrainCommand:
     def test_flat_course_reduction(self, capsys):
@@ -557,6 +587,10 @@ RANGE_PROBES = [
       "--set", "sweep.points=-3"], "sweep.points"),
     (["crash-mc", "--set", "mc.attack_position=1.5"], "mc.attack_position"),
     (["crash-mc", "--set", "model.position=0.5"], "model.position"),
+    # no crash starts deeper than crash.n_riders (crash-mc: see TestCrashMcCommand)
+    (["flat", "--set", "model.position=76"], "model.position"),
+    (["fatigue", "--set", "model.position=75.5"], "model.position"),
+    (["flat", "--set", "crash.n_riders=4"], "model.position"),
     (["crash-mc", "--seed", "-1"], "mc.seed"),
     # far above the cap on expected crashes, crash.intensity times mc.trials
     (["crash-mc", "--trials", "10", "--set", "crash.intensity=1e308"],
@@ -754,6 +788,22 @@ class TestCrashMcCommand:
         assert err.startswith("error: bad value for crash.intensity: ")
         assert "mc.trials" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["flat", "fatigue"])
+    def test_position_behind_the_pack_names_both_keys(self, command, capsys):
+        assert main([command, "--set", "model.position=100"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad value for model.position: 100.0 (position must be >= 1 and "
+            "at most n_riders; crash.n_riders = 75)\n")
+
+    @pytest.mark.parametrize("position", ["5.5", "100", "75.5"])
+    def test_position_not_a_start_rank_exits_one(self, position, capsys):
+        assert main(["crash-mc", "--set", f"model.position={position}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad value for model.position: {float(position)!r} (crash-mc needs "
+            f"a whole start rank, at most crash.n_riders = 75)\n")
+        # flat takes the closed form's continuous extension
+        assert main(["flat", "--set", "model.position=5.5"]) == 0
 
     def test_zero_intensity(self, capsys):
         code, out = run_cli(["crash-mc", "--set", "crash.intensity=0",

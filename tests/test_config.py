@@ -1,6 +1,12 @@
+import inspect
+
 import pytest
 
-from breakaway.config import ConfigError, RunConfig
+from breakaway.config import SCHEMA, ConfigError, RunConfig
+from breakaway.crash import CrashModel
+from breakaway.flat import CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED, StrategyProblem
+from breakaway.microstructure import DragParams, attack_onset
+from breakaway.terrain import simulate_breakaway
 
 
 class TestDefaults:
@@ -22,6 +28,35 @@ class TestDefaults:
         assert problem.crash.n_riders == 75
         assert cfg.p_sustain() is None   # 0 means "use the lurking power"
         assert cfg.with_value("fatigue.p_sustain", 0.7).p_sustain() == 0.7
+
+
+    def test_schema_defaults_are_the_library_defaults(self):
+        # one calibration: each SCHEMA default equals the library default it feeds
+        def defaults(fn):
+            return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+        drag, crash, problem = DragParams(), CrashModel(), StrategyProblem()
+        ride, onset = defaults(simulate_breakaway), defaults(attack_onset)
+        fed = {
+            "model.cd_max": drag.cd_max, "model.cd_min": drag.cd_min,
+            "model.decay": drag.decay,
+            "crash.omega": crash.omega, "crash.intensity": crash.intensity,
+            "crash.n_riders": crash.n_riders,
+            "strategy.energy_budget": problem.energy_budget,
+            "strategy.risk_index": problem.risk_index, "model.position": problem.position,
+            "model.cd_front": problem.cd_front, "model.cd_lurk": problem.cd_lurk,
+            "terrain.epsilon": ride["inertia"], "terrain.gravity_ratio": ride["gravity_ratio"],
+            "model.mass_ratio": ride["mass_ratio"], "micro.gamma_ratio": onset["gamma_ratio"],
+            "model.cd_avg": drag.cd_max / CD_FRONT_CALIBRATED,
+        }
+        for name, value in fed.items():
+            assert SCHEMA[name][1] == value, name
+        assert (problem.cd_front, problem.cd_lurk) == (CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED)
+        assert (ride["cd_front"], ride["cd_lurk"]) == (CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED)
+        assert onset["mass_ratio"] == ride["mass_ratio"]
+        # the one exception: the CLI prints 513 samples, while criterion 9
+        # runs attack_onset at its library default
+        assert (SCHEMA["micro.samples"][1], onset["n_samples"]) == (513, 2001)
 
 
 class TestOverrides:

@@ -71,7 +71,7 @@ class TestInvolvement:
         for _ in range(200):
             i = rng.uniform(1.0, 30.0)
             omega = rng.uniform(0.05, 1.0)
-            n = int(rng.integers(10, 200))
+            n = int(rng.integers(31, 200))  # i + 0.5 stays in the pack
             h = involvement_given_crash(i, omega, n)
             assert involvement_given_crash(i + 0.5, omega, n) > h
             if i > 1.0:
@@ -176,6 +176,18 @@ class TestExposure:
             with pytest.raises(ValueError, match="position must be >= 1"):
                 exposure_simple_attack(0.5, position, MODEL)
 
+    def test_position_behind_the_pack_rejected(self):
+        # no start rank lies deeper than n_riders, so H(i) holds no rider there
+        for model, position in ((MODEL, 75.5), (MODEL, 120.25), (MODEL, math.inf),
+                                (CrashModel(n_riders=1), 3.5)):
+            with pytest.raises(ValueError, match="at most n_riders"):
+                involvement_given_crash(position, model.omega, model.n_riders)
+            with pytest.raises(ValueError, match="at most n_riders"):
+                exposure_simple_attack(0.5, position, model)
+            with pytest.raises(ValueError, match="at most n_riders"):
+                monte_carlo_exposure(0.5, position, 100, 0, model)
+        assert exposure_simple_attack(0.5, 75.0, MODEL) > 0.0
+
     def test_model_validation(self):
         for bad, message in (({"omega": 0.0}, "omega must be positive"),
                              ({"omega": math.nan}, "omega must be positive"),
@@ -268,10 +280,8 @@ def _oracle_cases():
         (MODEL, 1.0, 0.5, 20_003, 1),            # the front rider
         (MODEL, 5.5, 0.5, 20_003, 2),            # a non-integer position
         (MODEL, 75.0, 0.5, 5_000, 3),            # position at n_riders
-        (MODEL, 120.25, 0.3, 5_000, 4),          # behind the whole pack
-        (MODEL, math.inf, 0.3, 5_000, 5),
+        (MODEL, 74.75, 0.3, 5_000, 4),           # between the last two ranks
         (CrashModel(n_riders=1), 1.0, 0.5, 5_000, 6),
-        (CrashModel(n_riders=1), 3.5, 0.5, 5_000, 7),
         (MODEL, 5.0, 0.0, 5_000, 8),
         (MODEL, 5.0, 1.0, 5_000, 9),
         (CrashModel(intensity=0.0), 5.0, 0.5, 5_000, 10),
@@ -284,8 +294,9 @@ def _oracle_cases():
         model = CrashModel(omega=float(rng.choice([0.5, rng.uniform(0.01, 3.0), 60.0])),
                            intensity=float(rng.choice([0.0, 2.0, rng.uniform(0.0, 8.0)])),
                            n_riders=n_riders)
-        position = float(rng.choice([1.0, 5.0, rng.uniform(1.0, 1.5 * n_riders + 1.0),
-                                     n_riders, n_riders + 0.5]))
+        # no deeper than the last start rank, n_riders
+        position = float(rng.choice([1.0, min(5.0, n_riders), rng.uniform(1.0, n_riders),
+                                     n_riders, max(1.0, n_riders - 0.5)]))
         x_attack = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
         trials = int(rng.choice([int(rng.integers(1, 16)), int(rng.integers(16, 4_000))]))
         cases.append((model, position, x_attack, trials, int(rng.integers(0, 2**32))))

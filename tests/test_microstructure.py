@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from breakaway import microstructure
-from breakaway.model import DragParams
+from breakaway.microstructure import DragParams
 from breakaway.numerics import SolverSettings
 from breakaway.microstructure import (
     NeverReachesFrontError,

@@ -6,12 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from breakaway.fatigue import _burst_integral, p_max_from_budget
-from breakaway.microstructure import relative_drag_behind_front
-from breakaway.model import (
-    CD_FRONT_CALIBRATED,
-    DragParams,
-    drag_at_depth,
-)
+from breakaway.flat import CD_FRONT_CALIBRATED
+from breakaway.microstructure import DragParams, drag_at_depth, relative_drag_behind_front
 from breakaway.numerics import solve_cubic_real
 
 DRAG = DragParams()

@@ -9,7 +9,7 @@ import breakaway.microstructure as microstructure
 import breakaway.numerics as numerics
 import breakaway.ode as ode
 import breakaway.terrain as terrain
-from breakaway.model import DragParams
+from breakaway.microstructure import DragParams
 from breakaway.numerics import (
     DEFAULT_SETTINGS,
     BracketError,
