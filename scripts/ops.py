@@ -44,7 +44,9 @@ def plan(workloads: list[str] | None, seeds: list[int], cli_seeds: list[int] | N
 # course file whose header follows a comment, a sweep on a command that does
 # not sweep, a rider position that is fractional or deeper than the pack,
 # config files with no section header or with junk lines, config and course
-# files that start with a byte-order mark, and help and version text.
+# files that start with a byte-order mark, a fatigue budget so large that
+# the attack lasts under a millionth of the race, an attack-onset epsilon
+# whose square underflows, and help and version text.
 IO_FILES = {
     "io/sweep.ini": ("[strategy]\nenergy_budget = 1.5  ; inline comment\n\n"
                      "[sweep]\nparameter = risk_index\nlo = 0.2\nhi = 0.9\npoints = 3\n\n"
@@ -79,6 +81,9 @@ IO_OPS = [
     ["io:config-bom", ["flat", "--config", "io/bom.ini"]],
     ["io:course-bom", ["terrain", "--course", "io/bom-course.txt",
                        "--set", "terrain.samples=5"]],
+    ["io:fatigue-huge-budget", ["fatigue", "--set", "strategy.energy_budget=1e13"]],
+    ["io:microstructure-tiny-epsilon", ["microstructure", "--set", "micro.epsilon=1e-300",
+                                        "--set", "micro.samples=5"]],
     ["io:help", ["--help"]],
     ["io:flat-help", ["flat", "--help"]],
     ["io:version", ["--version"]],

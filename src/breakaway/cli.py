@@ -28,7 +28,7 @@ import functools
 import sys
 
 from . import __version__, flat
-from .config import SCHEMA, ConfigError, CourseFileError, RunConfig, _resolve_key
+from .config import SCHEMA, ConfigError, RunConfig, _resolve_key
 from .crash import exposure_simple_attack, monte_carlo_exposure
 from .numerics import NumericsError, linspace
 from .tables import ResultTable
@@ -207,7 +207,7 @@ def cmd_terrain(cfg: RunConfig) -> tuple[ResultTable, int]:
     else:
         try:
             profile = terrain.load_course_table(name)
-        except (CourseFileError, OSError) as exc:  # an input, not a solver failure
+        except (terrain.CourseFileError, OSError) as exc:  # an input, not a solver failure
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"bad value for terrain.course: {name!r} ({reason})") from exc
     epsilon = cfg.get("terrain.epsilon")  # read even when quasi-steady ignores it

@@ -13,19 +13,16 @@ when the key is unambiguous); a config file gives it, read verbatim, as
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .crash import CrashModel
 from .flat import StrategyProblem
 
-__all__ = ["ConfigError", "CourseFileError", "RunConfig", "SCHEMA"]
+__all__ = ["ConfigError", "RunConfig", "SCHEMA"]
 
 
 class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
-
-
-class CourseFileError(ValueError):
-    """A course table file (terrain.course) could not be parsed."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -120,29 +117,21 @@ def _resolve_key(name: str) -> str:
     return hits[0]
 
 
-class RunConfig:
+class RunConfig(tuple):
     """Immutable bag of effective parameter values, equal by value.
 
     _data maps each section.key name to its value and is never mutated once
     the config is built; with_value returns a new config over a copy.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ()
+    _data = property(itemgetter(0))
 
-    def __init__(self, _data: dict):
-        object.__setattr__(self, "_data", _data)
+    def __new__(cls, _data: dict):
+        return tuple.__new__(cls, (_data,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return self._data == other._data if type(other) is RunConfig else NotImplemented
-
-    def __repr__(self):
-        return f"RunConfig(_data={self._data!r})"
+    def __getnewargs__(self):  # copy and pickle call __new__(cls, _data)
+        return tuple(self)
 
     @classmethod
     def defaults(cls) -> "RunConfig":

@@ -171,13 +171,12 @@ def _attack_solve(x: float, energy_budget: float, p_sustain: float,
     def surplus(delta):
         return _speed_integral(delta, peak(delta), p_sustain, mu) - distance
 
-    lo = 1e-13 * max(1.0, delta_max)
-    if (s_lo := surplus(lo)) >= 0.0:
-        delta = lo
-    elif (s_hi := surplus(delta_max)) <= 0.0:
+    # by Hoelder, a ride of delta covers at most delta^(2/3) e_rem^(1/3) < distance at lo
+    lo = min(1e-13 * max(1.0, delta_max), 0.5 * distance ** 1.5 / math.sqrt(e_rem))
+    if (s_hi := surplus(delta_max)) <= 0.0:
         delta = delta_max
     else:
-        delta = find_root_bracketed(surplus, lo, delta_max, settings, s_lo, s_hi)
+        delta = find_root_bracketed(surplus, lo, delta_max, settings, surplus(lo), s_hi)
     return delta, peak(delta)
 
 
@@ -317,7 +316,7 @@ def optimize_fatigue(problem: StrategyProblem, mu: float,
     t_finish = x_best + delta
     power = lambda s: p_s + (p_max - p_s) * math.exp(-mu * s)
     spent, _ = integrate_adaptive(power, 0.0, delta, settings)
-    budget_res = abs(p_lurk * x_best + spent - budget)
+    budget_res = abs(p_lurk * x_best + spent - budget) / max(1.0, budget)
     arrival, _ = integrate_adaptive(lambda s: math.cbrt(power(s)), 0.0, delta, settings)
     arrival_res = abs(x_best + arrival / cd_front ** (1.0 / 3.0) - 1.0)
     converged = bool(budget_res < 1e-8 and arrival_res < 1e-8)

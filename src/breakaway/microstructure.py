@@ -147,6 +147,8 @@ def peloton_passage(position: float, power: float, drag: DragParams,
         return PassageLayer(duration=0.0, exit_slope=0.0)
 
     scale = gamma_ratio * mass_ratio
+    if scale == 0.0:
+        raise NumericsError("gamma ratio times mass ratio underflows to 0")
 
     def rhs(tau, zeta, u):
         return u, (power - relative_drag_behind_front(zeta, drag, cd_avg)) / scale
@@ -159,16 +161,6 @@ def peloton_passage(position: float, power: float, drag: DragParams,
     if sol.event != 0:
         raise NeverReachesFrontError("the rider turned back before the front")
     return PassageLayer(duration=sol.t[-1], exit_slope=sol.y[1][-1])
-
-
-def _time_grid(eps, position, power, drag, cd_avg, mass_ratio, gamma_ratio, settings):
-    """Window covering the passage and the relaxation settle-down."""
-    lead = peloton_passage(position, power, drag, cd_avg, mass_ratio,
-                           gamma_ratio, settings)
-    passage = 4.0 * eps**1.5 * lead.duration
-    v_eq = (power * cd_avg / drag.cd_max) ** (1.0 / 3.0)
-    settle = 16.0 * eps * mass_ratio * v_eq**2 / power
-    return passage + settle
 
 
 def _passage_finite(eps, position, power, drag, cd_avg, mass_ratio,
@@ -228,14 +220,20 @@ def attack_onset(eps: float, position: float, power: float,
     if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
     settings = LAYER_SETTINGS if settings is None else settings  # read at the call
-    t_end = _time_grid(eps, position, power, drag, cd_avg, mass_ratio,
-                       gamma_ratio, settings)
+    lead = peloton_passage(position, power, drag, cd_avg, mass_ratio,
+                           gamma_ratio, settings)
+    delta, eps_mass = gamma_ratio * eps**2, eps * mass_ratio
+    for product, text in ((delta, "gamma ratio times eps^2"), (eps_mass, "eps times mass ratio")):
+        if product == 0.0:
+            raise NumericsError(f"{text} underflows to 0")
+    # the window: the passage, then the relaxation's settle-down
+    v_eq = (power * cd_avg / drag.cd_max) ** (1.0 / 3.0)
+    t_end = 4.0 * eps**1.5 * lead.duration + 16.0 * eps * mass_ratio * v_eq**2 / power
     grid = linspace(0.0, t_end, n_samples)
-    delta = gamma_ratio * eps**2
 
     def rhs(t, zeta, v):
         c = relative_drag_behind_front(zeta, drag, cd_avg)
-        return (v - 1.0) / delta, (power / v - c * v * v) / (eps * mass_ratio)
+        return (v - 1.0) / delta, (power / v - c * v * v) / eps_mass
 
     full = ode_solve_with_events(rhs, [-(position - 1.0), 1.0], (0.0, t_end),
                                  events=((1, 1e-9, -1),), settings=settings, name="full")

@@ -68,8 +68,15 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _MAX_RHS_EVALS = 1_000_000  # rhs evaluations per solve, so no stiff run goes unbounded
 
 
-class _Work(SimpleNamespace):
-    """A solve's label and its work, counted as OdeResult counts it."""
+class OdeResult(SimpleNamespace):
+    """An integration, in lists of floats, that counts its own work.
+
+    label: the solve and its method; t and y: the step times and, per state,
+    its values; sol: the dense solution; event: the index of the event that
+    ended the solve, at t[-1] and y[i][-1], or None at the end of t_span;
+    nfev: rhs evaluations; njev and nlu: Jacobians and Newton-matrix
+    factorizations (BDF; 0 for RK45).
+    """
 
     def spend(self, k):
         """Count k rhs evaluations to be made; ToleranceError past _MAX_RHS_EVALS."""
@@ -77,17 +84,6 @@ class _Work(SimpleNamespace):
             raise ToleranceError(f"{self.label}: solve over its budget of {_MAX_RHS_EVALS} "
                                  "rhs evaluations")
         self.nfev += k
-
-
-class OdeResult(SimpleNamespace):
-    """An integration, in lists of floats.
-
-    t and y: the step times and, per state, its values; sol: the dense
-    solution; event: the index of the event that ended the solve, at time
-    t[-1] and state y[i][-1], or None at the end of t_span; nfev: rhs
-    evaluations; njev and nlu: Jacobians and Newton-matrix factorizations
-    (BDF; 0 for RK45).
-    """
 
 
 class _DenseSolution:
@@ -394,7 +390,7 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
     if not 1 <= n <= 2:
         raise ValueError("the ODE loops take one or two states")
     rtol, atol = max(settings.rel_tol, 100 * _EPS), settings.abs_tol
-    work = _Work(label=f"{name} {'RK45' if jac is None else 'BDF'}", nfev=0, njev=0, nlu=0)
+    work = OdeResult(label=f"{name} {'RK45' if jac is None else 'BDF'}", nfev=0, njev=0, nlu=0)
     # the initial step's error order, RK45's 4 or BDF's 1, and the dense rows' width
     order, width, at = (4, 12, _rk45_at) if jac is None else (1, 2 * _BDF_MAX_ORDER + 4, _bdf_at)
     t, (ya, yb) = t0, [float(v) for v in y0] + [0.0] * (2 - n)
@@ -437,5 +433,6 @@ def ode_solve_with_events(rhs, y0, t_span, events=(),
                 ys[1].append(yb)
         if event is not None:
             break
-    return OdeResult(t=ts, y=list(ys[:n]), sol=_DenseSolution(ts, data, width, at, n),
-                     event=event, nfev=work.nfev, njev=work.njev, nlu=work.nlu)
+    work.t, work.y, work.event = ts, list(ys[:n]), event
+    work.sol = _DenseSolution(ts, data, width, at, n)
+    return work

@@ -45,7 +45,6 @@ import bisect
 import math
 from collections import namedtuple
 
-from .config import CourseFileError
 from .flat import CD_FRONT_CALIBRATED, CD_LURK_CALIBRATED
 from .numerics import (
     NumericsError,
@@ -68,6 +67,11 @@ __all__ = [
     "load_course_table",
     "demo_profile",
 ]
+
+
+class CourseFileError(ValueError):
+    """A course table file (terrain.course) could not be parsed."""
+
 
 SIM_SETTINGS = SolverSettings(abs_tol=1e-12, rel_tol=1e-10)
 
@@ -343,7 +347,7 @@ def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, wh
     settings' tolerances over 100.  A full-dynamics ride is
     BDF on its analytic Jacobian in (tau, v) when its _stiffness exceeds
     STIFFNESS_LIMIT, RK45 otherwise.  Returns the ride time, the dense tau at 1 - x0; the dense
-    state, (tau, v) at a xi held in [0, 1 - x0]; and the accepted steps,
+    state, (tau, v) at a xi in [0, 1 - x0]; and the accepted steps,
     their ends in xi and their speeds.
     On a full-dynamics ride, steps that collapse are a stall when its
     _stiffness bound is infinite, the quasi-steady speed stalling at a sample
@@ -406,9 +410,6 @@ def _ride(x0, v0, power, profile, gamma, cd_front, mass_ratio, eps, settings, wh
         raise StallError(f"{who} stalled before the finish line")
 
     def state(xi):
-        if eps != 0.0:
-            return sol.sol(xi)
-        xi = min(max(xi, 0.0), sol.t[-1])
-        return sol.sol(xi)[0], speed(x0 + xi)
+        return sol.sol(xi) if eps != 0.0 else (sol.sol(xi)[0], speed(x0 + xi))
     speeds = sol.y[1] if eps != 0.0 else [speed(x0 + xi) for xi in sol.t]
     return state(sol.t[-1])[0], state, (sol.t, speeds)

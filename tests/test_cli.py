@@ -855,6 +855,19 @@ class TestMicrostructureCommand:
         assert capsys.readouterr().err == (
             "numerical failure: passage RK45: solve over its budget of 50000 rhs evaluations\n")
 
+    @pytest.mark.parametrize("sets, product", [
+        (["micro.epsilon=1e-170"], "gamma ratio times eps^2"),
+        (["micro.epsilon=5e-324"], "gamma ratio times eps^2"),
+        (["micro.gamma_ratio=1e-200", "model.mass_ratio=1e-200"],
+         "gamma ratio times mass ratio"),
+        (["micro.epsilon=1e-160", "model.mass_ratio=1e-200", "micro.gamma_ratio=1e300"],
+         "eps times mass ratio"),
+    ], ids=["epsilon", "subnormal-epsilon", "gamma-mass", "epsilon-mass"])
+    def test_underflowing_product_exits_two(self, sets, product, capsys):
+        argv = ["microstructure"] + [arg for item in sets for arg in ("--set", item)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"numerical failure: {product} underflows to 0\n"
+
     def test_front_start_has_empty_passage(self, capsys):
         # any power above the front drag 1.43 runs from the front
         for power in ("4.0", "1.44"):

@@ -106,6 +106,15 @@ class TestOverrides:
         from breakaway.config import SCHEMA
         assert names == set(SCHEMA)
 
+    def test_copy_and_pickle_keep_the_values(self):
+        import copy
+        import pickle
+
+        cfg = RunConfig.load(overrides=["risk_index=0.3"])
+        for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert type(twin) is RunConfig and twin == cfg
+            assert twin.get("strategy.risk_index") == 0.3
+
 
 class TestIniValues:
     """INI values are read verbatim, and [DEFAULT] is no special section."""

@@ -75,6 +75,10 @@ def runs(draw):
 # memory grows with crash.intensity times mc.trials, which one key cannot bound
 @example(["crash-mc"] + [arg for item in CHEAP + ["crash.intensity=1e308"]
                          for arg in ("--set", item)])
+# a product of inputs in the attack-onset equations underflows to 0
+@example(["microstructure", "--set", "micro.epsilon=1e-170"])
+@example(["microstructure", "--set", "micro.gamma_ratio=1e-200",
+          "--set", "model.mass_ratio=1e-200"])
 def test_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

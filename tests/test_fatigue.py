@@ -485,6 +485,17 @@ class TestOptimizeFatigue:
         assert result.attack_position is None
         assert result.time_gap == 0.0
 
+    @pytest.mark.parametrize("budget", [1e8, 1e9, 1e13])
+    def test_huge_budget_attacks_at_the_start(self, budget):
+        # the ride time shrinks like 1/sqrt(budget), below any bracket end
+        # proportional to the budget, and the budget residual is relative
+        problem = problem_with(energy_budget=budget)
+        result = optimize_fatigue(problem, mu=1.0)
+        assert result.status == "ok" and result.converged
+        assert result.attack_position == 0.0
+        flat_finish = 1.0 - optimal_attack(problem).time_gap
+        assert result.finish_time == pytest.approx(flat_finish, rel=1e-3)
+
     def test_custom_sustainable_power(self):
         result = optimize_fatigue(problem_with(), mu=1.0, p_sustain=0.8)
         assert result.converged
