@@ -39,7 +39,7 @@ def _parse_bool(text: str) -> bool:
 # The upper ends of the four sizes keep a run under 1 GiB: peak RSS of one
 # child process at the end, JSON output, was 621 MiB for terrain.samples
 # (the demo ride), 510 MiB for micro.samples, 707 MiB for sweep.points (a
-# flat sweep) and 337 MiB for mc.trials (at crash.intensity 2).
+# flat sweep) and 77 MiB for mc.trials (crash.intensity 2; 620 MiB at position 75).
 SCHEMA: dict[str, tuple] = {
     "model.cd_front": (float, 1.43, "(0, inf)"),
     "model.cd_lurk": (float, 0.46, "(0, inf)"),  # < cd_front, see strategy_problem
