@@ -43,10 +43,12 @@ def plan(workloads: list[str] | None, seeds: list[int], cli_seeds: list[int] | N
 # --set keys the schema does not hold, a config key in the wrong case, a
 # course file whose header follows a comment, a sweep on a command that does
 # not sweep, a rider position that is fractional or deeper than the pack,
-# config files with no section header or with junk lines, config and course
-# files that start with a byte-order mark, a fatigue budget so large that
-# the attack lasts under a millionth of the race, an attack-onset epsilon
-# whose square underflows, and help and version text.
+# a Monte Carlo at the back of the pack (every start rank can reach the
+# rider, so every crash is drawn), config files with no section header or
+# with junk lines, config and course files that start with a byte-order
+# mark, fatigue budgets so large that the attack lasts under a millionth of
+# the race or its ride time is far below any fixed absolute tolerance, an
+# attack-onset epsilon whose square underflows, and help and version text.
 IO_FILES = {
     "io/sweep.ini": ("[strategy]\nenergy_budget = 1.5  ; inline comment\n\n"
                      "[sweep]\nparameter = risk_index\nlo = 0.2\nhi = 0.9\npoints = 3\n\n"
@@ -75,6 +77,7 @@ IO_OPS = [
                            "--set", "sweep.points=3"]],
     ["io:crash-mc-fractional-position", ["crash-mc", "--set", "model.position=5.5"]],
     ["io:crash-mc-deep-position", ["crash-mc", "--set", "model.position=100"]],
+    ["io:crash-mc-position-75", ["crash-mc", "--set", "model.position=75"]],
     ["io:flat-deep-position", ["flat", "--set", "model.position=100"]],
     ["io:config-no-header", ["flat", "--config", "io/no-header.ini"]],
     ["io:config-junk", ["flat", "--config", "io/junk.ini"]],
@@ -82,6 +85,7 @@ IO_OPS = [
     ["io:course-bom", ["terrain", "--course", "io/bom-course.txt",
                        "--set", "terrain.samples=5"]],
     ["io:fatigue-huge-budget", ["fatigue", "--set", "strategy.energy_budget=1e13"]],
+    ["io:fatigue-budget-1e40", ["fatigue", "--set", "strategy.energy_budget=1e40"]],
     ["io:microstructure-tiny-epsilon", ["microstructure", "--set", "micro.epsilon=1e-300",
                                         "--set", "micro.samples=5"]],
     ["io:help", ["--help"]],

@@ -15,7 +15,7 @@ front; exposure_simple_attack is the explicit formula for it.  Exposure is
 an expected involvement count, so it scales linearly with the intensity and
 may exceed one.  A chunked, vectorized Monte Carlo estimator of the same
 trace serves as the independent oracle for that formula; it draws only the
-crashes that can reach the rider, on two threads.
+crashes that can reach the rider.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 _MC_CHUNKS = 16  # fixed substream count keeps results seed-deterministic
-_MC_WORKERS = 2  # numpy's fills release the GIL; each thread holds one chunk's arrays
-_MAX_EXPECTED_CRASHES = 1e8  # 2 * 5e7 trials peaked at 77 MiB at position 5, 620 at 75
+_MAX_EXPECTED_CRASHES = 1e8  # 2 * 5e7 trials peaked at 58 MiB at position 5, 334 at 75
 
 
 def propagation_probability(position: Any, start: Any, omega: float) -> Any:
@@ -131,8 +130,8 @@ def monte_carlo_exposure(x_attack: float, position: float, trials: int,
     superposition a substream draws only the crashes that start within the
     rider's deepest rank, as one count for all its trials, and puts each
     hit in a uniform trial: the per-trial counts keep their joint law.
-    The substreams run on _MC_WORKERS threads and their integer sums reduce
-    in order, so results are reproducible for a given seed.
+    The substreams run in order and their integer sums reduce in order, so
+    results are reproducible for a given seed.
     """
     if not 0.0 <= x_attack <= 1.0:
         raise ValueError("attack position must lie in [0, 1]")
@@ -142,30 +141,12 @@ def monte_carlo_exposure(x_attack: float, position: float, trials: int,
     if model.intensity * trials > _MAX_EXPECTED_CRASHES:
         raise ValueError(f"intensity * trials must be at most "
                          f"{_MAX_EXPECTED_CRASHES:g} expected crashes")
-    import threading  # numpy loads it anyway; concurrent.futures would load logging
-
     import numpy as np  # only the Monte Carlo needs numpy
     children = np.random.SeedSequence(seed).spawn(_MC_CHUNKS)
     base, extra = divmod(trials, _MC_CHUNKS)
-    sums = [(0, 0)] * _MC_CHUNKS
-    errors: list[BaseException | None] = [None] * _MC_WORKERS
-
-    def work(first: int) -> None:
-        try:  # the chunks past `trials` are empty
-            for c in range(first, min(trials, _MC_CHUNKS), _MC_WORKERS):
-                if not any(errors):
-                    sums[c] = _chunk(children[c], base + (c < extra), x_attack, position, model)
-        except BaseException as exc:  # raised again in the caller, not lost here
-            errors[first] = exc
-
-    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, _MC_WORKERS)]
-    for helper in helpers:
-        helper.start()
-    work(0)
-    for helper in helpers:
-        helper.join()
-    for exc in filter(None, errors):
-        raise exc
+    # with fewer trials than chunks, the chunks past `trials` would be empty
+    sums = [_chunk(children[c], base + (c < extra), x_attack, position, model)
+            for c in range(min(trials, _MC_CHUNKS))]
     sum_x, sum_x2 = map(sum, zip(*sums))
 
     mean = sum_x / trials

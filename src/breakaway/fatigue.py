@@ -171,12 +171,16 @@ def _attack_solve(x: float, energy_budget: float, p_sustain: float,
     def surplus(delta):
         return _speed_integral(delta, peak(delta), p_sustain, mu) - distance
 
-    # by Hoelder, a ride of delta covers at most delta^(2/3) e_rem^(1/3) < distance at lo
-    lo = min(1e-13 * max(1.0, delta_max), 0.5 * distance ** 1.5 / math.sqrt(e_rem))
+    # by Hoelder, a ride of delta covers at most delta^(2/3) e_rem^(1/3), so no
+    # ride home is shorter than `shortest`
+    shortest = distance ** 1.5 / math.sqrt(e_rem)
+    lo = min(1e-13 * max(1.0, delta_max), 0.5 * shortest)
     if (s_hi := surplus(delta_max)) <= 0.0:
         delta = delta_max
     else:
-        delta = find_root_bracketed(surplus, lo, delta_max, settings, surplus(lo), s_hi)
+        # a huge budget's ride can be far shorter than a fixed absolute tolerance
+        tight = settings._replace(abs_tol=settings.abs_tol * min(1.0, shortest))
+        delta = find_root_bracketed(surplus, lo, delta_max, tight, surplus(lo), s_hi)
     return delta, peak(delta)
 
 

@@ -1,12 +1,9 @@
 import math
-import sys
-import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from breakaway import crash
 from breakaway.crash import (
     CrashModel,
     exposure_simple_attack,
@@ -377,42 +374,3 @@ class TestMonteCarloOracle:
     def test_nan_position_rejected(self):
         with pytest.raises(ValueError, match="position must be >= 1"):
             monte_carlo_exposure(0.5, math.nan, 100, 0, MODEL)
-
-
-class TestMonteCarloThreads:
-    ARGS = (0.37, 9.5, 20_003, 2024, MODEL)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_same_result_on_any_worker_count(self, workers, monkeypatch):
-        # more threads than cores, switching often: a lost sum would show
-        expected = bookkeeping_reference(*self.ARGS)
-        monkeypatch.setattr(crash, "_MC_WORKERS", workers)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert monte_carlo_exposure(*self.ARGS) == expected
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-
-    def test_helper_error_reaches_the_caller(self, monkeypatch):
-        failure = MemoryError("chunk 1")
-        chunk = crash._chunk
-        hooked = []
-        failed_on = []
-
-        def failing(child, n, *args):
-            if child.spawn_key == (1,):  # an odd chunk: the helper thread's
-                failed_on.append(threading.current_thread())
-                raise failure
-            return chunk(child, n, *args)
-        monkeypatch.setattr(crash, "_chunk", failing)
-        monkeypatch.setattr(threading, "excepthook", hooked.append)
-        before = threading.active_count()
-        with pytest.raises(MemoryError) as info:
-            monte_carlo_exposure(*self.ARGS)
-        assert info.value is failure
-        assert failed_on and failed_on[0] is not threading.current_thread()
-        assert hooked == []
-        assert threading.active_count() == before

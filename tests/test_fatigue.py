@@ -485,7 +485,7 @@ class TestOptimizeFatigue:
         assert result.attack_position is None
         assert result.time_gap == 0.0
 
-    @pytest.mark.parametrize("budget", [1e8, 1e9, 1e13])
+    @pytest.mark.parametrize("budget", [1e8, 1e9, 1e13, 1e22, 1e23, 1e40, 1e60])
     def test_huge_budget_attacks_at_the_start(self, budget):
         # the ride time shrinks like 1/sqrt(budget), below any bracket end
         # proportional to the budget, and the budget residual is relative
@@ -495,6 +495,9 @@ class TestOptimizeFatigue:
         assert result.attack_position == 0.0
         flat_finish = 1.0 - optimal_attack(problem).time_gap
         assert result.finish_time == pytest.approx(flat_finish, rel=1e-3)
+        if budget >= 1e13:  # a burst at the start: the ride time is sqrt(cd_front / E)
+            burst = math.sqrt(problem.cd_front / budget)
+            assert result.finish_time == pytest.approx(burst, rel=1e-10, abs=0.0)
 
     def test_custom_sustainable_power(self):
         result = optimize_fatigue(problem_with(), mu=1.0, p_sustain=0.8)
